@@ -7,6 +7,7 @@ statistical test batteries.
 """
 
 from .duality import (
+    Certificate,
     ChainReport,
     Coupling,
     Cover,
@@ -22,6 +23,7 @@ from .duality import (
     monotone_chain_check,
     periodic_limsup_mask,
     product_limsup_witness,
+    solve,
 )
 from .errors import (
     BadParameter,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -17,7 +18,7 @@ from pathlib import Path
 
 
 from . import formats
-from .duality import MarginalCaps, SupportMask, duality_gap, max_coupling, min_cover
+from .duality import MarginalCaps, SupportMask, duality_gap, solve
 from .errors import (
     BadParameter,
     DcsetError,
@@ -100,7 +101,7 @@ def cmd_duality(args) -> int:
         if rows * cols > 16:
             raise SweepTooLarge(f"{rows}x{cols} gives 2**{rows * cols} masks; limit is n*m <= 16")
         total_masks = 1 << (rows * cols)
-        jobs = max(1, args.jobs)
+        jobs = max(1, min(args.jobs, os.cpu_count() or 1))
         if jobs == 1:
             chunks = [_sweep_chunk(rows, cols, 0, total_masks)]
         else:
@@ -127,6 +128,7 @@ def cmd_duality(args) -> int:
     if not args.mask:
         raise BadParameter("give a mask file or --sweep n m")
     mask = formats.parse_mask(Path(args.mask).read_text())
+    caps = None
     if args.row_caps or args.col_caps:
         if not (args.row_caps and args.col_caps):
             raise BadParameter("--row-caps and --col-caps must be given together")
@@ -134,23 +136,19 @@ def cmd_duality(args) -> int:
             formats.parse_caps_side(Path(args.row_caps).read_text(), mask.rows),
             formats.parse_caps_side(Path(args.col_caps).read_text(), mask.cols),
         )
-    else:
-        caps = MarginalCaps.uniform(mask.rows, mask.cols)
-    value, coupling = max_coupling(mask, caps)
-    cover_cost, cover = min_cover(mask, caps)
-    gap = duality_gap(mask, caps)
+    cert = solve(mask, caps)
     report = {
         "mode": "single",
         "rows": mask.rows,
         "cols": mask.cols,
-        "coupling_value": str(value),
-        "cover_value": str(cover_cost),
-        "gap": str(gap),
-        "coupling": formats.coupling_to_json(coupling),
-        "cover": formats.cover_to_json(cover, caps),
+        "coupling_value": str(cert.value),
+        "cover_value": str(cert.cover_cost),
+        "gap": str(cert.gap),
+        "coupling": formats.coupling_to_json(cert.coupling()),
+        "cover": formats.cover_to_json(cert.cover, cert.caps),
     }
     _emit(formats.dump_json(report), args.out)
-    return 0 if gap == 0 else 1
+    return 0 if cert.gap == 0 else 1
 
 
 def cmd_simulate(args) -> int:
@@ -179,10 +177,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_distinguish(args) -> int:
     seed = _need_seed(args)
-    report = distinguish_counterexample(
-        _cantor_of(args), args.depth, args.replicas, seed,
-        level=args.level, jobs=max(1, args.jobs),
-    )
+    report = distinguish_counterexample(_cantor_of(args), args.depth, args.replicas, seed, level=args.level)
     payload = formats.report_to_json(report)
     payload["expected_outcome"] = "reject"
     _emit(formats.dump_json(payload), args.out)
@@ -215,9 +210,7 @@ def cmd_stationarity(args) -> int:
     else:
         raise BadParameter(f"unknown observable {observable_name!r}; known: {_OBSERVABLES}")
     expect = args.expect or ("fail" if args.gen == "counterexample" else "pass")
-    report = stationarity_test(
-        make, observable, args.replicas, seed, level=args.level, jobs=max(1, args.jobs)
-    )
+    report = stationarity_test(make, observable, args.replicas, seed, level=args.level)
     payload = formats.report_to_json(report)
     payload["expected_outcome"] = expect
     payload["observable"] = observable_name
@@ -346,13 +339,21 @@ def cmd_cantor(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _common_flags(level: float) -> argparse.ArgumentParser:
+    # A parent parser's actions are shared by every subcommand built from it,
+    # so a command with its own --level default gets its own parent.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="root seed (required for stochastic commands)")
-    common.add_argument("--jobs", type=int, default=1, help="replica-level parallelism")
+    common.add_argument("--jobs", type=int, default=1, help="sweep worker processes, at most the CPU count")
     common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--level", type=float, default=0.01, help="significance level")
+    common.add_argument("--level", type=float, default=level, help="significance level (default %(default)s)")
     common.add_argument("--config", default=None, help="JSON file with flag defaults")
+    return common
+
+
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The dcset parser; `defaults` overrides flag defaults of every subcommand."""
+    common = _common_flags(level=0.01)
 
     cantorish = argparse.ArgumentParser(add_help=False)
     cantorish.add_argument("--gap", default="1/2", help="fat-Cantor target gap p/q")
@@ -377,11 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=10000)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("distinguish", parents=[common, cantorish], help="tell the counterexample from the sample")
+    p = sub.add_parser(
+        "distinguish", parents=[_common_flags(level=1e-6), cantorish], help="tell the counterexample from the sample"
+    )
     p.add_argument("--depth", type=int, default=200)
     p.add_argument("--replicas", type=int, default=500)
     p.add_argument("--csv", default=None, help="also write the report as flat CSV here")
-    p.set_defaults(func=cmd_distinguish, level=1e-6)
+    p.set_defaults(func=cmd_distinguish)
 
     p = sub.add_parser("stationarity", parents=[common, cantorish], help="two-sample shift-invariance test")
     p.add_argument("--gen", default="sample", help="sample | minima | counterexample")
@@ -432,26 +435,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cantor", parents=[common, cantorish], help="build and serialize a fat Cantor set")
     p.set_defaults(func=cmd_cantor)
 
+    for p in sub.choices.values():
+        p.set_defaults(**(defaults or {}))
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # Config files supply flag values; explicitly passed flags win.
-    if getattr(args, "config", None):
+    args = build_parser().parse_args(argv)
+    # A config file supplies flag defaults, so a flag given in any spelling
+    # wins; keys that are no flag of the chosen subcommand are ignored.
+    if args.config:
         try:
             config = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            if not isinstance(config, dict):
+                raise ValueError("expected a JSON object")
+        except (OSError, ValueError) as exc:
             print(f"error: bad --config: {exc}", file=sys.stderr)
             return 2
-        for key, value in config.items():
-            dest = key.replace("-", "_")
-            if f"--{key.replace('_', '-')}" in argv:
-                continue
-            if hasattr(args, dest):
-                setattr(args, dest, value)
+        dests = {key.replace("-", "_"): value for key, value in config.items()}
+        known = {d: v for d, v in dests.items() if hasattr(args, d) and d != "func"}
+        args = build_parser(known).parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, SweepTooLarge, UnknownGenerator, BadParameter) as exc:

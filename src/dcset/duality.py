@@ -9,17 +9,17 @@ column budgets summing to one), two numbers are computed exactly:
   (the cover problem).
 
 Both are realized by one integer max-flow after clearing denominators, so the
-two values agree exactly and each solve yields checkable certificates: a
-feasible coupling achieving the first value and a covering pair achieving the
-second.  The frequency-profile machinery at the bottom handles periodic set
-sequences: exact limit frequencies, their product factorization, and the
-limsup witness rectangle.
+two values agree exactly.  `solve` runs that flow once and returns a
+Certificate holding both witnesses, checked in integers: a feasible coupling
+achieving the first value and a covering pair achieving the second.  The
+frequency-profile machinery at the bottom handles periodic set sequences:
+exact limit frequencies, their product factorization, and the limsup witness
+rectangle.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,7 +36,9 @@ __all__ = [
     "Coupling",
     "Cover",
     "ChainReport",
+    "Certificate",
     "FrequencyProfile",
+    "solve",
     "max_coupling",
     "min_cover",
     "duality_gap",
@@ -234,20 +236,54 @@ class Cover:
         return all(int(i) in self.U or int(j) in self.V for i, j in zip(ii, jj))
 
 
-class _FlowResult:
-    __slots__ = ("value", "flow", "scale", "U", "V", "caps")
+@dataclass(frozen=True)
+class Certificate:
+    """Both witnesses of one exact solve, checked in integer units.
 
-    def __init__(self, value, flow, scale, U, V, caps):
-        self.value = value  # Fraction
-        self.flow = flow  # list of (i, j, int units)
-        self.scale = scale
-        self.U = U
-        self.V = V
-        self.caps = caps
+    Every amount is an integer multiple of 1/scale.  The coupling witness is
+    `flow`, a list of (row, col, units) with positive units.  `Fraction`s are
+    formed only by the accessors.
+    """
+
+    mask: SupportMask
+    caps: MarginalCaps
+    scale: int
+    flow: list
+    mass_units: int
+    cover: Cover
+    cost_units: int
+
+    @property
+    def value(self) -> Fraction:
+        """Total mass of the coupling witness."""
+        return Fraction(self.mass_units, self.scale)
+
+    @property
+    def cover_cost(self) -> Fraction:
+        return Fraction(self.cost_units, self.scale)
+
+    @property
+    def gap(self) -> Fraction:
+        """Cover cost minus coupling mass; zero proves both witnesses optimal."""
+        return Fraction(self.cost_units - self.mass_units, self.scale)
+
+    def coupling(self) -> Coupling:
+        mass = [[_ZERO] * self.mask.cols for _ in range(self.mask.rows)]
+        for i, j, units in self.flow:
+            mass[i][j] = Fraction(units, self.scale)
+        coupling = Coupling.__new__(Coupling)
+        coupling.mass = tuple(tuple(row) for row in mass)
+        return coupling
 
 
-def _solve(mask: SupportMask, caps: MarginalCaps | None) -> _FlowResult:
-    """One integer max-flow giving value, supported flow, and the min cut."""
+def solve(mask: SupportMask, caps: MarginalCaps | None = None) -> Certificate:
+    """Solve the marginal and cover problems of a mask by one integer max-flow.
+
+    Caps default to uniform.  Both witnesses are checked in integer units
+    before they are returned: the coupling charges mask cells only and keeps
+    within every row and column cap, and the cover meets every mask cell.  A
+    zero `gap` is therefore a proof of strong duality for the instance.
+    """
     if caps is None:
         caps = MarginalCaps.uniform(mask.rows, mask.cols)
     if len(caps.row_caps) != mask.rows or len(caps.col_caps) != mask.cols:
@@ -259,11 +295,6 @@ def _solve(mask: SupportMask, caps: MarginalCaps | None) -> _FlowResult:
     # Node layout: 0 source, 1..n rows, n+1..n+m cols, n+m+1 sink.
     source, sink = 0, n + m + 1
     n_nodes = n + m + 2
-    # Augmenting paths alternate sides, so recursion depth stays below
-    # 2*min(n, m)+4; only huge square masks need a higher limit.
-    depth_bound = 2 * min(n, m) + 50
-    if depth_bound > sys.getrecursionlimit():
-        sys.setrecursionlimit(depth_bound + 1000)
     adj: list[list[int]] = [[] for _ in range(n_nodes)]
     to: list[int] = []
     cap: list[int] = []
@@ -292,9 +323,6 @@ def _solve(mask: SupportMask, caps: MarginalCaps | None) -> _FlowResult:
         to.append(1 + i)
         cap.append(0)
 
-    flow_value = 0
-    level = [-1] * n_nodes
-    total_cap = sum(row_int)
     while True:
         level = [-1] * n_nodes
         level[source] = 0
@@ -308,49 +336,56 @@ def _solve(mask: SupportMask, caps: MarginalCaps | None) -> _FlowResult:
                     queue.append(v)
         if level[sink] < 0:
             break
+        # Blocking flow: a depth-first search along level-increasing edges,
+        # holding its current path as a list of edges.  iters[u] is the next
+        # edge of u to try; it stays put after a push, since that edge may
+        # still have capacity, and moves on when the edge leads to a dead end.
         iters = [0] * n_nodes
-
-        def augment(u, limit):
-            if u == sink:
-                return limit
+        path: list[int] = []
+        u = source
+        while True:
             edges = adj[u]
-            while iters[u] < len(edges):
-                e = edges[iters[u]]
-                v = to[e]
-                if cap[e] > 0 and level[v] == level[u] + 1:
-                    pushed = augment(v, min(limit, cap[e]))
-                    if pushed:
+            k = iters[u]
+            while k < len(edges) and not (cap[edges[k]] > 0 and level[to[edges[k]]] == level[u] + 1):
+                k += 1
+            iters[u] = k
+            if k < len(edges):
+                path.append(edges[k])
+                u = to[edges[k]]
+                if u == sink:
+                    pushed = min(cap[e] for e in path)
+                    for e in path:
                         cap[e] -= pushed
                         cap[e ^ 1] += pushed
-                        return pushed
+                    path.clear()
+                    u = source
+            elif path:
+                u = to[path.pop() ^ 1]
                 iters[u] += 1
-            return 0
-
-        while True:
-            pushed = augment(source, total_cap)
-            if not pushed:
+            else:
                 break
-            flow_value += pushed
 
     # The last breadth-first search marks residual reachability: rows cut off
     # from the source join U, columns still reachable join V.
     U = frozenset(i for i in range(n) if level[1 + i] < 0)
     V = frozenset(j for j in range(m) if level[1 + n + j] >= 0)
     flow = []
+    row_units = [0] * n
+    col_units = [0] * m
     for k, (i, j) in enumerate(pairs):
+        if i not in U and j not in V:
+            raise AssertionError("cover witness misses a mask cell")
         units = scale - cap[first_cell_edge + 2 * k]
         if units > 0:
+            if not mask.cells[i, j]:
+                raise AssertionError("flow escaped the mask")
             flow.append((i, j, units))
-    return _FlowResult(Fraction(flow_value, scale), flow, scale, U, V, caps)
-
-
-def _coupling_from(result: _FlowResult, rows: int, cols: int) -> Coupling:
-    mass = [[_ZERO] * cols for _ in range(rows)]
-    for i, j, units in result.flow:
-        mass[i][j] = Fraction(units, result.scale)
-    coupling = Coupling.__new__(Coupling)
-    coupling.mass = tuple(tuple(row) for row in mass)
-    return coupling
+            row_units[i] += units
+            col_units[j] += units
+    if any(r > c for r, c in zip(row_units + col_units, row_int + col_int)):
+        raise AssertionError("coupling witness exceeds a row or column cap")
+    cost_units = sum(row_int[i] for i in U) + sum(col_int[j] for j in V)
+    return Certificate(mask, caps, scale, flow, sum(row_units), Cover(U, V), cost_units)
 
 
 def max_coupling(mask: SupportMask, caps: MarginalCaps | None = None):
@@ -359,44 +394,19 @@ def max_coupling(mask: SupportMask, caps: MarginalCaps | None = None):
     The witness achieves the value exactly: its total mass equals the returned
     Fraction, its marginals respect the caps, and it charges mask cells only.
     """
-    result = _solve(mask, caps)
-    return result.value, _coupling_from(result, mask.rows, mask.cols)
+    cert = solve(mask, caps)
+    return cert.value, cert.coupling()
 
 
 def min_cover(mask: SupportMask, caps: MarginalCaps | None = None):
     """Cheapest cross cover of the mask; returns (value, witness)."""
-    result = _solve(mask, caps)
-    cover = Cover(result.U, result.V)
-    return cover.cost(result.caps), cover
+    cert = solve(mask, caps)
+    return cert.cover_cost, cert.cover
 
 
 def duality_gap(mask: SupportMask, caps: MarginalCaps | None = None) -> Fraction:
-    """Exact cover-minus-coupling gap, certified from one solve.
-
-    Both certificates are validated at integer level before the gap is formed,
-    so a zero return really is a proof of strong duality for the instance.
-    """
-    result = _solve(mask, caps)
-    n, m = mask.rows, mask.cols
-    row_units = [0] * n
-    col_units = [0] * m
-    for i, j, units in result.flow:
-        if not mask.cells[i, j]:
-            raise AssertionError("flow escaped the mask")
-        row_units[i] += units
-        col_units[j] += units
-    _, row_int, col_int = result.caps.scaled()
-    if any(r > c for r, c in zip(row_units, row_int)):
-        raise AssertionError("coupling witness violates a row cap")
-    if any(r > c for r, c in zip(col_units, col_int)):
-        raise AssertionError("coupling witness violates a column cap")
-    U, V = result.U, result.V
-    for i, j in mask.pairs():
-        if i not in U and j not in V:
-            raise AssertionError("cover witness misses a mask cell")
-    mass_units = sum(units for _, _, units in result.flow)
-    cost_units = sum(row_int[i] for i in U) + sum(col_int[j] for j in V)
-    return Fraction(cost_units - mass_units, result.scale)
+    """Exact cover-minus-coupling gap of the certificate from one solve."""
+    return solve(mask, caps).gap
 
 
 @dataclass(frozen=True)
@@ -420,13 +430,8 @@ def monotone_chain_check(
     for idx, (a, b) in enumerate(zip(chain, chain[1:])):
         if not a.is_subset(b):
             raise NotNested(idx + 1)
-    couplings = []
-    covers = []
-    for mask in chain:
-        result = _solve(mask, caps)
-        couplings.append(result.value)
-        covers.append(Cover(result.U, result.V).cost(result.caps))
-    return ChainReport(tuple(couplings), tuple(covers))
+    certs = [solve(mask, caps) for mask in chain]
+    return ChainReport(tuple(c.value for c in certs), tuple(c.cover_cost for c in certs))
 
 
 def full_coupling(mask: SupportMask, caps: MarginalCaps | None = None) -> Coupling:
@@ -436,11 +441,10 @@ def full_coupling(mask: SupportMask, caps: MarginalCaps | None = None) -> Coupli
     cover is raised as the obstruction (DeficientSupport).  On success both
     marginals equal the caps exactly.
     """
-    result = _solve(mask, caps)
-    if result.value < 1:
-        cover = Cover(result.U, result.V)
-        raise DeficientSupport(cover, cover.cost(result.caps))
-    return _coupling_from(result, mask.rows, mask.cols)
+    cert = solve(mask, caps)
+    if cert.value < 1:
+        raise DeficientSupport(cert.cover, cert.cover_cost)
+    return cert.coupling()
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .errors import (
     InsufficientDensity,
     UnsupportedCoupling,
 )
-from .generators import SELECTOR_DOMAIN, Enumeration, Seed, sample_uniform
+from .generators import SELECTOR_DOMAIN, Enumeration, Seed, _as_seed, sample_uniform
 from .grid_measure import UnitGrid
 
 __all__ = [
@@ -61,7 +61,7 @@ class Ensemble:
     def generate(
         cls, make: Callable[[Seed], Enumeration], count: int, grid: UnitGrid, seed
     ) -> "Ensemble":
-        base = seed if isinstance(seed, Seed) else Seed(int(seed))
+        base = _as_seed(seed)
         return cls(
             tuple(make(base.with_replica(r)) for r in range(count)), grid
         )
@@ -169,7 +169,7 @@ def selector_from_coupling(
     Raises UnsupportedCoupling if the coupling charges a cell outside the
     ensemble's support mask or leaves a replica without mass.
     """
-    base = seed if isinstance(seed, Seed) else Seed(int(seed))
+    base = _as_seed(seed)
     if coupling.rows != ensemble.size or coupling.cols != ensemble.grid.n:
         raise BadParameter("coupling dimensions do not match the ensemble")
     bins_per_replica = _replica_bins(ensemble)
@@ -252,7 +252,7 @@ def conditional_uniform_selector(
     structure cell by cell.  A cell whose sub-mask has no full coupling raises
     InsufficientDensity naming that cell.
     """
-    base = seed if isinstance(seed, Seed) else Seed(int(seed))
+    base = _as_seed(seed)
     if not priors:
         return uniform_selector(ensemble, base, component)
     for prior in priors:
@@ -276,7 +276,7 @@ def interleaved_enumeration(
     odd table (the first enumeration point not yet used by that replica).
     The first j+1 base points are always contained in the first 2j+1 tables.
     """
-    base = seed if isinstance(seed, Seed) else Seed(int(seed))
+    base = _as_seed(seed)
     if rounds < 0:
         raise BadParameter(f"rounds must be >= 0, got {rounds}")
     for r, enum in enumerate(ensemble.replicas):

@@ -10,7 +10,6 @@ flip their own semantics.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -189,14 +188,6 @@ def two_sample_test(
     )
 
 
-def _replica_map(fn: Callable[[int], object], count: int, jobs: int) -> list:
-    """Order-preserving per-replica map; deterministic for any job count."""
-    if jobs <= 1:
-        return [fn(r) for r in range(count)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def count_in(region) -> Callable[[np.ndarray], float]:
     """Observable factory: number of points falling in a BinSet or FatCantor."""
 
@@ -304,7 +295,6 @@ def stationarity_test(
     replicas: int,
     seed: int,
     level: float = 0.01,
-    jobs: int = 1,
 ) -> TestReport:
     """Two-sample comparison of an observable on X versus on a freshly shifted X.
 
@@ -321,7 +311,7 @@ def stationarity_test(
         moved = cyclic_shift_points(CyclicShift(s), make(twin).points.tolist())
         return plain_obs, observable(np.array(moved))
 
-    pairs = _replica_map(one, replicas, jobs)
+    pairs = [one(r) for r in range(replicas)]
     plain = np.array([p for p, _ in pairs])
     shifted = np.array([q for _, q in pairs])
     report = two_sample_test(plain, shifted, level, seed, name="stationarity")
@@ -331,8 +321,7 @@ def stationarity_test(
 
 
 def distinguish_counterexample(
-    cantor: FatCantor, depth: int, replicas: int, seed: int, level: float = 1e-6,
-    jobs: int = 1,
+    cantor: FatCantor, depth: int, replicas: int, seed: int, level: float = 1e-6
 ) -> TestReport:
     """Count-in-C statistic separating the pure sample from the mixed set.
 
@@ -348,7 +337,7 @@ def distinguish_counterexample(
             float(counterexample_mix(depth, cantor, Seed(seed, r)).count_in(cantor)),
         )
 
-    pairs = _replica_map(one, replicas, jobs)
+    pairs = [one(r) for r in range(replicas)]
     xs = np.array([p for p, _ in pairs])
     ys = np.array([q for _, q in pairs])
     report = two_sample_test(xs, ys, level, seed, name="distinguish-counterexample")

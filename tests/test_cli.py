@@ -2,8 +2,10 @@
 
 import json
 
+import pytest
 
-from dcset.cli import main
+from dcset import cli
+from dcset.cli import build_parser, main
 
 
 def run(tmp_path, *argv, out_name="out.json"):
@@ -23,6 +25,29 @@ class TestDuality:
         _, serial = run(tmp_path, "duality", "--sweep", "2", "3", out_name="a.json")
         _, parallel = run(tmp_path, "duality", "--sweep", "2", "3", "--jobs", "3", out_name="b.json")
         assert json.loads(serial) == json.loads(parallel)
+
+    def test_jobs_capped_at_cpu_count(self, tmp_path, monkeypatch):
+        # The pool is replaced by a recorder, so no worker process starts.
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        code, text = run(tmp_path, "duality", "--sweep", "2", "2", "--jobs", "1000000")
+        assert code == 0 and json.loads(text)["masks"] == 16
+        assert requested == [2]
 
     def test_sweep_too_large(self, tmp_path):
         assert main(["duality", "--sweep", "5", "4"]) == 2
@@ -206,13 +231,43 @@ class TestConfig:
             tmp_path, "simulate", "sample", "--config", str(conf), out_name="c.csv"
         )
         assert code == 0 and len(text.strip().splitlines()) == 41
-        code, text = run(
-            tmp_path, "simulate", "sample", "--config", str(conf), "--depth", "10",
-            out_name="d.csv",
+        for flags in (["--depth", "10"], ["--depth=10"]):
+            code, text = run(
+                tmp_path, "simulate", "sample", "--config", str(conf), *flags,
+                out_name="d.csv",
+            )
+            assert code == 0 and len(text.strip().splitlines()) == 11
+        _, seeded = run(
+            tmp_path, "simulate", "sample", "--seed", "7", "--depth", "40", out_name="e.csv"
         )
-        assert code == 0 and len(text.strip().splitlines()) == 11
+        for flags in (["--seed", "7"], ["--seed=7"]):
+            code, text = run(
+                tmp_path, "simulate", "sample", "--config", str(conf), *flags,
+                out_name="f.csv",
+            )
+            assert code == 0 and text == seeded
 
     def test_bad_config(self, tmp_path):
         conf = tmp_path / "broken.json"
-        conf.write_text("{not json")
-        assert main(["simulate", "sample", "--config", str(conf)]) == 2
+        for text in ("{not json", "[1, 2]"):
+            conf.write_text(text)
+            assert main(["simulate", "sample", "--config", str(conf)]) == 2
+
+
+@pytest.mark.parametrize(
+    "command,level",
+    [
+        ("duality", 0.01),
+        ("simulate", 0.01),
+        ("distinguish", 1e-6),
+        ("stationarity", 0.01),
+        ("independence", 0.01),
+        ("shifthit", 0.01),
+        ("selector", 0.01),
+        ("enumerate", 0.01),
+        ("cantor", 0.01),
+    ],
+)
+def test_level_default_per_subcommand(command, level):
+    positional = ["sample"] if command == "simulate" else []
+    assert build_parser().parse_args([command, *positional]).level == level

@@ -1,16 +1,21 @@
 """Exact marginal/cover duality: oracle comparisons, certificates, profiles.
 
-Two independent oracles guard the flow engine: exhaustive enumeration of all
-covers (exact, for the cover problem) and an LP solve via scipy's HiGHS
-(floating point, for the coupling problem).  The engine must agree with the
-first exactly and with the second to solver tolerance.
+Three independent oracles guard the flow engine: exhaustive enumeration of all
+covers (exact, for the cover problem), a second max-flow via networkx (exact,
+for the coupling value) and an LP solve via scipy's HiGHS (floating point, for
+the coupling problem).  The engine must agree with the first two exactly and
+with the LP to solver tolerance.
 """
 
 import math
+import sys
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from dcset import (
@@ -30,6 +35,7 @@ from dcset import (
     monotone_chain_check,
     periodic_limsup_mask,
     product_limsup_witness,
+    solve,
 )
 
 
@@ -181,6 +187,74 @@ class TestProperties:
             MarginalCaps((Fraction(2),), (Fraction(1),))
         with pytest.raises(BadParameter):
             max_coupling(SupportMask.full(2, 2), MarginalCaps.uniform(3, 2))
+
+
+def networkx_max_units(mask: SupportMask, caps: MarginalCaps) -> int:
+    """Second max-flow oracle on the same integer network."""
+    scale, row_int, col_int = caps.scaled()
+    graph = nx.DiGraph()
+    graph.add_nodes_from(["s", "t"])
+    for i in range(mask.rows):
+        graph.add_edge("s", ("r", i), capacity=row_int[i])
+    for j in range(mask.cols):
+        graph.add_edge(("c", j), "t", capacity=col_int[j])
+    for i, j in mask.pairs():
+        graph.add_edge(("r", i), ("c", j), capacity=scale)
+    return nx.maximum_flow_value(graph, "s", "t")
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 8))
+    cells = draw(st.lists(st.booleans(), min_size=n * m, max_size=n * m))
+    weights = st.integers(0, 12)
+    rw = draw(st.lists(weights, min_size=n, max_size=n).filter(any))
+    cw = draw(st.lists(weights, min_size=m, max_size=m).filter(any))
+    caps = MarginalCaps(
+        tuple(Fraction(x, sum(rw)) for x in rw), tuple(Fraction(x, sum(cw)) for x in cw)
+    )
+    return SupportMask(np.array(cells).reshape(n, m)), caps
+
+
+class TestSolve:
+    @settings(max_examples=80, deadline=None)
+    @given(instances())
+    def test_certificate_against_oracles(self, instance):
+        mask, caps = instance
+        cert = solve(mask, caps)
+        assert cert.gap == 0
+        assert cert.value == Fraction(networkx_max_units(mask, caps), cert.scale)
+        assert cert.cover_cost == enumerate_min_cover(mask, caps)
+        coupling = cert.coupling()
+        assert coupling.is_feasible(caps, mask)
+        assert coupling.total_mass() == cert.value
+        assert cert.cover.covers(mask) and cert.cover.cost(caps) == cert.cover_cost
+        # The wrappers return the certificate's values.
+        value, witness = max_coupling(mask, caps)
+        assert value == cert.value and witness.mass == coupling.mass
+        assert min_cover(mask, caps) == (cert.cover_cost, cert.cover)
+        assert duality_gap(mask, caps) == cert.gap
+        report = monotone_chain_check([mask], caps)
+        assert report.coupling_values == (cert.value,)
+        assert report.cover_values == (cert.cover_cost,)
+        if cert.value == 1:
+            assert full_coupling(mask, caps).mass == coupling.mass
+        else:
+            with pytest.raises(DeficientSupport) as err:
+                full_coupling(mask, caps)
+            assert err.value.witness == cert.cover and err.value.cost == cert.cover_cost
+
+    def test_default_caps_are_uniform(self):
+        mask = SupportMask.from_cells(2, 3, [(0, 0), (1, 2)])
+        cert = solve(mask)
+        assert cert.caps == MarginalCaps.uniform(2, 3)
+        assert cert.value == Fraction(2, 3) and cert.gap == 0
+
+    def test_recursion_limit_untouched(self):
+        before = sys.getrecursionlimit()
+        assert duality_gap(SupportMask(np.eye(480, dtype=bool))) == 0
+        assert sys.getrecursionlimit() == before
 
 
 class TestChains:

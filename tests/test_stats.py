@@ -146,13 +146,6 @@ class TestStationarity:
         )
         assert report.passed
 
-    def test_jobs_do_not_change_the_answer(self):
-        serial = stationarity_test(lambda s: sample_uniform(50, s), count_in(HALF), 60, 96)
-        threaded = stationarity_test(
-            lambda s: sample_uniform(50, s), count_in(HALF), 60, 96, jobs=4
-        )
-        assert serial.statistic == threaded.statistic
-
 
 class TestDistinguish:
     def test_full_scale_separation(self):
@@ -169,11 +162,6 @@ class TestDistinguish:
         thin = fat_cantor_build(Fraction(99, 100), 8)
         report = distinguish_counterexample(thin, 50, 100, 102, level=0.01)
         assert report.statistic >= 0
-
-    def test_jobs_deterministic(self):
-        a = distinguish_counterexample(CANTOR, 50, 80, 103, level=0.01)
-        b = distinguish_counterexample(CANTOR, 50, 80, 103, level=0.01, jobs=3)
-        assert a.statistic == b.statistic
 
 
 class TestShiftHit:
