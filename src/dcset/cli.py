@@ -79,7 +79,14 @@ def _need_seed(args) -> int:
 
 
 def _cantor_of(args):
-    return fat_cantor_build(Fraction(args.gap), args.cantor_depth)
+    return fat_cantor_build(formats.parse_fraction(str(args.gap)), args.cantor_depth)
+
+
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ParseError(f"{flag} needs comma-separated integers, got {text!r}") from None
 
 
 def _sweep_chunk(rows: int, cols: int, lo: int, hi: int) -> tuple[int, int, str]:
@@ -225,7 +232,7 @@ def cmd_independence(args) -> int:
     kind = {"sample": "sample", "minima": "walk"}.get(args.gen)
     if kind is None:
         raise UnknownGenerator(f"unknown generator {args.gen!r}")
-    cuts = [float(Fraction(c)) for c in args.cuts.split(",")]
+    cuts = [float(formats.parse_fraction(c)) for c in args.cuts.split(",")]
     report = fragment_independence_test(
         kind, cuts, args.replicas, seed, level=args.level, steps=args.steps
     )
@@ -239,11 +246,11 @@ def cmd_shifthit(args) -> int:
     seed = _need_seed(args)
     grid = UnitGrid(args.grid)
     if args.bins:
-        members = frozenset(int(b) for b in args.bins.split(","))
+        members = frozenset(_int_list(args.bins, "--bins"))
     else:
         members = frozenset(range(0, grid.n, 2))
     region = BinSet(grid, members)
-    depths = [int(d) for d in args.depths.split(",")]
+    depths = _int_list(args.depths, "--depths")
     curve = shift_hit_curve(region, depths, args.shifts, seed)
     _emit(formats.dump_json(formats.curve_to_json(curve)), args.out)
     if args.csv:

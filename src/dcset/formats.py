@@ -142,11 +142,9 @@ def cantor_from_json(data: dict) -> FatCantor:
         removed = tuple(
             (parse_fraction(lo), parse_fraction(hi)) for lo, hi in data["removed"]
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad cantor JSON: {exc}") from exc
-    removed = tuple(sorted(removed))
-    gap = sum((hi - lo for lo, hi in removed), Fraction(0))
-    return FatCantor(depth=depth, removed=removed, gap_measure=gap)
+    return FatCantor(depth=depth, removed=removed)
 
 
 def coupling_to_json(coupling: Coupling) -> dict:

@@ -195,11 +195,8 @@ def poisson_on_cantor(cantor: FatCantor, seed) -> np.ndarray:
     if count == 0:
         return np.empty(0)
     us = _distinct_uniform(rng, count, 0.0, measure)
-    segments = cantor.kept_segments()
-    starts = np.array([float(a) for a, _ in segments])
-    lengths = np.array([float(b - a) for a, b in segments])
-    cum = np.concatenate([[0.0], np.cumsum(lengths)])
-    idx = np.clip(np.searchsorted(cum, us, side="right") - 1, 0, len(segments) - 1)
+    starts, _, cum = cantor.float_segments
+    idx = np.clip(np.searchsorted(cum, us, side="right") - 1, 0, len(starts) - 1)
     return starts[idx] + (us - cum[idx])
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
@@ -148,40 +149,55 @@ class FatCantor:
 
     Stored through its complement: `removed` is the sorted tuple of disjoint
     open rational intervals taken out of (0,1); the set itself is what is left.
+    Intervals may touch, leaving their common endpoint in the set.
     """
 
     depth: int
     removed: tuple
-    gap_measure: Fraction
+
+    def __post_init__(self):
+        removed = tuple(sorted((lo, hi) for lo, hi in self.removed))
+        object.__setattr__(self, "removed", removed)
+        for lo, hi in removed:
+            if not 0 < lo < hi < 1:
+                raise BadParameter(f"removed interval ({lo}, {hi}) needs 0 < lo < hi < 1")
+        for a, b in zip(removed, removed[1:]):
+            if a[1] > b[0]:
+                raise BadParameter(f"removed intervals ({a[0]}, {a[1]}) and ({b[0]}, {b[1]}) overlap")
+
+    @cached_property
+    def gap_measure(self) -> Fraction:
+        return sum((hi - lo for lo, hi in self.removed), Fraction(0))
 
     @property
     def measure(self) -> Fraction:
         return 1 - self.gap_measure
 
     def kept_segments(self) -> list[tuple[Fraction, Fraction]]:
-        """Closed segments making up the set, left to right."""
-        segments = []
-        cursor = Fraction(0)
-        for lo, hi in self.removed:
-            if lo > cursor:
-                segments.append((cursor, lo))
-            cursor = hi
-        if cursor < 1:
-            segments.append((cursor, Fraction(1)))
-        return segments
+        """Closed segments making up the set, left to right (some may be points)."""
+        bounds = [Fraction(0), *(x for interval in self.removed for x in interval), Fraction(1)]
+        return list(zip(bounds[::2], bounds[1::2]))
+
+    @cached_property
+    def float_segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The kept segments as floats, built once: (starts, ends, cum).
+
+        cum[k] is the float length of the segments before segment k; its last
+        entry is their total.
+        """
+        segments = self.kept_segments()
+        starts = np.array([float(a) for a, _ in segments])
+        ends = np.array([float(b) for _, b in segments])
+        cum = np.concatenate([[0.0], np.cumsum([float(b - a) for a, b in segments])])
+        for table in (starts, ends, cum):
+            table.flags.writeable = False  # shared by every caller
+        return starts, ends, cum
 
     def contains_points(self, points) -> np.ndarray:
-        """Vectorized membership: True where no removed interval holds the point."""
+        """Vectorized membership for points in (0,1): True on a kept segment."""
         pts = np.asarray(points, dtype=float)
-        los = np.array([float(lo) for lo, _ in self.removed])
-        his = np.array([float(hi) for _, hi in self.removed])
-        idx = np.searchsorted(los, pts, side="right") - 1
-        inside = np.zeros(pts.shape, dtype=bool)
-        has_left = idx >= 0
-        inside[has_left] = (pts[has_left] < his[idx[has_left]]) & (
-            pts[has_left] > los[idx[has_left]]
-        )
-        return ~inside
+        starts, ends, _ = self.float_segments
+        return pts <= ends[np.searchsorted(starts, pts, side="right") - 1]
 
 
 def fat_cantor_build(target_gap, depth: int) -> FatCantor:
@@ -197,8 +213,9 @@ def fat_cantor_build(target_gap, depth: int) -> FatCantor:
     gap = Fraction(target_gap)
     if not 0 < gap < 1:
         raise BadParameter(f"target gap {target_gap} outside (0,1)")
-    if depth < 1:
-        raise BadParameter(f"depth must be >= 1, got {depth}")
+    if not 1 <= depth <= 16:
+        # Each stage doubles the intervals: depth 16 takes seconds, 17 four times that.
+        raise BadParameter(f"depth must be in [1, 16], got {depth}")
 
     removed = []
     segments = [(Fraction(0), Fraction(1))]
@@ -213,17 +230,14 @@ def fat_cantor_build(target_gap, depth: int) -> FatCantor:
             next_segments.append((cut_hi, hi))
         segments = next_segments
 
-    removed.sort()
-    gap_measure = sum((hi - lo for lo, hi in removed), Fraction(0))
-    return FatCantor(depth=depth, removed=tuple(removed), gap_measure=gap_measure)
+    return FatCantor(depth=depth, removed=tuple(removed))
 
 
 def fat_cantor_contains(cantor: FatCantor, t: float) -> bool:
     """True iff the point lies in no removed interval."""
     if not 0 < t < 1:
         raise OutOfDomain(f"point {t} outside (0,1)")
-    los = [lo for lo, _ in cantor.removed]
-    i = bisect_right(los, t) - 1
+    i = bisect_right(cantor.removed, t, key=lambda interval: interval[0]) - 1
     if i < 0:
         return True
     return not (t < cantor.removed[i][1] and cantor.removed[i][0] < t)

@@ -214,7 +214,7 @@ def _conditional_by_keys(
     component: int,
     mask: SupportMask,
     bins_per_replica: list[np.ndarray],
-    solve_cache: dict | None = None,
+    solve_cache: dict,
 ) -> SelectorTable:
     cells: dict = {}
     for r, key in enumerate(keys):
@@ -224,14 +224,11 @@ def _conditional_by_keys(
     for key in sorted(cells):
         rows = cells[key]
         sub = SupportMask(mask.cells[rows])
-        if solve_cache is None:
+        cache_key = (len(rows), sub.cells.tobytes())
+        coupling = solve_cache.get(cache_key)
+        if coupling is None:
             coupling = _full_coupling_or_obstruction(sub, ensemble.grid.n, cell=key)
-        else:
-            cache_key = (len(rows), sub.cells.tobytes())
-            coupling = solve_cache.get(cache_key)
-            if coupling is None:
-                coupling = _full_coupling_or_obstruction(sub, ensemble.grid.n, cell=key)
-                solve_cache[cache_key] = coupling
+            solve_cache[cache_key] = coupling
         _draw_rows(
             ensemble, rows, coupling, seed, component, bins_per_replica, values, memberships
         )
@@ -262,7 +259,7 @@ def conditional_uniform_selector(
     keys = [tuple(int(row[r]) for row in bin_rows) for r in range(ensemble.size)]
     mask = build_support_mask(ensemble)
     return _conditional_by_keys(
-        ensemble, keys, base, component, mask, _replica_bins(ensemble)
+        ensemble, keys, base, component, mask, _replica_bins(ensemble), {}
     )
 
 

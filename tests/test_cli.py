@@ -271,3 +271,22 @@ class TestConfig:
 def test_level_default_per_subcommand(command, level):
     positional = ["sample"] if command == "simulate" else []
     assert build_parser().parse_args([command, *positional]).level == level
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cantor", "--gap", "abc"],
+        ["cantor", "--gap", "1/0"],
+        ["cantor", "--cantor-depth", "17"],
+        ["simulate", "poisson", "--seed", "1", "--gap", "0.5.5"],
+        ["independence", "--seed", "1", "--cuts", "0,x,1"],
+        ["shifthit", "--seed", "1", "--bins", "a"],
+        ["shifthit", "--seed", "1", "--depths", "64,x"],
+    ],
+    ids=" ".join,
+)
+def test_malformed_flag_exits_2(tmp_path, capsys, argv):
+    code, text = run(tmp_path, *argv)
+    assert code == 2 and text is None
+    assert "\nerror: " in "\n" + capsys.readouterr().err

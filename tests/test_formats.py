@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dcset import (
+    BadParameter,
     BinSet,
     MarginalCaps,
     ParseError,
@@ -109,6 +110,18 @@ class TestCantorJson:
     def test_rational_strings(self):
         data = cantor_to_json(fat_cantor_build(Fraction(1, 2), 1))
         assert data == {"depth": 1, "removed": [["3/8", "5/8"]]}
+
+    @pytest.mark.parametrize(
+        "removed",
+        [
+            [["3/4", "1/4"]],  # reversed: its measure would read 3/2
+            [["1/4", "3/4"], ["1/2", "7/8"]],  # overlapping: the overlap counted twice
+            [["-1/2", "1/4"]],  # reaching outside (0,1)
+        ],
+    )
+    def test_bad_geometry_rejected(self, removed):
+        with pytest.raises(BadParameter):
+            cantor_from_json({"depth": 1, "removed": removed})
 
 
 class TestWitnessJson:

@@ -9,6 +9,7 @@ from dcset import (
     BadParameter,
     BinSet,
     CyclicShift,
+    FatCantor,
     OutOfDomain,
     UndefinedPoint,
     UnitGrid,
@@ -157,8 +158,9 @@ class TestFatCantor:
             fat_cantor_build(bad, 3)
 
     def test_bad_depth_rejected(self):
-        with pytest.raises(BadParameter):
-            fat_cantor_build(Fraction(1, 2), 0)
+        for depth in (0, 17):
+            with pytest.raises(BadParameter):
+                fat_cantor_build(Fraction(1, 2), depth)
 
     @pytest.mark.parametrize("gap,depth", [(Fraction(1, 2), 4), (Fraction(9, 10), 5)])
     def test_density_witness(self, gap, depth):
@@ -192,3 +194,33 @@ class TestFatCantor:
         c = fat_cantor_build(Fraction(3, 7), 5)
         total = sum((b - a for a, b in c.kept_segments()), Fraction(0))
         assert total == c.measure
+
+    @pytest.mark.parametrize("gap", [Fraction(1, 2), Fraction(1, 3), Fraction(9, 10), Fraction(99, 100)])
+    def test_contains_matches_removed_interval_formula(self, gap):
+        # Reference: a point is out of the set iff some removed open interval
+        # holds it, compared in floats; the intervals are disjoint and sorted,
+        # so only the last one starting at or left of the point can hold it.
+        for depth in (1, 2, 3, 5, 8, 12):
+            c = fat_cantor_build(gap, depth)
+            los = np.array([float(lo) for lo, _ in c.removed])
+            his = np.array([float(hi) for _, hi in c.removed])
+            bounds = np.concatenate([los, his])
+            rng = np.random.default_rng(depth)
+            pts = np.concatenate([
+                rng.uniform(0.0, 1.0, 2000),
+                bounds,
+                np.nextafter(bounds, 0.0),
+                np.nextafter(bounds, 1.0),
+            ])
+            i = np.searchsorted(los, pts, side="right") - 1
+            held = (i >= 0) & (pts > los[i]) & (pts < his[i])
+            assert np.array_equal(c.contains_points(pts), ~held), (gap, depth)
+            assert c.float_segments is c.float_segments
+
+    def test_touching_intervals_keep_their_common_point(self):
+        c = FatCantor(1, ((Fraction(1, 2), Fraction(3, 4)), (Fraction(1, 4), Fraction(1, 2))))
+        assert c.removed == ((Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 2), Fraction(3, 4)))
+        assert c.measure == Fraction(1, 2)
+        pts = np.array([0.2, 0.3, 0.5, 0.6, 0.8])
+        assert c.contains_points(pts).tolist() == [True, False, True, False, True]
+        assert all(fat_cantor_contains(c, float(p)) == v for p, v in zip(pts, c.contains_points(pts)))
