@@ -232,7 +232,7 @@ def cmd_independence(args) -> int:
     kind = {"sample": "sample", "minima": "walk"}.get(args.gen)
     if kind is None:
         raise UnknownGenerator(f"unknown generator {args.gen!r}")
-    cuts = [float(formats.parse_fraction(c)) for c in args.cuts.split(",")]
+    cuts = [float(formats.parse_fraction(c)) for c in str(args.cuts).split(",")]
     report = fragment_independence_test(
         kind, cuts, args.replicas, seed, level=args.level, steps=args.steps
     )
@@ -245,12 +245,14 @@ def cmd_independence(args) -> int:
 def cmd_shifthit(args) -> int:
     seed = _need_seed(args)
     grid = UnitGrid(args.grid)
-    if args.bins:
-        members = frozenset(_int_list(args.bins, "--bins"))
+    # A --config file may give these lists as JSON numbers; read them as text.
+    bins = "" if args.bins is None else str(args.bins)
+    if bins:
+        members = frozenset(_int_list(bins, "--bins"))
     else:
         members = frozenset(range(0, grid.n, 2))
     region = BinSet(grid, members)
-    depths = _int_list(args.depths, "--depths")
+    depths = _int_list(str(args.depths), "--depths")
     curve = shift_hit_curve(region, depths, args.shifts, seed)
     _emit(formats.dump_json(formats.curve_to_json(curve)), args.out)
     if args.csv:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import chi2 as _chi2_dist
+from scipy.special import gammaincinv
 
 from .errors import BadParameter, SparseTable, TooFewSamples
 from .generators import (
@@ -66,12 +66,26 @@ class TestReport:
         return not self.passed
 
 
+def _chi2_quantile(q: float, df: int) -> float:
+    """The q-quantile of the chi-square law with df degrees of freedom.
+
+    The formula scipy.stats.chi2.ppf evaluates, without importing scipy.stats.
+    """
+    return float(2 * gammaincinv(df / 2, q))
+
+
+def _check_level(level: float) -> None:
+    if not 0 < level < 1:
+        raise BadParameter(f"level must lie strictly between 0 and 1, got {level}")
+
+
 def ks_uniform(values, level: float = 0.01, seed: int | None = None) -> TestReport:
     """One-sample Kolmogorov-Smirnov test against the uniform law on (0,1).
 
     Uses the asymptotic critical value c(level)/sqrt(N) with
     c(a) = sqrt(ln(2/a)/2).
     """
+    _check_level(level)
     xs = np.sort(np.asarray(values, dtype=float))
     n = xs.size
     if n < 20:
@@ -94,6 +108,7 @@ def chi_square_independence(
     x_bins, y_bins, rows: int, cols: int, level: float = 0.01, seed: int | None = None
 ) -> TestReport:
     """Pearson independence test on a rows-by-cols contingency table."""
+    _check_level(level)
     x = np.asarray(x_bins, dtype=np.int64)
     y = np.asarray(y_bins, dtype=np.int64)
     if x.shape != y.shape:
@@ -110,7 +125,7 @@ def chi_square_independence(
         )
     statistic = float(((table - expected) ** 2 / expected).sum())
     df = (rows - 1) * (cols - 1)
-    threshold = float(_chi2_dist.ppf(1 - level, df))
+    threshold = _chi2_quantile(1 - level, df)
     return TestReport(
         name="chi-square-independence",
         statistic=statistic,
@@ -151,6 +166,7 @@ def two_sample_test(
     xs, ys, level: float = 0.01, seed: int | None = None, name: str = "two-sample"
 ) -> TestReport:
     """Chi-square homogeneity test of two samples over deterministic buckets."""
+    _check_level(level)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.size < 10 or ys.size < 10:
@@ -162,7 +178,7 @@ def two_sample_test(
         return TestReport(
             name=name,
             statistic=0.0,
-            threshold=float(_chi2_dist.ppf(1 - level, 1)),
+            threshold=_chi2_quantile(1 - level, 1),
             level=level,
             passed=True,
             replicas=int(pooled.size),
@@ -175,7 +191,7 @@ def two_sample_test(
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / pooled.size
     statistic = float(((table - expected) ** 2 / expected).sum())
     df = n_buckets - 1
-    threshold = float(_chi2_dist.ppf(1 - level, df))
+    threshold = _chi2_quantile(1 - level, df)
     return TestReport(
         name=name,
         statistic=statistic,
@@ -245,6 +261,7 @@ def fragment_independence_test(
     half.  For walks the observable is the coarse position of the deepest
     strict local minimum detected from increments inside the fragment.
     """
+    _check_level(level)
     cuts = [float(c) for c in cuts]
     if len(cuts) < 3:
         raise BadParameter("need at least two fragments")
@@ -301,6 +318,7 @@ def stationarity_test(
     The second arm uses independent replicas and one fresh uniform shift per
     replica; a stationary construction produces identically distributed arms.
     """
+    _check_level(level)
     if replicas < 10:
         raise TooFewSamples("stationarity test needs >= 10 replicas per arm")
 
@@ -328,6 +346,7 @@ def distinguish_counterexample(
     The sample arm has mean depth * mes C, the mixed arm mean mes C, so the
     homogeneity test is expected to reject (`passed` False) decisively.
     """
+    _check_level(level)
 
     def one(r: int) -> tuple[float, float]:
         if depth == 0:

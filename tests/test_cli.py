@@ -21,10 +21,13 @@ class TestDuality:
         data = json.loads(text)
         assert data["masks"] == 512 and data["all_zero"]
 
-    def test_sweep_with_jobs_matches_serial(self, tmp_path):
-        _, serial = run(tmp_path, "duality", "--sweep", "2", "3", out_name="a.json")
-        _, parallel = run(tmp_path, "duality", "--sweep", "2", "3", "--jobs", "3", out_name="b.json")
-        assert json.loads(serial) == json.loads(parallel)
+    def test_sweep_with_jobs_matches_serial(self, capsys):
+        # --jobs is capped at the CPU count, so at most two workers start.
+        results = []
+        for jobs in ("1", "2"):
+            code = main(["duality", "--sweep", "3", "3", "--jobs", jobs])
+            results.append((code, capsys.readouterr().out))
+        assert results[0] == results[1]
 
     def test_jobs_capped_at_cpu_count(self, tmp_path, monkeypatch):
         # The pool is replaced by a recorder, so no worker process starts.
@@ -253,6 +256,18 @@ class TestConfig:
             conf.write_text(text)
             assert main(["simulate", "sample", "--config", str(conf)]) == 2
 
+    def test_config_numbers_for_list_flags(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        for key, value in (("bins", 3), ("depths", 64)):
+            conf.write_text(json.dumps({key: value}))
+            flagged = main(["shifthit", "--seed", "1", f"--{key}", str(value)])
+            expected = capsys.readouterr().out
+            configured = main(["shifthit", "--seed", "1", "--config", str(conf)])
+            assert (configured, capsys.readouterr().out) == (flagged, expected)
+        conf.write_text(json.dumps({"cuts": 0.5}))
+        assert main(["independence", "--seed", "1", "--config", str(conf)]) == 2
+        assert "error: " in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "command,level",
@@ -290,3 +305,21 @@ def test_malformed_flag_exits_2(tmp_path, capsys, argv):
     code, text = run(tmp_path, *argv)
     assert code == 2 and text is None
     assert "\nerror: " in "\n" + capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distinguish", "--seed", "1", "--replicas", "20", "--depth", "10", "--level", "1.5"],
+        ["distinguish", "--seed", "1", "--replicas", "20", "--depth", "10", "--level", "nan"],
+        ["distinguish", "--seed", "1", "--replicas", "20", "--depth", "10", "--level", "0"],
+        ["selector", "--seed", "1", "--replicas", "200", "--level", "0"],
+        ["selector", "--seed", "1", "--replicas", "200", "--level", "-0.1"],
+    ],
+    ids=" ".join,
+)
+def test_level_outside_unit_interval_exits_2(tmp_path, capsys, argv):
+    code, text = run(tmp_path, *argv)
+    err = capsys.readouterr().err
+    assert code == 2 and text is None
+    assert "\nerror: " in "\n" + err and "Traceback" not in err

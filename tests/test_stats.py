@@ -1,5 +1,8 @@
 """Test batteries: goodness of fit, independence, stationarity, diagnostics."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +33,7 @@ from dcset import (
     stationarity_test,
     two_sample_test,
 )
+from dcset.stats import _chi2_quantile
 
 CANTOR = fat_cantor_build(Fraction(1, 2), 10)
 
@@ -73,6 +77,51 @@ class TestChiSquare:
     def test_shape_validation(self):
         with pytest.raises(BadParameter):
             chi_square_independence(np.zeros(5, dtype=int), np.zeros(6, dtype=int), 2, 2)
+
+
+class TestChiSquareQuantile:
+    def test_equals_scipy_stats_exactly(self):
+        from scipy.stats import chi2
+
+        for level in (1e-6, 1e-3, 0.01, 0.05, 0.5):
+            for df in range(1, 61):
+                assert _chi2_quantile(1 - level, df) == chi2.ppf(1 - level, df)
+
+    def test_import_leaves_scipy_stats_out(self):
+        import dcset
+
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(dcset.__file__))}
+        code = "import sys, dcset, dcset.cli; print('scipy.stats' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "False"
+
+
+BAD_LEVELS = [0.0, 1.0, 1.5, -0.1, float("nan")]
+LEVEL_TAKERS = {
+    "ks_uniform": lambda level: ks_uniform(np.linspace(0.01, 0.99, 50), level),
+    "chi_square_independence": lambda level: chi_square_independence(
+        np.arange(40) % 2, np.arange(40) // 20, 2, 2, level
+    ),
+    "two_sample_test": lambda level: two_sample_test(np.arange(20), np.arange(20), level),
+    "fragment_independence_test": lambda level: fragment_independence_test(
+        "sample", [0, 0.5, 1], 100, 1, level
+    ),
+    "stationarity_test": lambda level: stationarity_test(
+        lambda s: sample_uniform(10, s), count_in(CANTOR), 20, 1, level
+    ),
+    "distinguish_counterexample": lambda level: distinguish_counterexample(
+        CANTOR, 10, 20, 1, level
+    ),
+}
+
+
+@pytest.mark.parametrize("level", BAD_LEVELS, ids=str)
+@pytest.mark.parametrize("test", LEVEL_TAKERS)
+def test_level_outside_unit_interval_rejected(test, level):
+    with pytest.raises(BadParameter, match="level"):
+        LEVEL_TAKERS[test](level)
 
 
 class TestTwoSample:
