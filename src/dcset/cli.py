@@ -46,6 +46,7 @@ from .selector import (
     verify_selector,
 )
 from .stats import (
+    _check_level,
     chi_square_independence,
     count_in,
     distinguish_counterexample,
@@ -466,6 +467,8 @@ def main(argv=None) -> int:
         known = {d: v for d, v in dests.items() if hasattr(args, d) and d != "func"}
         args = build_parser(known).parse_args(argv)
     try:
+        # Every subcommand takes --level, so one check covers flags and config.
+        _check_level(args.level)
         return args.func(args)
     except (ParseError, SweepTooLarge, UnknownGenerator, BadParameter) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -161,54 +161,65 @@ class MarginalCaps:
 
 
 class Coupling:
-    """Nonnegative rational matrix with capped marginals."""
+    """Nonnegative rational matrix with capped marginals, in integer units.
 
-    __slots__ = ("mass",)
+    Entry (i, j) is `units[i][j] / scale`; `units` is a tuple of rows of
+    Python ints.  The constructor takes rationals and clears their
+    denominators; `mass` is the derived `Fraction` view.
+    """
+
+    __slots__ = ("units", "scale")
 
     def __init__(self, mass):
-        self.mass = tuple(tuple(Fraction(x) for x in row) for row in mass)
+        rows = [[Fraction(x) for x in row] for row in mass]
+        scale = math.lcm(*(x.denominator for row in rows for x in row))
+        self.units = tuple(
+            tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows
+        )
+        self.scale = scale
+
+    @classmethod
+    def from_units(cls, units, scale: int) -> "Coupling":
+        coupling = cls.__new__(cls)
+        coupling.units = tuple(tuple(row) for row in units)
+        coupling.scale = scale
+        return coupling
+
+    @property
+    def mass(self) -> tuple:
+        return tuple(tuple(Fraction(u, self.scale) for u in row) for row in self.units)
 
     @property
     def rows(self) -> int:
-        return len(self.mass)
+        return len(self.units)
 
     @property
     def cols(self) -> int:
-        return len(self.mass[0])
+        return len(self.units[0])
 
     def total_mass(self) -> Fraction:
-        return sum((x for row in self.mass for x in row), _ZERO)
+        return Fraction(sum(map(sum, self.units)), self.scale)
 
     def row_sums(self) -> tuple:
-        return tuple(sum(row, _ZERO) for row in self.mass)
+        return tuple(Fraction(sum(row), self.scale) for row in self.units)
 
     def col_sums(self) -> tuple:
-        return tuple(
-            sum((row[j] for row in self.mass), _ZERO) for j in range(self.cols)
-        )
+        return tuple(Fraction(sum(col), self.scale) for col in zip(*self.units))
 
     def mass_on(self, mask: SupportMask) -> Fraction:
         """Total mass sitting on the mask's true cells."""
-        return sum(
-            (
-                self.mass[i][j]
-                for i in range(self.rows)
-                for j in range(self.cols)
-                if mask.cells[i, j]
-            ),
-            _ZERO,
-        )
+        return Fraction(sum(self.units[i][j] for i, j in mask.pairs()), self.scale)
 
     def supported_on(self, mask: SupportMask) -> bool:
         return all(
-            self.mass[i][j] == 0 or mask.cells[i, j]
-            for i in range(self.rows)
-            for j in range(self.cols)
+            u == 0 or mask.cells[i, j]
+            for i, row in enumerate(self.units)
+            for j, u in enumerate(row)
         )
 
     def is_feasible(self, caps: MarginalCaps, mask: SupportMask | None = None) -> bool:
         """Exact check: marginals capped, all entries nonnegative, support inside mask."""
-        if any(x < 0 for row in self.mass for x in row):
+        if any(u < 0 for row in self.units for u in row):
             return False
         if any(r > c for r, c in zip(self.row_sums(), caps.row_caps)):
             return False
@@ -268,12 +279,10 @@ class Certificate:
         return Fraction(self.cost_units - self.mass_units, self.scale)
 
     def coupling(self) -> Coupling:
-        mass = [[_ZERO] * self.mask.cols for _ in range(self.mask.rows)]
-        for i, j, units in self.flow:
-            mass[i][j] = Fraction(units, self.scale)
-        coupling = Coupling.__new__(Coupling)
-        coupling.mass = tuple(tuple(row) for row in mass)
-        return coupling
+        units = [[0] * self.mask.cols for _ in range(self.mask.rows)]
+        for i, j, u in self.flow:
+            units[i][j] = u
+        return Coupling.from_units(units, self.scale)
 
 
 def solve(mask: SupportMask, caps: MarginalCaps | None = None) -> Certificate:
@@ -442,7 +451,7 @@ def full_coupling(mask: SupportMask, caps: MarginalCaps | None = None) -> Coupli
     marginals equal the caps exactly.
     """
     cert = solve(mask, caps)
-    if cert.value < 1:
+    if cert.mass_units < cert.scale:  # value < 1, compared in integer units
         raise DeficientSupport(cert.cover, cert.cover_cost)
     return cert.coupling()
 

@@ -118,7 +118,13 @@ def _distinct_uniform(rng: np.random.Generator, count: int, lo: float, hi: float
     picked: list[float] = []
     seen: set[float] = set()
     while len(picked) < count:
-        for t in rng.uniform(lo, hi, size=count - len(picked)):
+        chunk = rng.uniform(lo, hi, size=count - len(picked))
+        if not picked:
+            # A chunk of distinct draws inside (lo, hi) would be kept whole.
+            ordered = np.unique(chunk)
+            if ordered.size == count and lo < ordered[0] and ordered[-1] < hi:
+                return chunk
+        for t in chunk:
             t = float(t)
             if lo < t < hi and t not in seen:
                 picked.append(t)

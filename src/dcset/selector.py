@@ -7,11 +7,18 @@ per replica and picking the replica's lowest-index point inside it; a uniform
 selector exists exactly when the replica-by-bin support mask carries a full
 coupling, and conditioning on earlier selectors is realized cell-wise on the
 joint coarse bins of their values.
+
+`Ensemble.first_index` holds, once per ensemble, each replica's lowest point
+index in each bin (or -1); the support mask is where it is nonnegative.  A
+selector table is drawn in one array pass: the coupling's integer units over
+its scale become float weights, every row's CDF is formed at once, and only
+the per-replica substream variates are drawn in a loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,6 +33,9 @@ from .errors import (
 )
 from .generators import SELECTOR_DOMAIN, Enumeration, Seed, _as_seed, sample_uniform
 from .grid_measure import UnitGrid
+
+# Bound on the padded points binned at once in Ensemble.first_index.
+_BLOCK_POINTS = 1 << 16
 
 __all__ = [
     "Ensemble",
@@ -56,6 +66,33 @@ class Ensemble:
     @property
     def size(self) -> int:
         return len(self.replicas)
+
+    @cached_property
+    def first_index(self) -> np.ndarray:
+        """R-by-n table: each replica's lowest point index in each bin, or -1.
+
+        Replicas are binned a block at a time into a padded array, so no
+        copy of every replica's points is held at once.
+        """
+        n = self.grid.n
+        lengths = np.array([len(enum) for enum in self.replicas])
+        width = max(1, int(lengths.max()))
+        step = max(1, _BLOCK_POINTS // width)
+        # Cell r*n + j takes the least index of replica r's points in bin j;
+        # padding goes to one spare cell at the end.
+        spare = self.size * n
+        least = np.full(spare + 1, width, dtype=np.int64)
+        for lo in range(0, self.size, step):
+            block = self.replicas[lo : lo + step]
+            points = np.full((len(block), width), 0.5)
+            for k, enum in enumerate(block):
+                points[k, : len(enum)] = enum.points
+            cells = (lo + np.arange(len(block)))[:, None] * n + self.grid.bins(points)
+            cells[np.arange(width) >= lengths[lo : lo + step, None]] = spare
+            np.minimum.at(least, cells.ravel(), np.tile(np.arange(width), len(block)))
+        table = np.where(least[:spare] < width, least[:spare], -1).reshape(self.size, n)
+        table.setflags(write=False)
+        return table
 
     @classmethod
     def generate(
@@ -105,60 +142,65 @@ def verify_selector(ensemble: Ensemble, table: SelectorTable) -> bool:
 
 def build_support_mask(ensemble: Ensemble) -> SupportMask:
     """Replica-by-bin incidence: cell (r, j) true iff replica r hits bin j."""
-    n = ensemble.grid.n
-    cells = np.zeros((ensemble.size, n), dtype=bool)
-    for r, enum in enumerate(ensemble.replicas):
-        if len(enum):
-            cells[r, ensemble.grid.bins(enum.points)] = True
-    return SupportMask(cells)
+    return SupportMask(ensemble.first_index >= 0)
 
 
-def _replica_bins(ensemble: Ensemble) -> list[np.ndarray]:
-    return [
-        ensemble.grid.bins(enum.points) if len(enum) else np.empty(0, dtype=np.int64)
-        for enum in ensemble.replicas
-    ]
+def _weights(coupling: Coupling) -> np.ndarray:
+    """Float weights units / scale.
 
-
-def _draw_rows(
-    ensemble: Ensemble,
-    rows: Sequence[int],
-    coupling: Coupling,
-    seed: Seed,
-    component: int,
-    bins_per_replica: list[np.ndarray],
-    values: np.ndarray,
-    memberships: np.ndarray,
-) -> None:
-    """Fill the selector arrays for the given global rows from a coupling.
-
-    Row k of the coupling corresponds to rows[k].  Each replica draws a bin by
-    inverse CDF from its own substream, then takes its lowest-index point in
-    that bin.
+    Python's int division rounds once, so each weight equals float(Fraction)
+    of its entry, even for units and scales beyond 2**53.
     """
-    n = ensemble.grid.n
-    for local, r in enumerate(rows):
-        mass_row = coupling.mass[local]
-        replica_bins = bins_per_replica[r]
-        present = set(replica_bins.tolist())
-        charged = [j for j in range(n) if mass_row[j] > 0]
-        if not charged:
+    scale = coupling.scale
+    return np.array([[u / scale for u in row] for row in coupling.units])
+
+
+def _choose_bins(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Bin drawn by inverse CDF from each weight row with its uniform variate.
+
+    Row k gives np.searchsorted(np.cumsum(w / w.sum()), u[k], "right") for
+    its weights w, clamped to the last bin and stepped down to the last
+    charged bin at or below it.
+    """
+    n = weights.shape[1]
+    cdf = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
+    chosen = np.minimum((cdf <= u[:, None]).sum(axis=1), n - 1)
+    # Guard against float cdf round-off, which can land on an uncharged bin.
+    last_charged = np.maximum.accumulate(np.where(weights != 0, np.arange(n), -1), axis=1)
+    return last_charged[np.arange(len(u)), chosen]
+
+
+def _draw(
+    ensemble: Ensemble, rows: np.ndarray, weights: np.ndarray, seed: Seed, component: int
+) -> SelectorTable:
+    """Selector in which replica rows[k] draws its bin from weight row k.
+
+    `rows` orders every replica once.  Each replica draws a bin by inverse
+    CDF from its own substream, then takes its lowest-index point in that
+    bin.  Rows are checked in the given order, so the first bad one names
+    the error.
+    """
+    first = ensemble.first_index[rows]
+    charged = weights > 0
+    missing = charged & (first < 0)
+    bad = ~charged.any(axis=1) | missing.any(axis=1)
+    if bad.any():
+        k = int(np.argmax(bad))
+        r = int(rows[k])
+        if not charged[k].any():
             raise UnsupportedCoupling(f"coupling gives replica {r} zero mass")
-        for j in charged:
-            if j not in present:
-                raise UnsupportedCoupling(
-                    f"coupling charges bin {j} where replica {r} has no point"
-                )
-        weights = np.array([float(x) for x in mass_row])
-        cdf = np.cumsum(weights / weights.sum())
-        u = seed.with_replica(r).stream(SELECTOR_DOMAIN, component).uniform()
-        chosen = int(np.searchsorted(cdf, u, side="right"))
-        chosen = min(chosen, n - 1)
-        while mass_row[chosen] == 0:  # guard against float cdf round-off
-            chosen -= 1
-        idx = int(np.flatnonzero(replica_bins == chosen)[0])
-        values[r] = ensemble.replicas[r].points[idx]
-        memberships[r] = idx
+        j = int(np.argmax(missing[k]))
+        raise UnsupportedCoupling(f"coupling charges bin {j} where replica {r} has no point")
+    u = np.array(
+        [seed.with_replica(r).stream(SELECTOR_DOMAIN, component).uniform() for r in rows.tolist()]
+    )
+    idx = first[np.arange(len(rows)), _choose_bins(weights, u)]
+    values = np.empty(ensemble.size)
+    memberships = np.empty(ensemble.size, dtype=np.int64)
+    memberships[rows] = idx
+    for r, i in zip(rows.tolist(), idx.tolist()):
+        values[r] = ensemble.replicas[r].points[i]
+    return SelectorTable(values, memberships)
 
 
 def selector_from_coupling(
@@ -172,20 +214,7 @@ def selector_from_coupling(
     base = _as_seed(seed)
     if coupling.rows != ensemble.size or coupling.cols != ensemble.grid.n:
         raise BadParameter("coupling dimensions do not match the ensemble")
-    bins_per_replica = _replica_bins(ensemble)
-    values = np.empty(ensemble.size)
-    memberships = np.empty(ensemble.size, dtype=np.int64)
-    _draw_rows(
-        ensemble,
-        range(ensemble.size),
-        coupling,
-        base,
-        component,
-        bins_per_replica,
-        values,
-        memberships,
-    )
-    return SelectorTable(values, memberships)
+    return _draw(ensemble, np.arange(ensemble.size), _weights(coupling), base, component)
 
 
 def _full_coupling_or_obstruction(mask: SupportMask, n_bins: int, cell=None) -> Coupling:
@@ -213,26 +242,29 @@ def _conditional_by_keys(
     seed: Seed,
     component: int,
     mask: SupportMask,
-    bins_per_replica: list[np.ndarray],
-    solve_cache: dict,
+    weight_cache: dict,
 ) -> SelectorTable:
+    """Uniform selector inside each cell of replicas sharing a key.
+
+    Cells are solved in key order, and each cell's weight rows are cached by
+    its sub-mask; the whole table is then drawn at once.
+    """
     cells: dict = {}
     for r, key in enumerate(keys):
         cells.setdefault(key, []).append(r)
-    values = np.empty(ensemble.size)
-    memberships = np.empty(ensemble.size, dtype=np.int64)
+    rows: list[int] = []
+    blocks = []
     for key in sorted(cells):
-        rows = cells[key]
-        sub = SupportMask(mask.cells[rows])
-        cache_key = (len(rows), sub.cells.tobytes())
-        coupling = solve_cache.get(cache_key)
-        if coupling is None:
-            coupling = _full_coupling_or_obstruction(sub, ensemble.grid.n, cell=key)
-            solve_cache[cache_key] = coupling
-        _draw_rows(
-            ensemble, rows, coupling, seed, component, bins_per_replica, values, memberships
-        )
-    return SelectorTable(values, memberships)
+        members = cells[key]
+        sub = mask.cells[members]
+        cache_key = (len(members), sub.tobytes())
+        weights = weight_cache.get(cache_key)
+        if weights is None:
+            coupling = _full_coupling_or_obstruction(SupportMask(sub), ensemble.grid.n, cell=key)
+            weights = weight_cache[cache_key] = _weights(coupling)
+        rows.extend(members)
+        blocks.append(weights)
+    return _draw(ensemble, np.array(rows), np.concatenate(blocks), seed, component)
 
 
 def conditional_uniform_selector(
@@ -258,9 +290,7 @@ def conditional_uniform_selector(
     bin_rows = [coarse.bins(prior.values) for prior in priors]
     keys = [tuple(int(row[r]) for row in bin_rows) for r in range(ensemble.size)]
     mask = build_support_mask(ensemble)
-    return _conditional_by_keys(
-        ensemble, keys, base, component, mask, _replica_bins(ensemble), {}
-    )
+    return _conditional_by_keys(ensemble, keys, base, component, mask, {})
 
 
 def interleaved_enumeration(
@@ -281,8 +311,7 @@ def interleaved_enumeration(
             raise DepthExhausted(r)
 
     mask = build_support_mask(ensemble)
-    bins_per_replica = _replica_bins(ensemble)
-    solve_cache: dict = {}
+    weight_cache: dict = {}
     R = ensemble.size
 
     first = SelectorTable(
@@ -302,9 +331,7 @@ def interleaved_enumeration(
 
     absorb(first)
     for round_no in range(1, rounds + 1):
-        even = _conditional_by_keys(
-            ensemble, keys, base, round_no, mask, bins_per_replica, solve_cache
-        )
+        even = _conditional_by_keys(ensemble, keys, base, round_no, mask, weight_cache)
         tables.append(even)
         absorb(even)
 

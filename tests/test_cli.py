@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, exit codes, reproducibility."""
 
+import hashlib
 import json
 
 import pytest
@@ -219,6 +220,30 @@ class TestEnumerate:
         assert len(data["steps"]) == 3
 
 
+class TestFrozenSeedOutputs:
+    # sha256 of outputs at frozen seeds.  A change that moves one of them
+    # changes what users see at those seeds and must say so.
+    SELECTOR_STDOUT = "dcfa95ee2ecabc8cf9e2c0856084c968f0fd98189a9bd81190341a2f6101dcb8"
+    SELECTOR_CSV = "e6ffc71d907f224934d796ca67edd60285637d7f489850b65a9268c1da77b1c1"
+    ENUMERATE_STDOUT = "11bca3a298b2a3235d054032320c313856683c38585cf324c606307dc99671b5"
+
+    def test_selector_seed_1(self, tmp_path, capsys):
+        table = tmp_path / "table.csv"
+        code = main(
+            ["selector", "--seed", "1", "--level", "0.01", "--jobs", "1", "--csv", str(table)]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SELECTOR_STDOUT
+        assert hashlib.sha256(table.read_bytes()).hexdigest() == self.SELECTOR_CSV
+
+    def test_enumerate_seed_1(self, capsys):
+        code = main(["enumerate", "--seed", "1", "--level", "0.01", "--jobs", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.ENUMERATE_STDOUT
+
+
 class TestCantor:
     def test_json_schema(self, tmp_path):
         code, text = run(tmp_path, "cantor", "--gap", "1/2", "--cantor-depth", "1")
@@ -315,6 +340,15 @@ def test_malformed_flag_exits_2(tmp_path, capsys, argv):
         ["distinguish", "--seed", "1", "--replicas", "20", "--depth", "10", "--level", "0"],
         ["selector", "--seed", "1", "--replicas", "200", "--level", "0"],
         ["selector", "--seed", "1", "--replicas", "200", "--level", "-0.1"],
+        [
+            "selector", "--gen", "sample-upper", "--seed", "9", "--depth", "16",
+            "--replicas", "60", "--expect", "obstruction", "--level", "0",
+        ],
+        ["enumerate", "--seed", "1", "--level", "0"],
+        ["duality", "--sweep", "2", "2", "--level", "2"],
+        ["simulate", "sample", "--seed", "1", "--level", "nan"],
+        ["shifthit", "--seed", "1", "--level", "1"],
+        ["cantor", "--level", "-1"],
     ],
     ids=" ".join,
 )
@@ -323,3 +357,17 @@ def test_level_outside_unit_interval_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert code == 2 and text is None
     assert "\nerror: " in "\n" + err and "Traceback" not in err
+
+
+def test_level_checked_before_dispatch(tmp_path, monkeypatch, capsys):
+    # A bad level, from a flag or a config file, stops the run before any work.
+    def no_work(*args, **kwargs):
+        raise AssertionError("the subcommand ran")
+
+    monkeypatch.setattr(cli, "sample_ensemble", no_work)
+    monkeypatch.setattr(cli, "duality_gap", no_work)
+    assert main(["enumerate", "--seed", "1", "--level", "0"]) == 2
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"level": 1.5}))
+    assert main(["duality", "--sweep", "2", "2", "--config", str(conf)]) == 2
+    assert capsys.readouterr().err.count("error: level must lie strictly") == 2

@@ -21,6 +21,7 @@ from scipy.optimize import linprog
 from dcset import (
     BadParameter,
     BinSet,
+    Coupling,
     DeficientSupport,
     FactorizationFailure,
     MarginalCaps,
@@ -255,6 +256,48 @@ class TestSolve:
         before = sys.getrecursionlimit()
         assert duality_gap(SupportMask(np.eye(480, dtype=bool))) == 0
         assert sys.getrecursionlimit() == before
+
+
+@st.composite
+def couplings(draw):
+    """A coupling from a solve (units over the caps' scale, not reduced) or
+    from hand-picked rationals."""
+    if draw(st.booleans()):
+        mask, caps = draw(instances())
+        return solve(mask, caps).coupling()
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    entry = st.fractions(min_value=0, max_value=3, max_denominator=30)
+    return Coupling(draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n)))
+
+
+class TestCoupling:
+    @settings(max_examples=80, deadline=None)
+    @given(couplings())
+    def test_units_round_trip_and_integer_sums(self, coupling):
+        again = Coupling(coupling.mass)
+        # The same matrix over the least common scale, which divides the old one.
+        assert coupling.scale % again.scale == 0
+        factor = coupling.scale // again.scale
+        assert all(
+            u == factor * v
+            for row, row_again in zip(coupling.units, again.units)
+            for u, v in zip(row, row_again)
+        )
+        assert again.mass == coupling.mass
+        assert all(type(u) is int for row in coupling.units for u in row)
+        mass = coupling.mass
+        assert coupling.row_sums() == tuple(sum(row, Fraction(0)) for row in mass)
+        assert coupling.col_sums() == tuple(sum(col, Fraction(0)) for col in zip(*mass))
+        assert coupling.total_mass() == sum(map(sum, mass), Fraction(0))
+
+    def test_mass_view_is_fractions(self):
+        coupling = Coupling([[Fraction(1, 4), 0], [Fraction(1, 6), Fraction(7, 12)]])
+        assert coupling.scale == 12
+        assert coupling.units == ((3, 0), (2, 7))
+        assert coupling.mass == ((Fraction(1, 4), Fraction(0)), (Fraction(1, 6), Fraction(7, 12)))
+        with pytest.raises(AttributeError):
+            coupling.mass = ()
 
 
 class TestChains:

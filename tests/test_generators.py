@@ -25,6 +25,7 @@ from dcset import (
     sample_uniform,
     walk_minima,
 )
+from dcset.generators import _distinct_uniform
 
 CANTOR = fat_cantor_build(Fraction(1, 2), 10)
 
@@ -82,6 +83,64 @@ class TestSampleUniform:
         expected = pooled.sum() / 8
         statistic = float(((pooled - expected) ** 2 / expected).sum())
         assert statistic < chi2.ppf(0.99, 7)
+
+
+def loop_distinct_uniform(rng, count, lo, hi):
+    """The redraw loop: keep interior draws not seen before, in order."""
+    picked, seen = [], set()
+    while len(picked) < count:
+        for t in rng.uniform(lo, hi, size=count - len(picked)):
+            t = float(t)
+            if lo < t < hi and t not in seen:
+                picked.append(t)
+                seen.add(t)
+    return np.array(picked)
+
+
+class ScriptedRng:
+    """Stand-in generator that returns the given chunks in turn."""
+
+    def __init__(self, chunks):
+        self.chunks = [np.array(c, dtype=float) for c in chunks]
+        self.sizes = []
+
+    def uniform(self, lo, hi, size):
+        self.sizes.append(size)
+        chunk = self.chunks[len(self.sizes) - 1]
+        assert chunk.size == size
+        return chunk
+
+
+class TestDistinctUniform:
+    @pytest.mark.parametrize("count,lo,hi", [(1, 0.0, 1.0), (64, 0.0, 1.0), (300, 0.25, 0.5), (7, 0.0, 0.3)])
+    def test_matches_the_redraw_loop(self, count, lo, hi):
+        for s in range(20):
+            fast = _distinct_uniform(np.random.default_rng(s), count, lo, hi)
+            assert np.array_equal(fast, loop_distinct_uniform(np.random.default_rng(s), count, lo, hi))
+            assert fast.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "chunks,expected",
+        [
+            # 0.2 repeats and 0.0 and 1.0 are the open interval's endpoints:
+            # two redraws, the first of which repeats an earlier pick.
+            ([[0.2, 0.0, 0.7, 0.2, 1.0], [0.2, 0.9, 0.5], [0.4]], [0.2, 0.7, 0.9, 0.5, 0.4]),
+            ([[0.3, 0.0, 0.6], [0.8]], [0.3, 0.6, 0.8]),  # an endpoint alone
+            ([[0.3, 0.6, 1.0], [0.8]], [0.3, 0.6, 0.8]),
+            ([[0.3, 0.6, 0.3], [0.8]], [0.3, 0.6, 0.8]),  # a duplicate alone
+        ],
+    )
+    def test_duplicate_or_endpoint_falls_back_to_the_loop(self, chunks, expected):
+        count = len(expected)
+        fast_rng, loop_rng = ScriptedRng(chunks), ScriptedRng(chunks)
+        fast = _distinct_uniform(fast_rng, count, 0.0, 1.0)
+        assert np.array_equal(fast, loop_distinct_uniform(loop_rng, count, 0.0, 1.0))
+        assert fast.tolist() == expected
+        assert fast_rng.sizes == loop_rng.sizes == [len(c) for c in chunks]
+
+    def test_zero_count_draws_nothing(self):
+        rng = ScriptedRng([])
+        assert _distinct_uniform(rng, 0, 0.0, 1.0).size == 0 and rng.sizes == []
 
 
 class TestWalkMinima:

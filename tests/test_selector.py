@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcset import (
     BadParameter,
@@ -31,6 +33,7 @@ from dcset import (
     uniform_selector,
     verify_selector,
 )
+from dcset.selector import _choose_bins, _weights
 
 GRID8 = UnitGrid(8)
 
@@ -236,3 +239,93 @@ class TestVerifySelector:
         table = uniform_selector(ens, Seed(83))
         forged = SelectorTable(table.values + 1e-9, table.memberships)
         assert not verify_selector(ens, forged)
+
+
+def reference_bins(weights, u):
+    """The inverse-CDF draw written one row at a time."""
+    chosen = []
+    for w, x in zip(weights, u):
+        cdf = np.cumsum(w / w.sum())
+        j = min(int(np.searchsorted(cdf, x, side="right")), len(w) - 1)
+        while w[j] == 0:  # float round-off can land on an uncharged bin
+            j -= 1
+        chosen.append(j)
+    return np.array(chosen)
+
+
+@st.composite
+def small_ensembles(draw):
+    n = draw(st.integers(1, 6))
+    replicas = draw(st.integers(1, 12))
+    depth = draw(st.integers(1, 12))
+    return sample_ensemble(depth, replicas, UnitGrid(n), draw(st.integers(0, 2**32)))
+
+
+def check_table(ens, coupling, table):
+    """Sound selector, every drawn bin charged, lowest index in its bin."""
+    assert verify_selector(ens, table)
+    for r, (value, idx) in enumerate(zip(table.values, table.memberships)):
+        j = int(ens.grid.bins(value))
+        assert coupling.units[r][j] > 0
+        assert idx == np.flatnonzero(ens.grid.bins(ens.replicas[r].points) == j)[0]
+
+
+class TestSelectorProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(small_ensembles(), st.integers(0, 2**32), st.data())
+    def test_tables_verify_and_draw_charged_cells(self, ens, seed, data):
+        n = ens.grid.n
+        first = np.full((ens.size, n), -1)
+        for r, enum in enumerate(ens.replicas):
+            for i, j in reversed(list(enumerate(ens.grid.bins(enum.points)))):
+                first[r, j] = i
+        assert np.array_equal(ens.first_index, first)
+        mask = build_support_mask(ens)
+        assert np.array_equal(mask.cells, first >= 0)
+
+        # A random coupling on the mask, over a scale that may pass 2**53.
+        units = []
+        for row in mask.cells:
+            picks = data.draw(
+                st.lists(st.integers(0, 2**60), min_size=n, max_size=n).filter(
+                    lambda xs: any(x for x, ok in zip(xs, row) if ok)
+                )
+            )
+            units.append([x if ok else 0 for x, ok in zip(picks, row)])
+        coupling = Coupling.from_units(units, data.draw(st.integers(1, 2**70)))
+        check_table(ens, coupling, selector_from_coupling(ens, coupling, Seed(seed)))
+        try:
+            table = uniform_selector(ens, Seed(seed))
+        except InsufficientDensity:
+            return
+        check_table(ens, full_coupling(mask), table)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 8), st.integers(0, 2**32))
+    def test_vectorised_draw_matches_per_row_reference(self, n, k, seed):
+        rng = np.random.default_rng(seed)
+        units = rng.integers(0, 1000, (k, n)) * (rng.random((k, n)) < 0.6)
+        units[np.arange(k), rng.integers(0, n, k)] += 1
+        weights = units / float(rng.integers(1, 10**6))
+        # Variates at every cdf entry and its neighbours, at 0 and below 1.
+        rows, u = [], []
+        for i, w in enumerate(weights):
+            cdf = np.cumsum(w / w.sum())
+            near = np.concatenate(
+                [cdf, np.nextafter(cdf, 0), np.nextafter(cdf, 2), [0.0, rng.random(), np.nextafter(1, 0)]]
+            )
+            near = near[(near >= 0) & (near < 1)]
+            rows += [i] * len(near)
+            u += near.tolist()
+        stacked, u = weights[rows], np.array(u)
+        assert np.array_equal(_choose_bins(stacked, u), reference_bins(stacked, u))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 2**70), st.integers(0, 2**32))
+    def test_weights_round_like_fractions(self, scale, seed):
+        rng = np.random.default_rng(seed)
+        top = min(scale, 2**62)
+        units = [[int(x) * scale // top for x in rng.integers(0, top, 4, endpoint=True)] for _ in range(3)]
+        coupling = Coupling.from_units(units, scale)
+        expected = [[float(x) for x in row] for row in coupling.mass]
+        assert _weights(coupling).tolist() == expected
