@@ -24,6 +24,7 @@ from .duality import (
     periodic_limsup_mask,
     product_limsup_witness,
     solve,
+    sweep,
 )
 from .errors import (
     BadParameter,

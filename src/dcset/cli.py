@@ -10,15 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 from pathlib import Path
 
 
 from . import formats
-from .duality import MarginalCaps, SupportMask, duality_gap, solve
+from .duality import MarginalCaps, solve, sweep
 from .errors import (
     BadParameter,
     DcsetError,
@@ -90,37 +87,10 @@ def _int_list(text: str, flag: str) -> list[int]:
         raise ParseError(f"{flag} needs comma-separated integers, got {text!r}") from None
 
 
-def _sweep_chunk(rows: int, cols: int, lo: int, hi: int) -> tuple[int, int, str]:
-    nonzero = 0
-    worst = Fraction(0)
-    for bits in range(lo, hi):
-        gap = duality_gap(SupportMask.from_bits(rows, cols, bits))
-        if gap != 0:
-            nonzero += 1
-            worst = max(worst, abs(gap))
-    return hi - lo, nonzero, str(worst)
-
-
 def cmd_duality(args) -> int:
     if args.sweep:
         rows, cols = args.sweep
-        if rows < 1 or cols < 1:
-            raise BadParameter("sweep bounds must be positive")
-        if rows * cols > 16:
-            raise SweepTooLarge(f"{rows}x{cols} gives 2**{rows * cols} masks; limit is n*m <= 16")
-        total_masks = 1 << (rows * cols)
-        jobs = max(1, min(args.jobs, os.cpu_count() or 1))
-        if jobs == 1:
-            chunks = [_sweep_chunk(rows, cols, 0, total_masks)]
-        else:
-            bounds = [total_masks * k // jobs for k in range(jobs + 1)]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                chunks = list(
-                    pool.map(_sweep_chunk, [rows] * jobs, [cols] * jobs, bounds[:-1], bounds[1:])
-                )
-        count = sum(c for c, _, _ in chunks)
-        nonzero = sum(nz for _, nz, _ in chunks)
-        worst = max((Fraction(w) for _, _, w in chunks), default=Fraction(0))
+        count, nonzero, worst = sweep(rows, cols)
         report = {
             "mode": "sweep",
             "rows": rows,
@@ -354,7 +324,7 @@ def _common_flags(level: float) -> argparse.ArgumentParser:
     # so a command with its own --level default gets its own parent.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="root seed (required for stochastic commands)")
-    common.add_argument("--jobs", type=int, default=1, help="sweep worker processes, at most the CPU count")
+    common.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument("--level", type=float, default=level, help="significance level (default %(default)s)")
     common.add_argument("--config", default=None, help="JSON file with flag defaults")

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BadParameter, DeficientSupport, FactorizationFailure, NotNested
+from .errors import BadParameter, DeficientSupport, FactorizationFailure, NotNested, SweepTooLarge
 from .grid_measure import BinSet, UnitGrid
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "Certificate",
     "FrequencyProfile",
     "solve",
+    "sweep",
     "max_coupling",
     "min_cover",
     "duality_gap",
@@ -395,6 +396,78 @@ def solve(mask: SupportMask, caps: MarginalCaps | None = None) -> Certificate:
         raise AssertionError("coupling witness exceeds a row or column cap")
     cost_units = sum(row_int[i] for i in U) + sum(col_int[j] for j in V)
     return Certificate(mask, caps, scale, flow, sum(row_units), Cover(U, V), cost_units)
+
+
+# Masks per block of `sweep`: small blocks keep its arrays near 1 MB at peak.
+_SWEEP_BLOCK = 256
+
+
+def sweep(rows: int, cols: int) -> tuple[int, int, Fraction]:
+    """Certify every mask on a rows-by-cols grid under uniform caps.
+
+    Returns (masks, nonzero, worst): the mask count, how many masks have a
+    nonzero gap, and the largest absolute gap.  Uniform caps are unchanged by
+    row and column permutations, so each mask is permuted to a representative
+    (columns sorted by their bit code, then rows by theirs) and only distinct
+    representatives are solved.  Their witnesses are permuted back, and every
+    mask's own pair is checked in integer arrays as `solve` checks one.
+    """
+    if rows < 1 or cols < 1:
+        raise BadParameter("sweep bounds must be positive")
+    if rows * cols > 16:
+        raise SweepTooLarge(f"{rows}x{cols} gives 2**{rows * cols} masks; limit is n*m <= 16")
+    caps = MarginalCaps.uniform(rows, cols)
+    scale, row_int, col_int = caps.scaled()
+    row_int, col_int = np.array(row_int), np.array(col_int)
+    shifts = np.arange(rows * cols)
+    solved: dict[int, tuple] = {}  # representative bits -> (flow, U, V)
+    total = 1 << (rows * cols)
+    nonzero, worst = 0, 0
+    for lo in range(0, total, _SWEEP_BLOCK):
+        bits = np.arange(lo, min(lo + _SWEEP_BLOCK, total))
+        cells = ((bits[:, None] >> shifts) & 1).astype(bool).reshape(-1, rows, cols)
+        col_perm = np.argsort((1 << np.arange(rows)) @ cells, axis=1)
+        rep = np.take_along_axis(cells, col_perm[:, None, :], axis=2)
+        row_perm = np.argsort(rep @ (1 << np.arange(cols)), axis=1)
+        rep = np.take_along_axis(rep, row_perm[:, :, None], axis=1)
+        keys, inverse = np.unique(rep.reshape(len(bits), -1) @ (1 << shifts), return_inverse=True)
+        keys = keys.tolist()
+        for key in keys:
+            if key not in solved:
+                cert = solve(SupportMask.from_bits(rows, cols, key), caps)
+                flow = np.zeros((rows, cols), dtype=np.int64)
+                for i, j, units in cert.flow:
+                    flow[i, j] = units
+                U = np.zeros(rows, dtype=bool)
+                U[list(cert.cover.U)] = True
+                V = np.zeros(cols, dtype=bool)
+                V[list(cert.cover.V)] = True
+                solved[key] = (flow, U, V)
+        # Scatter each representative's witnesses back: its entry (i', j')
+        # is the mask's (row_perm[i'], col_perm[j']).
+        rep_flow, rep_U, rep_V = (
+            np.stack(w)[inverse] for w in zip(*(solved[key] for key in keys))
+        )
+        b = np.arange(len(bits))[:, None]
+        flow = np.empty_like(rep_flow)
+        flow[b[:, :, None], row_perm[:, :, None], col_perm[:, None, :]] = rep_flow
+        U = np.empty_like(rep_U)
+        U[b, row_perm] = rep_U
+        V = np.empty_like(rep_V)
+        V[b, col_perm] = rep_V
+
+        if (flow < 0).any():
+            raise AssertionError("coupling witness has a negative entry")
+        if ((flow > 0) & ~cells).any():
+            raise AssertionError("flow escaped the mask")
+        if (flow.sum(axis=2) > row_int).any() or (flow.sum(axis=1) > col_int).any():
+            raise AssertionError("coupling witness exceeds a row or column cap")
+        if (cells & ~U[:, :, None] & ~V[:, None, :]).any():
+            raise AssertionError("cover witness misses a mask cell")
+        gap = U @ row_int + V @ col_int - flow.sum(axis=(1, 2))
+        nonzero += int(np.count_nonzero(gap))
+        worst = max(worst, int(np.abs(gap).max()))
+    return total, nonzero, Fraction(worst, scale)
 
 
 def max_coupling(mask: SupportMask, caps: MarginalCaps | None = None):

@@ -68,9 +68,9 @@ class Seed:
             raise BadParameter(f"replica index {self.replica} negative")
 
     def stream(self, *key: int) -> np.random.Generator:
-        """Independent generator for the given substream key."""
+        """Independent PCG64 generator for the given substream key."""
         seq = np.random.SeedSequence(self.value, spawn_key=(self.replica, *key))
-        return np.random.default_rng(seq)
+        return np.random.Generator(np.random.PCG64(seq))
 
     def with_replica(self, replica: int) -> "Seed":
         return Seed(self.value, replica)

@@ -181,12 +181,16 @@ def _draw(
     the error.
     """
     first = ensemble.first_index[rows]
+    negative = weights < 0
     charged = weights > 0
     missing = charged & (first < 0)
-    bad = ~charged.any(axis=1) | missing.any(axis=1)
+    bad = negative.any(axis=1) | ~charged.any(axis=1) | missing.any(axis=1)
     if bad.any():
         k = int(np.argmax(bad))
         r = int(rows[k])
+        if negative[k].any():
+            j = int(np.argmax(negative[k]))
+            raise UnsupportedCoupling(f"coupling gives replica {r} negative mass in bin {j}")
         if not charged[k].any():
             raise UnsupportedCoupling(f"coupling gives replica {r} zero mass")
         j = int(np.argmax(missing[k]))
@@ -208,8 +212,8 @@ def selector_from_coupling(
 ) -> SelectorTable:
     """Selector induced by a replica-by-bin coupling.
 
-    Raises UnsupportedCoupling if the coupling charges a cell outside the
-    ensemble's support mask or leaves a replica without mass.
+    Raises UnsupportedCoupling if the coupling has a negative entry, charges a
+    cell outside the ensemble's support mask or leaves a replica without mass.
     """
     base = _as_seed(seed)
     if coupling.rows != ensemble.size or coupling.cols != ensemble.grid.n:

@@ -30,29 +30,6 @@ class TestDuality:
             results.append((code, capsys.readouterr().out))
         assert results[0] == results[1]
 
-    def test_jobs_capped_at_cpu_count(self, tmp_path, monkeypatch):
-        # The pool is replaced by a recorder, so no worker process starts.
-        requested = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        code, text = run(tmp_path, "duality", "--sweep", "2", "2", "--jobs", "1000000")
-        assert code == 0 and json.loads(text)["masks"] == 16
-        assert requested == [2]
-
     def test_sweep_too_large(self, tmp_path):
         assert main(["duality", "--sweep", "5", "4"]) == 2
 
@@ -365,7 +342,7 @@ def test_level_checked_before_dispatch(tmp_path, monkeypatch, capsys):
         raise AssertionError("the subcommand ran")
 
     monkeypatch.setattr(cli, "sample_ensemble", no_work)
-    monkeypatch.setattr(cli, "duality_gap", no_work)
+    monkeypatch.setattr(cli, "sweep", no_work)
     assert main(["enumerate", "--seed", "1", "--level", "0"]) == 2
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"level": 1.5}))

@@ -7,6 +7,7 @@ the coupling problem).  The engine must agree with the first two exactly and
 with the LP to solver tolerance.
 """
 
+import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -22,11 +23,13 @@ from dcset import (
     BadParameter,
     BinSet,
     Coupling,
+    Cover,
     DeficientSupport,
     FactorizationFailure,
     MarginalCaps,
     NotNested,
     SupportMask,
+    SweepTooLarge,
     UnitGrid,
     duality_gap,
     frequency_profile,
@@ -37,7 +40,9 @@ from dcset import (
     periodic_limsup_mask,
     product_limsup_witness,
     solve,
+    sweep,
 )
+from dcset import duality
 
 
 def enumerate_min_cover(mask: SupportMask, caps: MarginalCaps) -> Fraction:
@@ -256,6 +261,84 @@ class TestSolve:
         before = sys.getrecursionlimit()
         assert duality_gap(SupportMask(np.eye(480, dtype=bool))) == 0
         assert sys.getrecursionlimit() == before
+
+
+def pile_on_first_cell(flow, cells):
+    """All flow on its first cell: on one column this overfills a row, on one row a column."""
+    return [(*flow[0][:2], sum(u for *_, u in flow))] if flow else flow
+
+
+class TestSweep:
+    @pytest.mark.parametrize(
+        "n, m",
+        [(n, m) for n in range(1, 5) for m in range(1, 5)] + [(1, 16), (16, 1), (2, 8), (8, 2)],
+    )
+    def test_every_mask_certified(self, n, m):
+        assert sweep(n, m) == (2 ** (n * m), 0, Fraction(0))
+
+    def test_4x4_solves_fewer_masks_than_column_multisets(self, monkeypatch):
+        # C(16 + 4 - 1, 4) = 3,876 multisets of four 4-bit columns.
+        calls = []
+
+        def counted(mask, caps=None):
+            calls.append(mask)
+            return solve(mask, caps)
+
+        monkeypatch.setattr(duality, "solve", counted)
+        assert sweep(4, 4) == (65536, 0, Fraction(0))
+        assert 0 < len(calls) < math.comb(16 + 4 - 1, 4)
+
+    @pytest.mark.parametrize(
+        "shape, corrupt, message",
+        [
+            ((3, 3), lambda flow, cells: flow, None),
+            ((3, 3), lambda flow, cells: [(i, j, -u) for i, j, u in flow], "negative entry"),
+            ((3, 3), lambda flow, cells: flow + [(*np.argwhere(~cells)[0].tolist(), 1)]
+             if not cells.all() else flow, "flow escaped the mask"),
+            ((3, 1), pile_on_first_cell, "exceeds a row or column cap"),
+            ((1, 3), pile_on_first_cell, "exceeds a row or column cap"),
+        ],
+        ids=["unchanged", "negative", "outside", "row-over-cap", "column-over-cap"],
+    )
+    def test_carried_flow_is_checked(self, monkeypatch, shape, corrupt, message):
+        def corrupted(mask, caps=None):
+            cert = solve(mask, caps)
+            return dataclasses.replace(cert, flow=corrupt(cert.flow, mask.cells))
+
+        monkeypatch.setattr(duality, "solve", corrupted)
+        if message is None:
+            assert sweep(*shape) == (2 ** (shape[0] * shape[1]), 0, Fraction(0))
+        else:
+            with pytest.raises(AssertionError, match=message):
+                sweep(*shape)
+
+    def test_carried_cover_is_checked(self, monkeypatch):
+        def drop_a_cover_row(mask, caps=None):
+            cert = solve(mask, caps)
+            U = cert.cover.U
+            if U:
+                return dataclasses.replace(cert, cover=Cover(U - {min(U)}, cert.cover.V))
+            return cert
+
+        monkeypatch.setattr(duality, "solve", drop_a_cover_row)
+        with pytest.raises(AssertionError, match="cover witness misses a mask cell"):
+            sweep(3, 3)
+
+    def test_gap_comes_from_carried_witnesses(self, monkeypatch):
+        # Dropping one flow entry leaves a feasible but short coupling, so
+        # every nonempty 2x2 mask shows a gap of one unit, 1/2.
+        def drop_a_flow_entry(mask, caps=None):
+            cert = solve(mask, caps)
+            return dataclasses.replace(cert, flow=cert.flow[1:])
+
+        monkeypatch.setattr(duality, "solve", drop_a_flow_entry)
+        assert sweep(2, 2) == (16, 15, Fraction(1, 2))
+
+    def test_bounds_rejected(self):
+        with pytest.raises(SweepTooLarge):
+            sweep(5, 4)
+        with pytest.raises(BadParameter):
+            sweep(0, 3)
 
 
 @st.composite

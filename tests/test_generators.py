@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from dcset import (
@@ -45,6 +47,13 @@ class TestSeed:
         c = Seed(5, 1).stream(0, 0).uniform(size=4)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_stream_is_pcg64_with_default_rng_bits(self):
+        seed = Seed(2**63 + 9, 4)
+        gen = seed.stream(1, 3)
+        assert type(gen.bit_generator) is np.random.PCG64
+        seq = np.random.SeedSequence(seed.value, spawn_key=(4, 1, 3))
+        assert np.array_equal(gen.uniform(size=8), np.random.default_rng(seq).uniform(size=8))
 
 
 class TestSampleUniform:
@@ -302,3 +311,42 @@ class TestEnumerationType:
 
     def test_empty_is_fine(self):
         assert len(Enumeration(np.empty(0), depth=0, provenance="x")) == 0
+
+
+def assert_enumeration_invariants(enum):
+    """Pairwise distinct points inside (0, 1), one tag per point if tagged."""
+    pts = np.asarray(enum.points)
+    assert np.unique(pts).size == pts.size
+    assert ((0.0 < pts) & (pts < 1.0)).all()
+    if enum.tags is not None:
+        assert len(enum.tags) == pts.size
+
+
+seeds = st.builds(Seed, st.integers(0, 2**64 - 1), st.integers(0, 2**40))
+
+
+class TestEnumerationInvariants:
+    @settings(max_examples=60, deadline=None)
+    @given(depth=st.integers(1, 300), seed=seeds)
+    def test_sample_uniform(self, depth, seed):
+        enum = sample_uniform(depth, seed)
+        assert len(enum) == depth
+        assert_enumeration_invariants(enum)
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.integers(3, 600), seed=seeds)
+    def test_brownian_minima(self, steps, seed):
+        assert_enumeration_invariants(brownian_minima(steps, seed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        depth=st.integers(1, 120),
+        gap=st.fractions(min_value=Fraction(1, 16), max_value=Fraction(15, 16), max_denominator=16),
+        cantor_depth=st.integers(1, 8),
+        seed=seeds,
+    )
+    def test_counterexample_mix(self, depth, gap, cantor_depth, seed):
+        enum = counterexample_mix(depth, fat_cantor_build(gap, cantor_depth), seed)
+        assert enum.tags is not None
+        assert enum.tags.count("sample") == depth
+        assert_enumeration_invariants(enum)

@@ -95,6 +95,27 @@ class TestSelectorFromCoupling:
         with pytest.raises(UnsupportedCoupling):
             selector_from_coupling(ens, coupling, Seed(1))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_negative_entry_rejected(self, seed):
+        # A negative bin makes the row's cdf non-monotone; it used to be drawn.
+        ens = single_replica_ensemble([0.1, 0.5, 0.9], UnitGrid(3))
+        with pytest.raises(UnsupportedCoupling, match="replica 0 negative mass in bin 1"):
+            selector_from_coupling(ens, Coupling([[1, -1, 1]]), Seed(seed))
+
+    def test_first_bad_row_named(self):
+        # Row 0 is negative, row 1 has zero mass: the first in order is named.
+        ens = Ensemble(
+            (
+                Enumeration(np.array([0.3, 0.7]), depth=2, provenance="fixed"),
+                Enumeration(np.array([0.7]), depth=1, provenance="fixed"),
+            ),
+            UnitGrid(2),
+        )
+        with pytest.raises(UnsupportedCoupling, match="replica 0 negative mass in bin 0"):
+            selector_from_coupling(ens, Coupling([[-1, 2], [0, 0]]), Seed(1))
+        with pytest.raises(UnsupportedCoupling, match="replica 0 zero mass"):
+            selector_from_coupling(ens, Coupling([[0, 0], [1, -1]]), Seed(1))
+
     def test_empirical_matches_column_marginal(self):
         # Selector bin frequencies track the coupling's column marginal.
         ens = sample_ensemble(32, 2000, GRID8, 51)
