@@ -12,6 +12,9 @@ substreams are split off with a fixed spawn-key convention, so components are
 independent within and across replicas and every output is bit-reproducible:
 `Seed(value, replica).stream(domain, component)` with domain 0 reserved for
 generators, 1 for selector draws and 2 for test-side randomization.
+`Seed(value).uniforms(replicas, domain, component, size=k)` is the batch form
+of that convention: it draws the first k uniforms of every listed replica's
+substream in one array pass, bit for bit equal to the streams themselves.
 """
 
 from __future__ import annotations
@@ -45,6 +48,14 @@ GENERATOR_DOMAIN = 0
 SELECTOR_DOMAIN = 1
 STATS_DOMAIN = 2
 
+# numpy's SeedSequence hashing constants and the two 64-bit halves of PCG64's
+# 128-bit multiplier; numpy keeps these streams fixed (NEP 19).
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_LO, _PCG_HI = np.uint64(0x4385DF649FCCF645), np.uint64(0x2360ED051FC65DA4)
+
 # Generator components within GENERATOR_DOMAIN.
 _SAMPLE, _WALK, _POISSON, _MIX_SAMPLE, _LOW, _MID, _HIGH = range(7)
 
@@ -72,8 +83,117 @@ class Seed:
         seq = np.random.SeedSequence(self.value, spawn_key=(self.replica, *key))
         return np.random.Generator(np.random.PCG64(seq))
 
+    def uniforms(self, replicas, *key: int, size: int = 1) -> np.ndarray:
+        """R-by-size array whose row k is
+        `Seed(self.value, replicas[k]).stream(*key).uniform(size=size)`, bit for bit.
+
+        Rows are drawn together by `_pcg64_uniforms`; a replica index of
+        2**32 or more spans two spawn-key words and is drawn by `stream`.
+        """
+        reps = list(map(int, replicas))
+        if reps and min(reps) < 0:
+            raise BadParameter(f"replica index {min(reps)} negative")
+        narrow = [k for k, r in enumerate(reps) if r <= _M32]
+        tail = [w for k in key for w in _words(k)]
+        entropy = np.zeros((len(narrow), 5 + len(tail)), dtype=np.uint32)
+        entropy[:, :2] = self.value & _M32, self.value >> 32
+        entropy[:, 4] = [reps[k] for k in narrow]
+        entropy[:, 5:] = tail
+        drawn = _pcg64_uniforms(entropy, size)
+        if len(narrow) == len(reps):
+            return drawn
+        out = np.empty((len(reps), size))
+        out[narrow] = drawn
+        for k in set(range(len(reps))).difference(narrow):
+            out[k] = Seed(self.value, reps[k]).stream(*key).uniform(size=size)
+        return out
+
     def with_replica(self, replica: int) -> "Seed":
         return Seed(self.value, replica)
+
+
+def _words(n: int) -> list[int]:
+    """32-bit words of a spawn-key entry, least significant first, as SeedSequence splits it."""
+    if n < 0:
+        raise BadParameter(f"spawn-key entry {n} negative")
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+def _seed_state(entropy: np.ndarray) -> np.ndarray:
+    """`SeedSequence.generate_state(4, np.uint64)` for each row of assembled entropy.
+
+    Each row is the 4 run-entropy words followed by the spawn-key words; every
+    row has the same length, so the hash constants are shared by all rows.
+    """
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ np.uint32(h)
+        h = h * _MULT_A & _M32
+        value = value * np.uint32(h)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = x * _MIX_L - y * _MIX_R
+        return value ^ (value >> 16)
+
+    pool = [hashmix(entropy[:, i]) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, entropy.shape[1]):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    h = _INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(h)
+        h = h * _MULT_B & _M32
+        value = value * np.uint32(h)
+        words.append(value ^ (value >> 16))
+    words = np.stack(words, axis=1).astype(np.uint64)
+    return words[:, 0::2] | words[:, 1::2] << 32
+
+
+def _pcg64_step(lo, hi, inc_lo, inc_hi):
+    """One PCG64 step, state * multiplier + inc mod 2**128, on 64-bit halves."""
+    a0, a1 = lo & _M32, lo >> 32
+    b0, b1 = _PCG_LO & _M32, _PCG_LO >> 32
+    mid = a1 * b0 + (a0 * b0 >> 32)
+    mid2 = a0 * b1 + (mid & _M32)
+    carry = a1 * b1 + (mid >> 32) + (mid2 >> 32)  # high half of lo * _PCG_LO
+    new_lo = lo * _PCG_LO + inc_lo
+    new_hi = carry + lo * _PCG_HI + hi * _PCG_LO + inc_hi + (new_lo < inc_lo)
+    return new_lo, new_hi
+
+
+def _pcg64_uniforms(entropy: np.ndarray, size: int) -> np.ndarray:
+    """First `size` doubles of the PCG64 generator seeded from each entropy row.
+
+    Seeding follows pcg64_set_seed (initstate, then inc = 2*initseq + 1, one
+    step, add initstate, one step); each draw is one step, the XSL-RR output
+    and numpy's (x >> 11) * 2**-53 conversion.
+    """
+    state = _seed_state(entropy)
+    seq_hi, seq_lo = state[:, 2], state[:, 3]
+    inc_lo = seq_lo << 1 | 1
+    inc_hi = seq_hi << 1 | seq_lo >> 63
+    lo = inc_lo + state[:, 1]
+    hi = inc_hi + state[:, 0] + (lo < inc_lo)
+    lo, hi = _pcg64_step(lo, hi, inc_lo, inc_hi)
+    out = np.empty((len(entropy), size))
+    for c in range(size):
+        lo, hi = _pcg64_step(lo, hi, inc_lo, inc_hi)
+        rot = hi >> 58
+        x = hi ^ lo
+        x = (x >> rot) | (x << ((64 - rot) & 63))
+        out[:, c] = (x >> 11) * 2.0**-53
+    return out
 
 
 def _as_seed(seed) -> Seed:

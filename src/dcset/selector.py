@@ -11,8 +11,8 @@ joint coarse bins of their values.
 `Ensemble.first_index` holds, once per ensemble, each replica's lowest point
 index in each bin (or -1); the support mask is where it is nonnegative.  A
 selector table is drawn in one array pass: the coupling's integer units over
-its scale become float weights, every row's CDF is formed at once, and only
-the per-replica substream variates are drawn in a loop.
+its scale become float weights, every row's CDF is formed at once, and every
+replica's substream variate comes from one `Seed.uniforms` call.
 """
 
 from __future__ import annotations
@@ -31,7 +31,15 @@ from .errors import (
     InsufficientDensity,
     UnsupportedCoupling,
 )
-from .generators import SELECTOR_DOMAIN, Enumeration, Seed, _as_seed, sample_uniform
+from .generators import (
+    _SAMPLE,
+    GENERATOR_DOMAIN,
+    SELECTOR_DOMAIN,
+    Enumeration,
+    Seed,
+    _as_seed,
+    sample_uniform,
+)
 from .grid_measure import UnitGrid
 
 # Bound on the padded points binned at once in Ensemble.first_index.
@@ -105,8 +113,26 @@ class Ensemble:
 
 
 def sample_ensemble(depth: int, count: int, grid: UnitGrid, seed) -> Ensemble:
-    """Ensemble of uniform-sample replicas, the workhorse test bed."""
-    return Ensemble.generate(lambda s: sample_uniform(depth, s), count, grid, seed)
+    """Ensemble of uniform-sample replicas, the workhorse test bed.
+
+    Replica r equals sample_uniform(depth, Seed(value, r)).  Every replica's
+    first `depth` draws come from one `Seed.uniforms` call; a row that
+    sample_uniform would not keep whole (a repeated point or a 0.0) is
+    rebuilt by sample_uniform itself.
+    """
+    if depth < 1:
+        raise BadParameter(f"depth must be >= 1, got {depth}")
+    base = _as_seed(seed)
+    drawn = base.uniforms(range(count), GENERATOR_DOMAIN, _SAMPLE, size=depth)
+    ordered = np.sort(drawn, axis=1)
+    redraw = (ordered[:, 0] <= 0.0) | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    replicas = tuple(
+        sample_uniform(depth, base.with_replica(r))
+        if again
+        else Enumeration(row, depth=depth, provenance="sample")
+        for r, (row, again) in enumerate(zip(drawn, redraw.tolist()))
+    )
+    return Ensemble(replicas, grid)
 
 
 @dataclass(frozen=True)
@@ -195,9 +221,7 @@ def _draw(
             raise UnsupportedCoupling(f"coupling gives replica {r} zero mass")
         j = int(np.argmax(missing[k]))
         raise UnsupportedCoupling(f"coupling charges bin {j} where replica {r} has no point")
-    u = np.array(
-        [seed.with_replica(r).stream(SELECTOR_DOMAIN, component).uniform() for r in rows.tolist()]
-    )
+    u = seed.uniforms(rows.tolist(), SELECTOR_DOMAIN, component)[:, 0]
     idx = first[np.arange(len(rows)), _choose_bins(weights, u)]
     values = np.empty(ensemble.size)
     memberships = np.empty(ensemble.size, dtype=np.int64)

@@ -322,11 +322,12 @@ def stationarity_test(
     if replicas < 10:
         raise TooFewSamples("stationarity test needs >= 10 replicas per arm")
 
+    shifts = Seed(seed).uniforms(range(replicas, 2 * replicas), STATS_DOMAIN, 0)[:, 0]
+
     def one(r: int) -> tuple[float, float]:
         plain_obs = observable(make(Seed(seed, r)).points)
         twin = Seed(seed, replicas + r)
-        s = float(twin.stream(STATS_DOMAIN, 0).uniform())
-        moved = cyclic_shift_points(CyclicShift(s), make(twin).points.tolist())
+        moved = cyclic_shift_points(CyclicShift(float(shifts[r])), make(twin).points.tolist())
         return plain_obs, observable(np.array(moved))
 
     pairs = [one(r) for r in range(replicas)]

@@ -23,7 +23,7 @@ class TestDuality:
         assert data["masks"] == 512 and data["all_zero"]
 
     def test_sweep_with_jobs_matches_serial(self, capsys):
-        # --jobs is capped at the CPU count, so at most two workers start.
+        # --jobs is accepted and ignored.
         results = []
         for jobs in ("1", "2"):
             code = main(["duality", "--sweep", "3", "3", "--jobs", jobs])

@@ -56,6 +56,41 @@ class TestSeed:
         assert np.array_equal(gen.uniform(size=8), np.random.default_rng(seq).uniform(size=8))
 
 
+class TestUniforms:
+    """Seed.uniforms against its oracle, the scalar Seed.stream."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        value=st.integers(0, 2**64 - 1),
+        key=st.lists(st.integers(0, 2**64), max_size=3),
+        size=st.integers(0, 5),
+        replicas=st.lists(
+            st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70)), max_size=12
+        ),
+    )
+    def test_rows_match_stream(self, value, key, size, replicas):
+        got = Seed(value).uniforms(replicas, *key, size=size)
+        assert got.shape == (len(replicas), size)
+        for row, r in zip(got, replicas):
+            expected = Seed(value, r).stream(*key).uniform(size=size)
+            assert np.array_equal(row, expected)
+
+    def test_many_rows_match_stream(self):
+        reps = list(range(0, 3000, 7)) + [2**32 - 1, 2**32, 2**40 + 3]
+        for value, key in [(0, (1, 0)), (2**64 - 1, (2, 17)), (43, (0, 0)), (7, (2**32 + 1,))]:
+            got = Seed(value, 5).uniforms(reps, *key, size=3)
+            expected = [Seed(value, r).stream(*key).uniform(size=3) for r in reps]
+            assert np.array_equal(got, np.array(expected))
+
+    def test_negative_replica_rejected(self):
+        with pytest.raises(BadParameter, match="replica index -1 negative"):
+            Seed(3).uniforms([0, -1, 2], 1, 0)
+
+    def test_empty_replica_list(self):
+        assert Seed(3).uniforms([], 1, 0, size=4).shape == (0, 4)
+        assert Seed(3).uniforms(range(0), 1, 0).shape == (0, 1)
+
+
 class TestSampleUniform:
     def test_shape_and_domain(self):
         enum = sample_uniform(3, 7)

@@ -33,6 +33,7 @@ from dcset import (
     uniform_selector,
     verify_selector,
 )
+from dcset import generators
 from dcset.selector import _choose_bins, _weights
 
 GRID8 = UnitGrid(8)
@@ -61,6 +62,37 @@ class TestSupportMask:
         expected = 1 - (1 - 1 / n) ** depth
         se = math.sqrt(expected * (1 - expected) / (replicas * n))
         assert abs(fill - expected) <= 4 * se
+
+
+class TestSampleEnsemble:
+    def test_rows_equal_sample_uniform(self):
+        ens = sample_ensemble(16, 40, GRID8, 91)
+        for r, enum in enumerate(ens.replicas):
+            assert np.array_equal(enum.points, sample_uniform(16, Seed(91, r)).points)
+
+    def test_rejected_rows_rebuilt_by_sample_uniform(self, monkeypatch):
+        engine = generators._pcg64_uniforms
+        drawn = {}
+
+        def flawed(entropy, size):
+            out = engine(entropy, size)
+            drawn["rows"] = out.copy()
+            out[2, 3] = out[2, 1]  # a repeated point
+            out[5, 0] = 0.0  # an open-interval endpoint
+            return out
+
+        monkeypatch.setattr(generators, "_pcg64_uniforms", flawed)
+        ens = sample_ensemble(6, 8, GRID8, 93)
+        for r, enum in enumerate(ens.replicas):
+            assert np.array_equal(enum.points, sample_uniform(6, Seed(93, r)).points)
+            if r not in (2, 5):
+                assert np.array_equal(enum.points, drawn["rows"][r])
+
+    def test_bad_sizes_rejected(self):
+        with pytest.raises(BadParameter, match="depth must be >= 1, got 0"):
+            sample_ensemble(0, 5, GRID8, 1)
+        with pytest.raises(BadParameter, match="ensemble needs at least one replica"):
+            sample_ensemble(4, 0, GRID8, 1)
 
 
 class TestSelectorFromCoupling:
