@@ -200,6 +200,11 @@ def _as_seed(seed) -> Seed:
     return seed if isinstance(seed, Seed) else Seed(int(seed))
 
 
+def _in_open_unit(points: np.ndarray) -> np.ndarray:
+    """Elementwise: the point lies strictly inside (0, 1); NaN does not."""
+    return (points > 0.0) & (points < 1.0)
+
+
 @dataclass(frozen=True)
 class Enumeration:
     """Finite prefix of an enumeration: ordered, pairwise-distinct points of (0,1).
@@ -216,7 +221,7 @@ class Enumeration:
         pts = np.asarray(self.points, dtype=float)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        if pts.size and (pts.min() <= 0.0 or pts.max() >= 1.0):
+        if not _in_open_unit(pts).all():
             raise BadParameter("enumeration points must lie in open (0,1)")
         if np.unique(pts).size != pts.size:
             raise BadParameter("enumeration points must be pairwise distinct")

@@ -8,11 +8,19 @@ selector exists exactly when the replica-by-bin support mask carries a full
 coupling, and conditioning on earlier selectors is realized cell-wise on the
 joint coarse bins of their values.
 
+An `Ensemble` holds its replicas as one read-only R-by-width array `points`,
+row r's first `lengths[r]` entries being replica r's enumeration, and the
+paths below run as array passes over it; the only Python loop left is over
+conditioning cells, one cache lookup (or solve) per cell.
 `Ensemble.first_index` holds, once per ensemble, each replica's lowest point
 index in each bin (or -1); the support mask is where it is nonnegative.  A
 selector table is drawn in one array pass: the coupling's integer units over
-its scale become float weights, every row's CDF is formed at once, and every
-replica's substream variate comes from one `Seed.uniforms` call.
+its scale become float weights, every row's CDF is formed at once, every
+replica's substream variate comes from one `Seed.uniforms` call, and values
+are gathered from `points`.  Conditioning cells are dense integer ranks of
+the joint coarse bins, taken in order by one stable sort.  The interleaved
+enumeration marks used point indices in one R-by-width table, and
+containment takes, for each point, the first table holding its value.
 """
 
 from __future__ import annotations
@@ -38,12 +46,17 @@ from .generators import (
     Enumeration,
     Seed,
     _as_seed,
+    _in_open_unit,
     sample_uniform,
 )
 from .grid_measure import UnitGrid
 
 # Bound on the padded points binned at once in Ensemble.first_index.
 _BLOCK_POINTS = 1 << 16
+# Integers below this bound are exact as floats.
+_EXACT = 2**53
+# Filler past the end of a shorter replica's row of Ensemble.points.
+_PAD = 0.5
 
 __all__ = [
     "Ensemble",
@@ -59,45 +72,77 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Ensemble:
-    """Replica enumerations plus the value-axis grid."""
+    """Replica enumerations packed as one padded points array, plus the value-axis grid.
 
-    replicas: tuple
+    Row r of the read-only R-by-width array `points` holds replica r's
+    enumeration in its first `lengths[r]` entries; the rest is padding.
+    `Ensemble(replicas, grid)` packs a sequence of enumerations once.
+    """
+
+    points: np.ndarray
+    lengths: np.ndarray
     grid: UnitGrid
 
-    def __post_init__(self):
-        if not self.replicas:
+    def __init__(self, replicas: Sequence[Enumeration], grid: UnitGrid):
+        replicas = tuple(replicas)
+        lengths = np.array([len(enum) for enum in replicas], dtype=np.int64)
+        points = np.full((len(replicas), max(1, int(lengths.max(initial=0)))), _PAD)
+        if replicas:
+            points[np.arange(points.shape[1]) < lengths[:, None]] = np.concatenate(
+                [enum.points for enum in replicas]
+            )
+        self._pack(points, lengths, grid)
+
+    @classmethod
+    def _packed(cls, points: np.ndarray, lengths: np.ndarray, grid: UnitGrid) -> "Ensemble":
+        """Ensemble over rows already checked to be enumerations."""
+        ensemble = cls.__new__(cls)
+        ensemble._pack(points, lengths, grid)
+        return ensemble
+
+    def _pack(self, points: np.ndarray, lengths: np.ndarray, grid: UnitGrid) -> None:
+        if not len(lengths):
             raise BadParameter("ensemble needs at least one replica")
-        object.__setattr__(self, "replicas", tuple(self.replicas))
+        points.setflags(write=False)
+        lengths.setflags(write=False)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "grid", grid)
 
     @property
     def size(self) -> int:
-        return len(self.replicas)
+        return len(self.lengths)
+
+    @property
+    def replicas(self) -> tuple:
+        """Each replica as an Enumeration, built on demand."""
+        return tuple(
+            Enumeration(row[:n], depth=n, provenance="ensemble")
+            for row, n in zip(self.points, self.lengths.tolist())
+        )
 
     @cached_property
     def first_index(self) -> np.ndarray:
         """R-by-n table: each replica's lowest point index in each bin, or -1.
 
-        Replicas are binned a block at a time into a padded array, so no
-        copy of every replica's points is held at once.
+        Rows are binned a block at a time, so no cell index of every point is
+        held at once.
         """
         n = self.grid.n
-        lengths = np.array([len(enum) for enum in self.replicas])
-        width = max(1, int(lengths.max()))
+        width = self.points.shape[1]
+        index = np.arange(width)
         step = max(1, _BLOCK_POINTS // width)
         # Cell r*n + j takes the least index of replica r's points in bin j;
         # padding goes to one spare cell at the end.
         spare = self.size * n
         least = np.full(spare + 1, width, dtype=np.int64)
         for lo in range(0, self.size, step):
-            block = self.replicas[lo : lo + step]
-            points = np.full((len(block), width), 0.5)
-            for k, enum in enumerate(block):
-                points[k, : len(enum)] = enum.points
-            cells = (lo + np.arange(len(block)))[:, None] * n + self.grid.bins(points)
-            cells[np.arange(width) >= lengths[lo : lo + step, None]] = spare
-            np.minimum.at(least, cells.ravel(), np.tile(np.arange(width), len(block)))
+            block = self.points[lo : lo + step]
+            cells = np.arange(lo, lo + len(block))[:, None] * n + self.grid.bins(block)
+            cells[index >= self.lengths[lo : lo + step, None]] = spare
+            np.minimum.at(least, cells.ravel(), np.tile(index, len(block)))
         table = np.where(least[:spare] < width, least[:spare], -1).reshape(self.size, n)
         table.setflags(write=False)
         return table
@@ -107,32 +152,27 @@ class Ensemble:
         cls, make: Callable[[Seed], Enumeration], count: int, grid: UnitGrid, seed
     ) -> "Ensemble":
         base = _as_seed(seed)
-        return cls(
-            tuple(make(base.with_replica(r)) for r in range(count)), grid
-        )
+        return cls([make(base.with_replica(r)) for r in range(count)], grid)
 
 
 def sample_ensemble(depth: int, count: int, grid: UnitGrid, seed) -> Ensemble:
     """Ensemble of uniform-sample replicas, the workhorse test bed.
 
     Replica r equals sample_uniform(depth, Seed(value, r)).  Every replica's
-    first `depth` draws come from one `Seed.uniforms` call; a row that
-    sample_uniform would not keep whole (a repeated point or a 0.0) is
-    rebuilt by sample_uniform itself.
+    first `depth` draws come from one `Seed.uniforms` call, which becomes the
+    ensemble's points array.  One sort checks every row as Enumeration
+    would; a row that fails (a repeated point, or one outside (0, 1)) is one
+    sample_uniform would not keep whole, and is rebuilt by sample_uniform.
     """
     if depth < 1:
         raise BadParameter(f"depth must be >= 1, got {depth}")
     base = _as_seed(seed)
-    drawn = base.uniforms(range(count), GENERATOR_DOMAIN, _SAMPLE, size=depth)
-    ordered = np.sort(drawn, axis=1)
-    redraw = (ordered[:, 0] <= 0.0) | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-    replicas = tuple(
-        sample_uniform(depth, base.with_replica(r))
-        if again
-        else Enumeration(row, depth=depth, provenance="sample")
-        for r, (row, again) in enumerate(zip(drawn, redraw.tolist()))
-    )
-    return Ensemble(replicas, grid)
+    points = base.uniforms(range(count), GENERATOR_DOMAIN, _SAMPLE, size=depth)
+    ordered = np.sort(points, axis=1)
+    kept = _in_open_unit(ordered).all(axis=1) & (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
+    for r in np.flatnonzero(~kept).tolist():
+        points[r] = sample_uniform(depth, base.with_replica(r)).points
+    return Ensemble._packed(points, np.full(count, depth, dtype=np.int64), grid)
 
 
 @dataclass(frozen=True)
@@ -160,10 +200,10 @@ def verify_selector(ensemble: Ensemble, table: SelectorTable) -> bool:
     """Exact defining property: each value is its replica's indexed point."""
     if len(table) != ensemble.size:
         return False
-    for enum, value, idx in zip(ensemble.replicas, table.values, table.memberships):
-        if idx < 0 or idx >= len(enum) or enum.points[idx] != value:
-            return False
-    return True
+    idx = table.memberships
+    if not ((idx >= 0) & (idx < ensemble.lengths)).all():
+        return False
+    return bool((ensemble.points[np.arange(ensemble.size), idx] == table.values).all())
 
 
 def build_support_mask(ensemble: Ensemble) -> SupportMask:
@@ -175,9 +215,15 @@ def _weights(coupling: Coupling) -> np.ndarray:
     """Float weights units / scale.
 
     Python's int division rounds once, so each weight equals float(Fraction)
-    of its entry, even for units and scales beyond 2**53.
+    of its entry, even for units and scales beyond 2**53.  Below 2**53 both
+    operands are exact floats and IEEE division rounds the same way, so one
+    numpy division serves.
     """
     scale = coupling.scale
+    if scale < _EXACT:
+        units = np.array(coupling.units, dtype=float)
+        if np.abs(units).max(initial=0.0) < _EXACT:
+            return units / scale
     return np.array([[u / scale for u in row] for row in coupling.units])
 
 
@@ -226,8 +272,7 @@ def _draw(
     values = np.empty(ensemble.size)
     memberships = np.empty(ensemble.size, dtype=np.int64)
     memberships[rows] = idx
-    for r, i in zip(rows.tolist(), idx.tolist()):
-        values[r] = ensemble.replicas[r].points[i]
+    values[rows] = ensemble.points[rows, idx]
     return SelectorTable(values, memberships)
 
 
@@ -264,35 +309,40 @@ def uniform_selector(ensemble: Ensemble, seed, component: int = 0) -> SelectorTa
     return selector_from_coupling(ensemble, coupling, seed, component)
 
 
-def _conditional_by_keys(
+def _refine(rank: np.ndarray, bins: np.ndarray, n: int) -> np.ndarray:
+    """Dense rank of (rank, bin) pairs, ordered as rank * n + bin."""
+    return np.unique(rank * n + bins, return_inverse=True)[1].reshape(rank.shape)
+
+
+def _conditional_by_rank(
     ensemble: Ensemble,
-    keys: Sequence,
+    rank: np.ndarray,
+    label: Callable[[int], object],
     seed: Seed,
     component: int,
     mask: SupportMask,
     weight_cache: dict,
 ) -> SelectorTable:
-    """Uniform selector inside each cell of replicas sharing a key.
+    """Uniform selector inside each cell of replicas sharing a rank.
 
-    Cells are solved in key order, and each cell's weight rows are cached by
-    its sub-mask; the whole table is then drawn at once.
+    Cells are solved in rank order, and each cell's weight rows are cached by
+    its sub-mask; the whole table is then drawn at once.  A cell with no full
+    coupling is named by `label` of its first replica.
     """
-    cells: dict = {}
-    for r, key in enumerate(keys):
-        cells.setdefault(key, []).append(r)
-    rows: list[int] = []
+    rows = np.argsort(rank, kind="stable")
+    bounds = [0, *(np.flatnonzero(np.diff(rank[rows])) + 1).tolist(), len(rows)]
+    ordered = mask.cells[rows]
     blocks = []
-    for key in sorted(cells):
-        members = cells[key]
-        sub = mask.cells[members]
-        cache_key = (len(members), sub.tobytes())
+    for lo, hi in zip(bounds, bounds[1:]):
+        sub = ordered[lo:hi]
+        cache_key = (hi - lo, sub.tobytes())
         weights = weight_cache.get(cache_key)
         if weights is None:
-            coupling = _full_coupling_or_obstruction(SupportMask(sub), ensemble.grid.n, cell=key)
+            cell = label(int(rows[lo]))
+            coupling = _full_coupling_or_obstruction(SupportMask(sub), ensemble.grid.n, cell=cell)
             weights = weight_cache[cache_key] = _weights(coupling)
-        rows.extend(members)
         blocks.append(weights)
-    return _draw(ensemble, np.array(rows), np.concatenate(blocks), seed, component)
+    return _draw(ensemble, rows, np.concatenate(blocks), seed, component)
 
 
 def conditional_uniform_selector(
@@ -307,7 +357,7 @@ def conditional_uniform_selector(
     Replicas are partitioned by the joint coarse-bin value of the priors and a
     uniform selector runs inside each cell, which enforces the product
     structure cell by cell.  A cell whose sub-mask has no full coupling raises
-    InsufficientDensity naming that cell.
+    InsufficientDensity naming that cell by its tuple of coarse bins.
     """
     base = _as_seed(seed)
     if not priors:
@@ -316,9 +366,15 @@ def conditional_uniform_selector(
         if len(prior) != ensemble.size:
             raise BadParameter("prior selector size does not match the ensemble")
     bin_rows = [coarse.bins(prior.values) for prior in priors]
-    keys = [tuple(int(row[r]) for row in bin_rows) for r in range(ensemble.size)]
+    rank = np.zeros(ensemble.size, dtype=np.int64)
+    for bins in bin_rows:
+        rank = _refine(rank, bins, coarse.n)
+
+    def label(r: int) -> tuple:
+        return tuple(int(bins[r]) for bins in bin_rows)
+
     mask = build_support_mask(ensemble)
-    return _conditional_by_keys(ensemble, keys, base, component, mask, {})
+    return _conditional_by_rank(ensemble, rank, label, base, component, mask, {})
 
 
 def interleaved_enumeration(
@@ -330,52 +386,53 @@ def interleaved_enumeration(
     even table (a uniform selector conditioned on every table so far) and an
     odd table (the first enumeration point not yet used by that replica).
     The first j+1 base points are always contained in the first 2j+1 tables.
+
+    Points of a replica are distinct, so a used value is a used index: one
+    R-by-width table marks them.  Every index below the last odd pick is
+    used, so the next odd pick is the first unused index of each row.  A
+    failing conditioning cell is named by the mixed-radix int of its coarse
+    bins over every table so far.
     """
     base = _as_seed(seed)
     if rounds < 0:
         raise BadParameter(f"rounds must be >= 0, got {rounds}")
-    for r, enum in enumerate(ensemble.replicas):
-        if len(enum) < 1:
-            raise DepthExhausted(r)
+    empty = ensemble.lengths < 1
+    if empty.any():
+        raise DepthExhausted(int(np.argmax(empty)))
 
     mask = build_support_mask(ensemble)
     weight_cache: dict = {}
-    R = ensemble.size
+    rows = np.arange(ensemble.size)
+    # Padding counts as used, so no row can pick it.
+    used = np.arange(ensemble.points.shape[1]) >= ensemble.lengths[:, None]
+    history: list[np.ndarray] = []  # coarse bins of every table so far
+    rank = np.zeros(ensemble.size, dtype=np.int64)
 
-    first = SelectorTable(
-        np.array([enum.points[0] for enum in ensemble.replicas]),
-        np.zeros(R, dtype=np.int64),
-    )
-    tables = [first]
-    used = [{float(enum.points[0])} for enum in ensemble.replicas]
-    scan = [1] * R  # per replica: first candidate index not yet checked off
-    keys = [0] * R
+    def label(r: int) -> int:
+        key = 0
+        for bins in history:
+            key = key * coarse.n + int(bins[r])
+        return key
 
     def absorb(table: SelectorTable) -> None:
-        bins = coarse.bins(table.values)
-        for r in range(R):
-            keys[r] = keys[r] * coarse.n + int(bins[r])
-            used[r].add(float(table.values[r]))
+        nonlocal rank
+        history.append(coarse.bins(table.values))
+        rank = _refine(rank, history[-1], coarse.n)
+        used[rows, table.memberships] = True
 
+    first = SelectorTable(ensemble.points[:, 0], np.zeros(ensemble.size, dtype=np.int64))
+    tables = [first]
     absorb(first)
     for round_no in range(1, rounds + 1):
-        even = _conditional_by_keys(ensemble, keys, base, round_no, mask, weight_cache)
+        even = _conditional_by_rank(ensemble, rank, label, base, round_no, mask, weight_cache)
         tables.append(even)
         absorb(even)
 
-        odd_values = np.empty(R)
-        odd_idx = np.empty(R, dtype=np.int64)
-        for r, enum in enumerate(ensemble.replicas):
-            pts = enum.points
-            k = scan[r]
-            while k < len(pts) and float(pts[k]) in used[r]:
-                k += 1
-            if k >= len(pts):
-                raise DepthExhausted(r)
-            scan[r] = k
-            odd_values[r] = pts[k]
-            odd_idx[r] = k
-        odd = SelectorTable(odd_values, odd_idx)
+        odd_idx = np.argmax(~used, axis=1)
+        exhausted = used[rows, odd_idx]
+        if exhausted.any():
+            raise DepthExhausted(int(np.argmax(exhausted)))
+        odd = SelectorTable(ensemble.points[rows, odd_idx], odd_idx)
         tables.append(odd)
         absorb(odd)
     return tables
@@ -383,16 +440,21 @@ def interleaved_enumeration(
 
 def interleave_containment(ensemble: Ensemble, tables: Sequence[SelectorTable]) -> np.ndarray:
     """Boolean matrix: entry (r, j) says the first j+1 base points of replica r
-    all appear among tables 1..2j+1."""
+    all appear among tables 1..2j+1.
+
+    Values are compared, not memberships.  first[r, k] is the first table
+    whose value for replica r equals point k (len(tables) if none, or if the
+    replica has no point k); the first j+1 points are in by table 2j+1
+    exactly when the running max of first along k is at most 2j.
+    """
     rounds = (len(tables) - 1) // 2
-    R = ensemble.size
-    out = np.zeros((R, rounds + 1), dtype=bool)
-    for r, enum in enumerate(ensemble.replicas):
-        seen: set[float] = set()
-        for j in range(rounds + 1):
-            for t in range(max(0, 2 * j - 1), 2 * j + 1):
-                if t < len(tables):
-                    seen.add(float(tables[t].values[r]))
-            needed = enum.points[: j + 1]
-            out[r, j] = len(needed) == j + 1 and all(float(p) in seen for p in needed)
+    width = min(ensemble.points.shape[1], rounds + 1)
+    index = np.arange(width)
+    # Padding becomes NaN, which equals no value.
+    points = np.where(index < ensemble.lengths[:, None], ensemble.points[:, :width], np.nan)
+    first = np.full(points.shape, len(tables))
+    for t in reversed(range(len(tables))):
+        first[points == tables[t].values[:, None]] = t
+    out = np.zeros((ensemble.size, rounds + 1), dtype=bool)
+    out[:, :width] = np.maximum.accumulate(first, axis=1) <= 2 * index
     return out

@@ -196,6 +196,23 @@ class TestEnumerate:
         assert data["containment"] is True
         assert len(data["steps"]) == 3
 
+    @pytest.mark.parametrize(
+        "argv, cell, thin",
+        [
+            (["--seed", "1", "--replicas", "10", "--depth", "8", "--rounds", "2"], 1, 3),
+            (["--seed", "2", "--replicas", "200", "--depth", "32", "--rounds", "6"], 64, 6),
+        ],
+    )
+    def test_failing_cell_named_by_coarse_bins(self, capsys, argv, cell, thin):
+        # The cell label is the mixed-radix int of the coarse bins of every table so far.
+        assert main(["enumerate", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: no uniform selector in conditioning cell {cell}: "
+            f"cover cost 7/8 < 1, thin bins [{thin}]\n"
+        )
+
 
 class TestFrozenSeedOutputs:
     # sha256 of outputs at frozen seeds.  A change that moves one of them

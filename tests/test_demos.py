@@ -1,0 +1,38 @@
+"""Every demo script runs to completion; the two selector demos print fixed output."""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+# sha256 of the stdout of the demos that read an Ensemble.
+STDOUT_SHA256 = {
+    "04_uniform_selector.py": "0acc717108c4ee13dd13355f449c42b5e4dc4516e93010f4fe00533c2521bf72",
+    "05_interleaved_enumeration.py": "406b3863e369afe2ac4a8c022f2d1d216e8b1e69bdf7b02f3098a4c9e7b76dff",
+}
+
+
+def test_all_demos_found():
+    assert len(DEMOS) == 5 and set(STDOUT_SHA256) <= {demo.name for demo in DEMOS}
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo, tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(demo)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    if demo.name in STDOUT_SHA256:
+        assert hashlib.sha256(done.stdout.encode()).hexdigest() == STDOUT_SHA256[demo.name]

@@ -340,6 +340,13 @@ class TestEnumerationType:
         with pytest.raises(BadParameter):
             Enumeration(np.array([0.0, 0.5]), depth=2, provenance="x")
 
+    @pytest.mark.parametrize(
+        "points", [[np.nan], [0.5, np.nan], [np.inf], [np.nan, 0.5], [-np.inf, 0.5]], ids=str
+    )
+    def test_rejects_non_finite(self, points):
+        with pytest.raises(BadParameter, match="open"):
+            Enumeration(np.array(points), depth=len(points), provenance="x")
+
     def test_rejects_duplicates(self):
         with pytest.raises(BadParameter):
             Enumeration(np.array([0.5, 0.5]), depth=2, provenance="x")

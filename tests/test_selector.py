@@ -33,8 +33,8 @@ from dcset import (
     uniform_selector,
     verify_selector,
 )
-from dcset import generators
-from dcset.selector import _choose_bins, _weights
+from dcset import SupportMask, generators
+from dcset.selector import _choose_bins, _draw, _full_coupling_or_obstruction, _weights
 
 GRID8 = UnitGrid(8)
 
@@ -226,6 +226,19 @@ class TestConditionalSelector:
             conditional_uniform_selector(ens, [prior], UnitGrid(2), Seed(66))
         assert err.value.cell is not None
 
+    def test_first_failing_cell_in_tuple_order_is_named(self):
+        # Cells (0, 1) and (1, 0) each hold an empty replica; (0, 1) comes
+        # first in the order of the coarse-bin tuples.
+        replicas = [sample_uniform(16, Seed(65, r)) for r in range(20)]
+        replicas += [Enumeration(np.empty(0), depth=0, provenance="fixed")] * 2
+        ens = Ensemble(replicas, UnitGrid(4))
+        first = np.array([0.3] * 10 + [0.7] * 10 + [0.3, 0.7])
+        second = np.array([0.2] * 20 + [0.8, 0.2])
+        priors = [SelectorTable(v, np.zeros(22, dtype=np.int64)) for v in (first, second)]
+        with pytest.raises(InsufficientDensity, match=r"cell \(0, 1\):") as err:
+            conditional_uniform_selector(ens, priors, UnitGrid(2), Seed(66))
+        assert err.value.cell == (0, 1)
+
     def test_prior_size_mismatch(self):
         ens = sample_ensemble(8, 10, GRID8, 67)
         bad = SelectorTable(np.full(9, 0.5), np.zeros(9, dtype=np.int64))
@@ -294,6 +307,99 @@ class TestVerifySelector:
         assert not verify_selector(ens, forged)
 
 
+# Per-replica references: the loops that the array paths over Ensemble.points
+# replaced, kept as oracles.
+
+
+def reference_first_index(ens):
+    first = np.full((ens.size, ens.grid.n), -1)
+    for r, enum in enumerate(ens.replicas):
+        for i, j in reversed(list(enumerate(ens.grid.bins(enum.points)))):
+            first[r, j] = i
+    return first
+
+
+def reference_verify(ens, table):
+    if len(table) != ens.size:
+        return False
+    for enum, value, idx in zip(ens.replicas, table.values, table.memberships):
+        if idx < 0 or idx >= len(enum) or enum.points[idx] != value:
+            return False
+    return True
+
+
+def reference_interleaving(ens, rounds, coarse, seed):
+    """Per-replica sets of used values and mixed-radix Python-int cell keys."""
+    for r, enum in enumerate(ens.replicas):
+        if len(enum) < 1:
+            raise DepthExhausted(r)
+    mask = build_support_mask(ens)
+    replicas = ens.replicas
+    R = ens.size
+
+    def conditional(keys, component):
+        cells = {}
+        for r, key in enumerate(keys):
+            cells.setdefault(key, []).append(r)
+        rows, blocks = [], []
+        for key in sorted(cells):
+            members = cells[key]
+            sub = SupportMask(mask.cells[members])
+            rows.extend(members)
+            blocks.append(_weights(_full_coupling_or_obstruction(sub, ens.grid.n, cell=key)))
+        return _draw(ens, np.array(rows), np.concatenate(blocks), seed, component)
+
+    first = SelectorTable(
+        np.array([enum.points[0] for enum in replicas]), np.zeros(R, dtype=np.int64)
+    )
+    tables = [first]
+    used = [{float(enum.points[0])} for enum in replicas]
+    scan = [1] * R
+    keys = [0] * R
+
+    def absorb(table):
+        bins = coarse.bins(table.values)
+        for r in range(R):
+            keys[r] = keys[r] * coarse.n + int(bins[r])
+            used[r].add(float(table.values[r]))
+
+    absorb(first)
+    for round_no in range(1, rounds + 1):
+        even = conditional(keys, round_no)
+        tables.append(even)
+        absorb(even)
+        odd_values = np.empty(R)
+        odd_idx = np.empty(R, dtype=np.int64)
+        for r, enum in enumerate(replicas):
+            pts = enum.points
+            k = scan[r]
+            while k < len(pts) and float(pts[k]) in used[r]:
+                k += 1
+            if k >= len(pts):
+                raise DepthExhausted(r)
+            scan[r] = k
+            odd_values[r] = pts[k]
+            odd_idx[r] = k
+        odd = SelectorTable(odd_values, odd_idx)
+        tables.append(odd)
+        absorb(odd)
+    return tables
+
+
+def reference_containment(ens, tables):
+    rounds = (len(tables) - 1) // 2
+    out = np.zeros((ens.size, rounds + 1), dtype=bool)
+    for r, enum in enumerate(ens.replicas):
+        seen = set()
+        for j in range(rounds + 1):
+            for t in range(max(0, 2 * j - 1), 2 * j + 1):
+                if t < len(tables):
+                    seen.add(float(tables[t].values[r]))
+            needed = enum.points[: j + 1]
+            out[r, j] = len(needed) == j + 1 and all(float(p) in seen for p in needed)
+    return out
+
+
 def reference_bins(weights, u):
     """The inverse-CDF draw written one row at a time."""
     chosen = []
@@ -328,10 +434,7 @@ class TestSelectorProperties:
     @given(small_ensembles(), st.integers(0, 2**32), st.data())
     def test_tables_verify_and_draw_charged_cells(self, ens, seed, data):
         n = ens.grid.n
-        first = np.full((ens.size, n), -1)
-        for r, enum in enumerate(ens.replicas):
-            for i, j in reversed(list(enumerate(ens.grid.bins(enum.points)))):
-                first[r, j] = i
+        first = reference_first_index(ens)
         assert np.array_equal(ens.first_index, first)
         mask = build_support_mask(ens)
         assert np.array_equal(mask.cells, first >= 0)
@@ -382,3 +485,110 @@ class TestSelectorProperties:
         coupling = Coupling.from_units(units, scale)
         expected = [[float(x) for x in row] for row in coupling.mass]
         assert _weights(coupling).tolist() == expected
+
+    @pytest.mark.parametrize("units, scale", [([2**54 + 3, 1], 3), ([1, 3], 2**53 + 1)])
+    def test_weights_where_float_operands_would_round(self, units, scale):
+        # float(2**54 + 3) and float(2**53 + 1) are inexact, and dividing the
+        # rounded floats gives a weight one ulp off the exact quotient's.
+        coupling = Coupling.from_units([units], scale)
+        assert _weights(coupling).tolist() == [[float(x) for x in coupling.mass[0]]]
+
+
+inner_points = st.floats(0, 1, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def ragged_ensembles(draw):
+    """Packed from enumerations of mixed lengths, empty ones included."""
+    row = st.integers(0, 12).flatmap(
+        lambda k: st.lists(inner_points, min_size=k, max_size=k, unique=True)
+    )
+    rows = draw(st.lists(row, min_size=1, max_size=7))
+    replicas = [Enumeration(np.array(row, dtype=float), depth=len(row), provenance="x") for row in rows]
+    return Ensemble(replicas, UnitGrid(draw(st.integers(1, 3))))
+
+
+@st.composite
+def forged_tables(draw, ens):
+    """Tables mixing the replica's own points, other replicas' points, the
+    row padding value, NaN and fresh floats, under memberships that may lie."""
+    width = max(len(enum) for enum in ens.replicas)
+    everything = [float(x) for enum in ens.replicas for x in enum.points]
+    tables = []
+    for _ in range(draw(st.integers(0, 7))):
+        values, memberships = [], []
+        for enum in ens.replicas:
+            own = st.sampled_from(enum.points.tolist()) if len(enum) else inner_points
+            foreign = st.sampled_from(everything) if everything else inner_points
+            values.append(draw(st.one_of(own, own, foreign, st.just(0.5), st.just(np.nan), inner_points)))
+            memberships.append(draw(st.integers(-1, width)))
+        tables.append(SelectorTable(np.array(values), np.array(memberships)))
+    return tables
+
+
+def outcome(run, *args):
+    """Tables, or the error with the replica or cell it names."""
+    try:
+        return run(*args)
+    except DepthExhausted as exc:
+        return ("DepthExhausted", exc.replica, str(exc))
+    except InsufficientDensity as exc:
+        return ("InsufficientDensity", exc.cell, str(exc))
+
+
+class TestArrayPathsMatchReferences:
+    def test_packing_round_trips(self):
+        rows = [[0.3, 0.1], [], [0.9, 0.2, 0.6]]
+        ens = Ensemble([Enumeration(np.array(row), depth=len(row), provenance="x") for row in rows], GRID8)
+        assert ens.points.shape == (3, 3) and ens.lengths.tolist() == [2, 0, 3]
+        assert [enum.points.tolist() for enum in ens.replicas] == rows
+        assert not ens.points.flags.writeable and not ens.lengths.flags.writeable
+        with pytest.raises(BadParameter, match="at least one replica"):
+            Ensemble([], GRID8)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ragged_ensembles(), st.integers(0, 4), st.integers(1, 2), st.integers(0, 2**32))
+    def test_interleaving(self, ens, rounds, coarse, seed):
+        assert np.array_equal(ens.first_index, reference_first_index(ens))
+        got = outcome(interleaved_enumeration, ens, rounds, UnitGrid(coarse), Seed(seed))
+        want = outcome(reference_interleaving, ens, rounds, UnitGrid(coarse), Seed(seed))
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.values, b.values) and np.array_equal(a.memberships, b.memberships)
+            assert verify_selector(ens, a)
+        assert np.array_equal(interleave_containment(ens, got), reference_containment(ens, want))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_containment_and_verify_on_forged_tables(self, data):
+        ens = data.draw(ragged_ensembles())
+        tables = data.draw(forged_tables(ens))
+        assert np.array_equal(interleave_containment(ens, tables), reference_containment(ens, tables))
+        for table in tables:
+            assert verify_selector(ens, table) == reference_verify(ens, table)
+
+    def test_verify_rejects_wrong_size(self):
+        ens = sample_ensemble(4, 3, GRID8, 84)
+        table = SelectorTable(ens.points[:2, 0], np.zeros(2, dtype=np.int64))
+        assert not verify_selector(ens, table) and not reference_verify(ens, table)
+
+    def test_failing_cell_label_matches_reference(self):
+        # The mixed-radix cell label is computed only for the failing cell.
+        ens = sample_ensemble(32, 200, GRID8, 2)
+        got = outcome(interleaved_enumeration, ens, 6, UnitGrid(2), Seed(2))
+        assert got == outcome(reference_interleaving, ens, 6, UnitGrid(2), Seed(2))
+        assert got[:2] == ("InsufficientDensity", 64)
+
+    def test_depth_exhausted_names_first_short_replica(self):
+        # On one bin every even table repeats point 0, so round j's odd table
+        # needs point j: replicas 2 and 3 run out in round 2.
+        rows = [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8], [0.15, 0.25]]
+        ens = Ensemble([Enumeration(np.array(row), depth=len(row), provenance="x") for row in rows], UnitGrid(1))
+        tables = interleaved_enumeration(ens, 1, UnitGrid(1), Seed(85))
+        assert tables[2].memberships.tolist() == [1, 1, 1, 1]
+        got = outcome(interleaved_enumeration, ens, 2, UnitGrid(1), Seed(85))
+        assert got == outcome(reference_interleaving, ens, 2, UnitGrid(1), Seed(85))
+        assert got[:2] == ("DepthExhausted", 2)
