@@ -13,25 +13,22 @@ from dcset import (
     MarginalCaps,
     SupportMask,
     all_masks,
-    duality_gap,
     full_coupling,
-    max_coupling,
-    min_cover,
     monotone_chain_check,
+    solve,
 )
 
 print("=== the 2x2 diagonal ===")
 diag = SupportMask.from_cells(2, 2, [(0, 0), (1, 1)])
-value, coupling = max_coupling(diag)
-cost, cover = min_cover(diag)
-print(f"coupling value {value}, witness mass {coupling.mass}")
-print(f"cover value {cost}, witness U={sorted(cover.U)} V={sorted(cover.V)}")
-print(f"gap = {duality_gap(diag)}  (always exactly 0)")
+cert = solve(diag)
+cover = cert.cover
+print(f"coupling value {cert.value}, witness mass {cert.coupling().mass}")
+print(f"cover value {cert.cover_cost}, witness U={sorted(cover.U)} V={sorted(cover.V)}")
+print(f"gap = {cert.gap}  (always exactly 0)")
 
 print("\n=== a single allowed cell caps the mass at the row budget ===")
 corner = SupportMask.from_cells(2, 2, [(0, 0)])
-value, _ = max_coupling(corner)
-print(f"value {value}; the cover buys just row 0 at cost 1/2")
+print(f"value {solve(corner).value}; the cover buys just row 0 at cost 1/2")
 
 print("\n=== growing the mask can only grow both values ===")
 chain = [SupportMask.empty(2, 2), corner, diag]
@@ -47,9 +44,9 @@ print("\n=== non-uniform budgets work the same way ===")
 caps = MarginalCaps(
     (Fraction(1, 4), Fraction(3, 4)), (Fraction(2, 3), Fraction(1, 3))
 )
-value, _ = max_coupling(SupportMask.from_cells(2, 2, [(0, 0), (1, 0), (1, 1)]), caps)
+value = solve(SupportMask.from_cells(2, 2, [(0, 0), (1, 0), (1, 1)]), caps).value
 print(f"value with skewed caps: {value}")
 
 print("\n=== sweeping every 3x3 mask: 512 instances, 512 zero gaps ===")
-nonzero = sum(1 for mask in all_masks(3, 3) if duality_gap(mask) != 0)
+nonzero = sum(1 for mask in all_masks(3, 3) if solve(mask).gap != 0)
 print(f"nonzero gaps found: {nonzero}")

@@ -34,7 +34,7 @@ for j in range(rounds + 1):
     print(f"  round {j}: holds in {contained[:, j].mean():.0%} of replicas")
 
 print("\none replica's story (replica 0):")
-base = ensemble.replicas[0].points
+base = ensemble.points[0, : ensemble.lengths[0]]
 print("  base points:", np.round(base[: rounds + 1], 3))
 print("  tables:     ", np.round([t.values[0] for t in tables], 3))
 

@@ -15,11 +15,8 @@ from .duality import (
     MarginalCaps,
     SupportMask,
     all_masks,
-    duality_gap,
     frequency_profile,
     full_coupling,
-    max_coupling,
-    min_cover,
     monotone_chain_check,
     periodic_limsup_mask,
     product_limsup_witness,

@@ -40,9 +40,6 @@ __all__ = [
     "FrequencyProfile",
     "solve",
     "sweep",
-    "max_coupling",
-    "min_cover",
-    "duality_gap",
     "monotone_chain_check",
     "full_coupling",
     "frequency_profile",
@@ -468,27 +465,6 @@ def sweep(rows: int, cols: int) -> tuple[int, int, Fraction]:
         nonzero += int(np.count_nonzero(gap))
         worst = max(worst, int(np.abs(gap).max()))
     return total, nonzero, Fraction(worst, scale)
-
-
-def max_coupling(mask: SupportMask, caps: MarginalCaps | None = None):
-    """Largest mass of a coupling on the mask; returns (value, witness).
-
-    The witness achieves the value exactly: its total mass equals the returned
-    Fraction, its marginals respect the caps, and it charges mask cells only.
-    """
-    cert = solve(mask, caps)
-    return cert.value, cert.coupling()
-
-
-def min_cover(mask: SupportMask, caps: MarginalCaps | None = None):
-    """Cheapest cross cover of the mask; returns (value, witness)."""
-    cert = solve(mask, caps)
-    return cert.cover_cost, cert.cover
-
-
-def duality_gap(mask: SupportMask, caps: MarginalCaps | None = None) -> Fraction:
-    """Exact cover-minus-coupling gap of the certificate from one solve."""
-    return solve(mask, caps).gap
 
 
 @dataclass(frozen=True)

@@ -41,10 +41,6 @@ class UnitGrid:
         if self.n < 1:
             raise BadParameter(f"grid needs at least one bin, got n={self.n}")
 
-    def bin_interval(self, k: int) -> tuple[Fraction, Fraction]:
-        """Exact endpoints of bin k."""
-        return Fraction(k, self.n), Fraction(k + 1, self.n)
-
     def bins(self, points) -> np.ndarray:
         """Vectorized bin indices for an array of points in (0,1)."""
         pts = np.asarray(points, dtype=float)
@@ -74,9 +70,6 @@ class BinSet:
     @property
     def measure(self) -> Fraction:
         return Fraction(len(self.members), self.grid.n)
-
-    def contains_point(self, t: float) -> bool:
-        return bin_of(self.grid, t) in self.members
 
     def contains_points(self, points) -> np.ndarray:
         """Vectorized membership for points in (0,1)."""

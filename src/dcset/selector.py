@@ -115,14 +115,6 @@ class Ensemble:
     def size(self) -> int:
         return len(self.lengths)
 
-    @property
-    def replicas(self) -> tuple:
-        """Each replica as an Enumeration, built on demand."""
-        return tuple(
-            Enumeration(row[:n], depth=n, provenance="ensemble")
-            for row, n in zip(self.points, self.lengths.tolist())
-        )
-
     @cached_property
     def first_index(self) -> np.ndarray:
         """R-by-n table: each replica's lowest point index in each bin, or -1.
@@ -166,6 +158,8 @@ def sample_ensemble(depth: int, count: int, grid: UnitGrid, seed) -> Ensemble:
     """
     if depth < 1:
         raise BadParameter(f"depth must be >= 1, got {depth}")
+    if count < 1:
+        raise BadParameter(f"ensemble needs at least one replica, got {count}")
     base = _as_seed(seed)
     points = base.uniforms(range(count), GENERATOR_DOMAIN, _SAMPLE, size=depth)
     ordered = np.sort(points, axis=1)

@@ -23,6 +23,7 @@ from .generators import (
     Enumeration,
     RevealingSelectors,
     Seed,
+    _as_seed,
     counterexample_mix,
     gaussian_walk,
     poisson_on_cantor,
@@ -46,6 +47,13 @@ __all__ = [
     "event_reconstruction_check",
     "dyadic_rationals",
 ]
+
+# Points drawn per fragment by the sample observable of fragment_independence_test.
+_FRAG_POINTS = 4
+# nonsingularity_diagnostic keeps replicas whose Y lies below this cut ...
+_HALF_THRESHOLD = 0.5
+# ... and flags a cell whose joint mass exceeds this multiple of its product mass.
+_RATIO_CAP = 4.0
 
 
 @dataclass(frozen=True)
@@ -119,7 +127,7 @@ def chi_square_independence(
     np.add.at(table, (x, y), 1)
     n = table.sum()
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / n
-    if (expected < 5).any():
+    if not (expected >= 5).all():
         raise SparseTable(
             f"minimum expected cell count {expected.min():.3g} below 5"
         )
@@ -216,12 +224,12 @@ def count_in(region) -> Callable[[np.ndarray], float]:
     return observe
 
 
-def _sample_fragment_category(rng, lo: float, hi: float, frag_points: int) -> int:
-    pts = lo + (hi - lo) * rng.uniform(size=frag_points)
+def _sample_fragment_category(rng, lo: float, hi: float) -> int:
+    pts = lo + (hi - lo) * rng.uniform(size=_FRAG_POINTS)
     count = int((pts < (lo + hi) / 2).sum())
-    if count <= frag_points // 2 - 1:
+    if count <= _FRAG_POINTS // 2 - 1:
         return 0
-    if count == frag_points // 2:
+    if count == _FRAG_POINTS // 2:
         return 1
     return 2
 
@@ -247,9 +255,8 @@ def fragment_independence_test(
     kind: str,
     cuts: Sequence[float],
     replicas: int,
-    seed: int,
+    seed,
     level: float = 0.01,
-    frag_points: int = 4,
     steps: int = 2048,
 ) -> TestReport:
     """Independence of bounded per-fragment observables across a partition.
@@ -269,18 +276,21 @@ def fragment_independence_test(
         raise BadParameter("cuts must increase strictly from 0 to 1")
     if kind not in ("sample", "walk"):
         raise BadParameter(f"unknown fragment kind {kind!r}")
+    if replicas < 1:
+        raise BadParameter(f"replicas must be >= 1, got {replicas}")
+    base = _as_seed(seed)
 
     fragments = list(zip(cuts, cuts[1:]))
     categories = 3 if kind == "sample" else 2
     obs = np.zeros((len(fragments), replicas), dtype=np.int64)
     for r in range(replicas):
-        base = Seed(seed, r)
+        own = base.with_replica(r)
         if kind == "walk":
-            walk = gaussian_walk(steps, base)
+            walk = gaussian_walk(steps, own)
         for f, (lo, hi) in enumerate(fragments):
             if kind == "sample":
-                rng = base.stream(STATS_DOMAIN, 10 + f)
-                obs[f, r] = _sample_fragment_category(rng, lo, hi, frag_points)
+                rng = own.stream(STATS_DOMAIN, 10 + f)
+                obs[f, r] = _sample_fragment_category(rng, lo, hi)
             else:
                 obs[f, r] = _walk_fragment_category(walk.values, steps, lo, hi)
 
@@ -289,7 +299,7 @@ def fragment_independence_test(
     for i in range(len(fragments)):
         for j in range(i + 1, len(fragments)):
             rep = chi_square_independence(
-                obs[i], obs[j], categories, categories, level, seed
+                obs[i], obs[j], categories, categories, level, base.value
             )
             pair_reports[f"{i}-{j}"] = rep.statistic
             if worst is None or rep.statistic > worst.statistic:
@@ -301,7 +311,7 @@ def fragment_independence_test(
         level=level,
         passed=all(v < worst.threshold for v in pair_reports.values()),
         replicas=replicas,
-        seed=seed,
+        seed=base.value,
         details={"pairs": pair_reports, "df": worst.details["df"]},
     )
 
@@ -310,7 +320,7 @@ def stationarity_test(
     make: Callable[[Seed], Enumeration],
     observable: Callable[[np.ndarray], float],
     replicas: int,
-    seed: int,
+    seed,
     level: float = 0.01,
 ) -> TestReport:
     """Two-sample comparison of an observable on X versus on a freshly shifted X.
@@ -322,25 +332,26 @@ def stationarity_test(
     if replicas < 10:
         raise TooFewSamples("stationarity test needs >= 10 replicas per arm")
 
-    shifts = Seed(seed).uniforms(range(replicas, 2 * replicas), STATS_DOMAIN, 0)[:, 0]
+    base = _as_seed(seed)
+    shifts = base.uniforms(range(replicas, 2 * replicas), STATS_DOMAIN, 0)[:, 0]
 
     def one(r: int) -> tuple[float, float]:
-        plain_obs = observable(make(Seed(seed, r)).points)
-        twin = Seed(seed, replicas + r)
+        plain_obs = observable(make(base.with_replica(r)).points)
+        twin = base.with_replica(replicas + r)
         moved = cyclic_shift_points(CyclicShift(float(shifts[r])), make(twin).points.tolist())
         return plain_obs, observable(np.array(moved))
 
     pairs = [one(r) for r in range(replicas)]
     plain = np.array([p for p, _ in pairs])
     shifted = np.array([q for _, q in pairs])
-    report = two_sample_test(plain, shifted, level, seed, name="stationarity")
+    report = two_sample_test(plain, shifted, level, base.value, name="stationarity")
     report.details["mean_plain"] = float(plain.mean())
     report.details["mean_shifted"] = float(shifted.mean())
     return report
 
 
 def distinguish_counterexample(
-    cantor: FatCantor, depth: int, replicas: int, seed: int, level: float = 1e-6
+    cantor: FatCantor, depth: int, replicas: int, seed, level: float = 1e-6
 ) -> TestReport:
     """Count-in-C statistic separating the pure sample from the mixed set.
 
@@ -348,19 +359,21 @@ def distinguish_counterexample(
     homogeneity test is expected to reject (`passed` False) decisively.
     """
     _check_level(level)
+    base = _as_seed(seed)
 
     def one(r: int) -> tuple[float, float]:
+        own = base.with_replica(r)
         if depth == 0:
-            return 0.0, float(len(poisson_on_cantor(cantor, Seed(seed, r))))
+            return 0.0, float(len(poisson_on_cantor(cantor, own)))
         return (
-            float(sample_uniform(depth, Seed(seed, r)).count_in(cantor)),
-            float(counterexample_mix(depth, cantor, Seed(seed, r)).count_in(cantor)),
+            float(sample_uniform(depth, own).count_in(cantor)),
+            float(counterexample_mix(depth, cantor, own).count_in(cantor)),
         )
 
     pairs = [one(r) for r in range(replicas)]
     xs = np.array([p for p, _ in pairs])
     ys = np.array([q for _, q in pairs])
-    report = two_sample_test(xs, ys, level, seed, name="distinguish-counterexample")
+    report = two_sample_test(xs, ys, level, base.value, name="distinguish-counterexample")
     report.details["mean_sample"] = float(xs.mean())
     report.details["mean_counterexample"] = float(ys.mean())
     return report
@@ -392,7 +405,7 @@ class ShiftHitCurve:
         return all(a <= b for a, b in zip(self.medians, self.medians[1:]))
 
 
-def shift_hit_curve(region, depths: Sequence[int], shifts: int, seed: int) -> ShiftHitCurve:
+def shift_hit_curve(region, depths: Sequence[int], shifts: int, seed) -> ShiftHitCurve:
     """Counts |{l in L_D : T_s(l) in A}| over random shifts s, per depth.
 
     By averaging over the uniform shift, the expected count equals
@@ -401,8 +414,11 @@ def shift_hit_curve(region, depths: Sequence[int], shifts: int, seed: int) -> Sh
     depths = sorted(int(d) for d in depths)
     if not depths or depths[0] < 1:
         raise BadParameter("depths must be positive")
+    if shifts < 1:
+        raise BadParameter(f"shifts must be >= 1, got {shifts}")
+    base = _as_seed(seed)
     points = dyadic_rationals(depths[-1])
-    ss = Seed(seed).stream(STATS_DOMAIN, 1).uniform(size=shifts)
+    ss = base.stream(STATS_DOMAIN, 1).uniform(size=shifts)
     counts = np.zeros((shifts, len(depths)))
     for i, s in enumerate(ss):
         moved = points + s
@@ -419,26 +435,22 @@ def shift_hit_curve(region, depths: Sequence[int], shifts: int, seed: int) -> Sh
         medians=tuple(float(c) for c in np.median(counts, axis=0)),
         expected=tuple(measure * d for d in depths),
         shifts=shifts,
-        seed=seed,
+        seed=base.value,
     )
 
 
 def nonsingularity_diagnostic(
     y_table: SelectorTable,
     z_table: SelectorTable,
-    half_threshold: float = 0.5,
     resolution: int = 8,
-    ratio_cap: float = 4.0,
-    floor: float | None = None,
-    min_samples: int | None = None,
     seed: int | None = None,
 ) -> TestReport:
     """Empirical absolute-continuity proxy for a selector pair within an event.
 
-    Restricted to replicas with Y below the threshold, the joint histogram of
-    (Y, Z) bins is compared cell-wise against the product of marginals: a cell
-    is flagged when its joint mass exceeds `ratio_cap` times the product mass
-    (the product floored at `floor`, default 1/(4 r^2), to stabilize thin
+    Restricted to the replicas with Y below 1/2, at least 4 r^2 of them, the
+    joint histogram of (Y, Z) bins is compared cell-wise against the product
+    of marginals: a cell is flagged when its joint mass exceeds four times the
+    product mass (the product floored at 1/(4 r^2), to stabilize thin
     marginals).  Joint mass concentrating on a thin set flags; any pair with a
     bounded joint density passes.  A proxy, not a proof.
     """
@@ -446,15 +458,14 @@ def nonsingularity_diagnostic(
     z = np.asarray(z_table.values, dtype=float)
     if y.shape != z.shape:
         raise BadParameter("selector tables must share the ensemble")
-    keep = y < half_threshold
+    keep = y < _HALF_THRESHOLD
     n_kept = int(keep.sum())
-    required = min_samples if min_samples is not None else 4 * resolution * resolution
+    required = 4 * resolution * resolution
     if n_kept < required:
         raise TooFewSamples(f"only {n_kept} replicas below the threshold; need {required}")
-    if floor is None:
-        floor = 1.0 / (4 * resolution * resolution)
+    floor = 1.0 / required
 
-    yk = np.clip((y[keep] / half_threshold * resolution).astype(int), 0, resolution - 1)
+    yk = np.clip((y[keep] / _HALF_THRESHOLD * resolution).astype(int), 0, resolution - 1)
     zk = np.clip((z[keep] * resolution).astype(int), 0, resolution - 1)
     joint = np.zeros((resolution, resolution))
     np.add.at(joint, (yk, zk), 1)
@@ -464,12 +475,12 @@ def nonsingularity_diagnostic(
     statistic = float(ratios.max())
     flagged = [
         (int(i), int(j))
-        for i, j in zip(*np.nonzero(ratios > ratio_cap))
+        for i, j in zip(*np.nonzero(ratios > _RATIO_CAP))
     ]
     return TestReport(
         name="nonsingularity-diagnostic",
         statistic=statistic,
-        threshold=float(ratio_cap),
+        threshold=_RATIO_CAP,
         level=0.0,
         passed=not flagged,
         replicas=n_kept,

@@ -37,7 +37,6 @@ from dcset import (
     count_in,
     counterexample_mix,
     distinguish_counterexample,
-    duality_gap,
     event_reconstruction_check,
     fat_cantor_build,
     frequency_profile,
@@ -45,8 +44,6 @@ from dcset import (
     interleave_containment,
     interleaved_enumeration,
     ks_uniform,
-    max_coupling,
-    min_cover,
     monotone_chain_check,
     periodic_limsup_mask,
     product_limsup_witness,
@@ -54,6 +51,7 @@ from dcset import (
     sample_ensemble,
     sample_uniform,
     shift_hit_curve,
+    solve,
     stationarity_test,
     uniform_selector,
     verify_selector,
@@ -91,8 +89,9 @@ def random_rational_caps(rng, n, m):
 
 
 def assert_witnesses(mask, caps):
-    value, coupling = max_coupling(mask, caps)
-    cost, cover = min_cover(mask, caps)
+    cert = solve(mask, caps)
+    value, coupling = cert.value, cert.coupling()
+    cost, cover = cert.cover_cost, cert.cover
     assert coupling.is_feasible(caps, mask)
     assert coupling.total_mass() == value
     assert cover.covers(mask)
@@ -108,7 +107,7 @@ def test_criterion_01_strong_duality_sweep_and_random():
         for m in range(1, 5):
             caps = MarginalCaps.uniform(n, m)
             for bits in range(1 << (n * m)):
-                assert duality_gap(SupportMask.from_bits(n, m, bits), caps) == 0
+                assert solve(SupportMask.from_bits(n, m, bits), caps).gap == 0
                 swept += 1
     elapsed = time.perf_counter() - start
     assert swept == sum(1 << (n * m) for n in range(1, 5) for m in range(1, 5))
@@ -118,14 +117,14 @@ def test_criterion_01_strong_duality_sweep_and_random():
     for _ in range(1000):
         mask = SupportMask(rng.random((16, 16)) < rng.uniform(0.2, 0.8))
         caps = random_rational_caps(rng, 16, 16)
-        assert duality_gap(mask, caps) == 0
+        assert solve(mask, caps).gap == 0
     announce(1, True, f"gap 0 on {swept} swept masks ({elapsed:.1f}s) and 1000 random 16x16")
 
 
 def test_criterion_02_witness_validity():
     """Coupling and cover witnesses verified in exact rational arithmetic.
 
-    duality_gap already certifies both witnesses exactly on every solve
+    solve already certifies both witnesses exactly every time it runs
     (integer arithmetic after clearing denominators), so criterion 1 covers
     every swept instance; here the public Fraction-level witness API is
     checked exhaustively on all grids up to 3x4 and 4x3, on a deterministic
@@ -165,10 +164,9 @@ def test_criterion_03_monotone_chains():
             chain.append(SupportMask(cells.copy()))
         report = monotone_chain_check(chain, caps)
         assert report.nondecreasing
-        final_value, _ = max_coupling(chain[-1], caps)
-        final_cost, _ = min_cover(chain[-1], caps)
-        assert report.coupling_values[-1] == final_value
-        assert report.cover_values[-1] == final_cost
+        final = solve(chain[-1], caps)
+        assert report.coupling_values[-1] == final.value
+        assert report.cover_values[-1] == final.cover_cost
     announce(3, True, "100 nested chains of length 8: values nondecreasing, ends attained")
 
 
@@ -178,8 +176,7 @@ def test_criterion_04_full_coupling_on_feasible_masks():
     feasible = 0
     for bits in range(1 << 16):
         mask = SupportMask.from_bits(4, 4, bits)
-        cost, _ = min_cover(mask, caps)
-        if cost != 1:
+        if solve(mask, caps).cover_cost != 1:
             continue
         feasible += 1
         coupling = full_coupling(mask, caps)
@@ -283,7 +280,7 @@ def test_criterion_08_uniform_selector():
 def test_criterion_09_conditional_selector():
     """Chi-square independence on an 8x8 table plus marginal uniformity."""
     ensemble = sample_ensemble(64, 5000, GRID8, SEED_SELECTOR_ENSEMBLE)
-    first = np.array([e.points[0] for e in ensemble.replicas])
+    first = ensemble.points[:, 0]
     prior = SelectorTable(first, np.zeros(5000, dtype=np.int64))
     table = conditional_uniform_selector(
         ensemble, [prior], UnitGrid(2), Seed(SEED_CONDITIONAL_DRAW), component=1

@@ -353,6 +353,24 @@ def test_level_outside_unit_interval_exits_2(tmp_path, capsys, argv):
     assert "\nerror: " in "\n" + err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selector", "--seed", "1", "--replicas", "-1"],
+        ["enumerate", "--seed", "1", "--replicas", "-3"],
+        ["shifthit", "--seed", "1", "--shifts", "-1"],
+        ["shifthit", "--seed", "1", "--shifts", "0"],
+        ["independence", "--seed", "1", "--replicas", "0"],
+    ],
+    ids=" ".join,
+)
+def test_size_below_one_exits_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "\nerror: " in "\n" + captured.err and "Traceback" not in captured.err
+
+
 def test_level_checked_before_dispatch(tmp_path, monkeypatch, capsys):
     # A bad level, from a flag or a config file, stops the run before any work.
     def no_work(*args, **kwargs):

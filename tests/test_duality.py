@@ -31,11 +31,8 @@ from dcset import (
     SupportMask,
     SweepTooLarge,
     UnitGrid,
-    duality_gap,
     frequency_profile,
     full_coupling,
-    max_coupling,
-    min_cover,
     monotone_chain_check,
     periodic_limsup_mask,
     product_limsup_witness,
@@ -88,8 +85,9 @@ def random_caps(rng, n: int, m: int) -> MarginalCaps:
 
 def assert_witnesses_valid(mask, caps=None):
     caps = caps or MarginalCaps.uniform(mask.rows, mask.cols)
-    value, coupling = max_coupling(mask, caps)
-    cost, cover = min_cover(mask, caps)
+    cert = solve(mask, caps)
+    value, coupling = cert.value, cert.coupling()
+    cost, cover = cert.cover_cost, cert.cover
     assert coupling.is_feasible(caps, mask)
     assert coupling.total_mass() == value
     assert coupling.mass_on(mask) == value
@@ -102,31 +100,28 @@ def assert_witnesses_valid(mask, caps=None):
 class TestHandOracles:
     def test_diagonal(self):
         w = SupportMask.from_cells(2, 2, [(0, 0), (1, 1)])
-        value, coupling = max_coupling(w)
-        assert value == 1
-        assert coupling.mass[0][0] == Fraction(1, 2)
-        assert coupling.mass[1][1] == Fraction(1, 2)
-        cost, cover = min_cover(w)
-        assert cost == 1
-        assert cover.covers(w)
+        cert = solve(w)
+        assert cert.value == 1
+        assert cert.coupling().mass[0][0] == Fraction(1, 2)
+        assert cert.coupling().mass[1][1] == Fraction(1, 2)
+        assert cert.cover_cost == 1
+        assert cert.cover.covers(w)
 
     def test_single_cell(self):
         w = SupportMask.from_cells(2, 2, [(0, 0)])
-        value, _ = max_coupling(w)
-        assert value == Fraction(1, 2)
-        cost, cover = min_cover(w)
-        assert cost == Fraction(1, 2)
-        assert cover == type(cover)(frozenset({0}), frozenset())
+        cert = solve(w)
+        assert cert.value == Fraction(1, 2)
+        assert cert.cover_cost == Fraction(1, 2)
+        assert cert.cover == Cover(frozenset({0}), frozenset())
 
     def test_empty_mask(self):
-        value, coupling = max_coupling(SupportMask.empty(3, 4))
-        assert value == 0
-        assert coupling.total_mass() == 0
-        assert duality_gap(SupportMask.empty(3, 4)) == 0
+        cert = solve(SupportMask.empty(3, 4))
+        assert cert.value == 0
+        assert cert.coupling().total_mass() == 0
+        assert cert.gap == 0
 
     def test_full_mask_value_one(self):
-        value, _ = max_coupling(SupportMask.full(3, 5))
-        assert value == 1
+        assert solve(SupportMask.full(3, 5)).value == 1
 
 
 class TestAgainstOracles:
@@ -164,27 +159,23 @@ class TestProperties:
         rng = np.random.default_rng(20)
         for _ in range(60):
             mask = SupportMask(rng.random((5, 5)) < rng.random())
-            value, _ = max_coupling(mask)
-            cost, _ = min_cover(mask)
-            assert value <= cost
-            assert duality_gap(mask) == 0
+            cert = solve(mask)
+            assert cert.value <= cert.cover_cost
+            assert cert.gap == 0
 
     def test_monotone_under_inclusion(self):
         rng = np.random.default_rng(21)
         for _ in range(30):
             small = rng.random((4, 4)) < 0.3
             big = small | (rng.random((4, 4)) < 0.3)
-            v1, _ = max_coupling(SupportMask(small))
-            v2, _ = max_coupling(SupportMask(big))
-            c1, _ = min_cover(SupportMask(small))
-            c2, _ = min_cover(SupportMask(big))
-            assert v1 <= v2 and c1 <= c2
+            one, two = solve(SupportMask(small)), solve(SupportMask(big))
+            assert one.value <= two.value and one.cover_cost <= two.cover_cost
 
     def test_value_bounded_by_one(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
             mask = SupportMask(rng.random((6, 3)) < 0.7)
-            assert max_coupling(mask)[0] <= 1
+            assert solve(mask).value <= 1
 
     def test_caps_validation(self):
         with pytest.raises(BadParameter):
@@ -192,7 +183,7 @@ class TestProperties:
         with pytest.raises(BadParameter):
             MarginalCaps((Fraction(2),), (Fraction(1),))
         with pytest.raises(BadParameter):
-            max_coupling(SupportMask.full(2, 2), MarginalCaps.uniform(3, 2))
+            solve(SupportMask.full(2, 2), MarginalCaps.uniform(3, 2))
 
 
 def networkx_max_units(mask: SupportMask, caps: MarginalCaps) -> int:
@@ -236,11 +227,6 @@ class TestSolve:
         assert coupling.is_feasible(caps, mask)
         assert coupling.total_mass() == cert.value
         assert cert.cover.covers(mask) and cert.cover.cost(caps) == cert.cover_cost
-        # The wrappers return the certificate's values.
-        value, witness = max_coupling(mask, caps)
-        assert value == cert.value and witness.mass == coupling.mass
-        assert min_cover(mask, caps) == (cert.cover_cost, cert.cover)
-        assert duality_gap(mask, caps) == cert.gap
         report = monotone_chain_check([mask], caps)
         assert report.coupling_values == (cert.value,)
         assert report.cover_values == (cert.cover_cost,)
@@ -259,7 +245,7 @@ class TestSolve:
 
     def test_recursion_limit_untouched(self):
         before = sys.getrecursionlimit()
-        assert duality_gap(SupportMask(np.eye(480, dtype=bool))) == 0
+        assert solve(SupportMask(np.eye(480, dtype=bool))).gap == 0
         assert sys.getrecursionlimit() == before
 
 
@@ -442,7 +428,7 @@ class TestFullCoupling:
         for _ in range(40):
             mask = SupportMask(rng.random((4, 4)) < 0.8)
             caps = MarginalCaps.uniform(4, 4)
-            if max_coupling(mask, caps)[0] != 1:
+            if solve(mask, caps).value != 1:
                 continue
             found += 1
             coupling = full_coupling(mask, caps)

@@ -14,12 +14,11 @@ from dcset import (
     UnitGrid,
     fat_cantor_build,
     ks_uniform,
-    max_coupling,
-    min_cover,
     revealing_selectors,
     sample_ensemble,
     sample_uniform,
     shift_hit_curve,
+    solve,
     uniform_selector,
 )
 from dcset.formats import (
@@ -128,11 +127,10 @@ class TestWitnessJson:
     def test_coupling_and_cover(self):
         mask = SupportMask.from_cells(2, 2, [(0, 0), (1, 1)])
         caps = MarginalCaps.uniform(2, 2)
-        _, coupling = max_coupling(mask, caps)
-        _, cover = min_cover(mask, caps)
-        cj = coupling_to_json(coupling)
+        cert = solve(mask, caps)
+        cj = coupling_to_json(cert.coupling())
         assert cj["total"] == "1" and cj["mass"][0][0] == "1/2"
-        vj = cover_to_json(cover, caps)
+        vj = cover_to_json(cert.cover, caps)
         assert Fraction(vj["cost"]) == 1
 
 

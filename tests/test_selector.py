@@ -39,6 +39,11 @@ from dcset.selector import _choose_bins, _draw, _full_coupling_or_obstruction, _
 GRID8 = UnitGrid(8)
 
 
+def replica_rows(ens):
+    """Replica r's points, `ens.points[r, :ens.lengths[r]]`, for every r."""
+    return [ens.points[r, :n] for r, n in enumerate(ens.lengths.tolist())]
+
+
 def single_replica_ensemble(points, grid):
     enum = Enumeration(np.array(points), depth=len(points), provenance="fixed")
     return Ensemble((enum,), grid)
@@ -67,8 +72,8 @@ class TestSupportMask:
 class TestSampleEnsemble:
     def test_rows_equal_sample_uniform(self):
         ens = sample_ensemble(16, 40, GRID8, 91)
-        for r, enum in enumerate(ens.replicas):
-            assert np.array_equal(enum.points, sample_uniform(16, Seed(91, r)).points)
+        for r, pts in enumerate(replica_rows(ens)):
+            assert np.array_equal(pts, sample_uniform(16, Seed(91, r)).points)
 
     def test_rejected_rows_rebuilt_by_sample_uniform(self, monkeypatch):
         engine = generators._pcg64_uniforms
@@ -83,10 +88,10 @@ class TestSampleEnsemble:
 
         monkeypatch.setattr(generators, "_pcg64_uniforms", flawed)
         ens = sample_ensemble(6, 8, GRID8, 93)
-        for r, enum in enumerate(ens.replicas):
-            assert np.array_equal(enum.points, sample_uniform(6, Seed(93, r)).points)
+        for r, pts in enumerate(replica_rows(ens)):
+            assert np.array_equal(pts, sample_uniform(6, Seed(93, r)).points)
             if r not in (2, 5):
-                assert np.array_equal(enum.points, drawn["rows"][r])
+                assert np.array_equal(pts, drawn["rows"][r])
 
     def test_bad_sizes_rejected(self):
         with pytest.raises(BadParameter, match="depth must be >= 1, got 0"):
@@ -206,7 +211,7 @@ class TestConditionalSelector:
     def test_independence_and_marginal(self):
         ens = sample_ensemble(64, 3000, GRID8, 63)
         first = SelectorTable(
-            np.array([e.points[0] for e in ens.replicas]),
+            ens.points[:, 0],
             np.zeros(3000, dtype=np.int64),
         )
         z = conditional_uniform_selector(ens, [first], UnitGrid(2), Seed(64), component=1)
@@ -251,7 +256,7 @@ class TestInterleavedEnumeration:
         ens = sample_ensemble(8, 50, GRID8, 70)
         tables = interleaved_enumeration(ens, 0, UnitGrid(2), Seed(71))
         assert len(tables) == 1
-        assert np.array_equal(tables[0].values, np.array([e.points[0] for e in ens.replicas]))
+        assert np.array_equal(tables[0].values, ens.points[:, 0])
 
     def test_containment_sure(self):
         ens = sample_ensemble(64, 300, GRID8, 72)
@@ -265,12 +270,12 @@ class TestInterleavedEnumeration:
         tables = interleaved_enumeration(ens, 1, UnitGrid(2), Seed(75))
         y2, y3 = tables[1], tables[2]
         hit = 0
-        for r, enum in enumerate(ens.replicas):
-            if y2.values[r] == enum.points[1]:
+        for r, pts in enumerate(replica_rows(ens)):
+            if y2.values[r] == pts[1]:
                 hit += 1
-                assert y3.values[r] == enum.points[2]
+                assert y3.values[r] == pts[2]
             else:
-                assert y3.values[r] == enum.points[1]
+                assert y3.values[r] == pts[1]
         assert hit > 0  # the interesting branch actually occurred
 
     def test_odd_values_distinct_within_replica(self):
@@ -313,8 +318,8 @@ class TestVerifySelector:
 
 def reference_first_index(ens):
     first = np.full((ens.size, ens.grid.n), -1)
-    for r, enum in enumerate(ens.replicas):
-        for i, j in reversed(list(enumerate(ens.grid.bins(enum.points)))):
+    for r, pts in enumerate(replica_rows(ens)):
+        for i, j in reversed(list(enumerate(ens.grid.bins(pts)))):
             first[r, j] = i
     return first
 
@@ -322,19 +327,19 @@ def reference_first_index(ens):
 def reference_verify(ens, table):
     if len(table) != ens.size:
         return False
-    for enum, value, idx in zip(ens.replicas, table.values, table.memberships):
-        if idx < 0 or idx >= len(enum) or enum.points[idx] != value:
+    for pts, value, idx in zip(replica_rows(ens), table.values, table.memberships):
+        if idx < 0 or idx >= len(pts) or pts[idx] != value:
             return False
     return True
 
 
 def reference_interleaving(ens, rounds, coarse, seed):
     """Per-replica sets of used values and mixed-radix Python-int cell keys."""
-    for r, enum in enumerate(ens.replicas):
-        if len(enum) < 1:
+    replicas = replica_rows(ens)
+    for r, pts in enumerate(replicas):
+        if len(pts) < 1:
             raise DepthExhausted(r)
     mask = build_support_mask(ens)
-    replicas = ens.replicas
     R = ens.size
 
     def conditional(keys, component):
@@ -350,10 +355,10 @@ def reference_interleaving(ens, rounds, coarse, seed):
         return _draw(ens, np.array(rows), np.concatenate(blocks), seed, component)
 
     first = SelectorTable(
-        np.array([enum.points[0] for enum in replicas]), np.zeros(R, dtype=np.int64)
+        np.array([pts[0] for pts in replicas]), np.zeros(R, dtype=np.int64)
     )
     tables = [first]
-    used = [{float(enum.points[0])} for enum in replicas]
+    used = [{float(pts[0])} for pts in replicas]
     scan = [1] * R
     keys = [0] * R
 
@@ -370,8 +375,7 @@ def reference_interleaving(ens, rounds, coarse, seed):
         absorb(even)
         odd_values = np.empty(R)
         odd_idx = np.empty(R, dtype=np.int64)
-        for r, enum in enumerate(replicas):
-            pts = enum.points
+        for r, pts in enumerate(replicas):
             k = scan[r]
             while k < len(pts) and float(pts[k]) in used[r]:
                 k += 1
@@ -389,13 +393,13 @@ def reference_interleaving(ens, rounds, coarse, seed):
 def reference_containment(ens, tables):
     rounds = (len(tables) - 1) // 2
     out = np.zeros((ens.size, rounds + 1), dtype=bool)
-    for r, enum in enumerate(ens.replicas):
+    for r, pts in enumerate(replica_rows(ens)):
         seen = set()
         for j in range(rounds + 1):
             for t in range(max(0, 2 * j - 1), 2 * j + 1):
                 if t < len(tables):
                     seen.add(float(tables[t].values[r]))
-            needed = enum.points[: j + 1]
+            needed = pts[: j + 1]
             out[r, j] = len(needed) == j + 1 and all(float(p) in seen for p in needed)
     return out
 
@@ -426,7 +430,7 @@ def check_table(ens, coupling, table):
     for r, (value, idx) in enumerate(zip(table.values, table.memberships)):
         j = int(ens.grid.bins(value))
         assert coupling.units[r][j] > 0
-        assert idx == np.flatnonzero(ens.grid.bins(ens.replicas[r].points) == j)[0]
+        assert idx == np.flatnonzero(ens.grid.bins(ens.points[r, : ens.lengths[r]]) == j)[0]
 
 
 class TestSelectorProperties:
@@ -512,13 +516,14 @@ def ragged_ensembles(draw):
 def forged_tables(draw, ens):
     """Tables mixing the replica's own points, other replicas' points, the
     row padding value, NaN and fresh floats, under memberships that may lie."""
-    width = max(len(enum) for enum in ens.replicas)
-    everything = [float(x) for enum in ens.replicas for x in enum.points]
+    rows = replica_rows(ens)
+    width = max(len(pts) for pts in rows)
+    everything = [float(x) for pts in rows for x in pts]
     tables = []
     for _ in range(draw(st.integers(0, 7))):
         values, memberships = [], []
-        for enum in ens.replicas:
-            own = st.sampled_from(enum.points.tolist()) if len(enum) else inner_points
+        for pts in rows:
+            own = st.sampled_from(pts.tolist()) if len(pts) else inner_points
             foreign = st.sampled_from(everything) if everything else inner_points
             values.append(draw(st.one_of(own, own, foreign, st.just(0.5), st.just(np.nan), inner_points)))
             memberships.append(draw(st.integers(-1, width)))
@@ -541,7 +546,7 @@ class TestArrayPathsMatchReferences:
         rows = [[0.3, 0.1], [], [0.9, 0.2, 0.6]]
         ens = Ensemble([Enumeration(np.array(row), depth=len(row), provenance="x") for row in rows], GRID8)
         assert ens.points.shape == (3, 3) and ens.lengths.tolist() == [2, 0, 3]
-        assert [enum.points.tolist() for enum in ens.replicas] == rows
+        assert [pts.tolist() for pts in replica_rows(ens)] == rows
         assert not ens.points.flags.writeable and not ens.lengths.flags.writeable
         with pytest.raises(BadParameter, match="at least one replica"):
             Ensemble([], GRID8)

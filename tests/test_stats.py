@@ -73,6 +73,9 @@ class TestChiSquare:
     def test_sparse_table(self):
         with pytest.raises(SparseTable):
             chi_square_independence(np.zeros(40, dtype=int), np.zeros(40, dtype=int), 3, 3)
+        # An empty table's expected counts are 0/0 = NaN, which is not >= 5 either.
+        with pytest.raises(SparseTable):
+            chi_square_independence([], [], 2, 2)
 
     def test_shape_validation(self):
         with pytest.raises(BadParameter):
@@ -300,3 +303,18 @@ class TestReportShape:
         a = ks_uniform(sample_uniform(100, 7).points, 0.01, seed=7)
         b = ks_uniform(sample_uniform(100, 7).points, 0.01, seed=7)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda s: fragment_independence_test("sample", [0, 0.5, 1], 200, s),
+            lambda s: stationarity_test(lambda t: sample_uniform(20, t), count_in(HALF), 20, s),
+            lambda s: distinguish_counterexample(CANTOR, 20, 20, s, level=0.01),
+            lambda s: shift_hit_curve(HALF, [8, 16], 10, s),
+        ],
+        ids=["fragment", "stationarity", "distinguish", "shifthit"],
+    )
+    def test_int_and_seed_give_equal_reports(self, run):
+        # Like the generators, every seeded battery takes an int or a Seed.
+        report = run(106)
+        assert run(Seed(106)) == report and report.seed == 106
