@@ -11,7 +11,16 @@ column budgets summing to one), two numbers are computed exactly:
 Both are realized by one integer max-flow after clearing denominators, so the
 two values agree exactly.  `solve` runs that flow once and returns a
 Certificate holding both witnesses, checked in integers: a feasible coupling
-achieving the first value and a covering pair achieving the second.  The
+achieving the first value and a covering pair achieving the second.
+
+The flow runs over row classes: rows with the same support pattern share one
+node whose cap is the sum of theirs, so a tall mask with few distinct rows
+(an ensemble's replica-by-bin mask) gives a small network.  The class flow
+is split back to rows by the north-west-corner rule at the same integer
+scale, a row joins the cover when its class does, and both witnesses are
+checked row by row against the original mask.  Rows are merged, columns are
+not: the masks that shrink are tall, and splitting columns too would cost a
+second expansion on every small mask.  The
 frequency-profile machinery at the bottom handles periodic set sequences:
 exact limit frequencies, their product factorization, and the limsup witness
 rectangle.
@@ -23,6 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, compress
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -119,43 +129,42 @@ def all_masks(rows: int, cols: int) -> Iterator[SupportMask]:
 
 @dataclass(frozen=True)
 class MarginalCaps:
-    """Row and column budgets; exact rationals summing to one on each side."""
+    """Row and column budgets; exact rationals summing to one on each side.
+
+    The caps are checked once, in integer units over the least common
+    denominator `scale`, and `scaled()` returns those units.
+    """
 
     row_caps: tuple
     col_caps: tuple
 
     def __post_init__(self):
-        rows = tuple(Fraction(c) for c in self.row_caps)
-        cols = tuple(Fraction(c) for c in self.col_caps)
+        rows = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.row_caps)
+        cols = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.col_caps)
         object.__setattr__(self, "row_caps", rows)
         object.__setattr__(self, "col_caps", cols)
-        if any(c < 0 for c in rows + cols):
+        scale = math.lcm(*{c.denominator for c in rows + cols})
+        row_int = tuple(c.numerator * (scale // c.denominator) for c in rows)
+        col_int = tuple(c.numerator * (scale // c.denominator) for c in cols)
+        if any(u < 0 for u in row_int + col_int):
             raise BadParameter("caps must be nonnegative")
-        if sum(rows) != 1 or sum(cols) != 1:
+        if sum(row_int) != scale or sum(col_int) != scale:
             raise BadParameter(
-                f"caps must sum to 1 on each side, got {sum(rows)} and {sum(cols)}"
+                "caps must sum to 1 on each side, got "
+                f"{Fraction(sum(row_int), scale)} and {Fraction(sum(col_int), scale)}"
             )
+        object.__setattr__(self, "_scaled", (scale, row_int, col_int))
 
     @classmethod
     @lru_cache(maxsize=64)
     def uniform(cls, rows: int, cols: int) -> "MarginalCaps":
-        return cls(
-            tuple(Fraction(1, rows) for _ in range(rows)),
-            tuple(Fraction(1, cols) for _ in range(cols)),
-        )
+        if rows < 1 or cols < 1:
+            raise BadParameter(f"uniform caps need a positive shape, got {rows}x{cols}")
+        return cls((Fraction(1, rows),) * rows, (Fraction(1, cols),) * cols)
 
-    def scaled(self) -> tuple[int, list[int], list[int]]:
-        """Common denominator and integer caps; computed once per instance."""
-        cached = self.__dict__.get("_scaled")
-        if cached is None:
-            scale = math.lcm(*(c.denominator for c in self.row_caps + self.col_caps))
-            cached = (
-                scale,
-                [int(c * scale) for c in self.row_caps],
-                [int(c * scale) for c in self.col_caps],
-            )
-            self.__dict__["_scaled"] = cached
-        return cached
+    def scaled(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """Common denominator and the caps in integer units over it."""
+        return self._scaled
 
 
 class Coupling:
@@ -286,10 +295,13 @@ class Certificate:
 def solve(mask: SupportMask, caps: MarginalCaps | None = None) -> Certificate:
     """Solve the marginal and cover problems of a mask by one integer max-flow.
 
-    Caps default to uniform.  Both witnesses are checked in integer units
-    before they are returned: the coupling charges mask cells only and keeps
-    within every row and column cap, and the cover meets every mask cell.  A
-    zero `gap` is therefore a proof of strong duality for the instance.
+    Caps default to uniform.  Rows with one support pattern form a row class,
+    a single flow node whose cap is the sum of theirs; the class flow is split
+    back to rows by the north-west-corner rule, and a row joins U when its
+    class does.  Both witnesses are checked in integer units, row by row on
+    the mask, before they are returned: the coupling charges mask cells only
+    and keeps within every row and column cap, and the cover meets every mask
+    cell.  A zero `gap` is therefore a proof of strong duality for the instance.
     """
     if caps is None:
         caps = MarginalCaps.uniform(mask.rows, mask.cols)
@@ -299,6 +311,68 @@ def solve(mask: SupportMask, caps: MarginalCaps | None = None) -> Certificate:
     n, m = mask.rows, mask.cols
     scale, row_int, col_int = caps.scaled()
 
+    # Row classes in order of their first row, keyed on the row's bytes; a
+    # class's cap is the sum of its rows' caps.
+    raw = mask.cells.tobytes()
+    classes: dict[bytes, int] = {}
+    members: list[list[int]] = []
+    class_caps: list[int] = []
+    for i in range(n):
+        key = raw[i * m : i * m + m]
+        c = classes.get(key)
+        if c is None:
+            classes[key] = len(members)
+            members.append([i])
+            class_caps.append(row_int[i])
+        else:
+            members[c].append(i)
+            class_caps[c] += row_int[i]
+    pairs = [(c, j) for c, key in enumerate(classes) for j in compress(range(m), key)]
+    units, class_cut, col_reached = _max_flow(class_caps, col_int, pairs, scale)
+
+    # A class of one row passes its flow on as it is; the flow of a larger
+    # class is split by the north-west-corner rule: lay its rows' caps and
+    # its columns' flows end to end, and row t takes each column's overlap
+    # with its cap interval.
+    flow = []
+    split: dict[int, list[tuple[int, int]]] = {}
+    for (c, j), u in zip(pairs, units):
+        if u:
+            rows = members[c]
+            if len(rows) == 1:
+                flow.append((rows[0], j, u))
+            else:
+                split.setdefault(c, []).append((j, u))
+    for c, class_flow in split.items():
+        rows = members[c]
+        t, room = 0, row_int[rows[0]]
+        for j, u in class_flow:
+            while u:
+                while not room:
+                    t += 1
+                    room = row_int[rows[t]]
+                take = min(room, u)
+                flow.append((rows[t], j, take))
+                room -= take
+                u -= take
+
+    U = frozenset(chain.from_iterable(compress(members, class_cut)))
+    V = frozenset(compress(range(m), col_reached))
+    mass_units = _check_witnesses(mask, row_int, col_int, flow, U, V)
+    cost_units = sum(map(row_int.__getitem__, U)) + sum(map(col_int.__getitem__, V))
+    return Certificate(mask, caps, scale, flow, mass_units, Cover(U, V), cost_units)
+
+
+def _max_flow(row_caps, col_caps, pairs, scale) -> tuple[list[int], list[bool], list[bool]]:
+    """Dinic max-flow from the rows to the columns of a bipartite network.
+
+    The source feeds row r up to row_caps[r], column c drains up to
+    col_caps[c] into the sink, and each (r, c) of `pairs` carries up to
+    `scale`.  Returns the units on each pair, then the rows cut off from the
+    source and the columns still reached from it in the final residual
+    network: the two sides of a minimum cut.
+    """
+    n, m = len(row_caps), len(col_caps)
     # Node layout: 0 source, 1..n rows, n+1..n+m cols, n+m+1 sink.
     source, sink = 0, n + m + 1
     n_nodes = n + m + 2
@@ -309,19 +383,18 @@ def solve(mask: SupportMask, caps: MarginalCaps | None = None) -> Certificate:
     for i in range(n):
         adj[source].append(len(to))
         to.append(1 + i)
-        cap.append(row_int[i])
+        cap.append(row_caps[i])
         adj[1 + i].append(len(to))
         to.append(source)
         cap.append(0)
     for j in range(m):
         adj[1 + n + j].append(len(to))
         to.append(sink)
-        cap.append(col_int[j])
+        cap.append(col_caps[j])
         adj[sink].append(len(to))
         to.append(1 + n + j)
         cap.append(0)
-    pairs = mask.pairs()
-    first_cell_edge = len(to)
+    first_pair_edge = len(to)
     for i, j in pairs:
         adj[1 + i].append(len(to))
         to.append(1 + n + j)
@@ -335,12 +408,19 @@ def solve(mask: SupportMask, caps: MarginalCaps | None = None) -> Certificate:
         level[source] = 0
         queue = [source]
         for u in queue:
-            lu = level[u]
+            # Once the sink has a level, the nodes left to scan can only label
+            # nodes at the sink's level or beyond, where the depth-first
+            # search finds no path; only the last search, which misses the
+            # sink, runs to the end and so marks the cut.
+            if level[sink] >= 0:
+                break
+            next_level = level[u] + 1
             for e in adj[u]:
-                v = to[e]
-                if cap[e] > 0 and level[v] < 0:
-                    level[v] = lu + 1
-                    queue.append(v)
+                if cap[e]:
+                    v = to[e]
+                    if level[v] < 0:
+                        level[v] = next_level
+                        queue.append(v)
         if level[sink] < 0:
             break
         # Blocking flow: a depth-first search along level-increasing edges,
@@ -352,15 +432,19 @@ def solve(mask: SupportMask, caps: MarginalCaps | None = None) -> Certificate:
         u = source
         while True:
             edges = adj[u]
-            k = iters[u]
-            while k < len(edges) and not (cap[edges[k]] > 0 and level[to[edges[k]]] == level[u] + 1):
+            k, end = iters[u], len(edges)
+            next_level = level[u] + 1
+            while k < end:
+                e = edges[k]
+                if cap[e] and level[to[e]] == next_level:
+                    break
                 k += 1
             iters[u] = k
-            if k < len(edges):
-                path.append(edges[k])
-                u = to[edges[k]]
+            if k < end:
+                path.append(e)
+                u = to[e]
                 if u == sink:
-                    pushed = min(cap[e] for e in path)
+                    pushed = min(map(cap.__getitem__, path))
                     for e in path:
                         cap[e] -= pushed
                         cap[e ^ 1] += pushed
@@ -372,27 +456,36 @@ def solve(mask: SupportMask, caps: MarginalCaps | None = None) -> Certificate:
             else:
                 break
 
-    # The last breadth-first search marks residual reachability: rows cut off
-    # from the source join U, columns still reachable join V.
-    U = frozenset(i for i in range(n) if level[1 + i] < 0)
-    V = frozenset(j for j in range(m) if level[1 + n + j] >= 0)
-    flow = []
+    units = [scale - cap[e] for e in range(first_pair_edge, len(to), 2)]
+    return units, [lv < 0 for lv in level[1 : 1 + n]], [lv >= 0 for lv in level[1 + n : 1 + n + m]]
+
+
+def _check_witnesses(mask: SupportMask, row_int, col_int, flow, U, V) -> int:
+    """Check a solve's witnesses row by row on the mask; return the flow's mass.
+
+    In integer units: every flow entry is a positive amount on a mask cell,
+    every row and column sum keeps within its cap, and every mask cell lies
+    in a row of U or a column of V.  A failure raises AssertionError.
+    """
+    n, m = mask.rows, mask.cols
+    raw = mask.cells.tobytes()
     row_units = [0] * n
     col_units = [0] * m
-    for k, (i, j) in enumerate(pairs):
-        if i not in U and j not in V:
-            raise AssertionError("cover witness misses a mask cell")
-        units = scale - cap[first_cell_edge + 2 * k]
-        if units > 0:
-            if not mask.cells[i, j]:
-                raise AssertionError("flow escaped the mask")
-            flow.append((i, j, units))
-            row_units[i] += units
-            col_units[j] += units
-    if any(r > c for r, c in zip(row_units + col_units, row_int + col_int)):
-        raise AssertionError("coupling witness exceeds a row or column cap")
-    cost_units = sum(row_int[i] for i in U) + sum(col_int[j] for j in V)
-    return Certificate(mask, caps, scale, flow, sum(row_units), Cover(U, V), cost_units)
+    for i, j, u in flow:
+        if u <= 0:
+            raise AssertionError("coupling witness has a non-positive entry")
+        if not raw[i * m + j]:
+            raise AssertionError("flow escaped the mask")
+        row_units[i] += u
+        col_units[j] += u
+        if row_units[i] > row_int[i] or col_units[j] > col_int[j]:
+            raise AssertionError("coupling witness exceeds a row or column cap")
+    for i in range(n):
+        if i not in U:
+            for j in range(m):
+                if raw[i * m + j] and j not in V:
+                    raise AssertionError("cover witness misses a mask cell")
+    return sum(row_units)
 
 
 # Masks per block of `sweep`: small blocks keep its arrays near 1 MB at peak.

@@ -126,6 +126,8 @@ def chi_square_independence(
     table = np.zeros((rows, cols))
     np.add.at(table, (x, y), 1)
     n = table.sum()
+    if n == 0:
+        raise SparseTable("empty table: every expected cell count is 0")
     expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / n
     if not (expected >= 5).all():
         raise SparseTable(
@@ -329,6 +331,8 @@ def stationarity_test(
     replica; a stationary construction produces identically distributed arms.
     """
     _check_level(level)
+    if replicas < 1:
+        raise BadParameter(f"replicas must be >= 1, got {replicas}")
     if replicas < 10:
         raise TooFewSamples("stationarity test needs >= 10 replicas per arm")
 
@@ -359,6 +363,8 @@ def distinguish_counterexample(
     homogeneity test is expected to reject (`passed` False) decisively.
     """
     _check_level(level)
+    if replicas < 1:
+        raise BadParameter(f"replicas must be >= 1, got {replicas}")
     base = _as_seed(seed)
 
     def one(r: int) -> tuple[float, float]:

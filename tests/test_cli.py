@@ -200,7 +200,7 @@ class TestEnumerate:
         "argv, cell, thin",
         [
             (["--seed", "1", "--replicas", "10", "--depth", "8", "--rounds", "2"], 1, 3),
-            (["--seed", "2", "--replicas", "200", "--depth", "32", "--rounds", "6"], 64, 6),
+            (["--seed", "2", "--replicas", "200", "--depth", "32", "--rounds", "6"], 97, 4),
         ],
     )
     def test_failing_cell_named_by_coarse_bins(self, capsys, argv, cell, thin):
@@ -217,8 +217,8 @@ class TestEnumerate:
 class TestFrozenSeedOutputs:
     # sha256 of outputs at frozen seeds.  A change that moves one of them
     # changes what users see at those seeds and must say so.
-    SELECTOR_STDOUT = "dcfa95ee2ecabc8cf9e2c0856084c968f0fd98189a9bd81190341a2f6101dcb8"
-    SELECTOR_CSV = "e6ffc71d907f224934d796ca67edd60285637d7f489850b65a9268c1da77b1c1"
+    SELECTOR_STDOUT = "a6b725e74ccdbb6060213786dedc34dc7cff714b4a4faacdcfd2b01acf6f94b8"
+    SELECTOR_CSV = "146bed7264cfb90611e8885933da6ec9784ac14321c34f7edb4c3e715b532930"
     ENUMERATE_STDOUT = "11bca3a298b2a3235d054032320c313856683c38585cf324c606307dc99671b5"
 
     def test_selector_seed_1(self, tmp_path, capsys):
@@ -361,6 +361,8 @@ def test_level_outside_unit_interval_exits_2(tmp_path, capsys, argv):
         ["shifthit", "--seed", "1", "--shifts", "-1"],
         ["shifthit", "--seed", "1", "--shifts", "0"],
         ["independence", "--seed", "1", "--replicas", "0"],
+        ["distinguish", "--seed", "1", "--replicas", "-2"],
+        ["stationarity", "--gen", "sample", "--seed", "1", "--replicas", "-5"],
     ],
     ids=" ".join,
 )

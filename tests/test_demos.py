@@ -14,7 +14,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # sha256 of the stdout of the demos that read an Ensemble.
 STDOUT_SHA256 = {
     "01_duality_walkthrough.py": "3e6663d8923835a31b1d562a2ee1b40b9958bb8609ccba877a035669e4167768",
-    "04_uniform_selector.py": "0acc717108c4ee13dd13355f449c42b5e4dc4516e93010f4fe00533c2521bf72",
+    "04_uniform_selector.py": "b5af1dde3cf57ad720cac9e17c8c7b8773438b4167e8b053f3cbaf2f90f627bc",
     "05_interleaved_enumeration.py": "406b3863e369afe2ac4a8c022f2d1d216e8b1e69bdf7b02f3098a4c9e7b76dff",
 }
 

@@ -22,6 +22,7 @@ from scipy.optimize import linprog
 from dcset import (
     BadParameter,
     BinSet,
+    Certificate,
     Coupling,
     Cover,
     DeficientSupport,
@@ -36,10 +37,12 @@ from dcset import (
     monotone_chain_check,
     periodic_limsup_mask,
     product_limsup_witness,
+    sample_ensemble,
     solve,
     sweep,
 )
 from dcset import duality
+from dcset.selector import build_support_mask
 
 
 def enumerate_min_cover(mask: SupportMask, caps: MarginalCaps) -> Fraction:
@@ -182,6 +185,17 @@ class TestProperties:
             MarginalCaps((Fraction(1, 2),), (Fraction(1),))
         with pytest.raises(BadParameter):
             MarginalCaps((Fraction(2),), (Fraction(1),))
+        # Negative caps that still sum to one, a column side off by half, no rows.
+        for rows, cols in [
+            (("3/2", "-1/2"), (1,)),
+            ((1,), ("-1/3", "4/3")),
+            ((1,), ("1/2", "1/2", "1/2")),
+            ((), (1,)),
+        ]:
+            with pytest.raises(BadParameter):
+                MarginalCaps(rows, cols)
+        with pytest.raises(BadParameter):
+            MarginalCaps.uniform(0, 3)
         with pytest.raises(BadParameter):
             solve(SupportMask.full(2, 2), MarginalCaps.uniform(3, 2))
 
@@ -198,6 +212,80 @@ def networkx_max_units(mask: SupportMask, caps: MarginalCaps) -> int:
     for i, j in mask.pairs():
         graph.add_edge(("r", i), ("c", j), capacity=scale)
     return nx.maximum_flow_value(graph, "s", "t")
+
+
+def reference_solve(mask: SupportMask, caps: MarginalCaps) -> Certificate:
+    """Oracle: the uncompressed solve, one Dinic flow node per row.
+
+    The flow network has a node for every row and one edge per mask cell; the
+    cut is read from the last breadth-first search.
+    """
+    n, m = mask.rows, mask.cols
+    scale, row_int, col_int = caps.scaled()
+    source, sink = 0, n + m + 1
+    adj = [[] for _ in range(n + m + 2)]
+    to, cap = [], []
+
+    def arc(u, v, c):
+        adj[u].append(len(to))
+        to.append(v)
+        cap.append(c)
+        adj[v].append(len(to))
+        to.append(u)
+        cap.append(0)
+
+    for i in range(n):
+        arc(source, 1 + i, row_int[i])
+    for j in range(m):
+        arc(1 + n + j, sink, col_int[j])
+    pairs = mask.pairs()
+    first_cell_edge = len(to)
+    for i, j in pairs:
+        arc(1 + i, 1 + n + j, scale)
+    while True:
+        level = [-1] * len(adj)
+        level[source] = 0
+        queue = [source]
+        for u in queue:
+            for e in adj[u]:
+                if cap[e] > 0 and level[to[e]] < 0:
+                    level[to[e]] = level[u] + 1
+                    queue.append(to[e])
+        if level[sink] < 0:
+            break
+        iters = [0] * len(adj)
+        path = []
+        u = source
+        while True:
+            edges = adj[u]
+            while iters[u] < len(edges) and not (
+                cap[edges[iters[u]]] > 0 and level[to[edges[iters[u]]]] == level[u] + 1
+            ):
+                iters[u] += 1
+            if iters[u] < len(edges):
+                path.append(edges[iters[u]])
+                u = to[path[-1]]
+                if u == sink:
+                    pushed = min(cap[e] for e in path)
+                    for e in path:
+                        cap[e] -= pushed
+                        cap[e ^ 1] += pushed
+                    path.clear()
+                    u = source
+            elif path:
+                u = to[path.pop() ^ 1]
+                iters[u] += 1
+            else:
+                break
+    U = frozenset(i for i in range(n) if level[1 + i] < 0)
+    V = frozenset(j for j in range(m) if level[1 + n + j] >= 0)
+    flow = [
+        (i, j, scale - cap[first_cell_edge + 2 * k])
+        for k, (i, j) in enumerate(pairs)
+        if cap[first_cell_edge + 2 * k] < scale
+    ]
+    cost = sum(row_int[i] for i in U) + sum(col_int[j] for j in V)
+    return Certificate(mask, caps, scale, flow, sum(u for *_, u in flow), Cover(U, V), cost)
 
 
 @st.composite
@@ -247,6 +335,162 @@ class TestSolve:
         before = sys.getrecursionlimit()
         assert solve(SupportMask(np.eye(480, dtype=bool))).gap == 0
         assert sys.getrecursionlimit() == before
+
+
+@st.composite
+def class_instances(draw):
+    """Masks of 1-4 row patterns, each repeated up to 40 times in shuffled
+    order, under rational caps that differ between rows of one pattern."""
+    m = draw(st.integers(1, 6))
+    patterns = draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m), min_size=1, max_size=4))
+    repeats = draw(st.lists(st.integers(1, 40), min_size=len(patterns), max_size=len(patterns)))
+    rows = [row for row, k in zip(patterns, repeats) for _ in range(k)]
+    rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
+    weights = st.integers(0, 12)
+    rw = draw(st.lists(weights, min_size=len(rows), max_size=len(rows)).filter(any))
+    cw = draw(st.lists(weights, min_size=m, max_size=m).filter(any))
+    caps = MarginalCaps(
+        tuple(Fraction(x, sum(rw)) for x in rw), tuple(Fraction(x, sum(cw)) for x in cw)
+    )
+    return SupportMask(np.array(rows, dtype=bool).reshape(len(rows), m)), caps
+
+
+def flow_node_counts(monkeypatch) -> list:
+    """Record the row-node count of every flow network `solve` builds."""
+    counts = []
+    inner = duality._max_flow
+
+    def counted(row_caps, *args):
+        counts.append(len(row_caps))
+        return inner(row_caps, *args)
+
+    monkeypatch.setattr(duality, "_max_flow", counted)
+    return counts
+
+
+class TestRowClasses:
+    @settings(max_examples=80, deadline=None)
+    @given(class_instances())
+    def test_class_solve_against_oracles(self, instance):
+        mask, caps = instance
+        cert = solve(mask, caps)
+        ref = reference_solve(mask, caps)
+        assert cert.gap == 0 == ref.gap
+        assert cert.value == ref.value
+        assert cert.value == Fraction(networkx_max_units(mask, caps), cert.scale)
+        assert cert.cover_cost == ref.cover_cost
+        coupling = cert.coupling()
+        assert coupling.is_feasible(caps, mask)
+        assert coupling.total_mass() == cert.value
+        assert cert.cover.covers(mask) and cert.cover.cost(caps) == cert.cover_cost
+
+    def test_distinct_rows_match_the_reference_exactly(self):
+        # With no two rows alike the class network is the row network.
+        rng = np.random.default_rng(25)
+        compared = 0
+        for _ in range(40):
+            mask = SupportMask(rng.random((6, 5)) < 0.5)
+            if len({row.tobytes() for row in mask.cells}) < mask.rows:
+                continue
+            caps = random_caps(rng, 6, 5)
+            assert solve(mask, caps) == reference_solve(mask, caps)
+            compared += 1
+        assert compared > 20
+
+    def test_ensemble_mask_flows_over_row_classes(self, monkeypatch):
+        # selector --seed 1: 5000 replicas, depth 64, 8 bins.
+        mask = build_support_mask(sample_ensemble(64, 5000, UnitGrid(8), 1))
+        counts = flow_node_counts(monkeypatch)
+        cert = solve(mask)
+        assert counts == [len({row.tobytes() for row in mask.cells})] and counts[0] <= 7
+        assert cert.gap == 0 and cert.value == 1
+        scale, row_int, col_int = cert.caps.scaled()
+        rows, cols = [0] * mask.rows, [0] * mask.cols
+        for i, j, u in cert.flow:
+            rows[i] += u
+            cols[j] += u
+        assert rows == list(row_int) and cols == list(col_int)
+
+    def test_merged_rows_split_within_their_caps(self, monkeypatch):
+        # Three equal rows with caps 1/6, 2/6, 3/6 over a two-column pattern.
+        mask = SupportMask([[1, 1], [1, 1], [1, 1]])
+        caps = MarginalCaps(("1/6", "1/3", "1/2"), ("1/2", "1/2"))
+        counts = flow_node_counts(monkeypatch)
+        cert = solve(mask, caps)
+        assert counts == [1]
+        assert cert.coupling().row_sums() == caps.row_caps
+        assert cert.coupling().col_sums() == caps.col_caps
+
+
+class TestWitnessCheck:
+    """The integer check `solve` runs on its expanded witnesses, row by row."""
+
+    MASK = SupportMask([[1, 0], [1, 0], [0, 1]])
+    CAPS = MarginalCaps(("1/4", "1/4", "1/2"), ("1/2", "1/2"))
+
+    def check(self, flow, U, V):
+        scale, row_int, col_int = self.CAPS.scaled()
+        return duality._check_witnesses(self.MASK, row_int, col_int, flow, frozenset(U), frozenset(V))
+
+    def test_valid_witnesses_pass(self):
+        assert self.check([(0, 0, 1), (1, 0, 1), (2, 1, 2)], {0, 1, 2}, set()) == 4
+
+    def test_cover_is_checked_on_every_row_of_a_class(self):
+        # Rows 0 and 1 share a pattern; leaving row 1 out of U uncovers its cell.
+        with pytest.raises(AssertionError, match="cover witness misses a mask cell"):
+            self.check([(0, 0, 1), (1, 0, 1), (2, 1, 2)], {0, 2}, set())
+
+    def test_row_caps_are_checked_within_a_class(self):
+        # The class flow 2 all on row 0 keeps the class cap but not row 0's.
+        with pytest.raises(AssertionError, match="exceeds a row or column cap"):
+            self.check([(0, 0, 2), (2, 1, 2)], {0, 1, 2}, set())
+
+    @pytest.mark.parametrize(
+        "flow, message",
+        [
+            ([(0, 1, 1)], "flow escaped the mask"),
+            ([(0, 0, 0)], "non-positive entry"),
+            ([(2, 1, 3)], "exceeds a row or column cap"),
+        ],
+    )
+    def test_flow_entries_are_checked(self, flow, message):
+        with pytest.raises(AssertionError, match=message):
+            self.check(flow, {0, 1, 2}, set())
+
+
+class TestMarginalCaps:
+    @pytest.mark.parametrize("n, m", [(1, 1), (3, 7), (12, 8), (5000, 8)])
+    def test_uniform_scaled_matches_fractions(self, n, m):
+        caps = MarginalCaps.uniform(n, m)
+        scale = math.lcm(*(c.denominator for c in caps.row_caps + caps.col_caps))
+        assert caps.scaled() == (
+            scale,
+            tuple(int(c * scale) for c in caps.row_caps),
+            tuple(int(c * scale) for c in caps.col_caps),
+        )
+        assert all(type(c) is int for c in caps.scaled()[1] + caps.scaled()[2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(0, 50), min_size=1, max_size=12).filter(any),
+        st.lists(st.integers(0, 50), min_size=1, max_size=12).filter(any),
+    )
+    def test_scaled_is_the_least_common_scale(self, rw, cw):
+        rows = tuple(Fraction(x, sum(rw)) for x in rw)
+        cols = tuple(Fraction(x, sum(cw)) for x in cw)
+        scale, row_int, col_int = MarginalCaps(rows, cols).scaled()
+        assert scale == math.lcm(*(c.denominator for c in rows + cols))
+        assert tuple(Fraction(u, scale) for u in row_int + col_int) == rows + cols
+
+    def test_ints_strings_and_fractions_give_equal_caps(self):
+        as_fractions = MarginalCaps((Fraction(1), Fraction(0)), (Fraction(1, 3), Fraction(2, 3)))
+        for other in (
+            MarginalCaps((1, 0), ("1/3", "2/3")),
+            MarginalCaps(("1", "0"), (Fraction(1, 3), "2/3")),
+        ):
+            assert other == as_fractions
+            assert other.scaled() == as_fractions.scaled() == (3, (3, 0), (1, 2))
+            assert all(type(c) is Fraction for c in other.row_caps + other.col_caps)
 
 
 def pile_on_first_cell(flow, cells):

@@ -585,7 +585,7 @@ class TestArrayPathsMatchReferences:
         ens = sample_ensemble(32, 200, GRID8, 2)
         got = outcome(interleaved_enumeration, ens, 6, UnitGrid(2), Seed(2))
         assert got == outcome(reference_interleaving, ens, 6, UnitGrid(2), Seed(2))
-        assert got[:2] == ("InsufficientDensity", 64)
+        assert got[:2] == ("InsufficientDensity", 97)
 
     def test_depth_exhausted_names_first_short_replica(self):
         # On one bin every even table repeats point 0, so round j's odd table

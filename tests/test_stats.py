@@ -1,6 +1,7 @@
 """Test batteries: goodness of fit, independence, stationarity, diagnostics."""
 
 import os
+import warnings
 import subprocess
 import sys
 from fractions import Fraction
@@ -73,9 +74,11 @@ class TestChiSquare:
     def test_sparse_table(self):
         with pytest.raises(SparseTable):
             chi_square_independence(np.zeros(40, dtype=int), np.zeros(40, dtype=int), 3, 3)
-        # An empty table's expected counts are 0/0 = NaN, which is not >= 5 either.
-        with pytest.raises(SparseTable):
-            chi_square_independence([], [], 2, 2)
+        # An empty table is refused before its expected counts divide 0 by 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SparseTable):
+                chi_square_independence([], [], 2, 2)
 
     def test_shape_validation(self):
         with pytest.raises(BadParameter):
@@ -198,6 +201,11 @@ class TestStationarity:
         )
         assert report.passed
 
+    @pytest.mark.parametrize("replicas, error", [(-5, BadParameter), (0, BadParameter), (9, TooFewSamples)])
+    def test_replica_count_checked(self, replicas, error):
+        with pytest.raises(error):
+            stationarity_test(lambda s: sample_uniform(10, s), count_in(HALF), replicas, 96)
+
 
 class TestDistinguish:
     def test_full_scale_separation(self):
@@ -214,6 +222,11 @@ class TestDistinguish:
         thin = fat_cantor_build(Fraction(99, 100), 8)
         report = distinguish_counterexample(thin, 50, 100, 102, level=0.01)
         assert report.statistic >= 0
+
+    @pytest.mark.parametrize("replicas, error", [(-2, BadParameter), (0, BadParameter), (9, TooFewSamples)])
+    def test_replica_count_checked(self, replicas, error):
+        with pytest.raises(error):
+            distinguish_counterexample(CANTOR, 10, replicas, 103)
 
 
 class TestShiftHit:
