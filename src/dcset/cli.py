@@ -77,7 +77,7 @@ def _need_seed(args) -> int:
 
 
 def _cantor_of(args):
-    return fat_cantor_build(formats.parse_fraction(str(args.gap)), args.cantor_depth)
+    return fat_cantor_build(formats.parse_fraction(args.gap), args.cantor_depth)
 
 
 def _int_list(text: str, flag: str) -> list[int]:
@@ -203,7 +203,7 @@ def cmd_independence(args) -> int:
     kind = {"sample": "sample", "minima": "walk"}.get(args.gen)
     if kind is None:
         raise UnknownGenerator(f"unknown generator {args.gen!r}")
-    cuts = [float(formats.parse_fraction(c)) for c in str(args.cuts).split(",")]
+    cuts = [float(formats.parse_fraction(c)) for c in args.cuts.split(",")]
     report = fragment_independence_test(
         kind, cuts, args.replicas, seed, level=args.level, steps=args.steps
     )
@@ -216,14 +216,12 @@ def cmd_independence(args) -> int:
 def cmd_shifthit(args) -> int:
     seed = _need_seed(args)
     grid = UnitGrid(args.grid)
-    # A --config file may give these lists as JSON numbers; read them as text.
-    bins = "" if args.bins is None else str(args.bins)
-    if bins:
-        members = frozenset(_int_list(bins, "--bins"))
+    if args.bins:
+        members = frozenset(_int_list(args.bins, "--bins"))
     else:
         members = frozenset(range(0, grid.n, 2))
     region = BinSet(grid, members)
-    depths = _int_list(str(args.depths), "--depths")
+    depths = _int_list(args.depths, "--depths")
     curve = shift_hit_curve(region, depths, args.shifts, seed)
     _emit(formats.dump_json(formats.curve_to_json(curve)), args.out)
     if args.csv:
@@ -435,15 +433,20 @@ def main(argv=None) -> int:
             return 2
         dests = {key.replace("-", "_"): value for key, value in config.items()}
         known = {d: v for d, v in dests.items() if hasattr(args, d) and d != "func"}
-        args = build_parser(known).parse_args(argv)
+        # Values reach argparse as text, so each flag's own type reads them.
+        # A list default is left as it is, so a list the command line did not
+        # override is read again as the flag's own arguments.
+        texts = {d: v if v is None or isinstance(v, list) else str(v) for d, v in known.items()}
+        args = build_parser(texts).parse_args(argv)
+        tail = [t for d, v in texts.items() if isinstance(v, list) and getattr(args, d) is v
+                for t in (f"--{d.replace('_', '-')}", *map(str, v))]
+        if tail:
+            args = build_parser(texts).parse_args([*argv, *tail])
     try:
         # Every subcommand takes --level, so one check covers flags and config.
         _check_level(args.level)
         return args.func(args)
-    except (ParseError, SweepTooLarge, UnknownGenerator, BadParameter) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, SweepTooLarge, UnknownGenerator, BadParameter, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DcsetError as exc:

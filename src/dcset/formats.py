@@ -154,11 +154,8 @@ def coupling_to_json(coupling: Coupling) -> dict:
     }
 
 
-def cover_to_json(cover: Cover, caps: MarginalCaps | None = None) -> dict:
-    data = {"U": sorted(cover.U), "V": sorted(cover.V)}
-    if caps is not None:
-        data["cost"] = format_fraction(cover.cost(caps))
-    return data
+def cover_to_json(cover: Cover, caps: MarginalCaps) -> dict:
+    return {"U": sorted(cover.U), "V": sorted(cover.V), "cost": format_fraction(cover.cost(caps))}
 
 
 def enumeration_to_csv(enum: Enumeration) -> str:

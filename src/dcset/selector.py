@@ -14,9 +14,9 @@ paths below run as array passes over it; the only Python loop left is over
 conditioning cells, one cache lookup (or solve) per cell.
 `Ensemble.first_index` holds, once per ensemble, each replica's lowest point
 index in each bin (or -1); the support mask is where it is nonnegative.  A
-selector table is drawn in one array pass: the coupling's integer units over
-its scale become float weights, every row's CDF is formed at once, every
-replica's substream variate comes from one `Seed.uniforms` call, and values
+selector table is drawn in one array pass: every replica's substream variate
+comes from one `Seed.uniforms` call as an integer over 2**53, every row's
+cumulative units are compared with it in exact integers at once, and values
 are gathered from `points`.  Conditioning cells are dense integer ranks of
 the joint coarse bins, taken in order by one stable sort.  The interleaved
 enumeration marks used point indices in one R-by-width table, and
@@ -53,8 +53,6 @@ from .grid_measure import UnitGrid
 
 # Bound on the padded points binned at once in Ensemble.first_index.
 _BLOCK_POINTS = 1 << 16
-# Integers below this bound are exact as floats.
-_EXACT = 2**53
 # Filler past the end of a shorter replica's row of Ensemble.points.
 _PAD = 0.5
 
@@ -205,64 +203,59 @@ def build_support_mask(ensemble: Ensemble) -> SupportMask:
     return SupportMask(ensemble.first_index >= 0)
 
 
-def _weights(coupling: Coupling) -> np.ndarray:
-    """Float weights units / scale.
+def _units(coupling: Coupling) -> np.ndarray:
+    """The coupling's units: int64 when they are nonnegative with every row
+    total below 2**10, so the draw's products stay below 2**63, else Python
+    ints (dtype object), on which the same expressions run exactly."""
+    try:
+        units = np.array(coupling.units, dtype=np.int64)
+    except OverflowError:
+        return np.array(coupling.units, dtype=object)
+    # The max bound also keeps the row sums from wrapping.
+    small = units.min() >= 0 and units.max() < 2**10 and units.sum(axis=1).max() < 2**10
+    return units if small else units.astype(object)
 
-    Python's int division rounds once, so each weight equals float(Fraction)
-    of its entry, even for units and scales beyond 2**53.  Below 2**53 both
-    operands are exact floats and IEEE division rounds the same way, so one
-    numpy division serves.
+
+def _choose_bins(units: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Bin drawn by exact inverse CDF from each unit row with its variate k / 2**53.
+
+    Row i takes the first bin j with k[i] / 2**53 < cum[i, j] / total[i],
+    compared as k[i] * total[i] < 2**53 * cum[i, j].  For nonnegative units
+    with a positive total that bin exists, as k[i] < 2**53, and carries
+    mass, as cum steps up there.
     """
-    scale = coupling.scale
-    if scale < _EXACT:
-        units = np.array(coupling.units, dtype=float)
-        if np.abs(units).max(initial=0.0) < _EXACT:
-            return units / scale
-    return np.array([[u / scale for u in row] for row in coupling.units])
-
-
-def _choose_bins(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Bin drawn by inverse CDF from each weight row with its uniform variate.
-
-    Row k gives np.searchsorted(np.cumsum(w / w.sum()), u[k], "right") for
-    its weights w, clamped to the last bin and stepped down to the last
-    charged bin at or below it.
-    """
-    n = weights.shape[1]
-    cdf = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
-    chosen = np.minimum((cdf <= u[:, None]).sum(axis=1), n - 1)
-    # Guard against float cdf round-off, which can land on an uncharged bin.
-    last_charged = np.maximum.accumulate(np.where(weights != 0, np.arange(n), -1), axis=1)
-    return last_charged[np.arange(len(u)), chosen]
+    cum = np.cumsum(units, axis=1)
+    return (k[:, None] * cum[:, -1:] >= 2**53 * cum).sum(axis=1)
 
 
 def _draw(
-    ensemble: Ensemble, rows: np.ndarray, weights: np.ndarray, seed: Seed, component: int
+    ensemble: Ensemble, rows: np.ndarray, units: np.ndarray, seed: Seed, component: int
 ) -> SelectorTable:
-    """Selector in which replica rows[k] draws its bin from weight row k.
+    """Selector in which replica rows[i] draws its bin from unit row i.
 
-    `rows` orders every replica once.  Each replica draws a bin by inverse
-    CDF from its own substream, then takes its lowest-index point in that
-    bin.  Rows are checked in the given order, so the first bad one names
-    the error.
+    `rows` orders every replica once.  Each replica's variate from its own
+    substream is a multiple of 2**-53, so `_choose_bins` draws its bin
+    exactly; it then takes its lowest-index point in that bin.  Rows are
+    checked in the given order, so the first bad one names the error.
     """
     first = ensemble.first_index[rows]
-    negative = weights < 0
-    charged = weights > 0
+    negative = units < 0
+    charged = units > 0
     missing = charged & (first < 0)
     bad = negative.any(axis=1) | ~charged.any(axis=1) | missing.any(axis=1)
     if bad.any():
-        k = int(np.argmax(bad))
-        r = int(rows[k])
-        if negative[k].any():
-            j = int(np.argmax(negative[k]))
+        i = int(np.argmax(bad))
+        r = int(rows[i])
+        if negative[i].any():
+            j = int(np.argmax(negative[i]))
             raise UnsupportedCoupling(f"coupling gives replica {r} negative mass in bin {j}")
-        if not charged[k].any():
+        if not charged[i].any():
             raise UnsupportedCoupling(f"coupling gives replica {r} zero mass")
-        j = int(np.argmax(missing[k]))
+        j = int(np.argmax(missing[i]))
         raise UnsupportedCoupling(f"coupling charges bin {j} where replica {r} has no point")
     u = seed.uniforms(rows.tolist(), SELECTOR_DOMAIN, component)[:, 0]
-    idx = first[np.arange(len(rows)), _choose_bins(weights, u)]
+    k = (u * 2**53).astype(np.int64)
+    idx = first[np.arange(len(rows)), _choose_bins(units, k)]
     values = np.empty(ensemble.size)
     memberships = np.empty(ensemble.size, dtype=np.int64)
     memberships[rows] = idx
@@ -281,14 +274,14 @@ def selector_from_coupling(
     base = _as_seed(seed)
     if coupling.rows != ensemble.size or coupling.cols != ensemble.grid.n:
         raise BadParameter("coupling dimensions do not match the ensemble")
-    return _draw(ensemble, np.arange(ensemble.size), _weights(coupling), base, component)
+    return _draw(ensemble, np.arange(ensemble.size), _units(coupling), base, component)
 
 
-def _full_coupling_or_obstruction(mask: SupportMask, n_bins: int, cell=None) -> Coupling:
+def _full_coupling_or_obstruction(mask: SupportMask, cell=None) -> Coupling:
     try:
         return full_coupling(mask, MarginalCaps.uniform(mask.rows, mask.cols))
     except DeficientSupport as exc:
-        raise InsufficientDensity(exc.witness, exc.cost, n_bins, cell=cell) from exc
+        raise InsufficientDensity(exc.witness, exc.cost, mask.cols, cell=cell) from exc
 
 
 def uniform_selector(ensemble: Ensemble, seed, component: int = 0) -> SelectorTable:
@@ -299,7 +292,7 @@ def uniform_selector(ensemble: Ensemble, seed, component: int = 0) -> SelectorTa
     value bins the ensemble fails to reach.
     """
     mask = build_support_mask(ensemble)
-    coupling = _full_coupling_or_obstruction(mask, ensemble.grid.n)
+    coupling = _full_coupling_or_obstruction(mask)
     return selector_from_coupling(ensemble, coupling, seed, component)
 
 
@@ -315,11 +308,11 @@ def _conditional_by_rank(
     seed: Seed,
     component: int,
     mask: SupportMask,
-    weight_cache: dict,
+    units_cache: dict,
 ) -> SelectorTable:
     """Uniform selector inside each cell of replicas sharing a rank.
 
-    Cells are solved in rank order, and each cell's weight rows are cached by
+    Cells are solved in rank order, and each cell's unit rows are cached by
     its sub-mask; the whole table is then drawn at once.  A cell with no full
     coupling is named by `label` of its first replica.
     """
@@ -330,12 +323,11 @@ def _conditional_by_rank(
     for lo, hi in zip(bounds, bounds[1:]):
         sub = ordered[lo:hi]
         cache_key = (hi - lo, sub.tobytes())
-        weights = weight_cache.get(cache_key)
-        if weights is None:
-            cell = label(int(rows[lo]))
-            coupling = _full_coupling_or_obstruction(SupportMask(sub), ensemble.grid.n, cell=cell)
-            weights = weight_cache[cache_key] = _weights(coupling)
-        blocks.append(weights)
+        units = units_cache.get(cache_key)
+        if units is None:
+            coupling = _full_coupling_or_obstruction(SupportMask(sub), cell=label(int(rows[lo])))
+            units = units_cache[cache_key] = _units(coupling)
+        blocks.append(units)
     return _draw(ensemble, rows, np.concatenate(blocks), seed, component)
 
 
@@ -395,7 +387,7 @@ def interleaved_enumeration(
         raise DepthExhausted(int(np.argmax(empty)))
 
     mask = build_support_mask(ensemble)
-    weight_cache: dict = {}
+    units_cache: dict = {}
     rows = np.arange(ensemble.size)
     # Padding counts as used, so no row can pick it.
     used = np.arange(ensemble.points.shape[1]) >= ensemble.lengths[:, None]
@@ -418,7 +410,7 @@ def interleaved_enumeration(
     tables = [first]
     absorb(first)
     for round_no in range(1, rounds + 1):
-        even = _conditional_by_rank(ensemble, rank, label, base, round_no, mask, weight_cache)
+        even = _conditional_by_rank(ensemble, rank, label, base, round_no, mask, units_cache)
         tables.append(even)
         absorb(even)
 
@@ -441,6 +433,8 @@ def interleave_containment(ensemble: Ensemble, tables: Sequence[SelectorTable]) 
     replica has no point k); the first j+1 points are in by table 2j+1
     exactly when the running max of first along k is at most 2j.
     """
+    if any(len(table) != ensemble.size for table in tables):
+        raise BadParameter("selector table size does not match the ensemble")
     rounds = (len(tables) - 1) // 2
     width = min(ensemble.points.shape[1], rounds + 1)
     index = np.arange(width)

@@ -123,6 +123,9 @@ def chi_square_independence(
         raise BadParameter("paired categorical lists must have equal length")
     if rows < 2 or cols < 2:
         raise BadParameter("independence needs at least a 2x2 table")
+    for name, cats, size in (("row", x, rows), ("column", y, cols)):
+        if ((cats < 0) | (cats >= size)).any():
+            raise BadParameter(f"{name} categories must lie in 0..{size - 1}")
     table = np.zeros((rows, cols))
     np.add.at(table, (x, y), 1)
     n = table.sum()

@@ -287,6 +287,34 @@ class TestConfig:
         assert main(["independence", "--seed", "1", "--config", str(conf)]) == 2
         assert "error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,config,message",
+        [
+            (["selector", "--seed", "1"], {"replicas": 2.5}, "argument --replicas: invalid int value: '2.5'"),
+            (["simulate", "sample"], {"seed": 1.5}, "argument --seed: invalid int value: '1.5'"),
+            (["simulate", "sample", "--seed", "1"], {"depth": [1, 2]}, "unrecognized arguments: 2"),
+        ],
+    )
+    def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, argv, config, message):
+        # Each config value is read as its flag's text, by the flag's own type.
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(conf)])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and message in err and "Traceback" not in err
+
+    def test_config_list_for_multi_value_flag(self, tmp_path, capsys):
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"sweep": [2, 3], "level": 0.5}))
+        flagged = main(["duality", "--sweep", "2", "3"])
+        expected = capsys.readouterr().out
+        assert main(["duality", "--config", str(conf)]) == flagged == 0
+        assert capsys.readouterr().out == expected
+        # A flag on the command line still wins over the config's list.
+        assert main(["duality", "--sweep", "1", "1", "--config", str(conf)]) == 0
+        assert json.loads(capsys.readouterr().out)["masks"] == 2
+
 
 @pytest.mark.parametrize(
     "command,level",

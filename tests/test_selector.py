@@ -34,7 +34,7 @@ from dcset import (
     verify_selector,
 )
 from dcset import SupportMask, generators
-from dcset.selector import _choose_bins, _draw, _full_coupling_or_obstruction, _weights
+from dcset.selector import _choose_bins, _draw, _full_coupling_or_obstruction, _units
 
 GRID8 = UnitGrid(8)
 
@@ -351,7 +351,7 @@ def reference_interleaving(ens, rounds, coarse, seed):
             members = cells[key]
             sub = SupportMask(mask.cells[members])
             rows.extend(members)
-            blocks.append(_weights(_full_coupling_or_obstruction(sub, ens.grid.n, cell=key)))
+            blocks.append(_units(_full_coupling_or_obstruction(sub, cell=key)))
         return _draw(ens, np.array(rows), np.concatenate(blocks), seed, component)
 
     first = SelectorTable(
@@ -404,16 +404,25 @@ def reference_containment(ens, tables):
     return out
 
 
-def reference_bins(weights, u):
-    """The inverse-CDF draw written one row at a time."""
+def reference_bins(units, k):
+    """The inverse-CDF draw one row at a time in Fractions: the first bin
+    whose cumulative share of the row's total exceeds the variate k / 2**53."""
     chosen = []
-    for w, x in zip(weights, u):
-        cdf = np.cumsum(w / w.sum())
-        j = min(int(np.searchsorted(cdf, x, side="right")), len(w) - 1)
-        while w[j] == 0:  # float round-off can land on an uncharged bin
-            j -= 1
-        chosen.append(j)
+    for row, x in zip(units, k):
+        row = [int(v) for v in row]
+        u = Fraction(int(x), 2**53)
+        chosen.append(next(j for j in range(len(row)) if u < Fraction(sum(row[: j + 1]), sum(row))))
     return np.array(chosen)
+
+
+def boundary_variates(row):
+    """Each bin's first variate k past its CDF boundary, k - 1, 0 and 2**53 - 1."""
+    row = [int(v) for v in row]
+    ks = {0, 2**53 - 1}
+    for j in range(len(row)):
+        k = -(-(2**53) * sum(row[: j + 1]) // sum(row))  # least k with k / 2**53 >= cdf
+        ks.update(x for x in (k - 1, k) if 0 <= x < 2**53)
+    return sorted(ks)
 
 
 @st.composite
@@ -460,42 +469,40 @@ class TestSelectorProperties:
             return
         check_table(ens, full_coupling(mask), table)
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 64), st.integers(1, 8), st.integers(0, 2**32))
-    def test_vectorised_draw_matches_per_row_reference(self, n, k, seed):
-        rng = np.random.default_rng(seed)
-        units = rng.integers(0, 1000, (k, n)) * (rng.random((k, n)) < 0.6)
-        units[np.arange(k), rng.integers(0, n, k)] += 1
-        weights = units / float(rng.integers(1, 10**6))
-        # Variates at every cdf entry and its neighbours, at 0 and below 1.
-        rows, u = [], []
-        for i, w in enumerate(weights):
-            cdf = np.cumsum(w / w.sum())
-            near = np.concatenate(
-                [cdf, np.nextafter(cdf, 0), np.nextafter(cdf, 2), [0.0, rng.random(), np.nextafter(1, 0)]]
-            )
-            near = near[(near >= 0) & (near < 1)]
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 6), st.sampled_from([2**6, 2**40, 2**80]), st.data())
+    def test_vectorised_draw_matches_fraction_reference(self, n, m, top, data):
+        # Rows with totals below 2**10 give int64 units, larger ones Python
+        # ints; variates sit on every CDF boundary, one below it, 0 and 2**53 - 1.
+        entry = st.integers(0, top // n)
+        units = [
+            data.draw(st.lists(entry, min_size=n, max_size=n).filter(any)) for _ in range(m)
+        ]
+        array = _units(Coupling.from_units(units, data.draw(st.integers(1, 2**70))))
+        assert array.dtype == (np.int64 if max(map(sum, units)) < 2**10 else object)
+        rows, ks = [], []
+        for i, row in enumerate(units):
+            near = boundary_variates(row)
             rows += [i] * len(near)
-            u += near.tolist()
-        stacked, u = weights[rows], np.array(u)
-        assert np.array_equal(_choose_bins(stacked, u), reference_bins(stacked, u))
+            ks += near
+        stacked, k = array[rows], np.array(ks, dtype=np.int64)
+        chosen = _choose_bins(stacked, k)
+        assert np.array_equal(chosen, reference_bins(stacked, k))
+        assert (stacked[np.arange(len(k)), chosen] > 0).all()
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 2**70), st.integers(0, 2**32))
-    def test_weights_round_like_fractions(self, scale, seed):
-        rng = np.random.default_rng(seed)
-        top = min(scale, 2**62)
-        units = [[int(x) * scale // top for x in rng.integers(0, top, 4, endpoint=True)] for _ in range(3)]
-        coupling = Coupling.from_units(units, scale)
-        expected = [[float(x) for x in row] for row in coupling.mass]
-        assert _weights(coupling).tolist() == expected
-
-    @pytest.mark.parametrize("units, scale", [([2**54 + 3, 1], 3), ([1, 3], 2**53 + 1)])
-    def test_weights_where_float_operands_would_round(self, units, scale):
-        # float(2**54 + 3) and float(2**53 + 1) are inexact, and dividing the
-        # rounded floats gives a weight one ulp off the exact quotient's.
-        coupling = Coupling.from_units([units], scale)
-        assert _weights(coupling).tolist() == [[float(x) for x in coupling.mass[0]]]
+    @pytest.mark.parametrize("row", [[2**54 + 3, 1], [1, 2**70], [2**64 + 1, 0, 2**63], [0, 1, 0, 2**10 - 2]])
+    def test_draws_on_rows_beyond_float_precision(self, row):
+        # As floats, 2**54 + 3 and 2**64 + 1 round, and 1 / (2**70 + 1) is a
+        # CDF step below one variate step: the integer draw sees each exactly.
+        coupling = Coupling.from_units([row], 3)
+        ks = np.array(boundary_variates(row), dtype=np.int64)
+        units = _units(coupling)[[0] * len(ks)]
+        assert np.array_equal(_choose_bins(units, ks), reference_bins(units, ks))
+        ens = single_replica_ensemble([(j + 0.5) / len(row) for j in range(len(row))], UnitGrid(len(row)))
+        for seed in range(20):
+            u = Seed(seed).stream(generators.SELECTOR_DOMAIN, 0).uniform()
+            want = reference_bins([row], [int(u * 2**53)])[0]
+            assert selector_from_coupling(ens, coupling, Seed(seed)).memberships.tolist() == [want]
 
 
 inner_points = st.floats(0, 1, exclude_min=True, exclude_max=True)
@@ -574,6 +581,13 @@ class TestArrayPathsMatchReferences:
         assert np.array_equal(interleave_containment(ens, tables), reference_containment(ens, tables))
         for table in tables:
             assert verify_selector(ens, table) == reference_verify(ens, table)
+
+    def test_containment_rejects_wrong_size(self):
+        # A one-row table would otherwise broadcast across every replica.
+        ens = sample_ensemble(4, 5, GRID8, 84)
+        tables = [SelectorTable(ens.points[:1, 0], np.zeros(1, dtype=np.int64))]
+        with pytest.raises(BadParameter, match="table size"):
+            interleave_containment(ens, tables)
 
     def test_verify_rejects_wrong_size(self):
         ens = sample_ensemble(4, 3, GRID8, 84)

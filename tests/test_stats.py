@@ -84,6 +84,22 @@ class TestChiSquare:
         with pytest.raises(BadParameter):
             chi_square_independence(np.zeros(5, dtype=int), np.zeros(6, dtype=int), 2, 2)
 
+    # Numpy indexing would wrap a negative category into the last row or
+    # column, and raise a bare IndexError for one past the end.
+    @pytest.mark.parametrize("side", ["row", "column"])
+    def test_negative_category_refused(self, side):
+        x, y = np.arange(40) % 2, np.arange(40) // 20
+        bad = (np.where(x == 1, -1, x), y) if side == "row" else (x, np.where(y == 1, -1, y))
+        with pytest.raises(BadParameter, match=f"{side} categories must lie in 0..1"):
+            chi_square_independence(*bad, 2, 2)
+
+    @pytest.mark.parametrize("side", ["row", "column"])
+    def test_category_past_table_refused(self, side):
+        x, y = np.arange(40) % 2, np.arange(40) // 20
+        bad = (x + 1, y) if side == "row" else (x, y * 2)
+        with pytest.raises(BadParameter, match=f"{side} categories must lie in 0..1"):
+            chi_square_independence(*bad, 2, 2)
+
 
 class TestChiSquareQuantile:
     def test_equals_scipy_stats_exactly(self):
