@@ -471,7 +471,7 @@ class TestSelectorProperties:
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 6), st.sampled_from([2**6, 2**40, 2**80]), st.data())
-    def test_vectorised_draw_matches_fraction_reference(self, n, m, top, data):
+    def test_vectorised_draw_matches_per_row_reference(self, n, m, top, data):
         # Rows with totals below 2**10 give int64 units, larger ones Python
         # ints; variates sit on every CDF boundary, one below it, 0 and 2**53 - 1.
         entry = st.integers(0, top // n)
