@@ -418,6 +418,24 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _check_choices(parser: argparse.ArgumentParser, args: argparse.Namespace, config: dict) -> None:
+    """Refuse a config value outside its flag's choices, as argparse refuses the flag.
+
+    argparse reads a default through the flag's type but never checks it
+    against the flag's choices.
+    """
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    command = subparsers.choices[args.command]
+    for action in command._actions:
+        value = getattr(args, action.dest, None)
+        if action.dest not in config or action.choices is None or value is None:
+            continue
+        if value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            command.error(f"argument {'/'.join(action.option_strings)}: invalid choice: "
+                          f"{value!r} (choose from {choices})")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
@@ -437,7 +455,9 @@ def main(argv=None) -> int:
         # A list default is left as it is, so a list the command line did not
         # override is read again as the flag's own arguments.
         texts = {d: v if v is None or isinstance(v, list) else str(v) for d, v in known.items()}
-        args = build_parser(texts).parse_args(argv)
+        parser = build_parser(texts)
+        args = parser.parse_args(argv)
+        _check_choices(parser, args, texts)
         tail = [t for d, v in texts.items() if isinstance(v, list) and getattr(args, d) is v
                 for t in (f"--{d.replace('_', '-')}", *map(str, v))]
         if tail:

@@ -15,10 +15,21 @@ generators, 1 for selector draws and 2 for test-side randomization.
 `Seed(value).uniforms(replicas, domain, component, size=k)` is the batch form
 of that convention: it draws the first k uniforms of every listed replica's
 substream in one array pass, bit for bit equal to the streams themselves.
+
+The distinguisher's rows are drawn that way for all replicas at once:
+`_sample_rows` (shared with `selector.sample_ensemble`), `_poisson_rows`
+(numpy's Poisson multiplication method as one cumulative product per row) and
+`_counterexample_rows` (gap picks read in column blocks of one PCG64 pass).
+A row that runs out of drawn doubles, or that the per-replica generator would
+not keep whole (a repeat, or a point outside its interval), is redrawn by
+`sample_uniform`, `poisson_on_cantor` or `counterexample_mix`, which stay the
+reference for every row.  The caller bounds replicas x depth
+(`stats.DISTINGUISH_BUDGET`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -59,6 +70,16 @@ _PCG_LO, _PCG_HI = np.uint64(0x4385DF649FCCF645), np.uint64(0x2360ED051FC65DA4)
 # Generator components within GENERATOR_DOMAIN.
 _SAMPLE, _WALK, _POISSON, _MIX_SAMPLE, _LOW, _MID, _HIGH = range(7)
 
+# Batch counterexample draws.  A Poisson row reads this many doubles; a count c
+# needs 2c + 1 of them.  Gap picks are read in blocks of _PICK_BLOCK columns,
+# up to _PICK_SLACK times the depth / gap-measure doubles a row needs on
+# average.  A row that runs out is drawn by the per-replica generator.
+_POISSON_WIDTH = 24
+_PICK_BLOCK = 32
+_PICK_SLACK = 4
+# Entries per slice of a row-wise check, which bounds its temporaries.
+_SLICE_POINTS = 1 << 14
+
 # Revealing-selectors geometry: low values live on (0, 1/4), mid values on
 # (1/4, 1/2), drivers on (1/2, 1); the event is "driver below 3/4".
 REVEAL_CUT = 0.25
@@ -94,12 +115,7 @@ class Seed:
         if reps and min(reps) < 0:
             raise BadParameter(f"replica index {min(reps)} negative")
         narrow = [k for k, r in enumerate(reps) if r <= _M32]
-        tail = [w for k in key for w in _words(k)]
-        entropy = np.zeros((len(narrow), 5 + len(tail)), dtype=np.uint32)
-        entropy[:, :2] = self.value & _M32, self.value >> 32
-        entropy[:, 4] = [reps[k] for k in narrow]
-        entropy[:, 5:] = tail
-        drawn = _pcg64_uniforms(entropy, size)
+        drawn = _pcg64_uniforms(self._entropy([reps[k] for k in narrow], key), size)
         if len(narrow) == len(reps):
             return drawn
         out = np.empty((len(reps), size))
@@ -107,6 +123,15 @@ class Seed:
         for k in set(range(len(reps))).difference(narrow):
             out[k] = Seed(self.value, reps[k]).stream(*key).uniform(size=size)
         return out
+
+    def _entropy(self, replicas, key) -> np.ndarray:
+        """SeedSequence entropy, one row per replica index below 2**32."""
+        tail = [w for k in key for w in _words(k)]
+        entropy = np.zeros((len(replicas), 5 + len(tail)), dtype=np.uint32)
+        entropy[:, :2] = self.value & _M32, self.value >> 32
+        entropy[:, 4] = replicas
+        entropy[:, 5:] = tail
+        return entropy
 
     def with_replica(self, replica: int) -> "Seed":
         return Seed(self.value, replica)
@@ -172,8 +197,9 @@ def _pcg64_step(lo, hi, inc_lo, inc_hi):
     return new_lo, new_hi
 
 
-def _pcg64_uniforms(entropy: np.ndarray, size: int) -> np.ndarray:
-    """First `size` doubles of the PCG64 generator seeded from each entropy row.
+def _pcg64_blocks(entropy: np.ndarray, width: int):
+    """Successive R-by-width blocks of the doubles of the PCG64 generator
+    seeded from each entropy row, in stream order.
 
     Seeding follows pcg64_set_seed (initstate, then inc = 2*initseq + 1, one
     step, add initstate, one step); each draw is one step, the XSL-RR output
@@ -186,14 +212,20 @@ def _pcg64_uniforms(entropy: np.ndarray, size: int) -> np.ndarray:
     lo = inc_lo + state[:, 1]
     hi = inc_hi + state[:, 0] + (lo < inc_lo)
     lo, hi = _pcg64_step(lo, hi, inc_lo, inc_hi)
-    out = np.empty((len(entropy), size))
-    for c in range(size):
-        lo, hi = _pcg64_step(lo, hi, inc_lo, inc_hi)
-        rot = hi >> 58
-        x = hi ^ lo
-        x = (x >> rot) | (x << ((64 - rot) & 63))
-        out[:, c] = (x >> 11) * 2.0**-53
-    return out
+    while True:
+        out = np.empty((len(entropy), width))
+        for c in range(width):
+            lo, hi = _pcg64_step(lo, hi, inc_lo, inc_hi)
+            rot = hi >> 58
+            x = hi ^ lo
+            x = (x >> rot) | (x << ((64 - rot) & 63))
+            out[:, c] = (x >> 11) * 2.0**-53
+        yield out
+
+
+def _pcg64_uniforms(entropy: np.ndarray, size: int) -> np.ndarray:
+    """First `size` doubles of the PCG64 generator seeded from each entropy row."""
+    return next(_pcg64_blocks(entropy, size))
 
 
 def _as_seed(seed) -> Seed:
@@ -203,6 +235,31 @@ def _as_seed(seed) -> Seed:
 def _in_open_unit(points: np.ndarray) -> np.ndarray:
     """Elementwise: the point lies strictly inside (0, 1); NaN does not."""
     return (points > 0.0) & (points < 1.0)
+
+
+def _row_slices(rows: int, width: int) -> list[slice]:
+    """Slices of `rows` rows of `width` entries, each at most _SLICE_POINTS
+    entries; an array pass taken a slice at a time bounds its temporaries."""
+    step = max(1, _SLICE_POINTS // max(width, 1))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
+def _distinct_rows(points: np.ndarray, lo: float = 0.0, hi: float = 1.0, lengths=None) -> np.ndarray:
+    """Per row: its first lengths[r] entries (all of them by default) are
+    pairwise distinct and inside (lo, hi).
+
+    On (0, 1) this is Enumeration's check; it is also the test by which
+    `_distinct_uniform` keeps a chunk whole.  Entries past a row's length must
+    be NaN, which sorts last and differs from every entry.
+    """
+    kept = np.empty(len(points), dtype=bool)
+    for rows in _row_slices(*points.shape):
+        ordered = np.sort(points[rows], axis=1)
+        inside = (lo < ordered) & (ordered < hi)
+        if lengths is not None:
+            inside |= np.arange(points.shape[1]) >= lengths[rows, None]
+        kept[rows] = inside.all(axis=1) & (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
+    return kept
 
 
 @dataclass(frozen=True)
@@ -357,6 +414,103 @@ def counterexample_mix(depth: int, cantor: FatCantor, seed) -> Enumeration:
     points = np.concatenate([poisson_part, np.array(picked)])
     tags = ("poisson",) * len(poisson_part) + ("sample",) * depth
     return Enumeration(points, depth=len(points), provenance="counterexample", tags=tags)
+
+
+def _sample_rows(depth: int, count: int, base: Seed) -> np.ndarray:
+    """count-by-depth array whose row r is sample_uniform(depth, base.with_replica(r)).points.
+
+    Every row comes from one `Seed.uniforms` call; a row that sample_uniform
+    would not keep whole (a repeated point, or one outside (0, 1)) is rebuilt
+    by sample_uniform.
+    """
+    if depth < 1:
+        raise BadParameter(f"depth must be >= 1, got {depth}")
+    points = base.uniforms(range(count), GENERATOR_DOMAIN, _SAMPLE, size=depth)
+    for r in np.flatnonzero(~_distinct_rows(points)).tolist():
+        points[r] = sample_uniform(depth, base.with_replica(r)).points
+    return points
+
+
+def _redo_rows(points: np.ndarray, lengths: np.ndarray, redone: dict) -> np.ndarray:
+    """NaN-padded points with each row r in `redone` replaced by redone[r],
+    widened if a row needs it; `lengths` is updated in place."""
+    for r, row in redone.items():
+        lengths[r] = len(row)
+    grow = int(lengths.max(initial=0)) - points.shape[1]
+    if grow > 0:
+        points = np.pad(points, ((0, 0), (0, grow)), constant_values=np.nan)
+    for r, row in redone.items():
+        points[r] = np.nan
+        points[r, : len(row)] = row
+    return points
+
+
+def _poisson_rows(cantor: FatCantor, base: Seed, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(points, lengths): row r's first lengths[r] entries equal
+    poisson_on_cantor(cantor, base.with_replica(r)), the rest are NaN.
+
+    Below a mean of 10, numpy's Poisson draw is the multiplication method: the
+    count is the number of leading doubles whose running product stays above
+    exp(-mes C).  The next `count` doubles, times mes C, are the positions'
+    uniforms.  A row whose doubles run out, or whose uniforms repeat or leave
+    (0, mes C), is drawn by poisson_on_cantor.
+    """
+    measure = float(cantor.measure)
+    if measure <= 0:
+        raise BadParameter("cantor set must have positive measure")
+    draws = base.uniforms(range(count), GENERATOR_DOMAIN, _POISSON, size=_POISSON_WIDTH)
+    lengths = (np.cumprod(draws, axis=1) > math.exp(-measure)).sum(axis=1)
+    cols = np.arange(int(lengths.max(initial=0)))
+    take = np.minimum(lengths[:, None] + 1 + cols, _POISSON_WIDTH - 1)
+    us = measure * np.take_along_axis(draws, take, axis=1)
+    us[cols >= lengths[:, None]] = np.nan
+    kept = (2 * lengths + 1 <= _POISSON_WIDTH) & _distinct_rows(us, 0.0, measure, lengths)
+    starts, _, cum = cantor.float_segments
+    idx = np.clip(np.searchsorted(cum, us, side="right") - 1, 0, len(starts) - 1)
+    points = starts[idx] + (us - cum[idx])
+    redone = {r: poisson_on_cantor(cantor, base.with_replica(r)) for r in np.flatnonzero(~kept).tolist()}
+    return _redo_rows(points, lengths, redone), lengths
+
+
+def _counterexample_rows(
+    depth: int, cantor: FatCantor, base: Seed, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(points, lengths): row r's first lengths[r] entries equal
+    counterexample_mix(depth, cantor, base.with_replica(r)).points, the rest are NaN.
+
+    The Poisson part comes from `_poisson_rows`.  The gap picks are the first
+    `depth` doubles of each row's _MIX_SAMPLE substream that lie in a gap and
+    inside (0, 1), read for all rows together a block of columns at a time.
+    A row that runs short of picks, or that Enumeration would refuse (a pick
+    repeated, or equal to a Poisson point), is drawn by counterexample_mix.
+    """
+    if depth < 1:
+        raise BadParameter(f"depth must be >= 1, got {depth}")
+    gap = float(cantor.gap_measure)
+    if gap <= 0:
+        raise BadParameter("cantor set must leave gaps for the sample")
+    poisson, lengths = _poisson_rows(cantor, base, count)
+    points = np.full((count, poisson.shape[1] + depth), np.nan)
+    points[:, : poisson.shape[1]] = poisson
+    blocks = _pcg64_blocks(base._entropy(range(count), (GENERATOR_DOMAIN, _MIX_SAMPLE)), _PICK_BLOCK)
+    have = np.zeros(count, dtype=np.int64)
+    read = 0
+    while read <= _PICK_SLACK * depth / gap and (short := np.flatnonzero(have < depth)).size:
+        block = next(blocks)[short]
+        read += _PICK_BLOCK
+        keep = ~cantor.contains_points(block)  # 0 lies in C, so a gap double lies in (0, 1)
+        slot = np.cumsum(keep, axis=1) + (have[short] - 1)[:, None]
+        keep &= slot < depth
+        rows = short[np.nonzero(keep)[0]]
+        points[rows, lengths[rows] + slot[keep]] = block[keep]
+        have[short] += keep.sum(axis=1)
+    lengths = lengths + depth
+    kept = (have == depth) & _distinct_rows(points, 0.0, 1.0, lengths)
+    redone = {
+        r: counterexample_mix(depth, cantor, base.with_replica(r)).points
+        for r in np.flatnonzero(~kept).tolist()
+    }
+    return _redo_rows(points, lengths, redone), lengths
 
 
 def intensity_estimate(

@@ -40,14 +40,11 @@ from .errors import (
     UnsupportedCoupling,
 )
 from .generators import (
-    _SAMPLE,
-    GENERATOR_DOMAIN,
     SELECTOR_DOMAIN,
     Enumeration,
     Seed,
     _as_seed,
-    _in_open_unit,
-    sample_uniform,
+    _sample_rows,
 )
 from .grid_measure import UnitGrid
 
@@ -148,22 +145,13 @@ class Ensemble:
 def sample_ensemble(depth: int, count: int, grid: UnitGrid, seed) -> Ensemble:
     """Ensemble of uniform-sample replicas, the workhorse test bed.
 
-    Replica r equals sample_uniform(depth, Seed(value, r)).  Every replica's
-    first `depth` draws come from one `Seed.uniforms` call, which becomes the
-    ensemble's points array.  One sort checks every row as Enumeration
-    would; a row that fails (a repeated point, or one outside (0, 1)) is one
-    sample_uniform would not keep whole, and is rebuilt by sample_uniform.
+    Replica r equals sample_uniform(depth, Seed(value, r)).  The rows come
+    from `generators._sample_rows`: one `Seed.uniforms` call and one row check,
+    a failing row rebuilt by sample_uniform.
     """
-    if depth < 1:
-        raise BadParameter(f"depth must be >= 1, got {depth}")
+    points = _sample_rows(depth, count, _as_seed(seed))
     if count < 1:
         raise BadParameter(f"ensemble needs at least one replica, got {count}")
-    base = _as_seed(seed)
-    points = base.uniforms(range(count), GENERATOR_DOMAIN, _SAMPLE, size=depth)
-    ordered = np.sort(points, axis=1)
-    kept = _in_open_unit(ordered).all(axis=1) & (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
-    for r in np.flatnonzero(~kept).tolist():
-        points[r] = sample_uniform(depth, base.with_replica(r)).points
     return Ensemble._packed(points, np.full(count, depth, dtype=np.int64), grid)
 
 

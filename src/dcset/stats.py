@@ -24,10 +24,11 @@ from .generators import (
     RevealingSelectors,
     Seed,
     _as_seed,
-    counterexample_mix,
+    _counterexample_rows,
+    _poisson_rows,
+    _row_slices,
+    _sample_rows,
     gaussian_walk,
-    poisson_on_cantor,
-    sample_uniform,
 )
 from .grid_measure import CyclicShift, FatCantor, cyclic_shift_points
 from .selector import SelectorTable
@@ -54,6 +55,9 @@ _FRAG_POINTS = 4
 _HALF_THRESHOLD = 0.5
 # ... and flags a cell whose joint mass exceeds this multiple of its product mass.
 _RATIO_CAP = 4.0
+# distinguish_counterexample holds every replica's arms at once, so it refuses
+# more than this many replicas * (depth + 1) points (criterion 07 draws 100,500).
+DISTINGUISH_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -357,6 +361,33 @@ def stationarity_test(
     return report
 
 
+def _count_in_rows(region, points: np.ndarray, lengths=None) -> np.ndarray:
+    """Per row, as a float: how many of its first lengths[r] points (all of
+    them by default) lie in the region, tested a slice of rows at a time."""
+    counts = np.empty(len(points))
+    for rows in _row_slices(*points.shape):
+        hits = region.contains_points(points[rows])
+        if lengths is not None:
+            hits &= np.arange(points.shape[1]) < lengths[rows, None]
+        counts[rows] = hits.sum(axis=1)
+    return counts
+
+
+def _distinguish_arms(cantor: FatCantor, depth: int, replicas: int, base: Seed):
+    """Both arms of distinguish_counterexample, drawn for all replicas at once.
+
+    Entry r is, as a float, the count in C of sample_uniform(depth, ...) and of
+    counterexample_mix(depth, cantor, ...) at base.with_replica(r); at depth 0
+    it is 0 and the size of poisson_on_cantor(cantor, ...).
+    """
+    if depth == 0:
+        return np.zeros(replicas), _poisson_rows(cantor, base, replicas)[1].astype(float)
+    return (
+        _count_in_rows(cantor, _sample_rows(depth, replicas, base)),
+        _count_in_rows(cantor, *_counterexample_rows(depth, cantor, base, replicas)),
+    )
+
+
 def distinguish_counterexample(
     cantor: FatCantor, depth: int, replicas: int, seed, level: float = 1e-6
 ) -> TestReport:
@@ -364,24 +395,19 @@ def distinguish_counterexample(
 
     The sample arm has mean depth * mes C, the mixed arm mean mes C, so the
     homogeneity test is expected to reject (`passed` False) decisively.
+    Both arms are drawn for all replicas at once (see `_distinguish_arms`),
+    so `replicas * (depth + 1)` may not exceed DISTINGUISH_BUDGET.
     """
     _check_level(level)
     if replicas < 1:
         raise BadParameter(f"replicas must be >= 1, got {replicas}")
-    base = _as_seed(seed)
-
-    def one(r: int) -> tuple[float, float]:
-        own = base.with_replica(r)
-        if depth == 0:
-            return 0.0, float(len(poisson_on_cantor(cantor, own)))
-        return (
-            float(sample_uniform(depth, own).count_in(cantor)),
-            float(counterexample_mix(depth, cantor, own).count_in(cantor)),
+    if replicas * (depth + 1) > DISTINGUISH_BUDGET:
+        raise BadParameter(
+            f"replicas * (depth + 1) = {replicas * (depth + 1)} exceeds the work budget "
+            f"{DISTINGUISH_BUDGET}"
         )
-
-    pairs = [one(r) for r in range(replicas)]
-    xs = np.array([p for p, _ in pairs])
-    ys = np.array([q for _, q in pairs])
+    base = _as_seed(seed)
+    xs, ys = _distinguish_arms(cantor, depth, replicas, base)
     report = two_sample_test(xs, ys, level, base.value, name="distinguish-counterexample")
     report.details["mean_sample"] = float(xs.mean())
     report.details["mean_counterexample"] = float(ys.mean())

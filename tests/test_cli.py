@@ -107,6 +107,16 @@ class TestDistinguish:
         assert data["passed"] is False and data["expected_outcome"] == "reject"
 
 
+    @pytest.mark.parametrize(
+        "flags", [["--replicas", "100000000"], ["--depth", "20000000", "--replicas", "10"]],
+        ids=["replicas", "depth"],
+    )
+    def test_work_budget_exits_2(self, capsys, flags):
+        # Refused before anything is allocated.
+        assert main(["distinguish", "--seed", "1", *flags]) == 2
+        assert "exceeds the work budget" in capsys.readouterr().err
+
+
 class TestStationarity:
     def test_sample_passes(self, tmp_path):
         code, text = run(
@@ -220,6 +230,24 @@ class TestFrozenSeedOutputs:
     SELECTOR_STDOUT = "a6b725e74ccdbb6060213786dedc34dc7cff714b4a4faacdcfd2b01acf6f94b8"
     SELECTOR_CSV = "146bed7264cfb90611e8885933da6ec9784ac14321c34f7edb4c3e715b532930"
     ENUMERATE_STDOUT = "11bca3a298b2a3235d054032320c313856683c38585cf324c606307dc99671b5"
+    DISTINGUISH_STDOUT = "3b35467893fa1effb32247ff853e74b5c86706c548b4b609e26ddebf72012cab"
+    DISTINGUISH_CSV = "649964ea106c08dc04dc6884e5ac0a73d275a9b97342aef17dbc074c024a0b7f"
+    # (argv, exit code, stdout sha256) of runs that pin the other code paths.
+    PINNED_RUNS = [
+        (
+            ["distinguish", "--seed", "3", "--depth", "0", "--replicas", "40"],
+            1, "20e2f2292be3d119c1e83f5c7a369c2b8220da71037b37ada41002f3b44a81a3",
+        ),
+        (
+            ["distinguish", "--seed", "5", "--gap", "1/4", "--cantor-depth", "6",
+             "--depth", "17", "--replicas", "30"],
+            0, "457867ecea9dd648f3f2fbc1f528ae940a8f7b22479a1c9ad030bebc17d3d81f",
+        ),
+        (
+            ["stationarity", "--gen", "counterexample", "--seed", "1"],
+            0, "9c169102ce5d05a89d41afdb1ca20be7e152dc45c2bcc2756396558630a04182",
+        ),
+    ]
 
     def test_selector_seed_1(self, tmp_path, capsys):
         table = tmp_path / "table.csv"
@@ -236,6 +264,22 @@ class TestFrozenSeedOutputs:
         out = capsys.readouterr().out
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.ENUMERATE_STDOUT
+
+    def test_distinguish_seed_1(self, tmp_path, capsys):
+        report = tmp_path / "report.csv"
+        code = main(["distinguish", "--seed", "1", "--csv", str(report)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DISTINGUISH_STDOUT
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == self.DISTINGUISH_CSV
+
+    @pytest.mark.parametrize(
+        "argv,code,digest", PINNED_RUNS,
+        ids=["distinguish-depth-0", "distinguish-gap-quarter", "stationarity-counterexample"],
+    )
+    def test_pinned_run(self, capsys, argv, code, digest):
+        assert main(argv) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestCantor:
@@ -303,6 +347,25 @@ class TestConfig:
             main([*argv, "--config", str(conf)])
         err = capsys.readouterr().err
         assert exc.value.code == 2 and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv,choices",
+        [
+            (["selector", "--seed", "1", "--replicas", "20", "--depth", "16"], "'pass', 'obstruction'"),
+            (["stationarity", "--seed", "1", "--replicas", "20", "--depth", "16"], "'pass', 'fail'"),
+        ],
+        ids=["selector", "stationarity"],
+    )
+    def test_config_value_outside_choices_exits_2(self, tmp_path, capsys, argv, choices):
+        # A config value is checked against the flag's choices, as the flag itself is.
+        message = f"error: argument --expect: invalid choice: 'bogus' (choose from {choices})"
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"expect": "bogus"}))
+        for extra in (["--config", str(conf)], ["--expect", "bogus"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, *extra])
+            err = capsys.readouterr().err
+            assert exc.value.code == 2 and message in err and "Traceback" not in err
 
     def test_config_list_for_multi_value_flag(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"

@@ -27,7 +27,14 @@ from dcset import (
     sample_uniform,
     walk_minima,
 )
-from dcset.generators import _distinct_uniform
+from dcset import generators
+from dcset.generators import (
+    _counterexample_rows,
+    _distinct_uniform,
+    _pcg64_blocks,
+    _poisson_rows,
+    _sample_rows,
+)
 
 CANTOR = fat_cantor_build(Fraction(1, 2), 10)
 
@@ -85,6 +92,13 @@ class TestUniforms:
     def test_negative_replica_rejected(self):
         with pytest.raises(BadParameter, match="replica index -1 negative"):
             Seed(3).uniforms([0, -1, 2], 1, 0)
+
+    def test_blocks_continue_the_stream(self):
+        # Reading a stream in blocks does not change its order.
+        seed = Seed(2**64 - 1)
+        blocks = _pcg64_blocks(seed._entropy(range(9), (0, 3)), 5)
+        got = np.hstack([next(blocks) for _ in range(4)])
+        assert np.array_equal(got, seed.uniforms(range(9), 0, 3, size=20))
 
     def test_empty_replica_list(self):
         assert Seed(3).uniforms([], 1, 0, size=4).shape == (0, 4)
@@ -392,3 +406,85 @@ class TestEnumerationInvariants:
         assert enum.tags is not None
         assert enum.tags.count("sample") == depth
         assert_enumeration_invariants(enum)
+
+
+def rows_of(points, lengths):
+    assert all(np.isnan(row[n:]).all() for row, n in zip(points, lengths))
+    return [row[:n] for row, n in zip(points, lengths)]
+
+
+class TestBatchCounterexample:
+    """The batch rows distinguish_counterexample draws, against their oracles:
+    sample_uniform, poisson_on_cantor and counterexample_mix per replica."""
+
+    gaps = st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
+
+    @settings(max_examples=30, deadline=None)
+    @given(value=st.integers(0, 2**64 - 1), gap=gaps, cantor_depth=st.integers(1, 10),
+           replicas=st.integers(1, 60))
+    def test_poisson_rows_match(self, value, gap, cantor_depth, replicas):
+        cantor = fat_cantor_build(gap, cantor_depth)
+        got = rows_of(*_poisson_rows(cantor, Seed(value), replicas))
+        for r, row in enumerate(got):
+            assert np.array_equal(row, poisson_on_cantor(cantor, Seed(value, r)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(value=st.integers(0, 2**64 - 1), gap=gaps, cantor_depth=st.integers(1, 10),
+           depth=st.one_of(st.just(1), st.integers(1, 300)), replicas=st.integers(1, 60))
+    def test_rows_match(self, value, gap, cantor_depth, depth, replicas):
+        cantor = fat_cantor_build(gap, cantor_depth)
+        samples = _sample_rows(depth, replicas, Seed(value))
+        mixes = rows_of(*_counterexample_rows(depth, cantor, Seed(value), replicas))
+        for r in range(replicas):
+            assert np.array_equal(samples[r], sample_uniform(depth, Seed(value, r)).points)
+            assert np.array_equal(mixes[r], counterexample_mix(depth, cantor, Seed(value, r)).points)
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        calls = []
+        engine = getattr(generators, name)
+
+        def counting(*args):
+            calls.append(args)
+            return engine(*args)
+
+        monkeypatch.setattr(generators, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_poisson_rows_that_run_out_are_redrawn(self, monkeypatch, width):
+        # A count c needs 2c + 1 doubles; rows needing more take the per-replica path.
+        monkeypatch.setattr(generators, "_POISSON_WIDTH", width)
+        calls = self.counted(monkeypatch, "poisson_on_cantor")
+        got = rows_of(*_poisson_rows(CANTOR, Seed(31), 200))
+        assert 0 < len(calls) < 200
+        for r, row in enumerate(got):
+            assert np.array_equal(row, poisson_on_cantor(CANTOR, Seed(31, r)))
+
+    @pytest.mark.parametrize("slack", [0, 1])
+    def test_rows_short_of_picks_are_redrawn(self, monkeypatch, slack):
+        # Slack 0 reads one block, so every row runs short; slack 1 leaves some short.
+        monkeypatch.setattr(generators, "_PICK_BLOCK", 8)
+        monkeypatch.setattr(generators, "_PICK_SLACK", slack)
+        monkeypatch.setattr(generators, "_POISSON_WIDTH", 3)
+        calls = self.counted(monkeypatch, "counterexample_mix")
+        got = rows_of(*_counterexample_rows(20, CANTOR, Seed(32), 100))
+        assert 0 < len(calls) <= 100 and (len(calls) == 100) == (slack == 0)
+        for r, row in enumerate(got):
+            assert np.array_equal(row, counterexample_mix(20, CANTOR, Seed(32, r)).points)
+
+    def test_repeated_pick_row_is_redrawn(self, monkeypatch):
+        blocks = generators._pcg64_blocks
+
+        def forged(entropy, width):
+            for block in blocks(entropy, width):
+                if entropy[0, -1] == generators._MIX_SAMPLE:
+                    block[2, :2] = 0.5  # the centre of CANTOR's widest gap, picked twice
+                yield block
+
+        monkeypatch.setattr(generators, "_pcg64_blocks", forged)
+        calls = self.counted(monkeypatch, "counterexample_mix")
+        got = rows_of(*_counterexample_rows(10, CANTOR, Seed(33), 6))
+        assert [args[2] for args in calls] == [Seed(33, 2)]
+        for r, row in enumerate(got):
+            assert np.array_equal(row, counterexample_mix(10, CANTOR, Seed(33, r)).points)

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcset import (
     BadParameter,
@@ -34,7 +36,8 @@ from dcset import (
     stationarity_test,
     two_sample_test,
 )
-from dcset.stats import _chi2_quantile
+from dcset.generators import poisson_on_cantor
+from dcset.stats import DISTINGUISH_BUDGET, _chi2_quantile, _distinguish_arms
 
 CANTOR = fat_cantor_build(Fraction(1, 2), 10)
 
@@ -243,6 +246,38 @@ class TestDistinguish:
     def test_replica_count_checked(self, replicas, error):
         with pytest.raises(error):
             distinguish_counterexample(CANTOR, 10, replicas, 103)
+
+    def test_work_budget(self):
+        # Refused before anything is allocated.
+        for depth, replicas in [(200, DISTINGUISH_BUDGET // 201 + 1), (0, DISTINGUISH_BUDGET + 1), (10**12, 10)]:
+            with pytest.raises(BadParameter, match="exceeds the work budget"):
+                distinguish_counterexample(CANTOR, depth, replicas, 104)
+
+    def test_negative_depth_refused(self):
+        with pytest.raises(BadParameter, match="depth must be >= 1, got -1"):
+            distinguish_counterexample(CANTOR, -1, 20, 105)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        value=st.integers(0, 2**64 - 1),
+        gap=st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]),
+        cantor_depth=st.integers(1, 10),
+        depth=st.one_of(st.sampled_from([0, 1]), st.integers(0, 300)),
+        replicas=st.integers(1, 60),
+    )
+    def test_arms_match_per_replica_draws(self, value, gap, cantor_depth, depth, replicas):
+        cantor = fat_cantor_build(gap, cantor_depth)
+        xs, ys = _distinguish_arms(cantor, depth, replicas, Seed(value))
+        for r in range(replicas):
+            own = Seed(value, r)
+            if depth == 0:
+                expected = 0.0, float(len(poisson_on_cantor(cantor, own)))
+            else:
+                expected = (
+                    float(sample_uniform(depth, own).count_in(cantor)),
+                    float(counterexample_mix(depth, cantor, own).count_in(cantor)),
+                )
+            assert (xs[r], ys[r]) == expected
 
 
 class TestShiftHit:
