@@ -30,13 +30,13 @@ from dcset import (
     fragment_independence_test,
     ks_uniform,
     nonsingularity_diagnostic,
+    poisson_on_cantor,
     revealing_selectors,
     sample_uniform,
     shift_hit_curve,
     stationarity_test,
     two_sample_test,
 )
-from dcset.generators import poisson_on_cantor
 from dcset.stats import DISTINGUISH_BUDGET, _chi2_quantile, _distinguish_arms
 
 CANTOR = fat_cantor_build(Fraction(1, 2), 10)
