@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the work-budget check.
 
 The structured ones (DeficientSupport, InsufficientDensity, FactorizationFailure)
 carry their obstruction as a payload so callers can print or test it.
@@ -19,6 +19,12 @@ class UndefinedPoint(DcsetError):
 
 class BadParameter(DcsetError):
     """A constructor or operation parameter is outside its allowed range."""
+
+
+def check_budget(what: str, work: int, budget: int) -> None:
+    """Refuse, before anything is allocated, work above its budget."""
+    if work > budget:
+        raise BadParameter(f"{what} = {work} exceeds the work budget {budget}")
 
 
 class NotNested(DcsetError):

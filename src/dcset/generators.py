@@ -24,7 +24,8 @@ A row that runs out of drawn doubles, or that the per-replica generator would
 not keep whole (a repeat, or a point outside its interval), is redrawn by
 `sample_uniform`, `poisson_on_cantor` or `counterexample_mix`, which stay the
 reference for every row.  The caller bounds replicas x depth
-(`stats.DISTINGUISH_BUDGET`).
+(`stats.DISTINGUISH_BUDGET`).  Every generator refuses more than
+`POINT_BUDGET` points before it draws any.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BadParameter
+from .errors import BadParameter, check_budget
 from .grid_measure import BinSet, FatCantor
 
 __all__ = [
@@ -79,6 +80,10 @@ _PICK_BLOCK = 32
 _PICK_SLACK = 4
 # Entries per slice of a row-wise check, which bounds its temporaries.
 _SLICE_POINTS = 1 << 14
+# A generator refuses, before drawing, to hold more than this many points at
+# once: depth for one enumeration (3 * depth for revealing selectors), steps
+# for a walk, depth * replicas for a batch of sample rows.
+POINT_BUDGET = 10_000_000
 
 # Revealing-selectors geometry: low values live on (0, 1/4), mid values on
 # (1/4, 1/2), drivers on (1/2, 1); the event is "driver below 3/4".
@@ -318,6 +323,7 @@ def sample_uniform(depth: int, seed) -> Enumeration:
     """First `depth` points of an unordered infinite uniform sample."""
     if depth < 1:
         raise BadParameter(f"depth must be >= 1, got {depth}")
+    check_budget("depth", depth, POINT_BUDGET)
     rng = _as_seed(seed).stream(GENERATOR_DOMAIN, _SAMPLE)
     return Enumeration(
         _distinct_uniform(rng, depth, 0.0, 1.0), depth=depth, provenance="sample"
@@ -343,6 +349,7 @@ def gaussian_walk(steps: int, seed) -> WalkPath:
     """Walk with independent Gaussian increments of variance 1/steps."""
     if steps < 1:
         raise BadParameter(f"steps must be >= 1, got {steps}")
+    check_budget("steps", steps, POINT_BUDGET)
     rng = _as_seed(seed).stream(GENERATOR_DOMAIN, _WALK)
     increments = rng.normal(0.0, np.sqrt(1.0 / steps), size=steps)
     values = np.concatenate([[0.0], np.cumsum(increments)])
@@ -397,6 +404,7 @@ def counterexample_mix(depth: int, cantor: FatCantor, seed) -> Enumeration:
     """
     if depth < 1:
         raise BadParameter(f"depth must be >= 1, got {depth}")
+    check_budget("depth", depth, POINT_BUDGET)
     poisson_part = poisson_on_cantor(cantor, seed)
     rng = _as_seed(seed).stream(GENERATOR_DOMAIN, _MIX_SAMPLE)
     seen = set(poisson_part.tolist())
@@ -425,6 +433,7 @@ def _sample_rows(depth: int, count: int, base: Seed) -> np.ndarray:
     """
     if depth < 1:
         raise BadParameter(f"depth must be >= 1, got {depth}")
+    check_budget("depth * replicas", depth * count, POINT_BUDGET)
     points = base.uniforms(range(count), GENERATOR_DOMAIN, _SAMPLE, size=depth)
     for r in np.flatnonzero(~_distinct_rows(points)).tolist():
         points[r] = sample_uniform(depth, base.with_replica(r)).points
@@ -561,6 +570,7 @@ def revealing_selectors(depth: int, seed) -> RevealingSelectors:
     """Build the coupled family U_k, V_k, Z_k, A_k, Y_k of one replica."""
     if depth < 1:
         raise BadParameter(f"depth must be >= 1, got {depth}")
+    check_budget("3 * depth", 3 * depth, POINT_BUDGET)
     base = _as_seed(seed)
     low_pts = _distinct_uniform(base.stream(GENERATOR_DOMAIN, _LOW), depth, 0.0, 0.25)
     mid_pts = _distinct_uniform(base.stream(GENERATOR_DOMAIN, _MID), depth, 0.25, 0.5)

@@ -1,12 +1,17 @@
 """Dyadic discretization of (0,1): grids, bin sets, fat Cantor sets, cyclic shifts.
 
-Points are plain floats in the open interval; all set algebra happens at bin
-level in exact rational arithmetic (`fractions.Fraction`).  Bins follow the
-half-open convention [k/n, (k+1)/n).
+Points are plain floats in the open interval; all set algebra is exact.  Bins
+follow the half-open convention [k/n, (k+1)/n) and measure in `Fraction`s.  A
+fat Cantor set takes and gives its removed intervals as `Fraction`s, but
+builds, checks and measures them as integer units over one denominator; its
+float tables are correctly rounded quotients of those units.  Membership looks
+each point up in a table of equal buckets of [0, 1), and settles a point that
+equals a rounded segment end exactly, in units.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -29,6 +34,10 @@ __all__ = [
     "fat_cantor_build",
     "fat_cantor_contains",
 ]
+
+# FatCantor.contains_points steps at most this many starts past a bucket's
+# table entry; a point in a more crowded bucket is binary-searched.
+_MAX_PASSES = 3
 
 
 @dataclass(frozen=True)
@@ -143,24 +152,54 @@ class FatCantor:
     Stored through its complement: `removed` is the sorted tuple of disjoint
     open rational intervals taken out of (0,1); the set itself is what is left.
     Intervals may touch, leaving their common endpoint in the set.
+
+    Inside, every endpoint is an integer unit over one denominator `_scale`:
+    `_starts` and `_ends` hold the kept segments' ends in units, and all
+    checks, measures and float tables are computed from them.
     """
 
     depth: int
     removed: tuple
 
     def __post_init__(self):
-        removed = tuple(sorted((lo, hi) for lo, hi in self.removed))
-        object.__setattr__(self, "removed", removed)
-        for lo, hi in removed:
-            if not 0 < lo < hi < 1:
+        try:
+            pairs = [(Fraction(lo), Fraction(hi)) for lo, hi in self.removed]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise BadParameter(f"removed intervals need rational ends: {exc}") from None
+        scale = math.lcm(*(x.denominator for pair in pairs for x in pair))
+        keyed = sorted(
+            (lo.numerator * (scale // lo.denominator), hi.numerator * (scale // hi.denominator), k)
+            for k, (lo, hi) in enumerate(pairs)
+        )
+        object.__setattr__(self, "removed", tuple(pairs[k] for _, _, k in keyed))
+        self._set_units(scale, [(lo, hi) for lo, hi, _ in keyed])
+
+    @classmethod
+    def _from_units(cls, depth: int, scale: int, cuts: list) -> "FatCantor":
+        """The set whose removed intervals are (lo/scale, hi/scale) for the sorted pairs `cuts`."""
+        cantor = cls.__new__(cls)
+        object.__setattr__(cantor, "depth", depth)
+        removed = tuple((Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in cuts)
+        object.__setattr__(cantor, "removed", removed)
+        cantor._set_units(scale, cuts)
+        return cantor
+
+    def _set_units(self, scale: int, cuts: list) -> None:
+        """Check the removed intervals as sorted integer pairs over `scale`, then keep
+        the kept segments' ends in those units."""
+        for (lo, hi), (lo_u, hi_u) in zip(self.removed, cuts):
+            if not 0 < lo_u < hi_u < scale:
                 raise BadParameter(f"removed interval ({lo}, {hi}) needs 0 < lo < hi < 1")
-        for a, b in zip(removed, removed[1:]):
-            if a[1] > b[0]:
+        for a, b, (_, a_hi), (b_lo, _) in zip(self.removed, self.removed[1:], cuts, cuts[1:]):
+            if a_hi > b_lo:
                 raise BadParameter(f"removed intervals ({a[0]}, {a[1]}) and ({b[0]}, {b[1]}) overlap")
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_starts", (0, *(hi for _, hi in cuts)))
+        object.__setattr__(self, "_ends", (*(lo for lo, _ in cuts), scale))
 
     @cached_property
     def gap_measure(self) -> Fraction:
-        return sum((hi - lo for lo, hi in self.removed), Fraction(0))
+        return Fraction(self._scale + sum(self._starts) - sum(self._ends), self._scale)
 
     @property
     def measure(self) -> Fraction:
@@ -176,21 +215,75 @@ class FatCantor:
         """The kept segments as floats, built once: (starts, ends, cum).
 
         cum[k] is the float length of the segments before segment k; its last
-        entry is their total.
+        entry is their total.  Every float is a correctly rounded int / int.
         """
-        segments = self.kept_segments()
-        starts = np.array([float(a) for a, _ in segments])
-        ends = np.array([float(b) for _, b in segments])
-        cum = np.concatenate([[0.0], np.cumsum([float(b - a) for a, b in segments])])
+        d = self._scale
+        starts = np.array([u / d for u in self._starts])
+        ends = np.array([u / d for u in self._ends])
+        lengths = [(e - s) / d for s, e in zip(self._starts, self._ends)]
+        cum = np.concatenate([[0.0], np.cumsum(lengths)])
         for table in (starts, ends, cum):
             table.flags.writeable = False  # shared by every caller
         return starts, ends, cum
 
+    @cached_property
+    def bucket_table(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Segment lookup over G equal buckets of [0, 1), built once: (first, next_start, passes).
+
+        G is the least power of two at least 4 * segments.  first[b] is the
+        index of the last float start at or before b / G, or -1 when more than
+        _MAX_PASSES starts lie inside bucket b; first[G] takes points at or
+        past 1 and NaN.  next_start[k] is the start after segment k (inf for
+        the last), and `passes` steps along it reach every index.
+        """
+        starts, _, _ = self.float_segments
+        n = len(starts)
+        g = 1 << (4 * n - 1).bit_length()
+        right = np.searchsorted(starts, np.arange(g + 1) / g, side="right")
+        inside = np.searchsorted(starts, np.arange(1, g + 1) / g, side="left") - right[:-1]
+        first = right - 1
+        first[:-1][inside > _MAX_PASSES] = -1
+        next_start = np.append(starts[1:], np.inf)
+        for table in (first, next_start):
+            table.flags.writeable = False  # shared by every caller
+        return first, next_start, min(int(inside.max()), _MAX_PASSES)
+
+    def _segment_index(self, pts: np.ndarray) -> np.ndarray:
+        """searchsorted(starts, pts, "right") - 1 for a 1-d float array, read
+        from the bucket table.  A point below 0 gets 0 rather than -1."""
+        first, next_start, passes = self.bucket_table
+        g = len(first) - 1
+        bucket = pts * g
+        np.fmin(bucket, g, out=bucket)  # NaN goes to bucket g
+        np.fmax(bucket, 0, out=bucket)
+        idx = first[bucket.astype(np.intp)]
+        for _ in range(passes):
+            idx += next_start[idx] <= pts
+        if passes == _MAX_PASSES:  # points in crowded buckets are searched instead
+            crowded = idx < 0
+            idx[crowded] = np.searchsorted(self.float_segments[0], pts[crowded], side="right") - 1
+        return idx
+
     def contains_points(self, points) -> np.ndarray:
-        """Vectorized membership for points in (0,1): True on a kept segment."""
+        """Vectorized membership for points in (0,1): True on a kept segment.
+
+        Exact: a float can be misjudged against the rounded segment ends only
+        when it equals one, and such a point is settled in integer units.
+        """
         pts = np.asarray(points, dtype=float)
+        flat = pts.reshape(-1)
         starts, ends, _ = self.float_segments
-        return pts <= ends[np.searchsorted(starts, pts, side="right") - 1]
+        idx = self._segment_index(flat)
+        end = ends[idx]
+        inside = flat <= end
+        for i in np.flatnonzero((flat == end) | (flat == starts[idx])).tolist():
+            inside[i] = self._holds(flat[i])
+        return inside.reshape(pts.shape)
+
+    def _holds(self, t) -> bool:
+        """Exact membership of a real t in [0, 1], compared in integer units."""
+        x = Fraction(t) * self._scale
+        return x <= self._ends[bisect_right(self._starts, x) - 1]
 
 
 def fat_cantor_build(target_gap, depth: int) -> FatCantor:
@@ -202,35 +295,34 @@ def fat_cantor_build(target_gap, depth: int) -> FatCantor:
     and converging to it.  The complement of the removed union is nowhere
     dense (every dyadic bin at resolution 2**depth meets a removed interval)
     yet keeps measure 1 - gap > 1 - target_gap > 0.
+
+    The schedule runs in integer units over 2**(depth+1) * 4**depth * q for a
+    target gap p/q, in which every cut end and midpoint is a whole number.
     """
     gap = Fraction(target_gap)
     if not 0 < gap < 1:
         raise BadParameter(f"target gap {target_gap} outside (0,1)")
     if not 1 <= depth <= 16:
-        # Each stage doubles the intervals: depth 16 takes seconds, 17 four times that.
+        # Each stage doubles the intervals: depth 16 takes about 0.4 s, 17 twice that.
         raise BadParameter(f"depth must be in [1, 16], got {depth}")
 
-    removed = []
-    segments = [(Fraction(0), Fraction(1))]
+    scale = 2 ** (depth + 1) * 4**depth * gap.denominator
+    segments = [(0, scale)]
     for stage in range(1, depth + 1):
-        piece = 2 * gap / 4**stage
+        half = gap.numerator * 2 ** (depth + 1) * 4 ** (depth - stage)  # half a cut, in units
         next_segments = []
         for lo, hi in segments:
-            mid = (lo + hi) / 2
-            cut_lo, cut_hi = mid - piece / 2, mid + piece / 2
-            removed.append((cut_lo, cut_hi))
-            next_segments.append((lo, cut_lo))
-            next_segments.append((cut_hi, hi))
+            mid = (lo + hi) // 2
+            next_segments.append((lo, mid - half))
+            next_segments.append((mid + half, hi))
         segments = next_segments
 
-    return FatCantor(depth=depth, removed=tuple(removed))
+    cuts = [(a[1], b[0]) for a, b in zip(segments, segments[1:])]
+    return FatCantor._from_units(depth, scale, cuts)
 
 
 def fat_cantor_contains(cantor: FatCantor, t: float) -> bool:
-    """True iff the point lies in no removed interval."""
+    """True iff the point lies in no removed interval (compared exactly)."""
     if not 0 < t < 1:
         raise OutOfDomain(f"point {t} outside (0,1)")
-    i = bisect_right(cantor.removed, t, key=lambda interval: interval[0]) - 1
-    if i < 0:
-        return True
-    return not (t < cantor.removed[i][1] and cantor.removed[i][0] < t)
+    return cantor._holds(t)

@@ -38,6 +38,7 @@ from .errors import (
     DepthExhausted,
     InsufficientDensity,
     UnsupportedCoupling,
+    check_budget,
 )
 from .generators import (
     SELECTOR_DOMAIN,
@@ -52,6 +53,10 @@ from .grid_measure import UnitGrid
 _BLOCK_POINTS = 1 << 16
 # Filler past the end of a shorter replica's row of Ensemble.points.
 _PAD = 0.5
+# An ensemble's first-index table and support mask hold replicas * bins cells;
+# sample_ensemble and Ensemble.generate refuse more than this many before
+# drawing (the selector default holds 5000 * 8).
+ENSEMBLE_BUDGET = 10_000_000
 
 __all__ = [
     "Ensemble",
@@ -138,6 +143,7 @@ class Ensemble:
     def generate(
         cls, make: Callable[[Seed], Enumeration], count: int, grid: UnitGrid, seed
     ) -> "Ensemble":
+        check_budget("replicas * bins", count * grid.n, ENSEMBLE_BUDGET)
         base = _as_seed(seed)
         return cls([make(base.with_replica(r)) for r in range(count)], grid)
 
@@ -149,6 +155,7 @@ def sample_ensemble(depth: int, count: int, grid: UnitGrid, seed) -> Ensemble:
     from `generators._sample_rows`: one `Seed.uniforms` call and one row check,
     a failing row rebuilt by sample_uniform.
     """
+    check_budget("replicas * bins", count * grid.n, ENSEMBLE_BUDGET)
     points = _sample_rows(depth, count, _as_seed(seed))
     if count < 1:
         raise BadParameter(f"ensemble needs at least one replica, got {count}")

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import gammaincinv
 
-from .errors import BadParameter, SparseTable, TooFewSamples
+from .errors import BadParameter, SparseTable, TooFewSamples, check_budget
 from .generators import (
     REVEAL_CUT,
     STATS_DOMAIN,
@@ -58,6 +58,9 @@ _RATIO_CAP = 4.0
 # distinguish_counterexample holds every replica's arms at once, so it refuses
 # more than this many replicas * (depth + 1) points (criterion 07 draws 100,500).
 DISTINGUISH_BUDGET = 10_000_000
+# shift_hit_curve tests every shift against the largest depth's prefix, so it
+# refuses more than this many shifts * largest depth (200 * 1024 by default).
+SHIFT_HIT_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -401,11 +404,7 @@ def distinguish_counterexample(
     _check_level(level)
     if replicas < 1:
         raise BadParameter(f"replicas must be >= 1, got {replicas}")
-    if replicas * (depth + 1) > DISTINGUISH_BUDGET:
-        raise BadParameter(
-            f"replicas * (depth + 1) = {replicas * (depth + 1)} exceeds the work budget "
-            f"{DISTINGUISH_BUDGET}"
-        )
+    check_budget("replicas * (depth + 1)", replicas * (depth + 1), DISTINGUISH_BUDGET)
     base = _as_seed(seed)
     xs, ys = _distinguish_arms(cantor, depth, replicas, base)
     report = two_sample_test(xs, ys, level, base.value, name="distinguish-counterexample")
@@ -445,12 +444,14 @@ def shift_hit_curve(region, depths: Sequence[int], shifts: int, seed) -> ShiftHi
 
     By averaging over the uniform shift, the expected count equals
     D * mes(region) exactly; the curve grows without bound in D.
+    `shifts * max(depths)` may not exceed SHIFT_HIT_BUDGET.
     """
     depths = sorted(int(d) for d in depths)
     if not depths or depths[0] < 1:
         raise BadParameter("depths must be positive")
     if shifts < 1:
         raise BadParameter(f"shifts must be >= 1, got {shifts}")
+    check_budget("shifts * largest depth", shifts * depths[-1], SHIFT_HIT_BUDGET)
     base = _as_seed(seed)
     points = dyadic_rationals(depths[-1])
     ss = base.stream(STATS_DOMAIN, 1).uniform(size=shifts)

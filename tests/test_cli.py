@@ -167,6 +167,22 @@ class TestShiftHit:
         assert (tmp_path / "curve.csv").read_text().startswith("depth,")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shifthit", "--seed", "1", "--depths", "2000000000"],
+        ["simulate", "sample", "--seed", "1", "--depth", "2000000000"],
+        ["selector", "--seed", "1", "--replicas", "2000000000"],
+        ["selector", "--seed", "1", "--gen", "sample-upper", "--replicas", "2000000000"],
+    ],
+    ids=["shifthit", "simulate", "selector", "selector-upper"],
+)
+def test_work_budget_exits_2(capsys, argv):
+    # Refused before anything is allocated.
+    assert main(argv) == 2
+    assert "exceeds the work budget" in capsys.readouterr().err
+
+
 class TestSelector:
     def test_pass_with_csv(self, tmp_path):
         code, text = run(

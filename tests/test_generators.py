@@ -29,6 +29,7 @@ from dcset import (
 )
 from dcset import generators
 from dcset.generators import (
+    POINT_BUDGET,
     _counterexample_rows,
     _distinct_uniform,
     _pcg64_blocks,
@@ -121,6 +122,20 @@ class TestSampleUniform:
     def test_depth_zero_rejected(self):
         with pytest.raises(BadParameter):
             sample_uniform(0, 1)
+
+    def test_work_budget(self):
+        # Each is refused before anything is allocated.
+        calls = [
+            lambda: sample_uniform(POINT_BUDGET + 1, 1),
+            lambda: sample_uniform(2_000_000_000, 1),
+            lambda: gaussian_walk(POINT_BUDGET + 1, 1),
+            lambda: counterexample_mix(2_000_000_000, CANTOR, 1),
+            lambda: revealing_selectors(POINT_BUDGET // 3 + 1, 1),
+            lambda: _sample_rows(POINT_BUDGET // 10 + 1, 10, Seed(1)),
+        ]
+        for call in calls:
+            with pytest.raises(BadParameter, match="exceeds the work budget"):
+                call()
 
     def test_expected_count_in_binset(self):
         # Binomial mean oracle: E[count in A] = depth * mes(A); Monte Carlo

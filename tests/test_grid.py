@@ -1,9 +1,12 @@
 """Grid, bin set, cyclic shift and fat Cantor behavior."""
 
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcset import (
     BadParameter,
@@ -20,6 +23,7 @@ from dcset import (
     fat_cantor_contains,
     mes,
 )
+from dcset.formats import cantor_from_json, cantor_to_json
 
 
 class TestBins:
@@ -131,6 +135,78 @@ class TestCyclicShift:
             assert mes(a.shifted(j)) == mes(a)
 
 
+def _exact_contains(cantor, points) -> list:
+    """Reference membership: no removed open interval holds the point, in Fractions."""
+    los = [lo for lo, _ in cantor.removed]
+    out = []
+    for p in points:
+        x = Fraction(float(p))
+        i = bisect_right(los, x) - 1
+        out.append(i < 0 or not cantor.removed[i][0] < x < cantor.removed[i][1])
+    return out
+
+
+def _fraction_build(gap, depth) -> tuple:
+    """fat_cantor_build's stage recurrence in Fractions: the sorted removed intervals."""
+    removed = []
+    segments = [(Fraction(0), Fraction(1))]
+    for stage in range(1, depth + 1):
+        piece = 2 * gap / 4**stage
+        next_segments = []
+        for lo, hi in segments:
+            mid = (lo + hi) / 2
+            cut_lo, cut_hi = mid - piece / 2, mid + piece / 2
+            removed.append((cut_lo, cut_hi))
+            next_segments.append((lo, cut_lo))
+            next_segments.append((cut_hi, hi))
+        segments = next_segments
+    return tuple(sorted(removed))
+
+
+def _float_tables(removed) -> tuple:
+    """(starts, ends, cum) of the kept segments, each float converted from a Fraction."""
+    bounds = [Fraction(0), *(x for interval in removed for x in interval), Fraction(1)]
+    segments = list(zip(bounds[::2], bounds[1::2]))
+    starts = np.array([float(a) for a, _ in segments])
+    ends = np.array([float(b) for _, b in segments])
+    cum = np.concatenate([[0.0], np.cumsum([float(b - a) for a, b in segments])])
+    return starts, ends, cum
+
+
+@st.composite
+def _removed_intervals(draw):
+    """Disjoint rational intervals in (0, 1): consecutive cut points, some pairs
+    sharing an end; half the time most cuts crowd into one narrow cluster."""
+    den = draw(st.sampled_from([7, 1000, 3 * 2**40, 10**18 + 9]))
+    nums = draw(st.lists(st.integers(1, den - 1), min_size=2, max_size=40, unique=True))
+    cuts = sorted(Fraction(k, den) for k in nums)
+    if draw(st.booleans()):
+        base = draw(st.fractions(Fraction(1, 10), Fraction(9, 10), max_denominator=10**6))
+        width = Fraction(1, draw(st.sampled_from([10**4, 10**9, 2**60])))
+        offsets = draw(st.lists(st.integers(0, 1000), min_size=8, max_size=60, unique=True))
+        cuts = sorted(set(cuts) | {base + width * k / 1000 for k in offsets})
+    chosen = draw(st.lists(st.booleans(), min_size=len(cuts) - 1, max_size=len(cuts) - 1))
+    return tuple((a, b) for a, b, take in zip(cuts, cuts[1:], chosen) if take)
+
+
+def _check_lookup(cantor, rng) -> None:
+    """The bucket lookup gives searchsorted's segment index, and membership is exact."""
+    starts, ends, _ = cantor.float_segments
+    edges = np.concatenate([starts, ends])
+    pts = np.concatenate([
+        rng.uniform(0.0, 1.0, 1000),
+        edges,
+        np.nextafter(edges, 0.0),
+        np.nextafter(edges, 1.0),
+        [0.0, 1.0, np.nan],
+    ])
+    expected = np.searchsorted(starts, pts, side="right") - 1
+    assert np.array_equal(cantor._segment_index(pts), expected)
+    inside = cantor.contains_points(pts)
+    assert inside[:-1].tolist() == _exact_contains(cantor, pts[:-1])
+    assert not inside[-1]  # NaN
+
+
 class TestFatCantor:
     def test_depth_one_hand_evaluated(self):
         # Geometric schedule: stage 1 removes a centered interval of length
@@ -198,24 +274,94 @@ class TestFatCantor:
     @pytest.mark.parametrize("gap", [Fraction(1, 2), Fraction(1, 3), Fraction(9, 10), Fraction(99, 100)])
     def test_contains_matches_removed_interval_formula(self, gap):
         # Reference: a point is out of the set iff some removed open interval
-        # holds it, compared in floats; the intervals are disjoint and sorted,
-        # so only the last one starting at or left of the point can hold it.
+        # holds it.  Uniform points are compared in floats; the float interval
+        # ends and their neighbours, where rounding can mislead a float
+        # comparison, are compared exactly.
         for depth in (1, 2, 3, 5, 8, 12):
             c = fat_cantor_build(gap, depth)
             los = np.array([float(lo) for lo, _ in c.removed])
             his = np.array([float(hi) for _, hi in c.removed])
-            bounds = np.concatenate([los, his])
-            rng = np.random.default_rng(depth)
-            pts = np.concatenate([
-                rng.uniform(0.0, 1.0, 2000),
-                bounds,
-                np.nextafter(bounds, 0.0),
-                np.nextafter(bounds, 1.0),
-            ])
+            pts = np.random.default_rng(depth).uniform(0.0, 1.0, 2000)
             i = np.searchsorted(los, pts, side="right") - 1
             held = (i >= 0) & (pts > los[i]) & (pts < his[i])
             assert np.array_equal(c.contains_points(pts), ~held), (gap, depth)
+            bounds = np.concatenate([los, his])
+            near = np.concatenate([bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, 1.0)])
+            assert c.contains_points(near).tolist() == _exact_contains(c, near), (gap, depth)
             assert c.float_segments is c.float_segments
+
+    @pytest.mark.parametrize("gap", [Fraction(1, 3), Fraction(9, 10), Fraction(2, 3)])
+    def test_vector_and_scalar_agree_at_rounded_ends(self, gap):
+        # Points next to a float-rounded end are where a float comparison can
+        # disagree with the exact scalar test.
+        c = fat_cantor_build(gap, 6)
+        bounds = np.array([float(x) for interval in c.removed for x in interval])
+        near = np.concatenate([bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, 1.0)])
+        assert len(near) == 378
+        vec = c.contains_points(near)
+        assert vec.tolist() == [fat_cantor_contains(c, float(p)) for p in near]
+        assert vec.tolist() == _exact_contains(c, near)
+
+    @pytest.mark.parametrize("gap", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(9, 10), Fraction(99, 100)])
+    def test_build_matches_fraction_recurrence(self, gap):
+        # The integer schedule gives the same intervals, measure and float
+        # tables, bit for bit, as the stage recurrence in Fractions.
+        for depth in range(1, 13):
+            c = fat_cantor_build(gap, depth)
+            removed = _fraction_build(gap, depth)
+            assert c.removed == removed, (gap, depth)
+            assert c.gap_measure == sum((hi - lo for lo, hi in removed), Fraction(0))
+            for table, expected in zip(c.float_segments, _float_tables(removed)):
+                assert table.tobytes() == expected.tobytes(), (gap, depth)
+
+    def test_lookup_tables_read_only_and_shared(self):
+        c = fat_cantor_build(Fraction(1, 3), 7)
+        first, next_start, passes = c.bucket_table
+        assert c.bucket_table is c.bucket_table
+        assert c.float_segments is c.float_segments
+        for table in (first, next_start, *c.float_segments):
+            assert not table.flags.writeable
+        assert len(first) - 1 >= 4 * len(c.float_segments[0])
+        assert 1 <= passes <= 3
+
+    @pytest.mark.parametrize(
+        "gap,depth",
+        [(Fraction(1, 2), 10), (Fraction(1, 3), 10), (Fraction(9, 10), 12), (Fraction(99, 100), 14)],
+    )
+    def test_bucket_lookup_equals_searchsorted_on_built_sets(self, gap, depth):
+        _check_lookup(fat_cantor_build(gap, depth), np.random.default_rng(depth))
+
+    @settings(max_examples=100, deadline=None)
+    @given(removed=_removed_intervals(), seed=st.integers(0, 2**32 - 1))
+    def test_bucket_lookup_equals_searchsorted(self, removed, seed):
+        # Arbitrary disjoint rational intervals, touching ones (a kept
+        # segment of length 0) and clusters crowding many starts into one
+        # bucket included.
+        c = FatCantor(3, removed)
+        _check_lookup(c, np.random.default_rng(seed))
+        again = cantor_from_json(cantor_to_json(c))
+        assert again == c
+        _check_lookup(again, np.random.default_rng(seed))
+
+    def test_crowded_buckets_are_searched(self):
+        c = fat_cantor_build(Fraction(99, 100), 14)
+        first, _, passes = c.bucket_table
+        assert passes == 3 and (first < 0).any()
+        # Points on C itself, which lie in the crowded buckets.
+        starts, ends, _ = c.float_segments
+        pts = (starts + ends) / 2
+        assert np.array_equal(c._segment_index(pts), np.arange(len(starts)))
+        assert c.contains_points(pts).all()
+
+    def test_bad_interval_ends_rejected(self):
+        for bad in (float("nan"), float("inf"), None):
+            with pytest.raises(BadParameter, match="need rational ends"):
+                FatCantor(1, ((bad, Fraction(1, 2)),))
+        with pytest.raises(BadParameter):
+            FatCantor(1, ((Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 3), Fraction(3, 4))))
+        for lo, hi in [(Fraction(1, 2), Fraction(1, 2)), (0, Fraction(1, 2)), (Fraction(1, 2), 1)]:
+            with pytest.raises(BadParameter, match="needs 0 < lo < hi < 1"):
+                FatCantor(1, ((lo, hi),))
 
     def test_touching_intervals_keep_their_common_point(self):
         c = FatCantor(1, ((Fraction(1, 2), Fraction(3, 4)), (Fraction(1, 4), Fraction(1, 2))))

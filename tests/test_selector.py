@@ -34,7 +34,8 @@ from dcset import (
     verify_selector,
 )
 from dcset import SupportMask, generators
-from dcset.selector import _choose_bins, _draw, _full_coupling_or_obstruction, _units
+from dcset.generators import POINT_BUDGET
+from dcset.selector import ENSEMBLE_BUDGET, _choose_bins, _draw, _full_coupling_or_obstruction, _units
 
 GRID8 = UnitGrid(8)
 
@@ -98,6 +99,19 @@ class TestSampleEnsemble:
             sample_ensemble(0, 5, GRID8, 1)
         with pytest.raises(BadParameter, match="ensemble needs at least one replica"):
             sample_ensemble(4, 0, GRID8, 1)
+
+    def test_work_budget(self):
+        # Each is refused before anything is allocated.
+        calls = [
+            lambda: sample_ensemble(64, ENSEMBLE_BUDGET // 8 + 1, GRID8, 1),
+            lambda: sample_ensemble(64, 2_000_000_000, GRID8, 1),
+            lambda: sample_ensemble(4, 2, UnitGrid(ENSEMBLE_BUDGET), 1),
+            lambda: sample_ensemble(POINT_BUDGET, 2, GRID8, 1),
+            lambda: Ensemble.generate(lambda s: sample_uniform(4, s), 2_000_000_000, GRID8, 1),
+        ]
+        for call in calls:
+            with pytest.raises(BadParameter, match="exceeds the work budget"):
+                call()
 
 
 class TestSelectorFromCoupling:

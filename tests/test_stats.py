@@ -37,7 +37,7 @@ from dcset import (
     stationarity_test,
     two_sample_test,
 )
-from dcset.stats import DISTINGUISH_BUDGET, _chi2_quantile, _distinguish_arms
+from dcset.stats import DISTINGUISH_BUDGET, SHIFT_HIT_BUDGET, _chi2_quantile, _distinguish_arms
 
 CANTOR = fat_cantor_build(Fraction(1, 2), 10)
 
@@ -304,6 +304,12 @@ class TestShiftHit:
     def test_cantor_region_supported(self):
         curve = shift_hit_curve(CANTOR, [64], 100, 105)
         assert abs(curve.means[0] - 64 * float(CANTOR.measure)) <= 8
+
+    def test_work_budget(self):
+        # Refused before anything is allocated.
+        for depths, shifts in [([64, SHIFT_HIT_BUDGET], 2), ([2_000_000_000], 200), ([8], SHIFT_HIT_BUDGET)]:
+            with pytest.raises(BadParameter, match="exceeds the work budget"):
+                shift_hit_curve(UnitGrid(4).full(), depths, shifts, 106)
 
 
 def _table(values):
