@@ -23,6 +23,7 @@ from .errors import (
     ParseError,
     SweepTooLarge,
     UnknownGenerator,
+    check_budget,
 )
 from .generators import (
     Enumeration,
@@ -35,6 +36,7 @@ from .generators import (
 )
 from .grid_measure import BinSet, UnitGrid, fat_cantor_build
 from .selector import (
+    ROUNDS_BUDGET,
     Ensemble,
     interleave_containment,
     interleaved_enumeration,
@@ -43,6 +45,7 @@ from .selector import (
     verify_selector,
 )
 from .stats import (
+    STATIONARITY_BUDGET,
     _check_level,
     chi_square_independence,
     count_in,
@@ -169,6 +172,8 @@ _OBSERVABLES = ("count-half", "count-cantor")
 
 def cmd_stationarity(args) -> int:
     seed = _need_seed(args)
+    depth = args.steps if args.gen == "minima" else args.depth
+    check_budget("replicas * depth", args.replicas * depth, STATIONARITY_BUDGET)
     cantor = _cantor_of(args)
     if args.gen == "sample":
         make = lambda s: sample_uniform(args.depth, s)
@@ -272,6 +277,7 @@ def cmd_selector(args) -> int:
 
 def cmd_enumerate(args) -> int:
     seed = _need_seed(args)
+    check_budget("rounds * replicas", args.rounds * args.replicas, ROUNDS_BUDGET)
     ensemble = sample_ensemble(args.depth, args.replicas, UnitGrid(args.grid), seed)
     tables = interleaved_enumeration(ensemble, args.rounds, UnitGrid(args.coarse), Seed(seed))
     contained = interleave_containment(ensemble, tables)

@@ -488,8 +488,11 @@ def _check_witnesses(mask: SupportMask, row_int, col_int, flow, U, V) -> int:
     return sum(row_units)
 
 
-# Masks per block of `sweep`: small blocks keep its arrays near 1 MB at peak.
-_SWEEP_BLOCK = 256
+# Masks per block of `sweep`.  A block's arrays are allocated afresh, so the
+# block size sets the peak: in a fresh `duality --sweep 4 4` process, blocks
+# of 1024 masks peaked about 0.6 MB above blocks of 256, blocks of 4096 about
+# 3.3 MB and one block of all 65,536 about 42 MB, and neither ran faster.
+_SWEEP_BLOCK = 1024
 
 
 def sweep(rows: int, cols: int) -> tuple[int, int, Fraction]:
@@ -499,8 +502,11 @@ def sweep(rows: int, cols: int) -> tuple[int, int, Fraction]:
     nonzero gap, and the largest absolute gap.  Uniform caps are unchanged by
     row and column permutations, so each mask is permuted to a representative
     (columns sorted by their bit code, then rows by theirs) and only distinct
-    representatives are solved.  Their witnesses are permuted back, and every
-    mask's own pair is checked in integer arrays as `solve` checks one.
+    representatives are solved, each once and in ascending bit order.  A
+    table over all 2**(rows*cols) bit codes gives each solved representative
+    a dense id into three witness arrays (flow, U and V), so a block of masks
+    gathers its witnesses by id.  They are permuted back, and every mask's own
+    pair is checked in integer arrays as `solve` checks one.
     """
     if rows < 1 or cols < 1:
         raise BadParameter("sweep bounds must be positive")
@@ -510,41 +516,47 @@ def sweep(rows: int, cols: int) -> tuple[int, int, Fraction]:
     scale, row_int, col_int = caps.scaled()
     row_int, col_int = np.array(row_int), np.array(col_int)
     shifts = np.arange(rows * cols)
-    solved: dict[int, tuple] = {}  # representative bits -> (flow, U, V)
     total = 1 << (rows * cols)
+    rep_id = np.full(total, -1, dtype=np.int32)  # representative bits -> id, -1 unsolved
+    flows = np.zeros((0, rows, cols), dtype=np.int64)
+    Us = np.zeros((0, rows), dtype=bool)
+    Vs = np.zeros((0, cols), dtype=bool)
     nonzero, worst = 0, 0
     for lo in range(0, total, _SWEEP_BLOCK):
         bits = np.arange(lo, min(lo + _SWEEP_BLOCK, total))
+        b = np.arange(len(bits))[:, None]
         cells = ((bits[:, None] >> shifts) & 1).astype(bool).reshape(-1, rows, cols)
         col_perm = np.argsort((1 << np.arange(rows)) @ cells, axis=1)
-        rep = np.take_along_axis(cells, col_perm[:, None, :], axis=2)
-        row_perm = np.argsort(rep @ (1 << np.arange(cols)), axis=1)
-        rep = np.take_along_axis(rep, row_perm[:, :, None], axis=1)
-        keys, inverse = np.unique(rep.reshape(len(bits), -1) @ (1 << shifts), return_inverse=True)
-        keys = keys.tolist()
-        for key in keys:
-            if key not in solved:
+        row_start = (b * rows + np.arange(rows)) * cols  # flat index of each row's first cell
+        col_sorted = cells.reshape(-1)[row_start[:, :, None] + col_perm[:, None, :]]
+        row_codes = col_sorted @ (1 << np.arange(cols))
+        row_perm = np.argsort(row_codes, axis=1)
+        keys = row_codes[b, row_perm] @ (1 << cols * np.arange(rows))
+        ids = rep_id[keys]
+        new = np.unique(keys[ids < 0])
+        if len(new):
+            flow = np.zeros((len(new), rows, cols), dtype=np.int64)
+            U = np.zeros((len(new), rows), dtype=bool)
+            V = np.zeros((len(new), cols), dtype=bool)
+            for k, key in enumerate(new.tolist()):
                 cert = solve(SupportMask.from_bits(rows, cols, key), caps)
-                flow = np.zeros((rows, cols), dtype=np.int64)
                 for i, j, units in cert.flow:
-                    flow[i, j] = units
-                U = np.zeros(rows, dtype=bool)
-                U[list(cert.cover.U)] = True
-                V = np.zeros(cols, dtype=bool)
-                V[list(cert.cover.V)] = True
-                solved[key] = (flow, U, V)
+                    flow[k, i, j] = units
+                U[k, list(cert.cover.U)] = True
+                V[k, list(cert.cover.V)] = True
+            rep_id[new] = np.arange(len(flows), len(flows) + len(new))
+            flows = np.concatenate([flows, flow])
+            Us, Vs = np.concatenate([Us, U]), np.concatenate([Vs, V])
+            ids = rep_id[keys]
         # Scatter each representative's witnesses back: its entry (i', j')
         # is the mask's (row_perm[i'], col_perm[j']).
-        rep_flow, rep_U, rep_V = (
-            np.stack(w)[inverse] for w in zip(*(solved[key] for key in keys))
-        )
-        b = np.arange(len(bits))[:, None]
-        flow = np.empty_like(rep_flow)
-        flow[b[:, :, None], row_perm[:, :, None], col_perm[:, None, :]] = rep_flow
-        U = np.empty_like(rep_U)
-        U[b, row_perm] = rep_U
-        V = np.empty_like(rep_V)
-        V[b, col_perm] = rep_V
+        flow = np.empty(cells.size, dtype=np.int64)
+        flow[row_start[b, row_perm][:, :, None] + col_perm[:, None, :]] = flows[ids]
+        flow = flow.reshape(cells.shape)
+        U = np.empty((len(bits), rows), dtype=bool)
+        U[b, row_perm] = Us[ids]
+        V = np.empty((len(bits), cols), dtype=bool)
+        V[b, col_perm] = Vs[ids]
 
         if (flow < 0).any():
             raise AssertionError("coupling witness has a negative entry")

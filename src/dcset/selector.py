@@ -31,10 +31,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .duality import Coupling, MarginalCaps, SupportMask, full_coupling
+from .duality import Coupling, MarginalCaps, SupportMask, solve
 from .errors import (
     BadParameter,
-    DeficientSupport,
     DepthExhausted,
     InsufficientDensity,
     UnsupportedCoupling,
@@ -57,6 +56,11 @@ _PAD = 0.5
 # sample_ensemble and Ensemble.generate refuse more than this many before
 # drawing (the selector default holds 5000 * 8).
 ENSEMBLE_BUDGET = 10_000_000
+# interleaved_enumeration draws two tables of replicas per round, so it and
+# `enumerate` refuse more than this many rounds * replicas (10 * 500 by
+# default).  A run that can finish takes a new point of each replica per
+# round, so it has rounds * replicas below depth * replicas.
+ROUNDS_BUDGET = 10_000_000
 
 __all__ = [
     "Ensemble",
@@ -198,14 +202,14 @@ def build_support_mask(ensemble: Ensemble) -> SupportMask:
     return SupportMask(ensemble.first_index >= 0)
 
 
-def _units(coupling: Coupling) -> np.ndarray:
-    """The coupling's units: int64 when they are nonnegative with every row
+def _units(units) -> np.ndarray:
+    """Unit rows as an array: int64 when they are nonnegative with every row
     total below 2**10, so the draw's products stay below 2**63, else Python
     ints (dtype object), on which the same expressions run exactly."""
     try:
-        units = np.array(coupling.units, dtype=np.int64)
+        units = np.asarray(units, dtype=np.int64)
     except OverflowError:
-        return np.array(coupling.units, dtype=object)
+        return np.array(units, dtype=object)
     # The max bound also keeps the row sums from wrapping.
     small = units.min() >= 0 and units.max() < 2**10 and units.sum(axis=1).max() < 2**10
     return units if small else units.astype(object)
@@ -269,14 +273,20 @@ def selector_from_coupling(
     base = _as_seed(seed)
     if coupling.rows != ensemble.size or coupling.cols != ensemble.grid.n:
         raise BadParameter("coupling dimensions do not match the ensemble")
-    return _draw(ensemble, np.arange(ensemble.size), _units(coupling), base, component)
+    return _draw(ensemble, np.arange(ensemble.size), _units(coupling.units), base, component)
 
 
-def _full_coupling_or_obstruction(mask: SupportMask, cell=None) -> Coupling:
-    try:
-        return full_coupling(mask, MarginalCaps.uniform(mask.rows, mask.cols))
-    except DeficientSupport as exc:
-        raise InsufficientDensity(exc.witness, exc.cost, mask.cols, cell=cell) from exc
+def _full_units_or_obstruction(mask: SupportMask, cell=None) -> np.ndarray:
+    """Unit rows of a full coupling on the mask under uniform caps, scattered
+    from the solve's flow, or InsufficientDensity with the cheap cover."""
+    cert = solve(mask, MarginalCaps.uniform(mask.rows, mask.cols))
+    if cert.mass_units < cert.scale:  # value < 1, compared in integer units
+        raise InsufficientDensity(cert.cover, cert.cover_cost, mask.cols, cell=cell)
+    # An amount is at most the scale, lcm(rows, cols), which int64 holds.
+    units = np.zeros(mask.cells.shape, dtype=np.int64)
+    i, j, amounts = zip(*cert.flow)
+    units[i, j] = amounts
+    return _units(units)
 
 
 def uniform_selector(ensemble: Ensemble, seed, component: int = 0) -> SelectorTable:
@@ -286,9 +296,8 @@ def uniform_selector(ensemble: Ensemble, seed, component: int = 0) -> SelectorTa
     InsufficientDensity reports the cheap cover whose complement names the
     value bins the ensemble fails to reach.
     """
-    mask = build_support_mask(ensemble)
-    coupling = _full_coupling_or_obstruction(mask)
-    return selector_from_coupling(ensemble, coupling, seed, component)
+    units = _full_units_or_obstruction(build_support_mask(ensemble))
+    return _draw(ensemble, np.arange(ensemble.size), units, _as_seed(seed), component)
 
 
 def _refine(rank: np.ndarray, bins: np.ndarray, n: int) -> np.ndarray:
@@ -320,8 +329,8 @@ def _conditional_by_rank(
         cache_key = (hi - lo, sub.tobytes())
         units = units_cache.get(cache_key)
         if units is None:
-            coupling = _full_coupling_or_obstruction(SupportMask(sub), cell=label(int(rows[lo])))
-            units = units_cache[cache_key] = _units(coupling)
+            cell = label(int(rows[lo]))
+            units = units_cache[cache_key] = _full_units_or_obstruction(SupportMask(sub), cell=cell)
         blocks.append(units)
     return _draw(ensemble, rows, np.concatenate(blocks), seed, component)
 
@@ -377,6 +386,7 @@ def interleaved_enumeration(
     base = _as_seed(seed)
     if rounds < 0:
         raise BadParameter(f"rounds must be >= 0, got {rounds}")
+    check_budget("rounds * replicas", rounds * ensemble.size, ROUNDS_BUDGET)
     empty = ensemble.lengths < 1
     if empty.any():
         raise DepthExhausted(int(np.argmax(empty)))

@@ -61,6 +61,15 @@ DISTINGUISH_BUDGET = 10_000_000
 # shift_hit_curve tests every shift against the largest depth's prefix, so it
 # refuses more than this many shifts * largest depth (200 * 1024 by default).
 SHIFT_HIT_BUDGET = 10_000_000
+# fragment_independence_test holds one observable per fragment and replica and
+# draws a walk of `steps` per replica for walks, so it refuses more than this
+# many replicas * (fragments + walk steps) (400 * 2 sample fragments by default).
+INDEPENDENCE_BUDGET = 10_000_000
+# stationarity_test draws two enumerations per replica, so `stationarity`
+# refuses more than this many replicas * depth points (replicas * steps for
+# minima; 400 * 200 by default).  stationarity_test cannot see the depth and
+# counts it as 1, refusing more than this many replicas before any shift.
+STATIONARITY_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -293,6 +302,8 @@ def fragment_independence_test(
     base = _as_seed(seed)
 
     fragments = list(zip(cuts, cuts[1:]))
+    work = replicas * (len(fragments) + (steps if kind == "walk" else 0))
+    check_budget("replicas * (fragments + walk steps)", work, INDEPENDENCE_BUDGET)
     categories = 3 if kind == "sample" else 2
     obs = np.zeros((len(fragments), replicas), dtype=np.int64)
     for r in range(replicas):
@@ -345,6 +356,7 @@ def stationarity_test(
         raise BadParameter(f"replicas must be >= 1, got {replicas}")
     if replicas < 10:
         raise TooFewSamples("stationarity test needs >= 10 replicas per arm")
+    check_budget("replicas", replicas, STATIONARITY_BUDGET)
 
     base = _as_seed(seed)
     shifts = base.uniforms(range(replicas, 2 * replicas), STATS_DOMAIN, 0)[:, 0]

@@ -174,8 +174,16 @@ class TestShiftHit:
         ["simulate", "sample", "--seed", "1", "--depth", "2000000000"],
         ["selector", "--seed", "1", "--replicas", "2000000000"],
         ["selector", "--seed", "1", "--gen", "sample-upper", "--replicas", "2000000000"],
+        ["stationarity", "--seed", "1", "--replicas", "2000000000"],
+        ["stationarity", "--seed", "1", "--replicas", "100000", "--depth", "200"],
+        ["stationarity", "--seed", "1", "--gen", "minima", "--replicas", "10000"],
+        ["independence", "--seed", "1", "--replicas", "2000000000"],
+        ["independence", "--seed", "1", "--gen", "minima", "--replicas", "10000"],
+        ["enumerate", "--seed", "1", "--rounds", "2000000000"],
     ],
-    ids=["shifthit", "simulate", "selector", "selector-upper"],
+    ids=["shifthit", "simulate", "selector", "selector-upper", "stationarity",
+         "stationarity-depth", "stationarity-minima", "independence", "independence-minima",
+         "enumerate"],
 )
 def test_work_budget_exits_2(capsys, argv):
     # Refused before anything is allocated.

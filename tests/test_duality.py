@@ -10,6 +10,7 @@ with the LP to solver tolerance.
 import dataclasses
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import networkx as nx
@@ -517,6 +518,50 @@ class TestSweep:
         monkeypatch.setattr(duality, "solve", counted)
         assert sweep(4, 4) == (65536, 0, Fraction(0))
         assert 0 < len(calls) < math.comb(16 + 4 - 1, 4)
+
+    @pytest.mark.parametrize(
+        "shape, block",
+        [((3, 3), 1), ((3, 3), 7), ((3, 3), 2**9 + 1), ((2, 4), 1), ((2, 4), 7),
+         ((2, 4), 2**8 + 1), ((3, 5), 2**15 + 1)],
+        ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"block{v}",
+    )
+    def test_block_size_changes_nothing(self, monkeypatch, shape, block):
+        def solved_masks():
+            masks = []
+
+            def recorded(mask, caps=None):
+                masks.append(mask.cells.tobytes())
+                return solve(mask, caps)
+
+            monkeypatch.setattr(duality, "solve", recorded)
+            return sweep(*shape), Counter(masks)
+
+        expected = solved_masks()
+        monkeypatch.setattr(duality, "_SWEEP_BLOCK", block)
+        assert solved_masks() == expected
+
+    def test_each_representative_solved_once(self, monkeypatch):
+        masks = []
+
+        def recorded(mask, caps=None):
+            masks.append(mask.cells.tobytes())
+            return solve(mask, caps)
+
+        monkeypatch.setattr(duality, "solve", recorded)
+        assert sweep(4, 4) == (65536, 0, Fraction(0))
+        assert len(masks) == len(set(masks)) == 753
+
+    def test_wrong_representative_certificate_is_caught(self, monkeypatch):
+        # The full mask is its own representative; answering it with the
+        # empty mask's certificate leaves its cells uncovered.
+        empty = solve(SupportMask.empty(3, 3))
+
+        def answer_full_with_empty(mask, caps=None):
+            return empty if mask.cells.all() else solve(mask, caps)
+
+        monkeypatch.setattr(duality, "solve", answer_full_with_empty)
+        with pytest.raises(AssertionError, match="cover witness misses a mask cell"):
+            sweep(3, 3)
 
     @pytest.mark.parametrize(
         "shape, corrupt, message",

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dcset import (
     BadParameter,
     Coupling,
+    DeficientSupport,
     DepthExhausted,
     Ensemble,
     Enumeration,
@@ -35,7 +36,7 @@ from dcset import (
 )
 from dcset import SupportMask, generators
 from dcset.generators import POINT_BUDGET
-from dcset.selector import ENSEMBLE_BUDGET, _choose_bins, _draw, _full_coupling_or_obstruction, _units
+from dcset.selector import ENSEMBLE_BUDGET, ROUNDS_BUDGET, _choose_bins, _draw, _units
 
 GRID8 = UnitGrid(8)
 
@@ -317,6 +318,13 @@ class TestInterleavedEnumeration:
         with pytest.raises(DepthExhausted):
             interleaved_enumeration(ens, 5, UnitGrid(1), Seed(81))
 
+    def test_work_budget(self):
+        # Refused before any table is drawn.
+        ens = sample_ensemble(8, 50, GRID8, 70)
+        for rounds in (ROUNDS_BUDGET // 50 + 1, 2_000_000_000):
+            with pytest.raises(BadParameter, match="exceeds the work budget"):
+                interleaved_enumeration(ens, rounds, UnitGrid(2), Seed(71))
+
 
 class TestVerifySelector:
     def test_detects_foreign_value(self):
@@ -347,6 +355,14 @@ def reference_verify(ens, table):
     return True
 
 
+def reference_units(sub, cell):
+    """A cell's unit rows by way of the public `full_coupling`."""
+    try:
+        return _units(full_coupling(sub).units)
+    except DeficientSupport as exc:
+        raise InsufficientDensity(exc.witness, exc.cost, sub.cols, cell=cell) from exc
+
+
 def reference_interleaving(ens, rounds, coarse, seed):
     """Per-replica sets of used values and mixed-radix Python-int cell keys."""
     replicas = replica_rows(ens)
@@ -365,7 +381,7 @@ def reference_interleaving(ens, rounds, coarse, seed):
             members = cells[key]
             sub = SupportMask(mask.cells[members])
             rows.extend(members)
-            blocks.append(_units(_full_coupling_or_obstruction(sub, cell=key)))
+            blocks.append(reference_units(sub, key))
         return _draw(ens, np.array(rows), np.concatenate(blocks), seed, component)
 
     first = SelectorTable(
@@ -492,7 +508,7 @@ class TestSelectorProperties:
         units = [
             data.draw(st.lists(entry, min_size=n, max_size=n).filter(any)) for _ in range(m)
         ]
-        array = _units(Coupling.from_units(units, data.draw(st.integers(1, 2**70))))
+        array = _units(Coupling.from_units(units, data.draw(st.integers(1, 2**70))).units)
         assert array.dtype == (np.int64 if max(map(sum, units)) < 2**10 else object)
         rows, ks = [], []
         for i, row in enumerate(units):
@@ -510,7 +526,7 @@ class TestSelectorProperties:
         # CDF step below one variate step: the integer draw sees each exactly.
         coupling = Coupling.from_units([row], 3)
         ks = np.array(boundary_variates(row), dtype=np.int64)
-        units = _units(coupling)[[0] * len(ks)]
+        units = _units(coupling.units)[[0] * len(ks)]
         assert np.array_equal(_choose_bins(units, ks), reference_bins(units, ks))
         ens = single_replica_ensemble([(j + 0.5) / len(row) for j in range(len(row))], UnitGrid(len(row)))
         for seed in range(20):

@@ -37,7 +37,14 @@ from dcset import (
     stationarity_test,
     two_sample_test,
 )
-from dcset.stats import DISTINGUISH_BUDGET, SHIFT_HIT_BUDGET, _chi2_quantile, _distinguish_arms
+from dcset.stats import (
+    DISTINGUISH_BUDGET,
+    INDEPENDENCE_BUDGET,
+    SHIFT_HIT_BUDGET,
+    STATIONARITY_BUDGET,
+    _chi2_quantile,
+    _distinguish_arms,
+)
 
 CANTOR = fat_cantor_build(Fraction(1, 2), 10)
 
@@ -190,6 +197,16 @@ class TestFragmentIndependence:
         with pytest.raises(BadParameter):
             fragment_independence_test("poisson", [0, 0.5, 1], 100, 1)
 
+    @pytest.mark.parametrize(
+        "kind, replicas, steps",
+        [("sample", INDEPENDENCE_BUDGET // 2 + 1, 2048), ("sample", 2_000_000_000, 2048),
+         ("walk", INDEPENDENCE_BUDGET // 2050 + 1, 2048), ("walk", 10, INDEPENDENCE_BUDGET)],
+    )
+    def test_work_budget(self, kind, replicas, steps):
+        # Refused before anything is allocated.
+        with pytest.raises(BadParameter, match="exceeds the work budget"):
+            fragment_independence_test(kind, [0, 0.5, 1], replicas, 1, steps=steps)
+
 
 HALF = BinSet(UnitGrid(2), frozenset({0}))
 
@@ -224,6 +241,15 @@ class TestStationarity:
     def test_replica_count_checked(self, replicas, error):
         with pytest.raises(error):
             stationarity_test(lambda s: sample_uniform(10, s), count_in(HALF), replicas, 96)
+
+    def test_work_budget(self):
+        # Refused before any shift or enumeration is drawn.
+        def never(seed):
+            raise AssertionError("drew an enumeration")
+
+        for replicas in (STATIONARITY_BUDGET + 1, 2_000_000_000):
+            with pytest.raises(BadParameter, match="exceeds the work budget"):
+                stationarity_test(never, count_in(HALF), replicas, 96)
 
 
 class TestDistinguish:
