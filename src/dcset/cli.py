@@ -45,6 +45,7 @@ from .selector import (
     verify_selector,
 )
 from .stats import (
+    SHIFT_HIT_BUDGET,
     STATIONARITY_BUDGET,
     _check_level,
     chi_square_independence,
@@ -221,6 +222,7 @@ def cmd_independence(args) -> int:
 def cmd_shifthit(args) -> int:
     seed = _need_seed(args)
     grid = UnitGrid(args.grid)
+    check_budget("grid", args.grid, SHIFT_HIT_BUDGET)
     if args.bins:
         members = frozenset(_int_list(args.bins, "--bins"))
     else:

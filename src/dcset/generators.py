@@ -12,9 +12,11 @@ substreams are split off with a fixed spawn-key convention, so components are
 independent within and across replicas and every output is bit-reproducible:
 `Seed(value, replica).stream(domain, component)` with domain 0 reserved for
 generators, 1 for selector draws and 2 for test-side randomization.
-`Seed(value).uniforms(replicas, domain, component, size=k)` is the batch form
-of that convention: it draws the first k uniforms of every listed replica's
-substream in one array pass, bit for bit equal to the streams themselves.
+`Seed(value).uniforms(replicas, domain, component, size=n)` is the batch form
+of that convention: it draws the first n uniforms of every listed replica's
+substream together, bit for bit equal to the streams themselves.  PCG64 is
+a 128-bit LCG, so every k-th state of a row follows another LCG (jump-ahead),
+and one array pass draws k columns of every row.
 
 The distinguisher's rows are drawn that way for all replicas at once:
 `_sample_rows` (shared with `selector.sample_ensemble`), `_poisson_rows`
@@ -33,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -67,6 +70,13 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_LO, _PCG_HI = np.uint64(0x4385DF649FCCF645), np.uint64(0x2360ED051FC65DA4)
+
+# Entries (rows * columns) one batch PCG64 pass aims at; see _pcg64_blocks.
+# In fresh `distinguish --seed 1` processes (500 rows, so 8 columns a pass)
+# peak RSS was 57.9 MB, against 57.3 MB with one column a pass; 16384
+# (32 columns) took 59.3 MB and ran no faster, and 1024 (2 columns) ran
+# slower at the same 57.9 MB.
+_LEAP_ENTRIES = 4096
 
 # Generator components within GENERATOR_DOMAIN.
 _SAMPLE, _WALK, _POISSON, _MIX_SAMPLE, _LOW, _MID, _HIGH = range(7)
@@ -113,8 +123,12 @@ class Seed:
         """R-by-size array whose row k is
         `Seed(self.value, replicas[k]).stream(*key).uniform(size=size)`, bit for bit.
 
-        Rows are drawn together by `_pcg64_uniforms`; a replica index of
-        2**32 or more spans two spawn-key words and is drawn by `stream`.
+        Rows are drawn together by `_pcg64_uniforms`, k columns of every row
+        per array pass by PCG64's jump-ahead s <- a**k * s + B_k * inc (see
+        `_pcg64_blocks`).  k = max(1, min(size, _LEAP_ENTRIES // rows)) gives
+        a pass a few thousand entries, so its numpy calls are not mostly
+        overhead.  A replica index of 2**32 or more spans two spawn-key words
+        and is drawn by `stream`.
         """
         reps = list(map(int, replicas))
         if reps and min(reps) < 0:
@@ -190,41 +204,101 @@ def _seed_state(entropy: np.ndarray) -> np.ndarray:
     return words[:, 0::2] | words[:, 1::2] << 32
 
 
-def _pcg64_step(lo, hi, inc_lo, inc_hi):
-    """One PCG64 step, state * multiplier + inc mod 2**128, on 64-bit halves."""
+def _pcg64_step(lo, hi, mul_lo, mul_hi, add_lo, add_hi):
+    """state * mul + add mod 2**128 on 64-bit halves, broadcast elementwise."""
     a0, a1 = lo & _M32, lo >> 32
-    b0, b1 = _PCG_LO & _M32, _PCG_LO >> 32
+    b0, b1 = mul_lo & _M32, mul_lo >> 32
     mid = a1 * b0 + (a0 * b0 >> 32)
     mid2 = a0 * b1 + (mid & _M32)
-    carry = a1 * b1 + (mid >> 32) + (mid2 >> 32)  # high half of lo * _PCG_LO
-    new_lo = lo * _PCG_LO + inc_lo
-    new_hi = carry + lo * _PCG_HI + hi * _PCG_LO + inc_hi + (new_lo < inc_lo)
+    carry = a1 * b1 + (mid >> 32) + (mid2 >> 32)  # high half of lo * mul_lo
+    new_lo = lo * mul_lo + add_lo
+    new_hi = carry + lo * mul_hi + hi * mul_lo + add_hi + (new_lo < add_lo)
     return new_lo, new_hi
+
+
+@lru_cache(maxsize=8)
+def _leap_constants(k: int) -> tuple[np.ndarray, ...]:
+    """Halves (lo, hi) of a**c and of B_c = 1 + a + ... + a**(c-1) mod 2**128,
+    for c = 1..k+1 and PCG64's multiplier a, as read-only uint64 columns."""
+    a = int(_PCG_HI) << 64 | int(_PCG_LO)
+    powers, sums = [1], [0]
+    for _ in range(k + 1):
+        sums.append((sums[-1] + powers[-1]) % 2**128)
+        powers.append(powers[-1] * a % 2**128)
+    halves = []
+    for values in (powers[1:], sums[1:]):
+        for shift in (0, 64):
+            half = np.array([[v >> shift & 0xFFFFFFFFFFFFFFFF] for v in values], dtype=np.uint64)
+            half.setflags(write=False)
+            halves.append(half)
+    return tuple(halves)
+
+
+def _pcg64_passes(entropy: np.ndarray, k: int):
+    """Successive k-by-R arrays of the doubles of the PCG64 generator seeded
+    from each entropy row (one column per row): the first holds draws 1..k,
+    the next k+1..2k, and so on.
+
+    Seeding follows pcg64_set_seed: initstate, then inc = 2*initseq + 1, one
+    step, add initstate to get u, one step.  Each draw is the XSL-RR output
+    x of a state, as the double (x >> 11) * 2**-53.  A row's state follows
+    s <- a*s + inc mod 2**128, so draw c comes from
+    a**(c+1) * u + B_(c+1) * inc with B_c = 1 + a + ... + a**(c-1), and
+    columns c, c + k, c + 2k, ... follow s <- a**k * s + B_k * inc, another
+    LCG (Brown 1994).  One array pass therefore draws k columns of every row.
+    Rows run along the last axis, so at k = 1 every pass is a one-dimensional
+    array pass over the rows.
+    """
+    pow_lo, pow_hi, sum_lo, sum_hi = _leap_constants(k)
+    state = _seed_state(entropy)
+    seq_hi, seq_lo = state[:, 2], state[:, 3]
+    inc_lo = seq_lo << 1 | 1
+    inc_hi = seq_hi << 1 | seq_lo >> 63
+    u_lo = inc_lo + state[:, 1]
+    u_hi = inc_hi + state[:, 0] + (u_lo < inc_lo)
+    zero = np.uint64(0)
+    add_lo, add_hi = _pcg64_step(inc_lo, inc_hi, sum_lo[1:], sum_hi[1:], zero, zero)
+    lo, hi = _pcg64_step(u_lo, u_hi, pow_lo[1:], pow_hi[1:], add_lo, add_hi)
+    if k > 1:  # B_k * inc is among those addends; B_1 * inc is inc
+        inc_lo, inc_hi = add_lo[k - 2], add_hi[k - 2]
+    leap_lo, leap_hi = pow_lo[k - 1, 0], pow_hi[k - 1, 0]
+    while True:
+        rot = hi >> 58
+        x = hi ^ lo
+        x = (x >> rot) | (x << ((64 - rot) & 63))
+        yield (x >> 11) * 2.0**-53
+        lo, hi = _pcg64_step(lo, hi, leap_lo, leap_hi, inc_lo, inc_hi)
 
 
 def _pcg64_blocks(entropy: np.ndarray, width: int):
     """Successive R-by-width blocks of the doubles of the PCG64 generator
     seeded from each entropy row, in stream order.
 
-    Seeding follows pcg64_set_seed (initstate, then inc = 2*initseq + 1, one
-    step, add initstate, one step); each draw is one step, the XSL-RR output
-    and numpy's (x >> 11) * 2**-53 conversion.
+    Columns j, j + k, j + 2k, ... of a row follow the LCG
+    s <- a**k * s + B_k * inc, so the blocks are cut from `_pcg64_passes`,
+    which draws k columns of every row per array pass; doubles past the end
+    of one block start the next.  k = max(1, min(width, _LEAP_ENTRIES // R)):
+    one column of a few hundred rows leaves each of a pass's ~30 numpy calls
+    mostly overhead, while from _LEAP_ENTRIES rows up one column fills a pass.
     """
-    state = _seed_state(entropy)
-    seq_hi, seq_lo = state[:, 2], state[:, 3]
-    inc_lo = seq_lo << 1 | 1
-    inc_hi = seq_hi << 1 | seq_lo >> 63
-    lo = inc_lo + state[:, 1]
-    hi = inc_hi + state[:, 0] + (lo < inc_lo)
-    lo, hi = _pcg64_step(lo, hi, inc_lo, inc_hi)
+    rows = len(entropy)
+    k = max(1, min(width, _LEAP_ENTRIES // max(rows, 1)))
+    passes = _pcg64_passes(entropy, k)
+    # Passes are k-by-R and are written into the block transposed, at least
+    # 8 columns at a time: written one column at a time, a 5000-row block
+    # cost more than twice as much per double.
+    chunk = max(k, 8)
+    spare = np.empty((0, rows))
     while True:
-        out = np.empty((len(entropy), width))
-        for c in range(width):
-            lo, hi = _pcg64_step(lo, hi, inc_lo, inc_hi)
-            rot = hi >> 58
-            x = hi ^ lo
-            x = (x >> rot) | (x << ((64 - rot) & 63))
-            out[:, c] = (x >> 11) * 2.0**-53
+        out = np.empty((rows, width))
+        for start in range(0, width, chunk):
+            n = min(chunk, width - start)
+            parts = [spare]
+            while sum(map(len, parts)) < n:
+                parts.append(next(passes))
+            cols = np.concatenate(parts)
+            out[:, start : start + n] = cols[:n].T
+            spare = cols[n:]
         yield out
 
 

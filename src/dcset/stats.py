@@ -59,7 +59,8 @@ _RATIO_CAP = 4.0
 # more than this many replicas * (depth + 1) points (criterion 07 draws 100,500).
 DISTINGUISH_BUDGET = 10_000_000
 # shift_hit_curve tests every shift against the largest depth's prefix, so it
-# refuses more than this many shifts * largest depth (200 * 1024 by default).
+# refuses more than this many shifts * largest depth (200 * 1024 by default);
+# `shifthit` holds its --grid bin count to the same budget.
 SHIFT_HIT_BUDGET = 10_000_000
 # fragment_independence_test holds one observable per fragment and replica and
 # draws a walk of `steps` per replica for walks, so it refuses more than this

@@ -171,6 +171,7 @@ class TestShiftHit:
     "argv",
     [
         ["shifthit", "--seed", "1", "--depths", "2000000000"],
+        ["shifthit", "--seed", "1", "--grid", "2000000000"],
         ["simulate", "sample", "--seed", "1", "--depth", "2000000000"],
         ["selector", "--seed", "1", "--replicas", "2000000000"],
         ["selector", "--seed", "1", "--gen", "sample-upper", "--replicas", "2000000000"],
@@ -181,7 +182,7 @@ class TestShiftHit:
         ["independence", "--seed", "1", "--gen", "minima", "--replicas", "10000"],
         ["enumerate", "--seed", "1", "--rounds", "2000000000"],
     ],
-    ids=["shifthit", "simulate", "selector", "selector-upper", "stationarity",
+    ids=["shifthit", "shifthit-grid", "simulate", "selector", "selector-upper", "stationarity",
          "stationarity-depth", "stationarity-minima", "independence", "independence-minima",
          "enumerate"],
 )

@@ -29,6 +29,7 @@ from dcset import (
 )
 from dcset import generators
 from dcset.generators import (
+    _LEAP_ENTRIES,
     POINT_BUDGET,
     _counterexample_rows,
     _distinct_uniform,
@@ -100,6 +101,42 @@ class TestUniforms:
         blocks = _pcg64_blocks(seed._entropy(range(9), (0, 3)), 5)
         got = np.hstack([next(blocks) for _ in range(4)])
         assert np.array_equal(got, seed.uniforms(range(9), 0, 3, size=20))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        value=st.integers(0, 2**64 - 1),
+        key=st.lists(st.integers(0, 2**64), max_size=2),
+        rows=st.sampled_from(
+            [0, 1, 3, _LEAP_ENTRIES // 5, _LEAP_ENTRIES // 2, _LEAP_ENTRIES, _LEAP_ENTRIES + 1]
+        ),
+        reads=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_blocks_match_stream(self, value, key, rows, reads, data):
+        # A pass draws k = max(1, min(width, _LEAP_ENTRIES // rows)) columns, so
+        # these row counts put k on both sides of 1.  A width that is not a
+        # multiple of k carries doubles from one block into the next.
+        widths = st.integers(0, 11)
+        if rows <= 3:
+            widths |= st.sampled_from([_LEAP_ENTRIES - 1, _LEAP_ENTRIES + 3])
+        width = data.draw(widths, label="width")
+        blocks = _pcg64_blocks(Seed(value)._entropy(range(rows), key), width)
+        got = [next(blocks) for _ in range(reads)]
+        assert all(block.shape == (rows, width) for block in got)
+        got = np.hstack(got)
+        for r in range(rows):
+            expected = Seed(value, r).stream(*key).uniform(size=width * reads)
+            assert np.array_equal(got[r], expected)
+
+    @pytest.mark.parametrize(
+        "rows, width, reads", [(500, 200, 1), (500, 24, 1), (500, 32, 16), (5000, 64, 1)]
+    )
+    def test_benchmark_shapes_match_stream(self, rows, width, reads):
+        # The distinguish sample, Poisson and pick blocks, and the selector's tall draw.
+        blocks = _pcg64_blocks(Seed(1)._entropy(range(rows), (0, 3)), width)
+        got = np.hstack([next(blocks) for _ in range(reads)])
+        for r in (0, 1, rows - 1):
+            assert np.array_equal(got[r], Seed(1, r).stream(0, 3).uniform(size=width * reads))
 
     def test_empty_replica_list(self):
         assert Seed(3).uniforms([], 1, 0, size=4).shape == (0, 4)
