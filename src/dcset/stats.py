@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaincinv
+import numpy.ma  # noqa: F401  (np.unique imports it lazily, ~15 ms: load it here, not in a run)
 
 from .errors import BadParameter, SparseTable, TooFewSamples, check_budget
 from .generators import (
@@ -91,11 +91,61 @@ class TestReport:
         return not self.passed
 
 
+# 2 * gammaincinv(df / 2, q) for df = 1..64 (one float.hex each, df 1 first) at
+# the two default levels, q = 1 - 0.01 and q = 1 - 1e-6, so that no default run
+# imports scipy.special, which took about half of the CLI's start-up.
+_CHI2_TABLE = {
+    1 - 0.01: tuple(map(float.fromhex, """
+    0x1.a8a2255a6e924p+2 0x1.26bb1bbb55514p+3 0x1.6b0925f3ee5a7p+3 0x1.a8dac2a1d7834p+3
+    0x1.e2c2be7b52449p+3 0x1.0cfd84626b0b9p+4 0x1.279adb6a3558bp+4 0x1.41719a4955b70p+4
+    0x1.5aa7e9ac98a50p+4 0x1.735917be45bebp+4 0x1.8b997a781aed5p+4 0x1.a378b2b5993e6p+4
+    0x1.bb031206065d4p+4 0x1.d24282815268dp+4 0x1.e93f22eceb2c6p+4 0x1.ffffb35bbc066p+4
+    0x1.0b44f16c947b7p+5 0x1.167144220eb75p+5 0x1.2186e664e03f2p+5 0x1.2c87a61a934c3p+5
+    0x1.377516f3af68ap+5 0x1.42509c3481c67p+5 0x1.4d1b70791299cp+5 0x1.57d6abf0f3d1fp+5
+    0x1.6283496d8632ap+5 0x1.6d222a8590c53p+5 0x1.77b41b002dfc4p+5 0x1.8239d3acf0a8bp+5
+    0x1.8cb3fcc64769ap+5 0x1.97232ff4988bbp+5 0x1.a187fa03a9763p+5 0x1.abe2dc582f96fp+5
+    0x1.b6344e30935f8p+5 0x1.c07cbdb9be5acp+5 0x1.cabc90ff1a0bap+5 0x1.d4f426bb8fa39p+5
+    0x1.df23d7104a9d2p+5 0x1.e94bf425294b4p+5 0x1.f36ccab619f4ap+5 0x1.fd86a2901821ep+5
+    0x1.03ccdf8006659p+6 0x1.08d32f9abbff7p+6 0x1.0dd65f4d3f7ffp+6 0x1.12d68a915db49p+6
+    0x1.17d3cbc8fa27ep+6 0x1.1cce3bdddf9ddp+6 0x1.21c5f25e7166ap+6 0x1.26bb05979b603p+6
+    0x1.2bad8aac51b42p+6 0x1.309d95aae699cp+6 0x1.358b39a0733b9p+6 0x1.3a7688aa890b2p+6
+    0x1.3f5f94075a290p+6 0x1.44466c2481b7fp+6 0x1.492b20ac90186p+6 0x1.4e0dc0937abaap+6
+    0x1.52ee5a220b851p+6 0x1.57ccfb00689ebp+6 0x1.5ca9b03fcaa5ep+6 0x1.6184866374d65p+6
+    0x1.665d896900af1p+6 0x1.6b34c4d00c985p+6 0x1.700a43a15b8a8p+6 0x1.74de1075722edp+6
+    """.split())),
+    1 - 1e-6: tuple(map(float.fromhex, """
+    0x1.7ed99bac43b90p+4 0x1.ba18a998fc064p+4 0x1.eaa339720b014p+4 0x1.0b03c584e7fb8p+5
+    0x1.1f1b01b9054dfp+5 0x1.321112a999ab2p+5 0x1.442cb5daa46ebp+5 0x1.559b78c2bc449p+5
+    0x1.667cccfe8b371p+5 0x1.76e7851aec7a7p+5 0x1.86ecd61ced6e8p+5 0x1.969a1dcb18eccp+5
+    0x1.a5f9fed8f09f4p+5 0x1.b5151b10d15ffp+5 0x1.c3f291fb35547p+5 0x1.d29859cab506fp+5
+    0x1.e10b7f79fcd08p+5 0x1.ef505618b8f4fp+5 0x1.fd6a9a6382b1bp+5 0x1.05aec7025cf7dp+6
+    0x1.0c96066298d7bp+6 0x1.136c4ea00133ep+6 0x1.1a32bf1b2772fp+6 0x1.20ea58a7e2f08p+6
+    0x1.279401eec77f5p+6 0x1.2e308b0755ca6p+6 0x1.34c0b074a2708p+6 0x1.3b451da437f6ap+6
+    0x1.41be6f07a6b10p+6 0x1.482d33dbc64afp+6 0x1.4e91efac96b2ap+6 0x1.54ed1ba193b93p+6
+    0x1.5b3f279bed1d7p+6 0x1.61887b2e3cbdfp+6 0x1.67c97673e40aap+6 0x1.6e0272cd1792dp+6
+    0x1.7433c383b957ep+6 0x1.7a5db65c6aa11p+6 0x1.80809416aa2d3p+6 0x1.869ca0de5beb2p+6
+    0x1.8cb21cb0b6024p+6 0x1.92c143b63f2bbp+6 0x1.98ca4e9348cbcp+6 0x1.9ecd72b018ef1p+6
+    0x1.a4cae279cb3c7p+6 0x1.aac2cd9cca49dp+6 0x1.b0b56139a335dp+6 0x1.b6a2c814dad45p+6
+    0x1.bc8b2ac25556cp+6 0x1.c26eafccce3f1p+6 0x1.c84d7bd9ce4a2p+6 0x1.ce27b1ca7f169p+6
+    0x1.d3fd72d9b07f3p+6 0x1.d9cedeb759603p+6 0x1.df9c13a1d4bfap+6 0x1.e5652e7d14ae0p+6
+    0x1.eb2a4ae7fda1ap+6 0x1.f0eb8350174ddp+6 0x1.f6a8f103bb04bp+6 0x1.fc62ac42e339fp+6
+    0x1.010c66275e067p+7 0x1.03e5b3bc08a17p+7 0x1.06bd4996599dbp+7 0x1.09933201f4e1dp+7
+    """.split())),
+}
+
+
 def _chi2_quantile(q: float, df: int) -> float:
     """The q-quantile of the chi-square law with df degrees of freedom.
 
-    The formula scipy.stats.chi2.ppf evaluates, without importing scipy.stats.
+    The formula scipy.stats.chi2.ppf evaluates, 2 * gammaincinv(df / 2, q)
+    (Best & Roberts 1975, AS 91), read from _CHI2_TABLE when (q, df) is in it;
+    any other (q, df) imports scipy.special here, never scipy.stats.
     """
+    row = _CHI2_TABLE.get(q)
+    if row is not None and 1 <= df <= len(row):
+        return row[df - 1]
+    from scipy.special import gammaincinv
+
     return float(2 * gammaincinv(df / 2, q))
 
 
@@ -411,12 +461,15 @@ def distinguish_counterexample(
 
     The sample arm has mean depth * mes C, the mixed arm mean mes C, so the
     homogeneity test is expected to reject (`passed` False) decisively.
-    Both arms are drawn for all replicas at once (see `_distinguish_arms`),
-    so `replicas * (depth + 1)` may not exceed DISTINGUISH_BUDGET.
+    Depth 0 leaves the sample arm empty; a negative depth is refused.  Both
+    arms are drawn for all replicas at once (see `_distinguish_arms`), so
+    `replicas * (depth + 1)` may not exceed DISTINGUISH_BUDGET.
     """
     _check_level(level)
     if replicas < 1:
         raise BadParameter(f"replicas must be >= 1, got {replicas}")
+    if depth < 0:
+        raise BadParameter(f"depth must be >= 0, got {depth}")
     check_budget("replicas * (depth + 1)", replicas * (depth + 1), DISTINGUISH_BUDGET)
     base = _as_seed(seed)
     xs, ys = _distinguish_arms(cantor, depth, replicas, base)

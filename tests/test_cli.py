@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -115,6 +118,13 @@ class TestDistinguish:
         # Refused before anything is allocated.
         assert main(["distinguish", "--seed", "1", *flags]) == 2
         assert "exceeds the work budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("depth", ["-1", "-2", "-1000000000000"])
+    def test_negative_depth_exits_2(self, capsys, depth):
+        # Depth 0 runs (a pinned run in TestFrozenSeedOutputs); below it is refused.
+        assert main(["distinguish", "--seed", "1", "--depth", depth]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: depth must be >= 0, got {depth}" in captured.err
 
 
 class TestStationarity:
@@ -501,3 +511,44 @@ def test_level_checked_before_dispatch(tmp_path, monkeypatch, capsys):
     conf.write_text(json.dumps({"level": 1.5}))
     assert main(["duality", "--sweep", "2", "2", "--config", str(conf)]) == 2
     assert capsys.readouterr().err.count("error: level must lie strictly") == 2
+
+
+def _fresh_interpreter(code: str) -> str:
+    """What `code` prints in a new interpreter that imports dcset from this tree."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout.strip()
+
+
+class TestStartup:
+    """Default runs read their chi-square thresholds from a frozen table, so the
+    CLI starts without scipy; numpy.ma, which np.unique loads lazily, is loaded
+    with dcset.stats rather than inside a run."""
+
+    def test_parser_leaves_scipy_out(self):
+        code = (
+            "import sys, dcset.cli; dcset.cli.build_parser(); "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        )
+        assert _fresh_interpreter(code) == "[]"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["duality", "--sweep", "2", "2"], ["distinguish", "--seed", "1", "--replicas", "40", "--depth", "50"]],
+        ids=" ".join,
+    )
+    def test_run_imports_no_scipy_or_numpy_ma(self, argv):
+        code = "\n".join([
+            "import contextlib, io, sys",
+            "import dcset.cli",
+            "dcset.cli.build_parser()",
+            "before = set(sys.modules)",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    rc = dcset.cli.main({argv!r})",
+            "new = set(sys.modules) - before",
+            "print(rc, sorted(m for m in new if m.partition('.')[0] == 'scipy'",
+            "                 or m == 'numpy.ma' or m.startswith('numpy.ma.')))",
+        ])
+        assert _fresh_interpreter(code) == "0 []"

@@ -42,6 +42,7 @@ from dcset.stats import (
     INDEPENDENCE_BUDGET,
     SHIFT_HIT_BUDGET,
     STATIONARITY_BUDGET,
+    _CHI2_TABLE,
     _chi2_quantile,
     _distinguish_arms,
 )
@@ -128,6 +129,41 @@ class TestChiSquareQuantile:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert done.stdout.strip() == "False"
+
+    @pytest.fixture
+    def scipy_calls(self, monkeypatch):
+        """Calls _chi2_quantile makes to scipy.special.gammaincinv, its fallback."""
+        import scipy.special
+
+        calls = []
+        gammaincinv = scipy.special.gammaincinv
+
+        def counted(a, q):
+            calls.append((a, q))
+            return gammaincinv(a, q)
+
+        monkeypatch.setattr(scipy.special, "gammaincinv", counted)
+        return calls
+
+    def test_table_equals_scipy_stats(self, scipy_calls):
+        from scipy.stats import chi2
+
+        assert sorted(_CHI2_TABLE) == [0.99, 0.999999] == sorted([1 - 0.01, 1 - 1e-6])
+        got = {(q, df): _chi2_quantile(q, df) for q in _CHI2_TABLE for df in range(1, 65)}
+        assert scipy_calls == []
+        for (q, df), value in got.items():
+            assert value == _CHI2_TABLE[q][df - 1] == chi2.ppf(q, df)
+
+    @pytest.mark.parametrize(
+        "q, df",
+        [(0.99, df) for df in range(65, 71)] + [(1 - 1e-6, 65), (0.95, 3), (1 - 1e-3, 7), (0.5, 1)],
+    )
+    def test_off_table_falls_back_to_scipy(self, scipy_calls, q, df):
+        from scipy.stats import chi2
+
+        value = _chi2_quantile(q, df)
+        assert scipy_calls == [(df / 2, q)]
+        assert value == chi2.ppf(q, df)
 
 
 BAD_LEVELS = [0.0, 1.0, 1.5, -0.1, float("nan")]
@@ -280,8 +316,15 @@ class TestDistinguish:
                 distinguish_counterexample(CANTOR, depth, replicas, 104)
 
     def test_negative_depth_refused(self):
-        with pytest.raises(BadParameter, match="depth must be >= 1, got -1"):
+        # Depth 0 is the documented empty sample arm, so the bound is 0, not 1.
+        with pytest.raises(BadParameter, match="depth must be >= 0, got -1"):
             distinguish_counterexample(CANTOR, -1, 20, 105)
+
+    @pytest.mark.parametrize("depth", [-2, -3, -10**12])
+    def test_depth_below_minus_one_refused(self, depth):
+        # replicas * (depth + 1) is negative here and would pass the budget check.
+        with pytest.raises(BadParameter, match=f"depth must be >= 0, got {depth}"):
+            distinguish_counterexample(CANTOR, depth, DISTINGUISH_BUDGET, 105)
 
     @settings(max_examples=40, deadline=None)
     @given(
