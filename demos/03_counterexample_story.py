@@ -8,17 +8,17 @@ stationarity test are shown: the sample passes, the mix fails.
 """
 
 from fractions import Fraction
+from functools import partial
 
 from dcset import (
-    count_in,
-    counterexample_mix,
     distinguish_counterexample,
     fat_cantor_build,
-    sample_uniform,
     stationarity_test,
     BinSet,
     UnitGrid,
 )
+# Row makers: all replicas of one range drawn at once, as NaN-padded rows.
+from dcset.generators import _counterexample_rows, _sample_rows
 
 SEED = 99
 cantor = fat_cantor_build(Fraction(1, 2), 10)
@@ -32,13 +32,11 @@ print(f"homogeneity statistic {report.statistic:.1f} vs threshold {report.thresh
 
 print("\n=== stationarity under a random cyclic shift ===")
 half = BinSet(UnitGrid(2), frozenset({0}))
-passing = stationarity_test(lambda s: sample_uniform(200, s), count_in(half), 400, SEED)
+passing = stationarity_test(partial(_sample_rows, 200), half, 400, SEED)
 print(f"uniform sample:  statistic {passing.statistic:.1f} < {passing.threshold:.1f} "
       f"-> stationary ({passing.passed})")
 
-failing = stationarity_test(
-    lambda s: counterexample_mix(200, cantor, s), count_in(cantor), 400, SEED
-)
+failing = stationarity_test(partial(_counterexample_rows, 200, cantor), cantor, 400, SEED)
 print(f"counterexample:  statistic {failing.statistic:.1f} > {failing.threshold:.1f} "
       f"-> shift detected ({not failing.passed})")
 print("\nshifting scatters the Cantor-bound Poisson points into the gaps and")

@@ -82,7 +82,6 @@ from .stats import (
     ShiftHitCurve,
     TestReport,
     chi_square_independence,
-    count_in,
     distinguish_counterexample,
     dyadic_rationals,
     event_reconstruction_check,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 
@@ -28,6 +29,9 @@ from .errors import (
 from .generators import (
     Enumeration,
     Seed,
+    _counterexample_rows,
+    _minima_rows,
+    _sample_rows,
     brownian_minima,
     counterexample_mix,
     poisson_on_cantor,
@@ -49,7 +53,6 @@ from .stats import (
     STATIONARITY_BUDGET,
     _check_level,
     chi_square_independence,
-    count_in,
     distinguish_counterexample,
     fragment_independence_test,
     ks_uniform,
@@ -177,24 +180,24 @@ def cmd_stationarity(args) -> int:
     check_budget("replicas * depth", args.replicas * depth, STATIONARITY_BUDGET)
     cantor = _cantor_of(args)
     if args.gen == "sample":
-        make = lambda s: sample_uniform(args.depth, s)
+        rows = partial(_sample_rows, args.depth)
     elif args.gen == "minima":
-        make = lambda s: brownian_minima(args.steps, s)
+        rows = partial(_minima_rows, args.steps)
     elif args.gen == "counterexample":
-        make = lambda s: counterexample_mix(args.depth, cantor, s)
+        rows = partial(_counterexample_rows, args.depth, cantor)
     else:
         raise UnknownGenerator(f"unknown generator {args.gen!r}")
     observable_name = args.observable or (
         "count-cantor" if args.gen == "counterexample" else "count-half"
     )
     if observable_name == "count-half":
-        observable = count_in(BinSet(UnitGrid(2), frozenset({0})))
+        region = BinSet(UnitGrid(2), frozenset({0}))
     elif observable_name == "count-cantor":
-        observable = count_in(cantor)
+        region = cantor
     else:
         raise BadParameter(f"unknown observable {observable_name!r}; known: {_OBSERVABLES}")
     expect = args.expect or ("fail" if args.gen == "counterexample" else "pass")
-    report = stationarity_test(make, observable, args.replicas, seed, level=args.level)
+    report = stationarity_test(rows, region, args.replicas, seed, level=args.level)
     payload = formats.report_to_json(report)
     payload["expected_outcome"] = expect
     payload["observable"] = observable_name

@@ -18,16 +18,16 @@ substream together, bit for bit equal to the streams themselves.  PCG64 is
 a 128-bit LCG, so every k-th state of a row follows another LCG (jump-ahead),
 and one array pass draws k columns of every row.
 
-The distinguisher's rows are drawn that way for all replicas at once:
-`_sample_rows` (shared with `selector.sample_ensemble`), `_poisson_rows`
-(numpy's Poisson multiplication method as one cumulative product per row) and
-`_counterexample_rows` (gap picks read in column blocks of one PCG64 pass).
-A row that runs out of drawn doubles, or that the per-replica generator would
-not keep whole (a repeat, or a point outside its interval), is redrawn by
-`sample_uniform`, `poisson_on_cantor` or `counterexample_mix`, which stay the
-reference for every row.  The caller bounds replicas x depth
-(`stats.DISTINGUISH_BUDGET`).  Every generator refuses more than
-`POINT_BUDGET` points before it draws any.
+The stochastic batteries draw a range of replicas at once this way, as
+NaN-padded rows (`rows(base, replicas)`): `_sample_rows` (shared with
+`selector.sample_ensemble`), `_poisson_rows` (numpy's Poisson multiplication
+method as one cumulative product per row) and `_counterexample_rows` (gap
+picks read in column blocks of one PCG64 pass).  A row that runs out of drawn
+doubles, or that the per-replica generator would not keep whole (a repeat, or
+a point outside its interval), is redrawn by `sample_uniform`,
+`poisson_on_cantor` or `counterexample_mix`, which stay the reference for
+every row; `_minima_rows` loops `brownian_minima`.  Every generator and row
+maker refuses more than `POINT_BUDGET` points before it draws any.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ _PICK_SLACK = 4
 _SLICE_POINTS = 1 << 14
 # A generator refuses, before drawing, to hold more than this many points at
 # once: depth for one enumeration (3 * depth for revealing selectors), steps
-# for a walk, depth * replicas for a batch of sample rows.
+# for a walk, depth * replicas (steps * replicas for minima) for a batch of rows.
 POINT_BUDGET = 10_000_000
 
 # Revealing-selectors geometry: low values live on (0, 1/4), mid values on
@@ -323,20 +323,18 @@ def _row_slices(rows: int, width: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
-def _distinct_rows(points: np.ndarray, lo: float = 0.0, hi: float = 1.0, lengths=None) -> np.ndarray:
-    """Per row: its first lengths[r] entries (all of them by default) are
+def _distinct_rows(points: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+    """Per row: its points, the entries other than its NaN padding, are
     pairwise distinct and inside (lo, hi).
 
     On (0, 1) this is Enumeration's check; it is also the test by which
-    `_distinct_uniform` keeps a chunk whole.  Entries past a row's length must
-    be NaN, which sorts last and differs from every entry.
+    `_distinct_uniform` keeps a chunk whole.  NaN sorts last, differs from
+    every entry and fails both comparisons, so the padding passes.
     """
     kept = np.empty(len(points), dtype=bool)
     for rows in _row_slices(*points.shape):
         ordered = np.sort(points[rows], axis=1)
-        inside = (lo < ordered) & (ordered < hi)
-        if lengths is not None:
-            inside |= np.arange(points.shape[1]) >= lengths[rows, None]
+        inside = ~((ordered <= lo) | (ordered >= hi))
         kept[rows] = inside.all(axis=1) & (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
     return kept
 
@@ -498,8 +496,8 @@ def counterexample_mix(depth: int, cantor: FatCantor, seed) -> Enumeration:
     return Enumeration(points, depth=len(points), provenance="counterexample", tags=tags)
 
 
-def _sample_rows(depth: int, count: int, base: Seed) -> np.ndarray:
-    """count-by-depth array whose row r is sample_uniform(depth, base.with_replica(r)).points.
+def _sample_rows(depth: int, base: Seed, replicas: range) -> np.ndarray:
+    """Array whose row k is sample_uniform(depth, base.with_replica(replicas[k])).points.
 
     Every row comes from one `Seed.uniforms` call; a row that sample_uniform
     would not keep whole (a repeated point, or one outside (0, 1)) is rebuilt
@@ -507,30 +505,40 @@ def _sample_rows(depth: int, count: int, base: Seed) -> np.ndarray:
     """
     if depth < 1:
         raise BadParameter(f"depth must be >= 1, got {depth}")
-    check_budget("depth * replicas", depth * count, POINT_BUDGET)
-    points = base.uniforms(range(count), GENERATOR_DOMAIN, _SAMPLE, size=depth)
-    for r in np.flatnonzero(~_distinct_rows(points)).tolist():
-        points[r] = sample_uniform(depth, base.with_replica(r)).points
-    return points
+    check_budget("depth * replicas", depth * len(replicas), POINT_BUDGET)
+    points = base.uniforms(replicas, GENERATOR_DOMAIN, _SAMPLE, size=depth)
+    redo = ~_distinct_rows(points)
+    return _redo_rows(points, redo, base, replicas, lambda s: sample_uniform(depth, s).points)
 
 
-def _redo_rows(points: np.ndarray, lengths: np.ndarray, redone: dict) -> np.ndarray:
-    """NaN-padded points with each row r in `redone` replaced by redone[r],
-    widened if a row needs it; `lengths` is updated in place."""
-    for r, row in redone.items():
-        lengths[r] = len(row)
-    grow = int(lengths.max(initial=0)) - points.shape[1]
+def _redo_rows(points: np.ndarray, redo: np.ndarray, base: Seed, replicas: range, make) -> np.ndarray:
+    """NaN-padded points with each row k where redo[k] holds replaced by
+    make(base.with_replica(replicas[k])), widened if that row needs it."""
+    redone = {k: make(base.with_replica(replicas[k])) for k in np.flatnonzero(redo).tolist()}
+    grow = max(map(len, redone.values()), default=0) - points.shape[1]
     if grow > 0:
         points = np.pad(points, ((0, 0), (0, grow)), constant_values=np.nan)
-    for r, row in redone.items():
-        points[r] = np.nan
-        points[r, : len(row)] = row
+    for k, row in redone.items():
+        points[k] = np.nan
+        points[k, : len(row)] = row
     return points
 
 
-def _poisson_rows(cantor: FatCantor, base: Seed, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(points, lengths): row r's first lengths[r] entries equal
-    poisson_on_cantor(cantor, base.with_replica(r)), the rest are NaN.
+def _minima_rows(steps: int, base: Seed, replicas: range) -> np.ndarray:
+    """NaN-padded rows: row k holds brownian_minima(steps, base.with_replica(replicas[k])).points.
+
+    Drawn one replica at a time, since numpy's ziggurat normal is not
+    reproduced in array passes.
+    """
+    check_budget("steps * replicas", steps * len(replicas), POINT_BUDGET)
+    return _redo_rows(
+        np.empty((len(replicas), 0)), np.ones(len(replicas), dtype=bool), base, replicas,
+        lambda s: brownian_minima(steps, s).points,
+    )
+
+
+def _poisson_rows(cantor: FatCantor, base: Seed, replicas: range) -> np.ndarray:
+    """NaN-padded rows: row k holds poisson_on_cantor(cantor, base.with_replica(replicas[k])).
 
     Below a mean of 10, numpy's Poisson draw is the multiplication method: the
     count is the number of leading doubles whose running product stays above
@@ -541,25 +549,22 @@ def _poisson_rows(cantor: FatCantor, base: Seed, count: int) -> tuple[np.ndarray
     measure = float(cantor.measure)
     if measure <= 0:
         raise BadParameter("cantor set must have positive measure")
-    draws = base.uniforms(range(count), GENERATOR_DOMAIN, _POISSON, size=_POISSON_WIDTH)
+    draws = base.uniforms(replicas, GENERATOR_DOMAIN, _POISSON, size=_POISSON_WIDTH)
     lengths = (np.cumprod(draws, axis=1) > math.exp(-measure)).sum(axis=1)
     cols = np.arange(int(lengths.max(initial=0)))
     take = np.minimum(lengths[:, None] + 1 + cols, _POISSON_WIDTH - 1)
     us = measure * np.take_along_axis(draws, take, axis=1)
     us[cols >= lengths[:, None]] = np.nan
-    kept = (2 * lengths + 1 <= _POISSON_WIDTH) & _distinct_rows(us, 0.0, measure, lengths)
+    kept = (2 * lengths + 1 <= _POISSON_WIDTH) & _distinct_rows(us, 0.0, measure)
     starts, _, cum = cantor.float_segments
     idx = np.clip(np.searchsorted(cum, us, side="right") - 1, 0, len(starts) - 1)
     points = starts[idx] + (us - cum[idx])
-    redone = {r: poisson_on_cantor(cantor, base.with_replica(r)) for r in np.flatnonzero(~kept).tolist()}
-    return _redo_rows(points, lengths, redone), lengths
+    return _redo_rows(points, ~kept, base, replicas, lambda s: poisson_on_cantor(cantor, s))
 
 
-def _counterexample_rows(
-    depth: int, cantor: FatCantor, base: Seed, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(points, lengths): row r's first lengths[r] entries equal
-    counterexample_mix(depth, cantor, base.with_replica(r)).points, the rest are NaN.
+def _counterexample_rows(depth: int, cantor: FatCantor, base: Seed, replicas: range) -> np.ndarray:
+    """NaN-padded rows: row k holds
+    counterexample_mix(depth, cantor, base.with_replica(replicas[k])).points.
 
     The Poisson part comes from `_poisson_rows`.  The gap picks are the first
     `depth` doubles of each row's _MIX_SAMPLE substream that lie in a gap and
@@ -569,14 +574,16 @@ def _counterexample_rows(
     """
     if depth < 1:
         raise BadParameter(f"depth must be >= 1, got {depth}")
+    check_budget("depth * replicas", depth * len(replicas), POINT_BUDGET)
     gap = float(cantor.gap_measure)
     if gap <= 0:
         raise BadParameter("cantor set must leave gaps for the sample")
-    poisson, lengths = _poisson_rows(cantor, base, count)
-    points = np.full((count, poisson.shape[1] + depth), np.nan)
+    poisson = _poisson_rows(cantor, base, replicas)
+    lengths = (~np.isnan(poisson)).sum(axis=1)
+    points = np.full((len(replicas), poisson.shape[1] + depth), np.nan)
     points[:, : poisson.shape[1]] = poisson
-    blocks = _pcg64_blocks(base._entropy(range(count), (GENERATOR_DOMAIN, _MIX_SAMPLE)), _PICK_BLOCK)
-    have = np.zeros(count, dtype=np.int64)
+    blocks = _pcg64_blocks(base._entropy(replicas, (GENERATOR_DOMAIN, _MIX_SAMPLE)), _PICK_BLOCK)
+    have = np.zeros(len(replicas), dtype=np.int64)
     read = 0
     while read <= _PICK_SLACK * depth / gap and (short := np.flatnonzero(have < depth)).size:
         block = next(blocks)[short]
@@ -587,13 +594,8 @@ def _counterexample_rows(
         rows = short[np.nonzero(keep)[0]]
         points[rows, lengths[rows] + slot[keep]] = block[keep]
         have[short] += keep.sum(axis=1)
-    lengths = lengths + depth
-    kept = (have == depth) & _distinct_rows(points, 0.0, 1.0, lengths)
-    redone = {
-        r: counterexample_mix(depth, cantor, base.with_replica(r)).points
-        for r in np.flatnonzero(~kept).tolist()
-    }
-    return _redo_rows(points, lengths, redone), lengths
+    kept = (have == depth) & _distinct_rows(points)
+    return _redo_rows(points, ~kept, base, replicas, lambda s: counterexample_mix(depth, cantor, s).points)
 
 
 def intensity_estimate(

@@ -160,7 +160,7 @@ def sample_ensemble(depth: int, count: int, grid: UnitGrid, seed) -> Ensemble:
     a failing row rebuilt by sample_uniform.
     """
     check_budget("replicas * bins", count * grid.n, ENSEMBLE_BUDGET)
-    points = _sample_rows(depth, count, _as_seed(seed))
+    points = _sample_rows(depth, _as_seed(seed), range(count))
     if count < 1:
         raise BadParameter(f"ensemble needs at least one replica, got {count}")
     return Ensemble._packed(points, np.full(count, depth, dtype=np.int64), grid)

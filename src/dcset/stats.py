@@ -20,7 +20,6 @@ from .errors import BadParameter, SparseTable, TooFewSamples, check_budget
 from .generators import (
     REVEAL_CUT,
     STATS_DOMAIN,
-    Enumeration,
     RevealingSelectors,
     Seed,
     _as_seed,
@@ -30,7 +29,7 @@ from .generators import (
     _sample_rows,
     gaussian_walk,
 )
-from .grid_measure import CyclicShift, FatCantor, cyclic_shift_points
+from .grid_measure import FatCantor
 from .selector import SelectorTable
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "ks_uniform",
     "chi_square_independence",
     "two_sample_test",
-    "count_in",
     "fragment_independence_test",
     "stationarity_test",
     "distinguish_counterexample",
@@ -66,10 +64,10 @@ SHIFT_HIT_BUDGET = 10_000_000
 # draws a walk of `steps` per replica for walks, so it refuses more than this
 # many replicas * (fragments + walk steps) (400 * 2 sample fragments by default).
 INDEPENDENCE_BUDGET = 10_000_000
-# stationarity_test draws two enumerations per replica, so `stationarity`
+# stationarity_test draws each arm as one batch of R rows, so `stationarity`
 # refuses more than this many replicas * depth points (replicas * steps for
-# minima; 400 * 200 by default).  stationarity_test cannot see the depth and
-# counts it as 1, refusing more than this many replicas before any shift.
+# minima; 400 * 200 by default).  The row maker holds each batch to
+# POINT_BUDGET; the test itself refuses more than this many replicas first.
 STATIONARITY_BUDGET = 10_000_000
 
 
@@ -284,18 +282,6 @@ def two_sample_test(
     )
 
 
-def count_in(region) -> Callable[[np.ndarray], float]:
-    """Observable factory: number of points falling in a BinSet or FatCantor."""
-
-    def observe(points: np.ndarray) -> float:
-        pts = np.asarray(points, dtype=float)
-        if not pts.size:
-            return 0.0
-        return float(region.contains_points(pts).sum())
-
-    return observe
-
-
 def _sample_fragment_category(rng, lo: float, hi: float) -> int:
     pts = lo + (hi - lo) * rng.uniform(size=_FRAG_POINTS)
     count = int((pts < (lo + hi) / 2).sum())
@@ -391,16 +377,20 @@ def fragment_independence_test(
 
 
 def stationarity_test(
-    make: Callable[[Seed], Enumeration],
-    observable: Callable[[np.ndarray], float],
+    rows: Callable[[Seed, range], np.ndarray],
+    region,
     replicas: int,
     seed,
     level: float = 0.01,
 ) -> TestReport:
-    """Two-sample comparison of an observable on X versus on a freshly shifted X.
+    """Two-sample comparison of the count in a region on X versus on a freshly shifted X.
 
-    The second arm uses independent replicas and one fresh uniform shift per
-    replica; a stationary construction produces identically distributed arms.
+    `rows(base, replicas)` returns NaN-padded rows, row k holding the points
+    of replica replicas[k] (the row makers of `generators`).  The plain arm
+    is replicas 0..R-1.  The shifted arm is replicas R..2R-1, each moved by
+    its own uniform shift s with the float operations of
+    `cyclic_shift_points`; a point equal to 1 - s has no image and is not
+    counted.  A stationary construction produces identically distributed arms.
     """
     _check_level(level)
     if replicas < 1:
@@ -410,31 +400,29 @@ def stationarity_test(
     check_budget("replicas", replicas, STATIONARITY_BUDGET)
 
     base = _as_seed(seed)
-    shifts = base.uniforms(range(replicas, 2 * replicas), STATS_DOMAIN, 0)[:, 0]
-
-    def one(r: int) -> tuple[float, float]:
-        plain_obs = observable(make(base.with_replica(r)).points)
-        twin = base.with_replica(replicas + r)
-        moved = cyclic_shift_points(CyclicShift(float(shifts[r])), make(twin).points.tolist())
-        return plain_obs, observable(np.array(moved))
-
-    pairs = [one(r) for r in range(replicas)]
-    plain = np.array([p for p, _ in pairs])
-    shifted = np.array([q for _, q in pairs])
+    shifts = base.uniforms(range(replicas, 2 * replicas), STATS_DOMAIN, 0)
+    plain = _count_in_rows(region, rows(base, range(replicas)))
+    points = rows(base, range(replicas, 2 * replicas))
+    moved = points + shifts
+    moved[points > 1 - shifts] -= 1
+    moved[points == 1 - shifts] = np.nan
+    shifted = _count_in_rows(region, moved)
     report = two_sample_test(plain, shifted, level, base.value, name="stationarity")
     report.details["mean_plain"] = float(plain.mean())
     report.details["mean_shifted"] = float(shifted.mean())
     return report
 
 
-def _count_in_rows(region, points: np.ndarray, lengths=None) -> np.ndarray:
-    """Per row, as a float: how many of its first lengths[r] points (all of
-    them by default) lie in the region, tested a slice of rows at a time."""
+def _count_in_rows(region, points: np.ndarray) -> np.ndarray:
+    """Per row, as a float: how many of its points lie in the region, tested
+    a slice of rows at a time.  NaN is no point: it never reaches
+    `contains_points`, where UnitGrid.bins would put it in bin 0."""
     counts = np.empty(len(points))
     for rows in _row_slices(*points.shape):
-        hits = region.contains_points(points[rows])
-        if lengths is not None:
-            hits &= np.arange(points.shape[1]) < lengths[rows, None]
+        block = points[rows]
+        real = ~np.isnan(block)
+        hits = np.zeros(block.shape, dtype=bool)
+        hits[real] = region.contains_points(block[real])
         counts[rows] = hits.sum(axis=1)
     return counts
 
@@ -446,11 +434,13 @@ def _distinguish_arms(cantor: FatCantor, depth: int, replicas: int, base: Seed):
     counterexample_mix(depth, cantor, ...) at base.with_replica(r); at depth 0
     it is 0 and the size of poisson_on_cantor(cantor, ...).
     """
+    reps = range(replicas)
     if depth == 0:
-        return np.zeros(replicas), _poisson_rows(cantor, base, replicas)[1].astype(float)
+        sizes = (~np.isnan(_poisson_rows(cantor, base, reps))).sum(axis=1)
+        return np.zeros(replicas), sizes.astype(float)
     return (
-        _count_in_rows(cantor, _sample_rows(depth, replicas, base)),
-        _count_in_rows(cantor, *_counterexample_rows(depth, cantor, base, replicas)),
+        _count_in_rows(cantor, _sample_rows(depth, base, reps)),
+        _count_in_rows(cantor, _counterexample_rows(depth, cantor, base, reps)),
     )
 
 

@@ -18,7 +18,7 @@ to the 1/4 law at the same 2% tolerance.
 import math
 import time
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -34,8 +34,6 @@ from dcset import (
     brownian_minima,
     chi_square_independence,
     conditional_uniform_selector,
-    count_in,
-    counterexample_mix,
     distinguish_counterexample,
     event_reconstruction_check,
     fat_cantor_build,
@@ -49,13 +47,13 @@ from dcset import (
     product_limsup_witness,
     revealing_selectors,
     sample_ensemble,
-    sample_uniform,
     shift_hit_curve,
     solve,
     stationarity_test,
     uniform_selector,
     verify_selector,
 )
+from dcset.generators import _counterexample_rows, _sample_rows
 
 SEED_RANDOM_MASKS = 16161616
 SEED_CHAINS = 88888
@@ -317,14 +315,9 @@ def test_criterion_10_interleaved_enumeration():
 def test_criterion_11_stationarity_both_directions():
     """Sample passes the shift test at 0.01; the mixed set is rejected."""
     half = BinSet(UnitGrid(2), frozenset({0}))
-    passing = stationarity_test(
-        lambda s: sample_uniform(200, s), count_in(half), 400, SEED_STATIONARITY
-    )
+    passing = stationarity_test(partial(_sample_rows, 200), half, 400, SEED_STATIONARITY)
     failing = stationarity_test(
-        lambda s: counterexample_mix(200, CANTOR_HALF, s),
-        count_in(CANTOR_HALF),
-        400,
-        SEED_STATIONARITY,
+        partial(_counterexample_rows, 200, CANTOR_HALF), CANTOR_HALF, 400, SEED_STATIONARITY
     )
     assert passing.passed
     assert not failing.passed

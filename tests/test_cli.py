@@ -525,7 +525,8 @@ def _fresh_interpreter(code: str) -> str:
 class TestStartup:
     """Default runs read their chi-square thresholds from a frozen table, so the
     CLI starts without scipy; numpy.ma, which np.unique loads lazily, is loaded
-    with dcset.stats rather than inside a run."""
+    with dcset.stats rather than inside a run.  Runs that draw only through the
+    batch rows never load numpy.random."""
 
     def test_parser_leaves_scipy_out(self):
         code = (
@@ -536,7 +537,12 @@ class TestStartup:
 
     @pytest.mark.parametrize(
         "argv",
-        [["duality", "--sweep", "2", "2"], ["distinguish", "--seed", "1", "--replicas", "40", "--depth", "50"]],
+        [
+            ["duality", "--sweep", "2", "2"],
+            ["distinguish", "--seed", "1", "--replicas", "40", "--depth", "50"],
+            ["stationarity", "--gen", "sample", "--seed", "1", "--replicas", "40", "--depth", "50"],
+            ["stationarity", "--gen", "counterexample", "--seed", "1", "--replicas", "40", "--depth", "50"],
+        ],
         ids=" ".join,
     )
     def test_run_imports_no_scipy_or_numpy_ma(self, argv):
@@ -549,6 +555,6 @@ class TestStartup:
             f"    rc = dcset.cli.main({argv!r})",
             "new = set(sys.modules) - before",
             "print(rc, sorted(m for m in new if m.partition('.')[0] == 'scipy'",
-            "                 or m == 'numpy.ma' or m.startswith('numpy.ma.')))",
+            "                 or m.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'random'])))",
         ])
         assert _fresh_interpreter(code) == "0 []"

@@ -33,6 +33,7 @@ from dcset.generators import (
     POINT_BUDGET,
     _counterexample_rows,
     _distinct_uniform,
+    _minima_rows,
     _pcg64_blocks,
     _poisson_rows,
     _sample_rows,
@@ -168,7 +169,9 @@ class TestSampleUniform:
             lambda: gaussian_walk(POINT_BUDGET + 1, 1),
             lambda: counterexample_mix(2_000_000_000, CANTOR, 1),
             lambda: revealing_selectors(POINT_BUDGET // 3 + 1, 1),
-            lambda: _sample_rows(POINT_BUDGET // 10 + 1, 10, Seed(1)),
+            lambda: _sample_rows(POINT_BUDGET // 10 + 1, Seed(1), range(10)),
+            lambda: _counterexample_rows(POINT_BUDGET // 10 + 1, CANTOR, Seed(1), range(10)),
+            lambda: _minima_rows(POINT_BUDGET // 10 + 1, Seed(1), range(10)),
         ]
         for call in calls:
             with pytest.raises(BadParameter, match="exceeds the work budget"):
@@ -460,36 +463,52 @@ class TestEnumerationInvariants:
         assert_enumeration_invariants(enum)
 
 
-def rows_of(points, lengths):
+def rows_of(points):
+    """The points of each NaN-padded row, checking that NaN only pads it."""
+    lengths = (~np.isnan(points)).sum(axis=1)
     assert all(np.isnan(row[n:]).all() for row, n in zip(points, lengths))
     return [row[:n] for row, n in zip(points, lengths)]
 
 
 class TestBatchCounterexample:
-    """The batch rows distinguish_counterexample draws, against their oracles:
-    sample_uniform, poisson_on_cantor and counterexample_mix per replica."""
+    """The batch rows the stochastic batteries draw, against their oracles:
+    sample_uniform, poisson_on_cantor, counterexample_mix and brownian_minima
+    per replica, for ranges of replicas that need not start at 0."""
 
     gaps = st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
 
     @settings(max_examples=30, deadline=None)
     @given(value=st.integers(0, 2**64 - 1), gap=gaps, cantor_depth=st.integers(1, 10),
-           replicas=st.integers(1, 60))
-    def test_poisson_rows_match(self, value, gap, cantor_depth, replicas):
+           first=st.integers(0, 100), replicas=st.integers(1, 60))
+    def test_poisson_rows_match(self, value, gap, cantor_depth, first, replicas):
         cantor = fat_cantor_build(gap, cantor_depth)
-        got = rows_of(*_poisson_rows(cantor, Seed(value), replicas))
-        for r, row in enumerate(got):
+        reps = range(first, first + replicas)
+        got = rows_of(_poisson_rows(cantor, Seed(value), reps))
+        for r, row in zip(reps, got):
             assert np.array_equal(row, poisson_on_cantor(cantor, Seed(value, r)))
 
     @settings(max_examples=30, deadline=None)
     @given(value=st.integers(0, 2**64 - 1), gap=gaps, cantor_depth=st.integers(1, 10),
-           depth=st.one_of(st.just(1), st.integers(1, 300)), replicas=st.integers(1, 60))
-    def test_rows_match(self, value, gap, cantor_depth, depth, replicas):
+           depth=st.one_of(st.just(1), st.integers(1, 300)), first=st.integers(0, 100),
+           replicas=st.integers(1, 60))
+    def test_rows_match(self, value, gap, cantor_depth, depth, first, replicas):
         cantor = fat_cantor_build(gap, cantor_depth)
-        samples = _sample_rows(depth, replicas, Seed(value))
-        mixes = rows_of(*_counterexample_rows(depth, cantor, Seed(value), replicas))
-        for r in range(replicas):
-            assert np.array_equal(samples[r], sample_uniform(depth, Seed(value, r)).points)
-            assert np.array_equal(mixes[r], counterexample_mix(depth, cantor, Seed(value, r)).points)
+        reps = range(first, first + replicas)
+        samples = _sample_rows(depth, Seed(value), reps)
+        mixes = rows_of(_counterexample_rows(depth, cantor, Seed(value), reps))
+        for k, r in enumerate(reps):
+            assert np.array_equal(samples[k], sample_uniform(depth, Seed(value, r)).points)
+            assert np.array_equal(mixes[k], counterexample_mix(depth, cantor, Seed(value, r)).points)
+
+    @settings(max_examples=10, deadline=None)
+    @given(value=st.integers(0, 2**64 - 1), steps=st.integers(3, 200),
+           first=st.integers(0, 100), replicas=st.integers(0, 20))
+    def test_minima_rows_match(self, value, steps, first, replicas):
+        reps = range(first, first + replicas)
+        got = rows_of(_minima_rows(steps, Seed(value), reps))
+        assert len(got) == replicas
+        for r, row in zip(reps, got):
+            assert np.array_equal(row, brownian_minima(steps, Seed(value, r)).points)
 
     @staticmethod
     def counted(monkeypatch, name):
@@ -508,9 +527,9 @@ class TestBatchCounterexample:
         # A count c needs 2c + 1 doubles; rows needing more take the per-replica path.
         monkeypatch.setattr(generators, "_POISSON_WIDTH", width)
         calls = self.counted(monkeypatch, "poisson_on_cantor")
-        got = rows_of(*_poisson_rows(CANTOR, Seed(31), 200))
+        got = rows_of(_poisson_rows(CANTOR, Seed(31), range(100, 300)))
         assert 0 < len(calls) < 200
-        for r, row in enumerate(got):
+        for r, row in zip(range(100, 300), got):
             assert np.array_equal(row, poisson_on_cantor(CANTOR, Seed(31, r)))
 
     @pytest.mark.parametrize("slack", [0, 1])
@@ -520,9 +539,9 @@ class TestBatchCounterexample:
         monkeypatch.setattr(generators, "_PICK_SLACK", slack)
         monkeypatch.setattr(generators, "_POISSON_WIDTH", 3)
         calls = self.counted(monkeypatch, "counterexample_mix")
-        got = rows_of(*_counterexample_rows(20, CANTOR, Seed(32), 100))
+        got = rows_of(_counterexample_rows(20, CANTOR, Seed(32), range(50, 150)))
         assert 0 < len(calls) <= 100 and (len(calls) == 100) == (slack == 0)
-        for r, row in enumerate(got):
+        for r, row in zip(range(50, 150), got):
             assert np.array_equal(row, counterexample_mix(20, CANTOR, Seed(32, r)).points)
 
     def test_repeated_pick_row_is_redrawn(self, monkeypatch):
@@ -536,7 +555,7 @@ class TestBatchCounterexample:
 
         monkeypatch.setattr(generators, "_pcg64_blocks", forged)
         calls = self.counted(monkeypatch, "counterexample_mix")
-        got = rows_of(*_counterexample_rows(10, CANTOR, Seed(33), 6))
-        assert [args[2] for args in calls] == [Seed(33, 2)]
-        for r, row in enumerate(got):
+        got = rows_of(_counterexample_rows(10, CANTOR, Seed(33), range(7, 13)))
+        assert [args[2] for args in calls] == [Seed(33, 9)]
+        for r, row in zip(range(7, 13), got):
             assert np.array_equal(row, counterexample_mix(10, CANTOR, Seed(33, r)).points)

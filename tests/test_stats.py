@@ -5,6 +5,7 @@ import warnings
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 from dcset import (
     BadParameter,
     BinSet,
+    CyclicShift,
+    Enumeration,
     Seed,
     SelectorTable,
     SparseTable,
@@ -21,8 +24,8 @@ from dcset import (
     UnitGrid,
     brownian_minima,
     chi_square_independence,
-    count_in,
     counterexample_mix,
+    cyclic_shift_points,
     distinguish_counterexample,
     dyadic_rationals,
     event_reconstruction_check,
@@ -37,6 +40,7 @@ from dcset import (
     stationarity_test,
     two_sample_test,
 )
+from dcset.generators import STATS_DOMAIN, _counterexample_rows, _minima_rows, _sample_rows
 from dcset.stats import (
     DISTINGUISH_BUDGET,
     INDEPENDENCE_BUDGET,
@@ -177,7 +181,7 @@ LEVEL_TAKERS = {
         "sample", [0, 0.5, 1], 100, 1, level
     ),
     "stationarity_test": lambda level: stationarity_test(
-        lambda s: sample_uniform(10, s), count_in(CANTOR), 20, 1, level
+        partial(_sample_rows, 10), CANTOR, 20, 1, level
     ),
     "distinguish_counterexample": lambda level: distinguish_counterexample(
         CANTOR, 10, 20, 1, level
@@ -249,43 +253,80 @@ HALF = BinSet(UnitGrid(2), frozenset({0}))
 
 class TestStationarity:
     def test_sample_is_stationary(self):
-        report = stationarity_test(
-            lambda s: sample_uniform(100, s), count_in(HALF), 300, 98
-        )
+        report = stationarity_test(partial(_sample_rows, 100), HALF, 300, 98)
         assert report.passed
 
     def test_walk_minima_stationary(self):
-        report = stationarity_test(
-            lambda s: brownian_minima(2048, s), count_in(HALF), 300, 99
-        )
+        report = stationarity_test(partial(_minima_rows, 2048), HALF, 300, 99)
         assert report.passed
 
     def test_counterexample_detected(self):
-        report = stationarity_test(
-            lambda s: counterexample_mix(200, CANTOR, s), count_in(CANTOR), 300, 98
-        )
+        report = stationarity_test(partial(_counterexample_rows, 200, CANTOR), CANTOR, 300, 98)
         assert not report.passed
 
     def test_shift_free_observable_trivially_passes(self):
-        # Total point count ignores positions entirely: both arms identical.
-        report = stationarity_test(
-            lambda s: sample_uniform(60, s), lambda pts: float(len(pts)), 200, 97
-        )
+        # The full region counts every point and ignores positions: both arms identical.
+        report = stationarity_test(partial(_sample_rows, 60), UnitGrid(1).full(), 200, 97)
         assert report.passed
 
     @pytest.mark.parametrize("replicas, error", [(-5, BadParameter), (0, BadParameter), (9, TooFewSamples)])
     def test_replica_count_checked(self, replicas, error):
         with pytest.raises(error):
-            stationarity_test(lambda s: sample_uniform(10, s), count_in(HALF), replicas, 96)
+            stationarity_test(partial(_sample_rows, 10), HALF, replicas, 96)
 
     def test_work_budget(self):
-        # Refused before any shift or enumeration is drawn.
-        def never(seed):
-            raise AssertionError("drew an enumeration")
+        # Refused before any shift or row is drawn.
+        def never(base, replicas):
+            raise AssertionError("drew rows")
 
         for replicas in (STATIONARITY_BUDGET + 1, 2_000_000_000):
             with pytest.raises(BadParameter, match="exceeds the work budget"):
-                stationarity_test(never, count_in(HALF), replicas, 96)
+                stationarity_test(never, HALF, replicas, 96)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("region", [HALF, CANTOR], ids=["half", "cantor"])
+    @pytest.mark.parametrize(
+        "rows, make",
+        [
+            (partial(_sample_rows, 30), lambda s: sample_uniform(30, s)),
+            (partial(_minima_rows, 300), lambda s: brownian_minima(300, s)),
+            (partial(_counterexample_rows, 30, CANTOR), lambda s: counterexample_mix(30, CANTOR, s)),
+        ],
+        ids=["sample", "minima", "counterexample"],
+    )
+    def test_report_matches_per_replica_reference(self, rows, make, region, seed):
+        # Replica r of the plain arm, and replica R + r moved by its own shift.
+        replicas = 40
+        plain, shifted = [], []
+        for r in range(replicas):
+            plain.append(float(make(Seed(seed, r)).count_in(region)))
+            twin = Seed(seed, replicas + r)
+            shift = CyclicShift(float(twin.stream(STATS_DOMAIN, 0).uniform()))
+            moved = cyclic_shift_points(shift, make(twin).points.tolist())
+            shifted.append(float(Enumeration(moved, len(moved), "shifted").count_in(region)))
+        expected = two_sample_test(plain, shifted, 0.01, seed, name="stationarity")
+        expected.details["mean_plain"] = float(np.mean(plain))
+        expected.details["mean_shifted"] = float(np.mean(shifted))
+        assert stationarity_test(rows, region, replicas, seed) == expected
+
+    @pytest.mark.parametrize("region", [HALF, HALF.complement()], ids=["bin0", "bin1"])
+    def test_point_without_image_is_not_counted(self, region):
+        # Each shifted row holds exactly 1 - s for its own shift s, then padding.
+        # Counted, that point would land near 0 or near 1, in one of the two
+        # bins; NaN reaching UnitGrid.bins would warn.
+        replicas, seed = 10, 5
+        shifts = Seed(seed).uniforms(range(replicas, 2 * replicas), STATS_DOMAIN, 0)
+
+        def rows(base, reps):
+            if reps.start == 0:
+                return np.tile([0.25, 0.75], (replicas, 1))
+            return np.column_stack([1 - shifts[:, 0], np.full(replicas, np.nan)])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = stationarity_test(rows, region, replicas, seed)
+        assert report.details["mean_plain"] == 1.0
+        assert report.details["mean_shifted"] == 0.0
 
 
 class TestDistinguish:
@@ -447,7 +488,7 @@ class TestReportShape:
         "run",
         [
             lambda s: fragment_independence_test("sample", [0, 0.5, 1], 200, s),
-            lambda s: stationarity_test(lambda t: sample_uniform(20, t), count_in(HALF), 20, s),
+            lambda s: stationarity_test(partial(_sample_rows, 20), HALF, 20, s),
             lambda s: distinguish_counterexample(CANTOR, 20, 20, s, level=0.01),
             lambda s: shift_hit_curve(HALF, [8, 16], 10, s),
         ],
