@@ -40,7 +40,6 @@ from .generators import (
 )
 from .grid_measure import BinSet, UnitGrid, fat_cantor_build
 from .selector import (
-    ROUNDS_BUDGET,
     Ensemble,
     interleave_containment,
     interleaved_enumeration,
@@ -49,8 +48,6 @@ from .selector import (
     verify_selector,
 )
 from .stats import (
-    SHIFT_HIT_BUDGET,
-    STATIONARITY_BUDGET,
     _check_level,
     chi_square_independence,
     distinguish_counterexample,
@@ -177,7 +174,7 @@ _OBSERVABLES = ("count-half", "count-cantor")
 def cmd_stationarity(args) -> int:
     seed = _need_seed(args)
     depth = args.steps if args.gen == "minima" else args.depth
-    check_budget("replicas * depth", args.replicas * depth, STATIONARITY_BUDGET)
+    check_budget("replicas * depth", args.replicas * depth)
     cantor = _cantor_of(args)
     if args.gen == "sample":
         rows = partial(_sample_rows, args.depth)
@@ -225,7 +222,7 @@ def cmd_independence(args) -> int:
 def cmd_shifthit(args) -> int:
     seed = _need_seed(args)
     grid = UnitGrid(args.grid)
-    check_budget("grid", args.grid, SHIFT_HIT_BUDGET)
+    check_budget("grid", args.grid)
     if args.bins:
         members = frozenset(_int_list(args.bins, "--bins"))
     else:
@@ -282,7 +279,7 @@ def cmd_selector(args) -> int:
 
 def cmd_enumerate(args) -> int:
     seed = _need_seed(args)
-    check_budget("rounds * replicas", args.rounds * args.replicas, ROUNDS_BUDGET)
+    check_budget("rounds * replicas", args.rounds * args.replicas)
     ensemble = sample_ensemble(args.depth, args.replicas, UnitGrid(args.grid), seed)
     tables = interleaved_enumeration(ensemble, args.rounds, UnitGrid(args.coarse), Seed(seed))
     contained = interleave_containment(ensemble, tables)

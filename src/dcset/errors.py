@@ -21,10 +21,16 @@ class BadParameter(DcsetError):
     """A constructor or operation parameter is outside its allowed range."""
 
 
-def check_budget(what: str, work: int, budget: int) -> None:
-    """Refuse, before anything is allocated, work above its budget."""
-    if work > budget:
-        raise BadParameter(f"{what} = {work} exceeds the work budget {budget}")
+# The one work limit: every generator, row maker, ensemble, battery and CLI
+# size check refuses more than this many points, cells, rounds or steps before
+# it allocates; `what` names the product it measures.
+WORK_BUDGET = 10_000_000
+
+
+def check_budget(what: str, work: int) -> None:
+    """Refuse, before anything is allocated, work above WORK_BUDGET."""
+    if work > WORK_BUDGET:
+        raise BadParameter(f"{what} = {work} exceeds the work budget {WORK_BUDGET}")
 
 
 class NotNested(DcsetError):

@@ -27,7 +27,9 @@ doubles, or that the per-replica generator would not keep whole (a repeat, or
 a point outside its interval), is redrawn by `sample_uniform`,
 `poisson_on_cantor` or `counterexample_mix`, which stay the reference for
 every row; `_minima_rows` loops `brownian_minima`.  Every generator and row
-maker refuses more than `POINT_BUDGET` points before it draws any.
+maker refuses more than `errors.WORK_BUDGET` points before it draws any:
+depth for one enumeration (3 * depth for revealing selectors), steps for a
+walk, depth * replicas (steps * replicas for minima) for a batch of rows.
 """
 
 from __future__ import annotations
@@ -90,10 +92,6 @@ _PICK_BLOCK = 32
 _PICK_SLACK = 4
 # Entries per slice of a row-wise check, which bounds its temporaries.
 _SLICE_POINTS = 1 << 14
-# A generator refuses, before drawing, to hold more than this many points at
-# once: depth for one enumeration (3 * depth for revealing selectors), steps
-# for a walk, depth * replicas (steps * replicas for minima) for a batch of rows.
-POINT_BUDGET = 10_000_000
 
 # Revealing-selectors geometry: low values live on (0, 1/4), mid values on
 # (1/4, 1/2), drivers on (1/2, 1); the event is "driver below 3/4".
@@ -378,11 +376,8 @@ def _distinct_uniform(rng: np.random.Generator, count: int, lo: float, hi: float
     seen: set[float] = set()
     while len(picked) < count:
         chunk = rng.uniform(lo, hi, size=count - len(picked))
-        if not picked:
-            # A chunk of distinct draws inside (lo, hi) would be kept whole.
-            ordered = np.unique(chunk)
-            if ordered.size == count and lo < ordered[0] and ordered[-1] < hi:
-                return chunk
+        if not picked and _distinct_rows(chunk[None], lo, hi)[0]:
+            return chunk  # distinct draws inside (lo, hi) are kept whole
         for t in chunk:
             t = float(t)
             if lo < t < hi and t not in seen:
@@ -395,7 +390,7 @@ def sample_uniform(depth: int, seed) -> Enumeration:
     """First `depth` points of an unordered infinite uniform sample."""
     if depth < 1:
         raise BadParameter(f"depth must be >= 1, got {depth}")
-    check_budget("depth", depth, POINT_BUDGET)
+    check_budget("depth", depth)
     rng = _as_seed(seed).stream(GENERATOR_DOMAIN, _SAMPLE)
     return Enumeration(
         _distinct_uniform(rng, depth, 0.0, 1.0), depth=depth, provenance="sample"
@@ -421,7 +416,7 @@ def gaussian_walk(steps: int, seed) -> WalkPath:
     """Walk with independent Gaussian increments of variance 1/steps."""
     if steps < 1:
         raise BadParameter(f"steps must be >= 1, got {steps}")
-    check_budget("steps", steps, POINT_BUDGET)
+    check_budget("steps", steps)
     rng = _as_seed(seed).stream(GENERATOR_DOMAIN, _WALK)
     increments = rng.normal(0.0, np.sqrt(1.0 / steps), size=steps)
     values = np.concatenate([[0.0], np.cumsum(increments)])
@@ -476,7 +471,7 @@ def counterexample_mix(depth: int, cantor: FatCantor, seed) -> Enumeration:
     """
     if depth < 1:
         raise BadParameter(f"depth must be >= 1, got {depth}")
-    check_budget("depth", depth, POINT_BUDGET)
+    check_budget("depth", depth)
     poisson_part = poisson_on_cantor(cantor, seed)
     rng = _as_seed(seed).stream(GENERATOR_DOMAIN, _MIX_SAMPLE)
     seen = set(poisson_part.tolist())
@@ -505,7 +500,7 @@ def _sample_rows(depth: int, base: Seed, replicas: range) -> np.ndarray:
     """
     if depth < 1:
         raise BadParameter(f"depth must be >= 1, got {depth}")
-    check_budget("depth * replicas", depth * len(replicas), POINT_BUDGET)
+    check_budget("depth * replicas", depth * len(replicas))
     points = base.uniforms(replicas, GENERATOR_DOMAIN, _SAMPLE, size=depth)
     redo = ~_distinct_rows(points)
     return _redo_rows(points, redo, base, replicas, lambda s: sample_uniform(depth, s).points)
@@ -530,7 +525,7 @@ def _minima_rows(steps: int, base: Seed, replicas: range) -> np.ndarray:
     Drawn one replica at a time, since numpy's ziggurat normal is not
     reproduced in array passes.
     """
-    check_budget("steps * replicas", steps * len(replicas), POINT_BUDGET)
+    check_budget("steps * replicas", steps * len(replicas))
     return _redo_rows(
         np.empty((len(replicas), 0)), np.ones(len(replicas), dtype=bool), base, replicas,
         lambda s: brownian_minima(steps, s).points,
@@ -574,7 +569,7 @@ def _counterexample_rows(depth: int, cantor: FatCantor, base: Seed, replicas: ra
     """
     if depth < 1:
         raise BadParameter(f"depth must be >= 1, got {depth}")
-    check_budget("depth * replicas", depth * len(replicas), POINT_BUDGET)
+    check_budget("depth * replicas", depth * len(replicas))
     gap = float(cantor.gap_measure)
     if gap <= 0:
         raise BadParameter("cantor set must leave gaps for the sample")
@@ -646,7 +641,7 @@ def revealing_selectors(depth: int, seed) -> RevealingSelectors:
     """Build the coupled family U_k, V_k, Z_k, A_k, Y_k of one replica."""
     if depth < 1:
         raise BadParameter(f"depth must be >= 1, got {depth}")
-    check_budget("3 * depth", 3 * depth, POINT_BUDGET)
+    check_budget("3 * depth", 3 * depth)
     base = _as_seed(seed)
     low_pts = _distinct_uniform(base.stream(GENERATOR_DOMAIN, _LOW), depth, 0.0, 0.25)
     mid_pts = _distinct_uniform(base.stream(GENERATOR_DOMAIN, _MID), depth, 0.25, 0.5)

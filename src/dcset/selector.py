@@ -52,15 +52,6 @@ from .grid_measure import UnitGrid
 _BLOCK_POINTS = 1 << 16
 # Filler past the end of a shorter replica's row of Ensemble.points.
 _PAD = 0.5
-# An ensemble's first-index table and support mask hold replicas * bins cells;
-# sample_ensemble and Ensemble.generate refuse more than this many before
-# drawing (the selector default holds 5000 * 8).
-ENSEMBLE_BUDGET = 10_000_000
-# interleaved_enumeration draws two tables of replicas per round, so it and
-# `enumerate` refuse more than this many rounds * replicas (10 * 500 by
-# default).  A run that can finish takes a new point of each replica per
-# round, so it has rounds * replicas below depth * replicas.
-ROUNDS_BUDGET = 10_000_000
 
 __all__ = [
     "Ensemble",
@@ -147,7 +138,7 @@ class Ensemble:
     def generate(
         cls, make: Callable[[Seed], Enumeration], count: int, grid: UnitGrid, seed
     ) -> "Ensemble":
-        check_budget("replicas * bins", count * grid.n, ENSEMBLE_BUDGET)
+        check_budget("replicas * bins", count * grid.n)
         base = _as_seed(seed)
         return cls([make(base.with_replica(r)) for r in range(count)], grid)
 
@@ -159,7 +150,7 @@ def sample_ensemble(depth: int, count: int, grid: UnitGrid, seed) -> Ensemble:
     from `generators._sample_rows`: one `Seed.uniforms` call and one row check,
     a failing row rebuilt by sample_uniform.
     """
-    check_budget("replicas * bins", count * grid.n, ENSEMBLE_BUDGET)
+    check_budget("replicas * bins", count * grid.n)
     points = _sample_rows(depth, _as_seed(seed), range(count))
     if count < 1:
         raise BadParameter(f"ensemble needs at least one replica, got {count}")
@@ -386,7 +377,7 @@ def interleaved_enumeration(
     base = _as_seed(seed)
     if rounds < 0:
         raise BadParameter(f"rounds must be >= 0, got {rounds}")
-    check_budget("rounds * replicas", rounds * ensemble.size, ROUNDS_BUDGET)
+    check_budget("rounds * replicas", rounds * ensemble.size)
     empty = ensemble.lengths < 1
     if empty.any():
         raise DepthExhausted(int(np.argmax(empty)))

@@ -53,22 +53,6 @@ _FRAG_POINTS = 4
 _HALF_THRESHOLD = 0.5
 # ... and flags a cell whose joint mass exceeds this multiple of its product mass.
 _RATIO_CAP = 4.0
-# distinguish_counterexample holds every replica's arms at once, so it refuses
-# more than this many replicas * (depth + 1) points (criterion 07 draws 100,500).
-DISTINGUISH_BUDGET = 10_000_000
-# shift_hit_curve tests every shift against the largest depth's prefix, so it
-# refuses more than this many shifts * largest depth (200 * 1024 by default);
-# `shifthit` holds its --grid bin count to the same budget.
-SHIFT_HIT_BUDGET = 10_000_000
-# fragment_independence_test holds one observable per fragment and replica and
-# draws a walk of `steps` per replica for walks, so it refuses more than this
-# many replicas * (fragments + walk steps) (400 * 2 sample fragments by default).
-INDEPENDENCE_BUDGET = 10_000_000
-# stationarity_test draws each arm as one batch of R rows, so `stationarity`
-# refuses more than this many replicas * depth points (replicas * steps for
-# minima; 400 * 200 by default).  The row maker holds each batch to
-# POINT_BUDGET; the test itself refuses more than this many replicas first.
-STATIONARITY_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -282,31 +266,47 @@ def two_sample_test(
     )
 
 
-def _sample_fragment_category(rng, lo: float, hi: float) -> int:
-    pts = lo + (hi - lo) * rng.uniform(size=_FRAG_POINTS)
-    count = int((pts < (lo + hi) / 2).sum())
-    if count <= _FRAG_POINTS // 2 - 1:
-        return 0
-    if count == _FRAG_POINTS // 2:
-        return 1
-    return 2
+def _sample_categories(us: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Per row of _FRAG_POINTS uniforms placed on the fragment (lo, hi): how
+    many fall in its left half, capped to 0 (fewer than half), 1 (half) or 2."""
+    count = (lo + (hi - lo) * us < (lo + hi) / 2).sum(axis=1)
+    return np.clip(count - _FRAG_POINTS // 2 + 1, 0, 2)
 
 
-def _walk_fragment_category(walk_values: np.ndarray, steps: int, lo: float, hi: float) -> int:
-    # Strict minima whose detection pattern uses increments inside [lo, hi] only.
+def _walk_categories(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Per walk (a row of steps + 1 values): 1 if its deepest strict local
+    minimum detected from increments inside [lo, hi] lies in the right half
+    of the fragment, else 0, also when there is none."""
+    steps = values.shape[1] - 1
     k_lo = max(1, math.ceil(lo * steps) + 1)
     k_hi = min(steps - 1, math.floor(hi * steps) - 1)
     if k_hi < k_lo:
-        return 0
-    ks = np.arange(k_lo, k_hi + 1)
-    v = walk_values
-    pattern = (v[ks - 1] > v[ks]) & (v[ks] < v[ks + 1])
-    candidates = ks[pattern]
-    if not candidates.size:
-        return 0
-    deepest = candidates[np.argmin(v[candidates])]
+        return np.zeros(len(values), dtype=np.int64)
+    core = values[:, k_lo : k_hi + 1]
+    pattern = (values[:, k_lo - 1 : k_hi] > core) & (core < values[:, k_lo + 1 : k_hi + 2])
+    deepest = k_lo + np.argmin(np.where(pattern, core, np.inf), axis=1)
     relative = (deepest / steps - lo) / (hi - lo)
-    return 0 if relative < 0.5 else 1
+    return (pattern.any(axis=1) & (relative >= 0.5)).astype(np.int64)
+
+
+def _fragment_observables(kind: str, fragments, replicas: int, base: Seed, steps: int) -> np.ndarray:
+    """Fragments-by-replicas categories of fragment_independence_test, a slice
+    of replicas at a time: fragment f of the sample from one `Seed.uniforms`
+    call on substream (STATS_DOMAIN, 10 + f), the walks stacked from
+    `gaussian_walk`."""
+    width = steps + 1 if kind == "walk" else _FRAG_POINTS * len(fragments)
+    obs = np.empty((len(fragments), replicas), dtype=np.int64)
+    for rows in _row_slices(replicas, width):
+        reps = range(replicas)[rows]
+        if kind == "walk":
+            values = np.stack([gaussian_walk(steps, base.with_replica(r)).values for r in reps])
+            obs[:, rows] = [_walk_categories(values, lo, hi) for lo, hi in fragments]
+        else:
+            obs[:, rows] = [
+                _sample_categories(base.uniforms(reps, STATS_DOMAIN, 10 + f, size=_FRAG_POINTS), lo, hi)
+                for f, (lo, hi) in enumerate(fragments)
+            ]
+    return obs
 
 
 def fragment_independence_test(
@@ -340,19 +340,9 @@ def fragment_independence_test(
 
     fragments = list(zip(cuts, cuts[1:]))
     work = replicas * (len(fragments) + (steps if kind == "walk" else 0))
-    check_budget("replicas * (fragments + walk steps)", work, INDEPENDENCE_BUDGET)
+    check_budget("replicas * (fragments + walk steps)", work)
     categories = 3 if kind == "sample" else 2
-    obs = np.zeros((len(fragments), replicas), dtype=np.int64)
-    for r in range(replicas):
-        own = base.with_replica(r)
-        if kind == "walk":
-            walk = gaussian_walk(steps, own)
-        for f, (lo, hi) in enumerate(fragments):
-            if kind == "sample":
-                rng = own.stream(STATS_DOMAIN, 10 + f)
-                obs[f, r] = _sample_fragment_category(rng, lo, hi)
-            else:
-                obs[f, r] = _walk_fragment_category(walk.values, steps, lo, hi)
+    obs = _fragment_observables(kind, fragments, replicas, base, steps)
 
     pair_reports = {}
     worst = None
@@ -388,42 +378,51 @@ def stationarity_test(
     `rows(base, replicas)` returns NaN-padded rows, row k holding the points
     of replica replicas[k] (the row makers of `generators`).  The plain arm
     is replicas 0..R-1.  The shifted arm is replicas R..2R-1, each moved by
-    its own uniform shift s with the float operations of
-    `cyclic_shift_points`; a point equal to 1 - s has no image and is not
-    counted.  A stationary construction produces identically distributed arms.
+    its own uniform shift s by `_shift_rows`.  A stationary construction
+    produces identically distributed arms.
     """
     _check_level(level)
     if replicas < 1:
         raise BadParameter(f"replicas must be >= 1, got {replicas}")
     if replicas < 10:
         raise TooFewSamples("stationarity test needs >= 10 replicas per arm")
-    check_budget("replicas", replicas, STATIONARITY_BUDGET)
+    check_budget("replicas", replicas)
 
     base = _as_seed(seed)
     shifts = base.uniforms(range(replicas, 2 * replicas), STATS_DOMAIN, 0)
     plain = _count_in_rows(region, rows(base, range(replicas)))
-    points = rows(base, range(replicas, 2 * replicas))
-    moved = points + shifts
-    moved[points > 1 - shifts] -= 1
-    moved[points == 1 - shifts] = np.nan
-    shifted = _count_in_rows(region, moved)
+    shifted = _count_in_rows(region, _shift_rows(rows(base, range(replicas, 2 * replicas)), shifts))
     report = two_sample_test(plain, shifted, level, base.value, name="stationarity")
     report.details["mean_plain"] = float(plain.mean())
     report.details["mean_shifted"] = float(shifted.mean())
     return report
 
 
+def _shift_rows(points: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Points moved by the cyclic shifts they broadcast against, with the
+    float operations of `cyclic_shift_points`: t + s, or (t + s) - 1 where
+    t > 1 - s.  A point equal to 1 - s has no image and becomes NaN."""
+    moved = points + shifts
+    moved[points > 1 - shifts] -= 1
+    moved[points == 1 - shifts] = np.nan
+    return moved
+
+
+def _hits_in_rows(region, points: np.ndarray) -> np.ndarray:
+    """Per entry: the point lies in the region.  NaN is no point: it never
+    reaches `contains_points`, where UnitGrid.bins would put it in bin 0."""
+    real = ~np.isnan(points)
+    hits = np.zeros(points.shape, dtype=bool)
+    hits[real] = region.contains_points(points[real])
+    return hits
+
+
 def _count_in_rows(region, points: np.ndarray) -> np.ndarray:
     """Per row, as a float: how many of its points lie in the region, tested
-    a slice of rows at a time.  NaN is no point: it never reaches
-    `contains_points`, where UnitGrid.bins would put it in bin 0."""
+    a slice of rows at a time by `_hits_in_rows`."""
     counts = np.empty(len(points))
     for rows in _row_slices(*points.shape):
-        block = points[rows]
-        real = ~np.isnan(block)
-        hits = np.zeros(block.shape, dtype=bool)
-        hits[real] = region.contains_points(block[real])
-        counts[rows] = hits.sum(axis=1)
+        counts[rows] = _hits_in_rows(region, points[rows]).sum(axis=1)
     return counts
 
 
@@ -453,14 +452,14 @@ def distinguish_counterexample(
     homogeneity test is expected to reject (`passed` False) decisively.
     Depth 0 leaves the sample arm empty; a negative depth is refused.  Both
     arms are drawn for all replicas at once (see `_distinguish_arms`), so
-    `replicas * (depth + 1)` may not exceed DISTINGUISH_BUDGET.
+    `replicas * (depth + 1)` may not exceed `errors.WORK_BUDGET`.
     """
     _check_level(level)
     if replicas < 1:
         raise BadParameter(f"replicas must be >= 1, got {replicas}")
     if depth < 0:
         raise BadParameter(f"depth must be >= 0, got {depth}")
-    check_budget("replicas * (depth + 1)", replicas * (depth + 1), DISTINGUISH_BUDGET)
+    check_budget("replicas * (depth + 1)", replicas * (depth + 1))
     base = _as_seed(seed)
     xs, ys = _distinguish_arms(cantor, depth, replicas, base)
     report = two_sample_test(xs, ys, level, base.value, name="distinguish-counterexample")
@@ -500,26 +499,24 @@ def shift_hit_curve(region, depths: Sequence[int], shifts: int, seed) -> ShiftHi
 
     By averaging over the uniform shift, the expected count equals
     D * mes(region) exactly; the curve grows without bound in D.
-    `shifts * max(depths)` may not exceed SHIFT_HIT_BUDGET.
+    `shifts * max(depths)` may not exceed `errors.WORK_BUDGET`.  A slice of
+    shifts at a time moves the largest depth's prefix by `_shift_rows`, and
+    each row's hits are prefix-summed.
     """
     depths = sorted(int(d) for d in depths)
     if not depths or depths[0] < 1:
         raise BadParameter("depths must be positive")
     if shifts < 1:
         raise BadParameter(f"shifts must be >= 1, got {shifts}")
-    check_budget("shifts * largest depth", shifts * depths[-1], SHIFT_HIT_BUDGET)
+    check_budget("shifts * largest depth", shifts * depths[-1])
     base = _as_seed(seed)
     points = dyadic_rationals(depths[-1])
-    ss = base.stream(STATS_DOMAIN, 1).uniform(size=shifts)
-    counts = np.zeros((shifts, len(depths)))
-    for i, s in enumerate(ss):
-        moved = points + s
-        moved = np.where(moved >= 1.0, moved - 1.0, moved)
-        ok = (moved > 0.0) & (moved < 1.0)  # the single undefined point drops out
-        hits = np.zeros(points.size, dtype=bool)
-        hits[ok] = region.contains_points(moved[ok])
-        prefix = np.cumsum(hits)
-        counts[i] = [prefix[d - 1] for d in depths]
+    ss = base.uniforms([base.replica], STATS_DOMAIN, 1, size=shifts)[0]
+    ends = np.array(depths) - 1
+    counts = np.empty((shifts, len(depths)))
+    for rows in _row_slices(shifts, points.size):
+        hits = _hits_in_rows(region, _shift_rows(points, ss[rows, None]))
+        counts[rows] = np.cumsum(hits, axis=1)[:, ends]
     measure = float(region.measure)
     return ShiftHitCurve(
         depths=tuple(depths),

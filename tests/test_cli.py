@@ -525,8 +525,8 @@ def _fresh_interpreter(code: str) -> str:
 class TestStartup:
     """Default runs read their chi-square thresholds from a frozen table, so the
     CLI starts without scipy; numpy.ma, which np.unique loads lazily, is loaded
-    with dcset.stats rather than inside a run.  Runs that draw only through the
-    batch rows never load numpy.random."""
+    with dcset.stats rather than inside a run.  Runs that draw only through
+    `Seed.uniforms` never load numpy.random."""
 
     def test_parser_leaves_scipy_out(self):
         code = (
@@ -542,6 +542,8 @@ class TestStartup:
             ["distinguish", "--seed", "1", "--replicas", "40", "--depth", "50"],
             ["stationarity", "--gen", "sample", "--seed", "1", "--replicas", "40", "--depth", "50"],
             ["stationarity", "--gen", "counterexample", "--seed", "1", "--replicas", "40", "--depth", "50"],
+            ["independence", "--gen", "sample", "--seed", "1", "--replicas", "100"],
+            ["shifthit", "--seed", "1", "--shifts", "20", "--depths", "64,256"],
         ],
         ids=" ".join,
     )

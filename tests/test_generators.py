@@ -28,9 +28,9 @@ from dcset import (
     walk_minima,
 )
 from dcset import generators
+from dcset.errors import WORK_BUDGET
 from dcset.generators import (
     _LEAP_ENTRIES,
-    POINT_BUDGET,
     _counterexample_rows,
     _distinct_uniform,
     _minima_rows,
@@ -164,14 +164,14 @@ class TestSampleUniform:
     def test_work_budget(self):
         # Each is refused before anything is allocated.
         calls = [
-            lambda: sample_uniform(POINT_BUDGET + 1, 1),
+            lambda: sample_uniform(WORK_BUDGET + 1, 1),
             lambda: sample_uniform(2_000_000_000, 1),
-            lambda: gaussian_walk(POINT_BUDGET + 1, 1),
+            lambda: gaussian_walk(WORK_BUDGET + 1, 1),
             lambda: counterexample_mix(2_000_000_000, CANTOR, 1),
-            lambda: revealing_selectors(POINT_BUDGET // 3 + 1, 1),
-            lambda: _sample_rows(POINT_BUDGET // 10 + 1, Seed(1), range(10)),
-            lambda: _counterexample_rows(POINT_BUDGET // 10 + 1, CANTOR, Seed(1), range(10)),
-            lambda: _minima_rows(POINT_BUDGET // 10 + 1, Seed(1), range(10)),
+            lambda: revealing_selectors(WORK_BUDGET // 3 + 1, 1),
+            lambda: _sample_rows(WORK_BUDGET // 10 + 1, Seed(1), range(10)),
+            lambda: _counterexample_rows(WORK_BUDGET // 10 + 1, CANTOR, Seed(1), range(10)),
+            lambda: _minima_rows(WORK_BUDGET // 10 + 1, Seed(1), range(10)),
         ]
         for call in calls:
             with pytest.raises(BadParameter, match="exceeds the work budget"):

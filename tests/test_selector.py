@@ -35,8 +35,8 @@ from dcset import (
     verify_selector,
 )
 from dcset import SupportMask, generators
-from dcset.generators import POINT_BUDGET
-from dcset.selector import ENSEMBLE_BUDGET, ROUNDS_BUDGET, _choose_bins, _draw, _units
+from dcset.errors import WORK_BUDGET
+from dcset.selector import _choose_bins, _draw, _units
 
 GRID8 = UnitGrid(8)
 
@@ -104,10 +104,10 @@ class TestSampleEnsemble:
     def test_work_budget(self):
         # Each is refused before anything is allocated.
         calls = [
-            lambda: sample_ensemble(64, ENSEMBLE_BUDGET // 8 + 1, GRID8, 1),
+            lambda: sample_ensemble(64, WORK_BUDGET // 8 + 1, GRID8, 1),
             lambda: sample_ensemble(64, 2_000_000_000, GRID8, 1),
-            lambda: sample_ensemble(4, 2, UnitGrid(ENSEMBLE_BUDGET), 1),
-            lambda: sample_ensemble(POINT_BUDGET, 2, GRID8, 1),
+            lambda: sample_ensemble(4, 2, UnitGrid(WORK_BUDGET), 1),
+            lambda: sample_ensemble(WORK_BUDGET, 2, GRID8, 1),
             lambda: Ensemble.generate(lambda s: sample_uniform(4, s), 2_000_000_000, GRID8, 1),
         ]
         for call in calls:
@@ -321,7 +321,7 @@ class TestInterleavedEnumeration:
     def test_work_budget(self):
         # Refused before any table is drawn.
         ens = sample_ensemble(8, 50, GRID8, 70)
-        for rounds in (ROUNDS_BUDGET // 50 + 1, 2_000_000_000):
+        for rounds in (WORK_BUDGET // 50 + 1, 2_000_000_000):
             with pytest.raises(BadParameter, match="exceeds the work budget"):
                 interleaved_enumeration(ens, rounds, UnitGrid(2), Seed(71))
 

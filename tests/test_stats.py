@@ -1,5 +1,6 @@
 """Test batteries: goodness of fit, independence, stationarity, diagnostics."""
 
+import math
 import os
 import warnings
 import subprocess
@@ -31,24 +32,26 @@ from dcset import (
     event_reconstruction_check,
     fat_cantor_build,
     fragment_independence_test,
+    gaussian_walk,
     ks_uniform,
     nonsingularity_diagnostic,
     poisson_on_cantor,
     revealing_selectors,
     sample_uniform,
+    ShiftHitCurve,
     shift_hit_curve,
     stationarity_test,
     two_sample_test,
 )
 from dcset.generators import STATS_DOMAIN, _counterexample_rows, _minima_rows, _sample_rows
+from dcset.errors import WORK_BUDGET
 from dcset.stats import (
-    DISTINGUISH_BUDGET,
-    INDEPENDENCE_BUDGET,
-    SHIFT_HIT_BUDGET,
-    STATIONARITY_BUDGET,
     _CHI2_TABLE,
     _chi2_quantile,
     _distinguish_arms,
+    _fragment_observables,
+    _hits_in_rows,
+    _shift_rows,
 )
 
 CANTOR = fat_cantor_build(Fraction(1, 2), 10)
@@ -239,13 +242,69 @@ class TestFragmentIndependence:
 
     @pytest.mark.parametrize(
         "kind, replicas, steps",
-        [("sample", INDEPENDENCE_BUDGET // 2 + 1, 2048), ("sample", 2_000_000_000, 2048),
-         ("walk", INDEPENDENCE_BUDGET // 2050 + 1, 2048), ("walk", 10, INDEPENDENCE_BUDGET)],
+        [("sample", WORK_BUDGET // 2 + 1, 2048), ("sample", 2_000_000_000, 2048),
+         ("walk", WORK_BUDGET // 2050 + 1, 2048), ("walk", 10, WORK_BUDGET)],
     )
     def test_work_budget(self, kind, replicas, steps):
         # Refused before anything is allocated.
         with pytest.raises(BadParameter, match="exceeds the work budget"):
             fragment_independence_test(kind, [0, 0.5, 1], replicas, 1, steps=steps)
+
+    # At 2048 steps, [0, 1/4096, 1] leaves fragment 0 too thin for any minimum.
+    # The middle fragment of the third has one candidate step, 1002, in its
+    # right half, so a walk without a minimum there must still read 0.
+    CUTS = [[0, 0.5, 1], [0, 1 / 4096, 1], [0, 1000.1 / 2048, 1003 / 2048, 1]]
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    @pytest.mark.parametrize("cuts", CUTS, ids=["half", "thin", "narrow"])
+    @pytest.mark.parametrize("kind, replicas", [("sample", 3000), ("walk", 30)])
+    def test_observables_match_per_replica_reference(self, kind, replicas, cuts, seed):
+        # Both sizes span several slices of rows.
+        fragments = list(zip(cuts, cuts[1:]))
+        batch = _fragment_observables(kind, fragments, replicas, Seed(seed), 2048)
+        assert batch.tolist() == _reference_fragment_observables(kind, cuts, replicas, seed, 2048).tolist()
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    @pytest.mark.parametrize("kind", ["sample", "walk"])
+    def test_report_matches_per_replica_reference(self, kind, seed):
+        cuts, replicas = [0, 0.25, 0.5, 1], 300
+        obs = _reference_fragment_observables(kind, cuts, replicas, seed, 2048)
+        categories = 3 if kind == "sample" else 2
+        pairs = {
+            f"{i}-{j}": chi_square_independence(obs[i], obs[j], categories, categories, seed=seed)
+            for i in range(3) for j in range(i + 1, 3)
+        }
+        worst = max(pairs.values(), key=lambda rep: rep.statistic)
+        # A Seed's own replica index is not used: replica r is Seed(seed, r).
+        report = fragment_independence_test(kind, cuts, replicas, Seed(seed, 5))
+        assert report.details == {"pairs": {k: rep.statistic for k, rep in pairs.items()}, "df": worst.details["df"]}
+        assert report.passed == all(rep.passed for rep in pairs.values())
+
+
+def _reference_fragment_observables(kind, cuts, replicas, seed, steps):
+    """The per-replica loop the batch observables replaced: one substream per
+    replica and fragment for the sample, one walk per replica."""
+    fragments = list(zip(cuts, cuts[1:]))
+    obs = np.zeros((len(fragments), replicas), dtype=np.int64)
+    for r in range(replicas):
+        own = Seed(seed, r)
+        v = gaussian_walk(steps, own).values if kind == "walk" else None
+        for f, (lo, hi) in enumerate(fragments):
+            if kind == "sample":
+                pts = lo + (hi - lo) * own.stream(STATS_DOMAIN, 10 + f).uniform(size=4)
+                count = int((pts < (lo + hi) / 2).sum())
+                obs[f, r] = 0 if count <= 1 else 1 if count == 2 else 2
+                continue
+            k_lo = max(1, math.ceil(lo * steps) + 1)
+            k_hi = min(steps - 1, math.floor(hi * steps) - 1)
+            if k_hi < k_lo:
+                continue
+            ks = np.arange(k_lo, k_hi + 1)
+            candidates = ks[(v[ks - 1] > v[ks]) & (v[ks] < v[ks + 1])]
+            if candidates.size:
+                deepest = candidates[np.argmin(v[candidates])]
+                obs[f, r] = 0 if (deepest / steps - lo) / (hi - lo) < 0.5 else 1
+    return obs
 
 
 HALF = BinSet(UnitGrid(2), frozenset({0}))
@@ -279,7 +338,7 @@ class TestStationarity:
         def never(base, replicas):
             raise AssertionError("drew rows")
 
-        for replicas in (STATIONARITY_BUDGET + 1, 2_000_000_000):
+        for replicas in (WORK_BUDGET + 1, 2_000_000_000):
             with pytest.raises(BadParameter, match="exceeds the work budget"):
                 stationarity_test(never, HALF, replicas, 96)
 
@@ -352,7 +411,7 @@ class TestDistinguish:
 
     def test_work_budget(self):
         # Refused before anything is allocated.
-        for depth, replicas in [(200, DISTINGUISH_BUDGET // 201 + 1), (0, DISTINGUISH_BUDGET + 1), (10**12, 10)]:
+        for depth, replicas in [(200, WORK_BUDGET // 201 + 1), (0, WORK_BUDGET + 1), (10**12, 10)]:
             with pytest.raises(BadParameter, match="exceeds the work budget"):
                 distinguish_counterexample(CANTOR, depth, replicas, 104)
 
@@ -365,7 +424,7 @@ class TestDistinguish:
     def test_depth_below_minus_one_refused(self, depth):
         # replicas * (depth + 1) is negative here and would pass the budget check.
         with pytest.raises(BadParameter, match=f"depth must be >= 0, got {depth}"):
-            distinguish_counterexample(CANTOR, depth, DISTINGUISH_BUDGET, 105)
+            distinguish_counterexample(CANTOR, depth, WORK_BUDGET, 105)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -417,9 +476,67 @@ class TestShiftHit:
 
     def test_work_budget(self):
         # Refused before anything is allocated.
-        for depths, shifts in [([64, SHIFT_HIT_BUDGET], 2), ([2_000_000_000], 200), ([8], SHIFT_HIT_BUDGET)]:
+        for depths, shifts in [([64, WORK_BUDGET], 2), ([2_000_000_000], 200), ([8], WORK_BUDGET)]:
             with pytest.raises(BadParameter, match="exceeds the work budget"):
                 shift_hit_curve(UnitGrid(4).full(), depths, shifts, 106)
+
+    @pytest.mark.parametrize("seed", [Seed(9), Seed(10, 3)], ids=["9", "10-replica-3"])
+    @pytest.mark.parametrize(
+        "region, depths, shifts",
+        [(BinSet(UnitGrid(16), frozenset({0, 3, 5})), [1, 7, 100, 1024], 40), (CANTOR, [64, 1024], 40)],
+        ids=["binset", "cantor"],
+    )
+    def test_curve_matches_per_shift_reference(self, region, depths, shifts, seed):
+        # 40 shifts at depth 1024 span three slices of rows.
+        ss = seed.stream(STATS_DOMAIN, 1).uniform(size=shifts)
+        counts = _reference_shift_counts(region, dyadic_rationals(depths[-1]), ss, depths)
+        assert shift_hit_curve(region, depths, shifts, seed) == ShiftHitCurve(
+            depths=tuple(depths),
+            means=tuple(counts.mean(axis=0).tolist()),
+            medians=tuple(np.median(counts, axis=0).tolist()),
+            expected=tuple(float(region.measure) * d for d in depths),
+            shifts=shifts,
+            seed=seed.value,
+        )
+
+    def test_point_without_image_is_not_counted(self):
+        # The shift 1 - p moves the dyadic point p onto 1, which has no image.
+        points = dyadic_rationals(16)
+        ss = np.array([1 - points[5], 0.3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hits = _hits_in_rows(UnitGrid(1).full(), _shift_rows(points, ss[:, None]))
+        assert hits.sum(axis=1).tolist() == [15, 16] and not hits[0, 5]
+        reference = _reference_shift_counts(UnitGrid(1).full(), points, ss, [16])
+        assert reference[:, 0].tolist() == [15.0, 16.0]
+
+    def test_shift_rounding_onto_one_lands_at_zero(self):
+        # The one float case where the shared shift and the former shift-hit
+        # rule part: p + s = 1 + 2**-53 rounds to 1.0.  p > 1 - s holds, so the
+        # shared rule moves p to 1.0 - 1 = 0.0 and counts it there; the former
+        # rule dropped it.
+        points = np.array([0.5, 0.25])
+        ss = np.array([0.5 + 2.0**-53])
+        moved = _shift_rows(points, ss[:, None])
+        assert moved[0].tolist() == [0.0, 0.75 + 2.0**-53]
+        full = UnitGrid(1).full()
+        assert _hits_in_rows(full, moved).sum() == 2
+        assert _reference_shift_counts(full, points, ss, [2])[0, 0] == 1.0
+
+
+def _reference_shift_counts(region, points, ss, depths):
+    """Per shift, the hits of each depth's prefix, one shift at a time with the
+    former shift-hit rule: moved = p + s, minus 1 from 1 up, kept inside (0, 1)."""
+    counts = np.zeros((len(ss), len(depths)))
+    for i, s in enumerate(ss):
+        moved = points + s
+        moved = np.where(moved >= 1.0, moved - 1.0, moved)
+        ok = (moved > 0.0) & (moved < 1.0)
+        hits = np.zeros(points.size, dtype=bool)
+        hits[ok] = region.contains_points(moved[ok])
+        prefix = np.cumsum(hits)
+        counts[i] = [prefix[d - 1] for d in depths]
+    return counts
 
 
 def _table(values):
