@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain, combinations_with_replacement, compress, permutations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -489,9 +489,10 @@ def _check_witnesses(mask: SupportMask, row_int, col_int, flow, U, V) -> int:
 
 
 # Masks per block of `sweep`.  A block's arrays are allocated afresh, so the
-# block size sets the peak: in a fresh `duality --sweep 4 4` process, blocks
-# of 1024 masks peaked about 0.6 MB above blocks of 256, blocks of 4096 about
-# 3.3 MB and one block of all 65,536 about 42 MB, and neither ran faster.
+# block size sets the peak: a fresh `duality --sweep 4 4` process (2-core
+# Xeon, Python 3.11, numpy 2.4) peaked at 31.7 MB with blocks of 256 masks,
+# 32.3 MB with 1024, 34.4 MB with 4096 and 54.2 MB with one block of all
+# 65,536; blocks of 256 ran about 15% slower than blocks of 1024.
 _SWEEP_BLOCK = 1024
 
 
@@ -500,13 +501,22 @@ def sweep(rows: int, cols: int) -> tuple[int, int, Fraction]:
 
     Returns (masks, nonzero, worst): the mask count, how many masks have a
     nonzero gap, and the largest absolute gap.  Uniform caps are unchanged by
-    row and column permutations, so each mask is permuted to a representative
-    (columns sorted by their bit code, then rows by theirs) and only distinct
-    representatives are solved, each once and in ascending bit order.  A
-    table over all 2**(rows*cols) bit codes gives each solved representative
-    a dense id into three witness arrays (flow, U and V), so a block of masks
-    gathers its witnesses by id.  They are permuted back, and every mask's own
-    pair is checked in integer arrays as `solve` checks one.
+    row and column permutations, so each orbit of the two is solved once, at
+    its representative (see `_orbit_table`), in ascending bit order.
+
+    The sweep works in the taller frame, the transpose when cols > rows, and
+    walks every bit number of that frame: a mask is R row codes of C <= 4
+    bits, read straight from its number.  Each representative's witnesses
+    are kept in its own frame as one row: flow-support row codes, row sums,
+    cover row codes (every bit for a row of U, else V's code), U, column
+    sums, V, mass and least flow entry.
+
+    Every mask looks up its column permutation and representative by its
+    sorted codes, moves its own codes by that permutation, sorts its rows,
+    and is checked in that frame in integer arrays as `solve` checks one
+    pair: no negative entry, flow inside the mask's cells, row and column
+    sums within the caps read through the mask's permutations, the cover
+    meeting every cell, and the mask's own gap.
     """
     if rows < 1 or cols < 1:
         raise BadParameter("sweep bounds must be positive")
@@ -514,62 +524,105 @@ def sweep(rows: int, cols: int) -> tuple[int, int, Fraction]:
         raise SweepTooLarge(f"{rows}x{cols} gives 2**{rows * cols} masks; limit is n*m <= 16")
     caps = MarginalCaps.uniform(rows, cols)
     scale, row_int, col_int = caps.scaled()
-    row_int, col_int = np.array(row_int), np.array(col_int)
-    shifts = np.arange(rows * cols)
+    flip = cols > rows
+    R, C = (cols, rows) if flip else (rows, cols)
+    row_cap, col_cap = map(np.array, (col_int, row_int) if flip else (row_int, col_int))
+    perms, moved = _column_moves(C)
+    keys, perm, rep = _orbit_table(R, C, moved)
+    reps, rep_index = np.unique(rep, return_inverse=True)
     total = 1 << (rows * cols)
-    rep_id = np.full(total, -1, dtype=np.int32)  # representative bits -> id, -1 unsolved
-    flows = np.zeros((0, rows, cols), dtype=np.int64)
-    Us = np.zeros((0, rows), dtype=bool)
-    Vs = np.zeros((0, cols), dtype=bool)
+    perm_of = np.empty(total, dtype=np.int8)  # row-multiset key -> column permutation
+    perm_of[keys] = perm
+    rep_of = np.empty(total, dtype=np.int16)  # row-multiset key -> representative
+    rep_of[keys] = rep_index
+    witnesses = []
+    for bits in reps.tolist():
+        cells = ((bits >> np.arange(R * C)) & 1).astype(bool).reshape(R, C)
+        cert = solve(SupportMask(cells.T if flip else cells), caps)
+        witnesses.append(_frame_witnesses(cert, flip, R, C))
+    wit = np.array(witnesses, dtype=np.int64)
+
+    full, shifts = (1 << C) - 1, C * np.arange(R)
+    weights = 1 << shifts
+    row_tag = np.arange(R, dtype=np.uint8)  # rows < 16 and codes < 16 share a byte
     nonzero, worst = 0, 0
     for lo in range(0, total, _SWEEP_BLOCK):
-        bits = np.arange(lo, min(lo + _SWEEP_BLOCK, total))
-        b = np.arange(len(bits))[:, None]
-        cells = ((bits[:, None] >> shifts) & 1).astype(bool).reshape(-1, rows, cols)
-        col_perm = np.argsort((1 << np.arange(rows)) @ cells, axis=1)
-        row_start = (b * rows + np.arange(rows)) * cols  # flat index of each row's first cell
-        col_sorted = cells.reshape(-1)[row_start[:, :, None] + col_perm[:, None, :]]
-        row_codes = col_sorted @ (1 << np.arange(cols))
-        row_perm = np.argsort(row_codes, axis=1)
-        keys = row_codes[b, row_perm] @ (1 << cols * np.arange(rows))
-        ids = rep_id[keys]
-        new = np.unique(keys[ids < 0])
-        if len(new):
-            flow = np.zeros((len(new), rows, cols), dtype=np.int64)
-            U = np.zeros((len(new), rows), dtype=bool)
-            V = np.zeros((len(new), cols), dtype=bool)
-            for k, key in enumerate(new.tolist()):
-                cert = solve(SupportMask.from_bits(rows, cols, key), caps)
-                for i, j, units in cert.flow:
-                    flow[k, i, j] = units
-                U[k, list(cert.cover.U)] = True
-                V[k, list(cert.cover.V)] = True
-            rep_id[new] = np.arange(len(flows), len(flows) + len(new))
-            flows = np.concatenate([flows, flow])
-            Us, Vs = np.concatenate([Us, U]), np.concatenate([Vs, V])
-            ids = rep_id[keys]
-        # Scatter each representative's witnesses back: its entry (i', j')
-        # is the mask's (row_perm[i'], col_perm[j']).
-        flow = np.empty(cells.size, dtype=np.int64)
-        flow[row_start[b, row_perm][:, :, None] + col_perm[:, None, :]] = flows[ids]
-        flow = flow.reshape(cells.shape)
-        U = np.empty((len(bits), rows), dtype=bool)
-        U[b, row_perm] = Us[ids]
-        V = np.empty((len(bits), cols), dtype=bool)
-        V[b, col_perm] = Vs[ids]
+        codes = ((np.arange(lo, min(lo + _SWEEP_BLOCK, total))[:, None] >> shifts) & full).astype(np.uint8)
+        key = np.sort(codes, axis=1) @ weights
+        p = perm_of[key]
+        w = wit[rep_of[key]]
+        # The mask in its representative's frame: columns moved by perms[p],
+        # then rows sorted, each carrying its own index in the low four bits,
+        # so rho[:, r] is the mask row that lands on row r.
+        tagged = np.sort((moved[(p.astype(np.intp) << C)[:, None] | codes] << 4) | row_tag, axis=1)
+        codes, rho = tagged >> 4, tagged & 15
+        rcap, ccap = row_cap[rho], col_cap[perms[p]]
+        supp, rsum, cover, U = w[:, :R], w[:, R : 2 * R], w[:, 2 * R : 3 * R], w[:, 3 * R : 4 * R]
+        csum, V = w[:, 4 * R : 4 * R + C], w[:, 4 * R + C : 4 * R + 2 * C]
 
-        if (flow < 0).any():
+        if (w[:, -1] < 0).any():
             raise AssertionError("coupling witness has a negative entry")
-        if ((flow > 0) & ~cells).any():
+        if (supp & ~codes).any():
             raise AssertionError("flow escaped the mask")
-        if (flow.sum(axis=2) > row_int).any() or (flow.sum(axis=1) > col_int).any():
+        if (rsum > rcap).any() or (csum > ccap).any():
             raise AssertionError("coupling witness exceeds a row or column cap")
-        if (cells & ~U[:, :, None] & ~V[:, None, :]).any():
+        if (codes & ~cover).any():
             raise AssertionError("cover witness misses a mask cell")
-        gap = U @ row_int + V @ col_int - flow.sum(axis=(1, 2))
+        gap = np.einsum("ij,ij->i", U, rcap) + np.einsum("ij,ij->i", V, ccap) - w[:, -2]
         nonzero += int(np.count_nonzero(gap))
         worst = max(worst, int(np.abs(gap).max()))
     return total, nonzero, Fraction(worst, scale)
+
+
+def _column_moves(C: int) -> tuple[np.ndarray, np.ndarray]:
+    """The C! permutations of C columns, and what each does to a C-bit code.
+
+    Returns (perms, moved): perms[p, c] is the column that permutation p
+    brings to column c, and bit c of moved[p << C | code] is bit perms[p, c]
+    of the code.
+    """
+    perms = np.array(list(permutations(range(C))))
+    moved = ((np.arange(1 << C)[None, :, None] >> perms[:, None, :]) & 1) << np.arange(C)
+    return perms, moved.sum(axis=2, dtype=np.uint8).ravel()
+
+
+def _orbit_table(R: int, C: int, moved: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every multiset of R codes of C bits, with its orbit's representative.
+
+    A mask in `sweep`'s frame is R row codes of C bits, row r at bits
+    C*r..C*r+C-1 of its number; sorting its codes and packing them so gives
+    its key, which names its multiset of rows.  Returns (keys, perm, rep):
+    every key, the column permutation (an index into `_column_moves(C)`)
+    whose moved codes, sorted, pack least, and that least packing.  It is
+    the same for all masks one row and column permutation apart, and no two
+    other masks share it, so it is their orbit's representative.
+    """
+    weights = 1 << C * np.arange(R)
+    rows = combinations_with_replacement(range(1 << C), R)
+    rows = np.fromiter(chain.from_iterable(rows), dtype=np.uint8).reshape(-1, R)
+    keys = rows @ weights
+    rep, perm = keys.copy(), np.zeros(len(keys), dtype=np.int8)  # permutation 0 moves nothing
+    for p in range(1, len(moved) >> C):
+        packed = np.sort(moved[p << C : (p + 1) << C][rows], axis=1) @ weights
+        less = packed < rep
+        rep[less], perm[less] = packed[less], p
+    return keys, perm, rep
+
+
+def _frame_witnesses(cert: Certificate, flip: bool, R: int, C: int) -> list[int]:
+    """A representative's witnesses in `sweep`'s R-by-C frame, as one row."""
+    supp, rsum, csum = [0] * R, [0] * R, [0] * C
+    for i, j, u in cert.flow:
+        r, c = (j, i) if flip else (i, j)
+        supp[r] |= 1 << c
+        rsum[r] += u
+        csum[c] += u
+    U, V = (cert.cover.V, cert.cover.U) if flip else (cert.cover.U, cert.cover.V)
+    v_code = sum(1 << c for c in V)
+    cover = [(1 << C) - 1 if r in U else v_code for r in range(R)]
+    least = min((u for *_, u in cert.flow), default=0)
+    in_U, in_V = [r in U for r in range(R)], [c in V for c in range(C)]
+    return supp + rsum + cover + in_U + csum + in_V + [sum(rsum), least]
 
 
 @dataclass(frozen=True)

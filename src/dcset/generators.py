@@ -355,7 +355,9 @@ class Enumeration:
         object.__setattr__(self, "points", pts)
         if not _in_open_unit(pts).all():
             raise BadParameter("enumeration points must lie in open (0,1)")
-        if np.unique(pts).size != pts.size:
+        # Strictly increasing points are distinct; only others need a sort.
+        flat = pts.reshape(-1)
+        if not (flat[1:] > flat[:-1]).all() and np.unique(flat).size != flat.size:
             raise BadParameter("enumeration points must be pairwise distinct")
         if self.tags is not None and len(self.tags) != pts.size:
             raise BadParameter("one tag per point required")

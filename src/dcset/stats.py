@@ -410,8 +410,11 @@ def _shift_rows(points: np.ndarray, shifts: np.ndarray) -> np.ndarray:
 
 def _hits_in_rows(region, points: np.ndarray) -> np.ndarray:
     """Per entry: the point lies in the region.  NaN is no point: it never
-    reaches `contains_points`, where UnitGrid.bins would put it in bin 0."""
+    reaches `contains_points`, where UnitGrid.bins would put it in bin 0.
+    A batch without NaN is tested whole, with no mask to gather and scatter."""
     real = ~np.isnan(points)
+    if real.all():
+        return region.contains_points(points.ravel()).reshape(points.shape)
     hits = np.zeros(points.shape, dtype=bool)
     hits[real] = region.contains_points(points[real])
     return hits

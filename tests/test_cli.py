@@ -33,6 +33,14 @@ class TestDuality:
             results.append((code, capsys.readouterr().out))
         assert results[0] == results[1]
 
+    def test_sweep_4x4_benchmark_invocation(self, capsys):
+        # The benchmark's sweep workload runs exactly this argv.
+        assert main(["duality", "--sweep", "4", "4", "--jobs", "1"]) == 0
+        assert capsys.readouterr().out == (
+            '{\n  "all_zero": true,\n  "cols": 4,\n  "masks": 65536,\n  "max_gap": "0",\n'
+            '  "mode": "sweep",\n  "nonzero_gaps": 0,\n  "rows": 4\n}\n'
+        )
+
     def test_sweep_too_large(self, tmp_path):
         assert main(["duality", "--sweep", "5", "4"]) == 2
 

@@ -8,6 +8,7 @@ with the LP to solver tolerance.
 """
 
 import dataclasses
+import itertools
 import math
 import sys
 from collections import Counter
@@ -499,6 +500,15 @@ def pile_on_first_cell(flow, cells):
     return [(*flow[0][:2], sum(u for *_, u in flow))] if flow else flow
 
 
+def negate_flow(flow, cells):
+    return [(i, j, -u) for i, j, u in flow]
+
+
+def add_flow_outside(flow, cells):
+    """One unit on the first cell outside the mask, if there is one."""
+    return flow + [(*np.argwhere(~cells)[0].tolist(), 1)] if not cells.all() else flow
+
+
 class TestSweep:
     @pytest.mark.parametrize(
         "n, m",
@@ -540,7 +550,17 @@ class TestSweep:
         monkeypatch.setattr(duality, "_SWEEP_BLOCK", block)
         assert solved_masks() == expected
 
-    def test_each_representative_solved_once(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "shape, orbits",
+        [((1, m), m + 1) for m in (1, 2, 3, 4, 16)]
+        + [((m, 1), m + 1) for m in (2, 3, 4, 16)]
+        + [((2, 2), 7), ((2, 3), 13), ((3, 2), 13), ((2, 4), 22), ((4, 2), 22),
+           ((3, 3), 36), ((3, 4), 87), ((4, 3), 87), ((4, 4), 317)],
+        ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v),
+    )
+    def test_each_representative_solved_once(self, monkeypatch, shape, orbits):
+        # One solve per orbit under row and column permutations; OEIS A028657
+        # counts the orbits of binary n-by-m matrices (Harary 1958).
         masks = []
 
         def recorded(mask, caps=None):
@@ -548,8 +568,53 @@ class TestSweep:
             return solve(mask, caps)
 
         monkeypatch.setattr(duality, "solve", recorded)
-        assert sweep(4, 4) == (65536, 0, Fraction(0))
-        assert len(masks) == len(set(masks)) == 753
+        assert sweep(*shape) == (2 ** (shape[0] * shape[1]), 0, Fraction(0))
+        assert len(masks) == len(set(masks)) == orbits
+
+    @pytest.mark.parametrize("rows, cols", [(2, 3), (3, 3)])
+    def test_masks_share_a_representative_exactly_when_permutations_join_them(
+        self, monkeypatch, rows, cols
+    ):
+        def number(bits):
+            return sum(1 << k for k, bit in enumerate(bits) if bit)
+
+        masks = [SupportMask.from_bits(rows, cols, b).cells for b in range(1 << (rows * cols))]
+        # Brute force: an orbit is named by its least bit number.
+        orbit = [
+            min(number(cells[list(r)][:, list(c)].ravel())
+                for r in itertools.permutations(range(rows))
+                for c in itertools.permutations(range(cols)))
+            for cells in masks
+        ]
+        # The sweep's frame is the taller one: R row codes of C bits.
+        R, C = max(rows, cols), min(rows, cols)
+        perms, moved = duality._column_moves(C)
+        keys, perm, rep = duality._orbit_table(R, C, moved)
+        perm_of = dict(zip(keys.tolist(), perm.tolist()))
+        rep_of = dict(zip(keys.tolist(), rep.tolist()))
+        assigned = []
+        for cells in masks:
+            frame = cells.T if cols > rows else cells
+            codes = sorted(number(row) for row in frame)
+            key = sum(code << C * r for r, code in enumerate(codes))
+            # Moving the columns by the key's permutation and sorting the rows
+            # gives the representative.
+            moved_codes = sorted(number(row[perms[perm_of[key]]]) for row in frame)
+            assert sum(code << C * r for r, code in enumerate(moved_codes)) == rep_of[key]
+            assigned.append(rep_of[key])
+        # Same representative exactly when same orbit.
+        assert len(set(zip(orbit, assigned))) == len(set(orbit)) == len(set(assigned))
+
+        solved = []
+
+        def recorded(mask, caps=None):
+            cells = mask.cells.T if cols > rows else mask.cells
+            solved.append(number(cells.ravel()))
+            return solve(mask, caps)
+
+        monkeypatch.setattr(duality, "solve", recorded)
+        sweep(rows, cols)
+        assert sorted(solved) == sorted(set(assigned))
 
     def test_wrong_representative_certificate_is_caught(self, monkeypatch):
         # The full mask is its own representative; answering it with the
@@ -567,13 +632,17 @@ class TestSweep:
         "shape, corrupt, message",
         [
             ((3, 3), lambda flow, cells: flow, None),
-            ((3, 3), lambda flow, cells: [(i, j, -u) for i, j, u in flow], "negative entry"),
-            ((3, 3), lambda flow, cells: flow + [(*np.argwhere(~cells)[0].tolist(), 1)]
-             if not cells.all() else flow, "flow escaped the mask"),
+            ((3, 3), negate_flow, "negative entry"),
+            ((3, 3), add_flow_outside, "flow escaped the mask"),
             ((3, 1), pile_on_first_cell, "exceeds a row or column cap"),
             ((1, 3), pile_on_first_cell, "exceeds a row or column cap"),
+            # A wide grid is swept in its transpose.
+            ((2, 4), lambda flow, cells: flow, None),
+            ((2, 4), negate_flow, "negative entry"),
+            ((2, 4), add_flow_outside, "flow escaped the mask"),
         ],
-        ids=["unchanged", "negative", "outside", "row-over-cap", "column-over-cap"],
+        ids=["unchanged", "negative", "outside", "row-over-cap", "column-over-cap",
+             "unchanged-wide", "negative-wide", "outside-wide"],
     )
     def test_carried_flow_is_checked(self, monkeypatch, shape, corrupt, message):
         def corrupted(mask, caps=None):
@@ -596,8 +665,9 @@ class TestSweep:
             return cert
 
         monkeypatch.setattr(duality, "solve", drop_a_cover_row)
-        with pytest.raises(AssertionError, match="cover witness misses a mask cell"):
-            sweep(3, 3)
+        for shape in ((3, 3), (2, 4)):  # 2x4 is swept in its transpose
+            with pytest.raises(AssertionError, match="cover witness misses a mask cell"):
+                sweep(*shape)
 
     def test_gap_comes_from_carried_witnesses(self, monkeypatch):
         # Dropping one flow entry leaves a feasible but short coupling, so

@@ -420,6 +420,18 @@ class TestEnumerationType:
         with pytest.raises(BadParameter):
             Enumeration(np.array([0.5, 0.5]), depth=2, provenance="x")
 
+    @pytest.mark.parametrize(
+        "points", [[0.1, 0.5, 0.5, 0.7], [0.7, 0.5, 0.1, 0.5], [0.5, 0.2, 0.5]], ids=str
+    )
+    def test_rejects_a_duplicate_sorted_or_not(self, points):
+        # Strictly increasing input skips the sort; anything else is sorted.
+        with pytest.raises(BadParameter, match="pairwise distinct"):
+            Enumeration(np.array(points), depth=len(points), provenance="x")
+
+    @pytest.mark.parametrize("points", [[0.1, 0.5, 0.7], [0.7, 0.1, 0.5], [0.5]], ids=str)
+    def test_accepts_distinct_sorted_or_not(self, points):
+        assert Enumeration(np.array(points), depth=len(points), provenance="x").points.tolist() == points
+
     def test_empty_is_fine(self):
         assert len(Enumeration(np.empty(0), depth=0, provenance="x")) == 0
 

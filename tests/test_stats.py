@@ -524,6 +524,22 @@ class TestShiftHit:
         assert _reference_shift_counts(full, points, ss, [2])[0, 0] == 1.0
 
 
+@pytest.mark.parametrize("with_nan", [False, True], ids=["no-nan", "nan"])
+@pytest.mark.parametrize(
+    "region",
+    [UnitGrid(16).full(), BinSet(UnitGrid(8), frozenset({0, 3, 5})), CANTOR],
+    ids=["full", "binset", "cantor"],
+)
+def test_hits_in_rows_match_the_masked_path(region, with_nan):
+    points = np.random.default_rng(3).random((40, 25))
+    if with_nan:
+        points[::3, 7:] = np.nan
+    real = ~np.isnan(points)
+    masked = np.zeros(points.shape, dtype=bool)
+    masked[real] = region.contains_points(points[real])
+    assert _hits_in_rows(region, points).tobytes() == masked.tobytes()
+
+
 def _reference_shift_counts(region, points, ss, depths):
     """Per shift, the hits of each depth's prefix, one shift at a time with the
     former shift-hit rule: moved = p + s, minus 1 from 1 up, kept inside (0, 1)."""
