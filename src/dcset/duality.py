@@ -29,7 +29,6 @@ rectangle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, compress, permutations
@@ -39,6 +38,7 @@ import numpy as np
 
 from .errors import BadParameter, DeficientSupport, FactorizationFailure, NotNested, SweepTooLarge
 from .grid_measure import BinSet, UnitGrid
+from .records import Record
 
 __all__ = [
     "SupportMask",
@@ -127,20 +127,18 @@ def all_masks(rows: int, cols: int) -> Iterator[SupportMask]:
         yield SupportMask.from_bits(rows, cols, bits)
 
 
-@dataclass(frozen=True)
-class MarginalCaps:
+class MarginalCaps(Record):
     """Row and column budgets; exact rationals summing to one on each side.
 
     The caps are checked once, in integer units over the least common
     denominator `scale`, and `scaled()` returns those units.
     """
 
-    row_caps: tuple
-    col_caps: tuple
+    __slots__ = ("row_caps", "col_caps", "_scaled")
 
-    def __post_init__(self):
-        rows = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.row_caps)
-        cols = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in self.col_caps)
+    def __init__(self, row_caps: tuple, col_caps: tuple):
+        rows = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in row_caps)
+        cols = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in col_caps)
         object.__setattr__(self, "row_caps", rows)
         object.__setattr__(self, "col_caps", cols)
         scale = math.lcm(*{c.denominator for c in rows + cols})
@@ -237,12 +235,14 @@ class Coupling:
         return True
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(Record):
     """A cross-shaped cover: chosen rows U and columns V."""
 
-    U: frozenset
-    V: frozenset
+    __slots__ = ("U", "V")
+
+    def __init__(self, U: frozenset, V: frozenset):
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "V", V)
 
     def cost(self, caps: MarginalCaps) -> Fraction:
         return sum((caps.row_caps[i] for i in self.U), _ZERO) + sum(
@@ -254,8 +254,7 @@ class Cover:
         return all(int(i) in self.U or int(j) in self.V for i, j in zip(ii, jj))
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Both witnesses of one exact solve, checked in integer units.
 
     Every amount is an integer multiple of 1/scale.  The coupling witness is
@@ -263,13 +262,25 @@ class Certificate:
     formed only by the accessors.
     """
 
-    mask: SupportMask
-    caps: MarginalCaps
-    scale: int
-    flow: list
-    mass_units: int
-    cover: Cover
-    cost_units: int
+    __slots__ = ("mask", "caps", "scale", "flow", "mass_units", "cover", "cost_units")
+
+    def __init__(
+        self,
+        mask: SupportMask,
+        caps: MarginalCaps,
+        scale: int,
+        flow: list,
+        mass_units: int,
+        cover: Cover,
+        cost_units: int,
+    ):
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "caps", caps)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "flow", flow)
+        object.__setattr__(self, "mass_units", mass_units)
+        object.__setattr__(self, "cover", cover)
+        object.__setattr__(self, "cost_units", cost_units)
 
     @property
     def value(self) -> Fraction:
@@ -625,12 +636,14 @@ def _frame_witnesses(cert: Certificate, flip: bool, R: int, C: int) -> list[int]
     return supp + rsum + cover + in_U + csum + in_V + [sum(rsum), least]
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(Record):
     """Coupling and cover values along a nested chain of masks."""
 
-    coupling_values: tuple
-    cover_values: tuple
+    __slots__ = ("coupling_values", "cover_values")
+
+    def __init__(self, coupling_values: tuple, cover_values: tuple):
+        object.__setattr__(self, "coupling_values", coupling_values)
+        object.__setattr__(self, "cover_values", cover_values)
 
     @property
     def nondecreasing(self) -> bool:
@@ -667,15 +680,17 @@ def full_coupling(mask: SupportMask, caps: MarginalCaps | None = None) -> Coupli
 # Frequency profiles of periodic set sequences
 
 
-@dataclass(frozen=True)
-class FrequencyProfile:
+class FrequencyProfile(Record):
     """Per-bin visit frequencies f, g and joint frequencies h of two sequences."""
 
-    row_grid: UnitGrid
-    col_grid: UnitGrid
-    f: tuple
-    g: tuple
-    h: tuple
+    __slots__ = ("row_grid", "col_grid", "f", "g", "h")
+
+    def __init__(self, row_grid: UnitGrid, col_grid: UnitGrid, f: tuple, g: tuple, h: tuple):
+        object.__setattr__(self, "row_grid", row_grid)
+        object.__setattr__(self, "col_grid", col_grid)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "h", h)
 
     def residual(self) -> Fraction:
         """Largest deviation |h(i,j) - f(i) g(j)| over all cells."""

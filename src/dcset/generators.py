@@ -35,7 +35,6 @@ walk, depth * replicas (steps * replicas for minima) for a batch of rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -44,6 +43,7 @@ import numpy as np
 
 from .errors import BadParameter, check_budget
 from .grid_measure import BinSet, FatCantor
+from .records import Record
 
 __all__ = [
     "Seed",
@@ -99,18 +99,18 @@ REVEAL_CUT = 0.25
 EVENT_THRESHOLD = 0.75
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(Record):
     """Root entropy plus replica index; equal pairs give identical output."""
 
-    value: int
-    replica: int = 0
+    __slots__ = ("value", "replica")
 
-    def __post_init__(self):
-        if not 0 <= self.value < 2**64:
-            raise BadParameter(f"seed value {self.value} outside [0, 2**64)")
-        if self.replica < 0:
-            raise BadParameter(f"replica index {self.replica} negative")
+    def __init__(self, value: int, replica: int = 0):
+        if not 0 <= value < 2**64:
+            raise BadParameter(f"seed value {value} outside [0, 2**64)")
+        if replica < 0:
+            raise BadParameter(f"replica index {replica} negative")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "replica", replica)
 
     def stream(self, *key: int) -> np.random.Generator:
         """Independent PCG64 generator for the given substream key."""
@@ -337,30 +337,31 @@ def _distinct_rows(points: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> np.n
     return kept
 
 
-@dataclass(frozen=True)
-class Enumeration:
+class Enumeration(Record):
     """Finite prefix of an enumeration: ordered, pairwise-distinct points of (0,1).
 
     `tags` optionally labels each point with the component that produced it.
     """
 
-    points: np.ndarray
-    depth: int
-    provenance: str
-    tags: tuple | None = None
+    __slots__ = ("points", "depth", "provenance", "tags")
 
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+    def __init__(self, points: np.ndarray, depth: int, provenance: str, tags: tuple | None = None):
+        pts = np.asarray(points, dtype=float)
         pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
         if not _in_open_unit(pts).all():
             raise BadParameter("enumeration points must lie in open (0,1)")
         # Strictly increasing points are distinct; only others need a sort.
         flat = pts.reshape(-1)
-        if not (flat[1:] > flat[:-1]).all() and np.unique(flat).size != flat.size:
-            raise BadParameter("enumeration points must be pairwise distinct")
-        if self.tags is not None and len(self.tags) != pts.size:
+        if not (flat[1:] > flat[:-1]).all():
+            ordered = np.sort(flat)
+            if (ordered[1:] == ordered[:-1]).any():
+                raise BadParameter("enumeration points must be pairwise distinct")
+        if tags is not None and len(tags) != pts.size:
             raise BadParameter("one tag per point required")
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "tags", tags)
 
     def __len__(self) -> int:
         return int(self.points.size)
@@ -399,19 +400,18 @@ def sample_uniform(depth: int, seed) -> Enumeration:
     )
 
 
-@dataclass(frozen=True)
-class WalkPath:
+class WalkPath(Record):
     """Random walk on the uniform grid k/K, started at zero."""
 
-    steps: int
-    values: np.ndarray
+    __slots__ = ("steps", "values")
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+    def __init__(self, steps: int, values: np.ndarray):
+        vals = np.asarray(values, dtype=float)
         vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        if vals.size != self.steps + 1:
+        if vals.size != steps + 1:
             raise BadParameter("walk needs steps+1 values")
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "values", vals)
 
 
 def gaussian_walk(steps: int, seed) -> WalkPath:
@@ -618,8 +618,7 @@ def intensity_estimate(
     return total / replicas
 
 
-@dataclass(frozen=True)
-class RevealingSelectors:
+class RevealingSelectors(Record):
     """Selector values that reconstruct the events which chose them.
 
     For each index k an independent event (the driver point falling below the
@@ -628,11 +627,21 @@ class RevealingSelectors:
     the selector value exactly: event_k holds iff chosen_k < 1/4.
     """
 
-    low: Enumeration
-    mid: Enumeration
-    high: Enumeration
-    events: np.ndarray
-    chosen: Enumeration
+    __slots__ = ("low", "mid", "high", "events", "chosen")
+
+    def __init__(
+        self,
+        low: Enumeration,
+        mid: Enumeration,
+        high: Enumeration,
+        events: np.ndarray,
+        chosen: Enumeration,
+    ):
+        object.__setattr__(self, "low", low)
+        object.__setattr__(self, "mid", mid)
+        object.__setattr__(self, "high", high)
+        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "chosen", chosen)
 
     @property
     def depth(self) -> int:

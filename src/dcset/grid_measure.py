@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
@@ -21,6 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import BadParameter, OutOfDomain, UndefinedPoint
+from .records import Record
 
 __all__ = [
     "UnitGrid",
@@ -40,15 +40,15 @@ __all__ = [
 _MAX_PASSES = 3
 
 
-@dataclass(frozen=True)
-class UnitGrid:
+class UnitGrid(Record):
     """Partition of [0,1) into n half-open bins [k/n, (k+1)/n)."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise BadParameter(f"grid needs at least one bin, got n={self.n}")
+    def __init__(self, n: int):
+        if n < 1:
+            raise BadParameter(f"grid needs at least one bin, got n={n}")
+        object.__setattr__(self, "n", n)
 
     def bins(self, points) -> np.ndarray:
         """Vectorized bin indices for an array of points in (0,1)."""
@@ -62,19 +62,18 @@ class UnitGrid:
         return BinSet(self, frozenset())
 
 
-@dataclass(frozen=True)
-class BinSet:
+class BinSet(Record):
     """A finite union of grid bins; the exact stand-in for a Borel subset."""
 
-    grid: UnitGrid
-    members: frozenset = field(default_factory=frozenset)
+    __slots__ = ("grid", "members")
 
-    def __post_init__(self):
-        members = frozenset(self.members)
-        object.__setattr__(self, "members", members)
+    def __init__(self, grid: UnitGrid, members: frozenset = frozenset()):
+        members = frozenset(members)
         for k in members:
-            if not 0 <= k < self.grid.n:
-                raise BadParameter(f"bin index {k} outside [0, {self.grid.n})")
+            if not 0 <= k < grid.n:
+                raise BadParameter(f"bin index {k} outside [0, {grid.n})")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "members", members)
 
     @property
     def measure(self) -> Fraction:
@@ -107,15 +106,15 @@ def mes(a: BinSet) -> Fraction:
     return a.measure
 
 
-@dataclass(frozen=True)
-class CyclicShift:
+class CyclicShift(Record):
     """The interval exchange t -> t + s mod 1 on (0,1); undefined at 1 - s."""
 
-    s: object  # float or Fraction in (0,1)
+    __slots__ = ("s",)
 
-    def __post_init__(self):
-        if not 0 < self.s < 1:
-            raise BadParameter(f"shift {self.s} outside (0,1)")
+    def __init__(self, s):  # float or Fraction in (0,1)
+        if not 0 < s < 1:
+            raise BadParameter(f"shift {s} outside (0,1)")
+        object.__setattr__(self, "s", s)
 
 
 def cyclic_shift_point(shift: CyclicShift, t):
@@ -145,8 +144,7 @@ def cyclic_shift_points(shift: CyclicShift, points: Iterable) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class FatCantor:
+class FatCantor(Record):
     """A nowhere dense compact subset of (0,1) with positive measure.
 
     Stored through its complement: `removed` is the sorted tuple of disjoint
@@ -158,12 +156,12 @@ class FatCantor:
     checks, measures and float tables are computed from them.
     """
 
-    depth: int
-    removed: tuple
+    __slots__ = ("depth", "removed", "_scale", "_starts", "_ends", "__dict__")
 
-    def __post_init__(self):
+    def __init__(self, depth: int, removed: tuple):
+        object.__setattr__(self, "depth", depth)
         try:
-            pairs = [(Fraction(lo), Fraction(hi)) for lo, hi in self.removed]
+            pairs = [(Fraction(lo), Fraction(hi)) for lo, hi in removed]
         except (TypeError, ValueError, OverflowError) as exc:
             raise BadParameter(f"removed intervals need rational ends: {exc}") from None
         scale = math.lcm(*(x.denominator for pair in pairs for x in pair))

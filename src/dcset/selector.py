@@ -25,7 +25,6 @@ containment takes, for each point, the first table holding its value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -47,6 +46,7 @@ from .generators import (
     _sample_rows,
 )
 from .grid_measure import UnitGrid
+from .records import Record
 
 # Bound on the padded points binned at once in Ensemble.first_index.
 _BLOCK_POINTS = 1 << 16
@@ -67,8 +67,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class Ensemble:
+class Ensemble(Record, eq=False):
     """Replica enumerations packed as one padded points array, plus the value-axis grid.
 
     Row r of the read-only R-by-width array `points` holds replica r's
@@ -76,9 +75,7 @@ class Ensemble:
     `Ensemble(replicas, grid)` packs a sequence of enumerations once.
     """
 
-    points: np.ndarray
-    lengths: np.ndarray
-    grid: UnitGrid
+    __slots__ = ("points", "lengths", "grid", "__dict__")
 
     def __init__(self, replicas: Sequence[Enumeration], grid: UnitGrid):
         replicas = tuple(replicas)
@@ -157,22 +154,20 @@ def sample_ensemble(depth: int, count: int, grid: UnitGrid, seed) -> Ensemble:
     return Ensemble._packed(points, np.full(count, depth, dtype=np.int64), grid)
 
 
-@dataclass(frozen=True)
-class SelectorTable:
+class SelectorTable(Record):
     """One selected point per replica plus its enumeration index."""
 
-    values: np.ndarray
-    memberships: np.ndarray
+    __slots__ = ("values", "memberships")
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        idx = np.asarray(self.memberships, dtype=np.int64)
+    def __init__(self, values: np.ndarray, memberships: np.ndarray):
+        vals = np.asarray(values, dtype=float)
+        idx = np.asarray(memberships, dtype=np.int64)
         vals.setflags(write=False)
         idx.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "memberships", idx)
         if vals.shape != idx.shape:
             raise BadParameter("values and memberships must align")
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "memberships", idx)
 
     def __len__(self) -> int:
         return int(self.values.size)

@@ -10,11 +10,9 @@ flip their own semantics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import numpy.ma  # noqa: F401  (np.unique imports it lazily, ~15 ms: load it here, not in a run)
 
 from .errors import BadParameter, SparseTable, TooFewSamples, check_budget
 from .generators import (
@@ -30,6 +28,7 @@ from .generators import (
     gaussian_walk,
 )
 from .grid_measure import FatCantor
+from .records import Record
 from .selector import SelectorTable
 
 __all__ = [
@@ -55,18 +54,33 @@ _HALF_THRESHOLD = 0.5
 _RATIO_CAP = 4.0
 
 
-@dataclass(frozen=True)
-class TestReport:
-    """Outcome of one statistical check; `passed` iff statistic below threshold."""
+class TestReport(Record):
+    """Outcome of one statistical check; `passed` iff statistic below threshold.
 
-    name: str
-    statistic: float
-    threshold: float
-    level: float
-    passed: bool
-    replicas: int | None = None
-    seed: int | None = None
-    details: dict = field(default_factory=dict)
+    `details` defaults to a new empty dict.
+    """
+
+    __slots__ = ("name", "statistic", "threshold", "level", "passed", "replicas", "seed", "details")
+
+    def __init__(
+        self,
+        name: str,
+        statistic: float,
+        threshold: float,
+        level: float,
+        passed: bool,
+        replicas: int | None = None,
+        seed: int | None = None,
+        details: dict | None = None,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "statistic", statistic)
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "replicas", replicas)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "details", {} if details is None else details)
 
     @property
     def rejected(self) -> bool:
@@ -200,14 +214,23 @@ def chi_square_independence(
     )
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values with every NaN counted as one, as np.unique gives
+    them; sort-based, since plain np.unique imports numpy.ma on first use."""
+    ordered = np.sort(values, axis=None)
+    keep = np.ones(ordered.size, dtype=bool)
+    keep[1:] = (ordered[1:] != ordered[:-1]) & ~np.isnan(ordered[:-1])
+    return ordered[keep]
+
+
 def _bucket_labels(pooled: np.ndarray, min_pooled: int) -> tuple[np.ndarray, int]:
     """Deterministic bucketing of pooled values: distinct values (or pooled
     quantiles when there are many), greedily merged left to right until each
     bucket holds at least `min_pooled` pooled observations."""
-    uniq = np.unique(pooled)
+    uniq = _distinct(pooled)
     if uniq.size > 24:
         qs = np.quantile(pooled, np.linspace(0, 1, 13)[1:-1], method="lower")
-        uniq = np.unique(qs)
+        uniq = _distinct(qs)
     raw = np.searchsorted(uniq, pooled, side="right")
     counts = np.bincount(raw, minlength=uniq.size + 1)
     merged_of_raw = np.zeros(counts.size, dtype=np.int64)
@@ -481,16 +504,20 @@ def dyadic_rationals(count: int) -> np.ndarray:
     return np.array(out[:count])
 
 
-@dataclass(frozen=True)
-class ShiftHitCurve:
+class ShiftHitCurve(Record):
     """Hit counts of shifted dyadic prefixes against a fixed region."""
 
-    depths: tuple
-    means: tuple
-    medians: tuple
-    expected: tuple
-    shifts: int
-    seed: int
+    __slots__ = ("depths", "means", "medians", "expected", "shifts", "seed")
+
+    def __init__(
+        self, depths: tuple, means: tuple, medians: tuple, expected: tuple, shifts: int, seed: int
+    ):
+        object.__setattr__(self, "depths", depths)
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "medians", medians)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "shifts", shifts)
+        object.__setattr__(self, "seed", seed)
 
     @property
     def medians_nondecreasing(self) -> bool:
@@ -520,11 +547,15 @@ def shift_hit_curve(region, depths: Sequence[int], shifts: int, seed) -> ShiftHi
     for rows in _row_slices(shifts, points.size):
         hits = _hits_in_rows(region, _shift_rows(points, ss[rows, None]))
         counts[rows] = np.cumsum(hits, axis=1)[:, ends]
+    # The two middle order statistics, averaged as numpy's median does; that
+    # function imports numpy.ma on first use.
+    ordered = np.sort(counts, axis=0)
+    medians = (ordered[(shifts - 1) // 2] + ordered[shifts // 2]) / 2
     measure = float(region.measure)
     return ShiftHitCurve(
         depths=tuple(depths),
         means=tuple(float(c) for c in counts.mean(axis=0)),
-        medians=tuple(float(c) for c in np.median(counts, axis=0)),
+        medians=tuple(float(c) for c in medians),
         expected=tuple(measure * d for d in depths),
         shifts=shifts,
         seed=base.value,

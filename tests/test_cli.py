@@ -531,15 +531,23 @@ def _fresh_interpreter(code: str) -> str:
 
 
 class TestStartup:
-    """Default runs read their chi-square thresholds from a frozen table, so the
-    CLI starts without scipy; numpy.ma, which np.unique loads lazily, is loaded
-    with dcset.stats rather than inside a run.  Runs that draw only through
-    `Seed.uniforms` never load numpy.random."""
+    """Start-up stays at the Python-plus-numpy floor, and runs load nothing
+    they do not use.
+
+    Default runs read their chi-square thresholds from a frozen table, so no
+    command imports scipy.  The record classes are slotted classes with a
+    hand-written `__init__`, so `dataclasses` never loads.  Distinct values and
+    medians are found by sorting, since numpy's plain `np.unique` and
+    `np.median` import `numpy.ma` on first use; no run loads it.  Runs that
+    draw only through `Seed.uniforms` never load numpy.random; `simulate` and
+    the minima runs, which draw through `Seed.stream`, do.
+    """
 
     def test_parser_leaves_scipy_out(self):
         code = (
             "import sys, dcset.cli; dcset.cli.build_parser(); "
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'dataclasses')"
+            " or m.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'random'])))"
         )
         assert _fresh_interpreter(code) == "[]"
 
@@ -552,6 +560,8 @@ class TestStartup:
             ["stationarity", "--gen", "counterexample", "--seed", "1", "--replicas", "40", "--depth", "50"],
             ["independence", "--gen", "sample", "--seed", "1", "--replicas", "100"],
             ["shifthit", "--seed", "1", "--shifts", "20", "--depths", "64,256"],
+            ["selector", "--seed", "1", "--replicas", "200", "--depth", "64"],
+            ["enumerate", "--seed", "1", "--replicas", "40", "--rounds", "3"],
         ],
         ids=" ".join,
     )
@@ -568,3 +578,32 @@ class TestStartup:
             "                 or m.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'random'])))",
         ])
         assert _fresh_interpreter(code) == "0 []"
+
+    def test_no_default_run_loads_numpy_ma(self):
+        # Every subcommand at its default flags, one after another in one
+        # interpreter; numpy.ma, once loaded, would stay in sys.modules.
+        runs = [
+            ["duality", "--sweep", "4", "4"],
+            *(["simulate", gen, "--seed", "1"] for gen in cli.GENERATORS),
+            ["distinguish", "--seed", "1"],
+            *(["stationarity", "--gen", gen, "--seed", "1"]
+              for gen in ("sample", "counterexample", "minima")),
+            *(["independence", "--gen", gen, "--seed", "1"] for gen in ("sample", "minima")),
+            ["shifthit", "--seed", "1"],
+            ["selector", "--seed", "1"],
+            ["enumerate", "--seed", "1"],
+            ["cantor"],
+        ]
+        code = "\n".join([
+            "import contextlib, io, sys",
+            "import dcset.cli",
+            "dcset.cli.build_parser()",
+            "faults = []",
+            f"for argv in {runs!r}:",
+            "    with contextlib.redirect_stdout(io.StringIO()):",
+            "        rc = dcset.cli.main(argv)",
+            "    if rc != 0 or 'numpy.ma' in sys.modules:",
+            "        faults.append((' '.join(argv), rc, 'numpy.ma' in sys.modules))",
+            "print(faults)",
+        ])
+        assert _fresh_interpreter(code) == "[]"

@@ -7,7 +7,6 @@ the coupling problem).  The engine must agree with the first two exactly and
 with the LP to solver tolerance.
 """
 
-import dataclasses
 import itertools
 import math
 import sys
@@ -509,6 +508,19 @@ def add_flow_outside(flow, cells):
     return flow + [(*np.argwhere(~cells)[0].tolist(), 1)] if not cells.all() else flow
 
 
+def _with_witnesses(cert: Certificate, flow=None, cover=None) -> Certificate:
+    """`cert` with its flow or cover witness swapped, every other field kept."""
+    return Certificate(
+        cert.mask,
+        cert.caps,
+        cert.scale,
+        cert.flow if flow is None else flow,
+        cert.mass_units,
+        cert.cover if cover is None else cover,
+        cert.cost_units,
+    )
+
+
 class TestSweep:
     @pytest.mark.parametrize(
         "n, m",
@@ -647,7 +659,7 @@ class TestSweep:
     def test_carried_flow_is_checked(self, monkeypatch, shape, corrupt, message):
         def corrupted(mask, caps=None):
             cert = solve(mask, caps)
-            return dataclasses.replace(cert, flow=corrupt(cert.flow, mask.cells))
+            return _with_witnesses(cert, flow=corrupt(cert.flow, mask.cells))
 
         monkeypatch.setattr(duality, "solve", corrupted)
         if message is None:
@@ -661,7 +673,7 @@ class TestSweep:
             cert = solve(mask, caps)
             U = cert.cover.U
             if U:
-                return dataclasses.replace(cert, cover=Cover(U - {min(U)}, cert.cover.V))
+                return _with_witnesses(cert, cover=Cover(U - {min(U)}, cert.cover.V))
             return cert
 
         monkeypatch.setattr(duality, "solve", drop_a_cover_row)
@@ -674,7 +686,7 @@ class TestSweep:
         # every nonempty 2x2 mask shows a gap of one unit, 1/2.
         def drop_a_flow_entry(mask, caps=None):
             cert = solve(mask, caps)
-            return dataclasses.replace(cert, flow=cert.flow[1:])
+            return _with_witnesses(cert, flow=cert.flow[1:])
 
         monkeypatch.setattr(duality, "solve", drop_a_flow_entry)
         assert sweep(2, 2) == (16, 15, Fraction(1, 2))

@@ -1,0 +1,147 @@
+"""The frozen record classes: immutability, field equality and hashing, repr.
+
+Every value class of the package derives from `dcset.records.Record`.  Each
+case below builds two instances from equal fields; fields that are arrays are
+one shared object, since arrays compare elementwise.
+"""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from dcset import (
+    BinSet,
+    Certificate,
+    ChainReport,
+    Cover,
+    CyclicShift,
+    Enumeration,
+    FatCantor,
+    FrequencyProfile,
+    MarginalCaps,
+    Seed,
+    SupportMask,
+    UnitGrid,
+    solve,
+)
+from dcset.generators import RevealingSelectors, WalkPath
+from dcset.records import Record
+from dcset.selector import Ensemble, SelectorTable, sample_ensemble
+from dcset.stats import ShiftHitCurve
+from dcset.stats import TestReport as Report  # not a test class
+
+HALF = Fraction(1, 2)
+POINTS = np.array([0.25, 0.5, 0.75])
+ENUM = Enumeration(POINTS, depth=3, provenance="sample")
+INDEX = np.arange(3)
+WALK = np.array([0.0, 0.5, -0.25])
+MASK = SupportMask([[1, 0], [1, 1]])
+
+# (class, factory, hashable): two calls of the factory give equal fields.
+CASES = [
+    (UnitGrid, lambda: UnitGrid(4), True),
+    (BinSet, lambda: BinSet(UnitGrid(4), frozenset({1, 3})), True),
+    (CyclicShift, lambda: CyclicShift(Fraction(1, 4)), True),
+    (FatCantor, lambda: FatCantor(1, ((Fraction(1, 3), Fraction(2, 3)),)), True),
+    (Seed, lambda: Seed(7, 2), True),
+    (Enumeration, lambda: Enumeration(POINTS, depth=3, provenance="sample"), False),
+    (WalkPath, lambda: WalkPath(2, WALK), False),
+    (RevealingSelectors, lambda: RevealingSelectors(ENUM, ENUM, ENUM, POINTS, ENUM), False),
+    (SelectorTable, lambda: SelectorTable(POINTS, INDEX), False),
+    (Report, lambda: Report("t", 1.0, 2.0, 0.01, True, 40, 1), False),
+    (ShiftHitCurve, lambda: ShiftHitCurve((4,), (2.0,), (2.0,), (2.0,), 10, 1), True),
+    (MarginalCaps, lambda: MarginalCaps((HALF, HALF), (1,)), True),
+    (Cover, lambda: Cover(frozenset({0}), frozenset()), True),
+    (Certificate, lambda: solve(MASK), False),
+    (ChainReport, lambda: ChainReport((HALF, 1), (HALF, 1)), True),
+    (FrequencyProfile, lambda: FrequencyProfile(UnitGrid(1), UnitGrid(1), (1,), (1,), ((1,),)), True),
+]
+
+
+def same(left, right) -> bool:
+    """Equal fields, arrays compared elementwise, records field by field."""
+    if isinstance(left, Record):
+        return type(left) is type(right) and all(map(same, left._values(), right._values()))
+    if isinstance(left, np.ndarray):
+        return np.array_equal(left, right)
+    return left == right
+
+
+def test_every_record_class_is_covered():
+    tested = {cls for cls, _, _ in CASES} | {Ensemble}
+    assert set(Record.__subclasses__()) == tested
+
+
+@pytest.mark.parametrize("cls, make, hashable", CASES, ids=[cls.__name__ for cls, _, _ in CASES])
+class TestRecord:
+    def test_refuses_assignment_and_deletion(self, cls, make, hashable):
+        record = make()
+        assert type(record) is cls
+        name = record._fields[0]
+        value = getattr(record, name)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert getattr(record, name) is value
+
+    def test_equal_fields_compare_and_hash_equal(self, cls, make, hashable):
+        a, b = make(), make()
+        assert a is not b and a == b and not a != b
+        assert a != object()
+        if hashable:
+            assert hash(a) == hash(b) == hash(a._values())
+            assert {a: 1}[b] == 1
+        else:
+            with pytest.raises(TypeError):
+                hash(a)
+
+    def test_copies_keep_the_fields(self, cls, make, hashable):
+        record = make()
+        for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert same(clone, record)
+
+
+def test_ensemble_compares_by_identity():
+    a = sample_ensemble(4, 3, UnitGrid(2), 1)
+    b = Ensemble._packed(a.points, a.lengths, a.grid)
+    assert a == a and a != b
+    assert hash(a) == object.__hash__(a)
+    with pytest.raises(AttributeError):
+        a.grid = UnitGrid(3)
+    assert a.first_index.shape == (3, 2)  # cached_property keeps a __dict__
+
+
+def test_fields_differ_and_classes_differ():
+    assert Seed(7) != Seed(7, 1)
+    assert UnitGrid(4) != BinSet(UnitGrid(4))
+    middle_third = ((Fraction(1, 3), Fraction(2, 3)),)
+    assert FatCantor(1, middle_third) != FatCantor(2, middle_third)
+
+
+def test_defaults_are_fresh_and_empty():
+    assert BinSet(UnitGrid(2)).members == frozenset()
+    a = Report("t", 1.0, 2.0, 0.01, True)
+    b = Report("t", 1.0, 2.0, 0.01, True)
+    assert a.details == {} and a.details is not b.details
+    assert (a.replicas, a.seed) == (None, None)
+
+
+def test_reprs_match_the_dataclass_reprs():
+    assert repr(Seed(7)) == "Seed(value=7, replica=0)"
+    assert repr(UnitGrid(4)) == "UnitGrid(n=4)"
+    assert repr(Cover(frozenset({0}), frozenset())) == "Cover(U=frozenset({0}), V=frozenset())"
+    assert repr(CyclicShift(0.25)) == "CyclicShift(s=0.25)"
+
+
+def test_fat_cantor_copy_keeps_its_units():
+    cantor = FatCantor(1, ((Fraction(1, 3), Fraction(2, 3)),))
+    cantor.float_segments  # fills the cached_property's __dict__ entry
+    clone = copy.deepcopy(cantor)
+    assert clone.measure == cantor.measure == Fraction(2, 3)
+    assert clone.contains_points(np.array([0.2, 0.5])).tolist() == [True, False]

@@ -48,6 +48,7 @@ from dcset.errors import WORK_BUDGET
 from dcset.stats import (
     _CHI2_TABLE,
     _chi2_quantile,
+    _distinct,
     _distinguish_arms,
     _fragment_observables,
     _hits_in_rows,
@@ -213,6 +214,21 @@ class TestTwoSample:
     def test_constant_arms_trivially_pass(self):
         report = two_sample_test(np.full(50, 2.0), np.full(50, 2.0))
         assert report.passed and report.details["buckets"] == 1
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [3.0],
+            [2.0, 1.0, 2.0, 2.0, 0.5],
+            [np.nan, 1.0, np.nan, -0.0, 0.0, np.inf, 1.0, np.nan],
+            np.random.default_rng(98).poisson(4.0, 300).astype(float),
+        ],
+        ids=["empty", "one", "repeats", "nan-and-signed-zero", "poisson"],
+    )
+    def test_distinct_values_match_numpy_unique(self, values):
+        values = np.array(values, dtype=float)
+        assert np.array_equal(_distinct(values), np.unique(values), equal_nan=True)
 
 
 class TestFragmentIndependence:
