@@ -20,7 +20,10 @@ is split back to rows by the north-west-corner rule at the same integer
 scale, a row joins the cover when its class does, and both witnesses are
 checked row by row against the original mask.  Rows are merged, columns are
 not: the masks that shrink are tall, and splitting columns too would cost a
-second expansion on every small mask.  The
+second expansion on every small mask.  From `_TALL_ROWS` rows up, the
+classes are keyed from packed row codes, split and checked in int64 array
+passes (`_tall_witnesses`), with the same classes, flow, cover and messages
+as the loop over rows that smaller masks keep.  The
 frequency-profile machinery at the bottom handles periodic set sequences:
 exact limit frequencies, their product factorization, and the limsup witness
 rectangle.
@@ -156,9 +159,16 @@ class MarginalCaps(Record):
     @classmethod
     @lru_cache(maxsize=64)
     def uniform(cls, rows: int, cols: int) -> "MarginalCaps":
+        """Caps 1/rows and 1/cols, in units over lcm(rows, cols), which are
+        valid by construction and so are not checked one by one."""
         if rows < 1 or cols < 1:
             raise BadParameter(f"uniform caps need a positive shape, got {rows}x{cols}")
-        return cls((Fraction(1, rows),) * rows, (Fraction(1, cols),) * cols)
+        caps = cls.__new__(cls)
+        object.__setattr__(caps, "row_caps", (Fraction(1, rows),) * rows)
+        object.__setattr__(caps, "col_caps", (Fraction(1, cols),) * cols)
+        scale = math.lcm(rows, cols)
+        object.__setattr__(caps, "_scaled", (scale, (scale // rows,) * rows, (scale // cols,) * cols))
+        return caps
 
     def scaled(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         """Common denominator and the caps in integer units over it."""
@@ -303,6 +313,16 @@ class Certificate(Record):
         return Coupling.from_units(units, self.scale)
 
 
+# Row count from which `solve` keys row classes, splits their flow and checks
+# its witnesses in array passes (`_tall_witnesses`) instead of loops over
+# rows.  Measured crossover (2-core Xeon, Python 3.11, numpy 2.4; best of 7
+# loops, loop/array µs per solve under uniform caps) on replica-by-bin masks
+# of 8 bins: 79/162 at 64 rows, 175/196 at 192, 212/197 at 256, 311/225 at
+# 384, about 4200/2000 at 5000; on random masks of density 0.7 the paths
+# meet near 256 rows too.  Square masks up to 64x64 stay on the loop.
+_TALL_ROWS = 384
+
+
 def solve(mask: SupportMask, caps: MarginalCaps | None = None) -> Certificate:
     """Solve the marginal and cover problems of a mask by one integer max-flow.
 
@@ -313,6 +333,8 @@ def solve(mask: SupportMask, caps: MarginalCaps | None = None) -> Certificate:
     the mask, before they are returned: the coupling charges mask cells only
     and keeps within every row and column cap, and the cover meets every mask
     cell.  A zero `gap` is therefore a proof of strong duality for the instance.
+    A mask of `_TALL_ROWS` rows or more takes the same steps in array passes
+    (`_tall_witnesses`, `_check_tall_witnesses`) and gives an equal Certificate.
     """
     if caps is None:
         caps = MarginalCaps.uniform(mask.rows, mask.cols)
@@ -321,6 +343,20 @@ def solve(mask: SupportMask, caps: MarginalCaps | None = None) -> Certificate:
 
     n, m = mask.rows, mask.cols
     scale, row_int, col_int = caps.scaled()
+    # A row's bits fit one uint64 code, and the at most rows * (cols + 1) flow
+    # entries, each at most `scale`, sum within int64.
+    if n >= _TALL_ROWS and m < 64 and scale * n * (m + 1) < 2**62:
+        row_cap, col_cap = np.fromiter(row_int, np.int64, n), np.array(col_int, dtype=np.int64)
+        fi, fj, fu, in_U, in_V = _tall_witnesses(mask, row_cap, col_int, scale)
+        mass_units = _check_tall_witnesses(mask, row_cap, col_cap, fi, fj, fu, in_U, in_V)
+        # One int object per row, shared by the flow and U as in the loop:
+        # a separate set of 5000 row ints raised a selector run's peak RSS.
+        ids = list(range(n))
+        flow = list(zip(map(ids.__getitem__, fi.tolist()), fj.tolist(), fu.tolist()))
+        U = frozenset(compress(ids, in_U.tolist()))
+        V = frozenset(np.flatnonzero(in_V).tolist())
+        cost_units = int(row_cap[in_U].sum() + col_cap[in_V].sum())
+        return Certificate(mask, caps, scale, flow, mass_units, Cover(U, V), cost_units)
 
     # Row classes in order of their first row, keyed on the row's bytes; a
     # class's cap is the sum of its rows' caps.
@@ -372,6 +408,105 @@ def solve(mask: SupportMask, caps: MarginalCaps | None = None) -> Certificate:
     mass_units = _check_witnesses(mask, row_int, col_int, flow, U, V)
     cost_units = sum(map(row_int.__getitem__, U)) + sum(map(col_int.__getitem__, V))
     return Certificate(mask, caps, scale, flow, mass_units, Cover(U, V), cost_units)
+
+
+def _tall_witnesses(mask: SupportMask, row_cap: np.ndarray, col_int, scale: int):
+    """`solve`'s row classes, flow and cut for a tall mask, in array passes.
+
+    Takes the row caps as an int64 array.  Returns the flow as three int64
+    arrays (rows, columns, units) and U and V as boolean arrays, equal to
+    what `solve`'s loop over rows gives: the same classes in order of their
+    first row (the min cut `_max_flow` finds depends on node order), the
+    same flow entries in the same order, and the same cut.
+    """
+    row_class, starts, class_codes = _row_classes(mask.cells)
+    sizes = np.bincount(row_class)
+    members = np.argsort(row_class, kind="stable")  # rows by class, then row
+    cap_end = np.cumsum(row_cap[members])
+    class_caps = np.diff(cap_end[np.cumsum(sizes) - 1], prepend=0)
+    pc, pj = np.nonzero(class_codes[:, None] >> np.arange(mask.cols, dtype=np.uint64) & 1)
+    units, class_cut, col_reached = _max_flow(
+        class_caps.tolist(), col_int, list(zip(pc.tolist(), pj.tolist())), scale
+    )
+    units = np.array(units, dtype=np.int64)
+    one = sizes[pc] == 1
+    single, split = one & (units > 0), ~one & (units > 0)
+    # Classes of one row come first, in pair order, as in the loop.
+    fi, fj, fu = [starts[pc[single]]], [pj[single]], [units[single]]
+    if split.any():
+        member, pair, amounts = _north_west(units[split], pc[split], cap_end, row_class[members])
+        fi.append(members[member])
+        fj.append(pj[split][pair])
+        fu.append(amounts)
+    in_U = np.array(class_cut)[row_class]
+    return np.concatenate(fi), np.concatenate(fj), np.concatenate(fu), in_U, np.array(col_reached)
+
+
+def _row_classes(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of one pattern form a class, numbered in order of its first row.
+
+    Each row's bits pack into one uint64 code (cols < 64).  Returns each
+    row's class, and each class's first row and code.
+    """
+    codes = cells @ (1 << np.arange(cells.shape[1], dtype=np.uint64))
+    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], first[order], distinct[order]
+
+
+def _north_west(flows, flow_class, cap_end, member_class) -> tuple[np.ndarray, ...]:
+    """North-west-corner split of every class's flow among its rows at once.
+
+    `flows` are the positive pair flows of classes of two or more rows, in
+    class then column order, and `flow_class` their classes; `cap_end` is
+    the running sum of the row caps over the rows listed by class, and
+    `member_class` each listed row's class.  On one line the class flows lie
+    end to end, class c's on [S_c, S_c+1), and a listed row's cap interval
+    ends at S_c plus the running sum of its class's caps, clipped to S_c+1.
+    Each segment between consecutive ends of either kind lies in one pair's
+    flow and one row's cap, and that row takes it in that pair's column.
+    Returns, per piece in line order (the loop's order), the listed row,
+    the pair and the amount.
+    """
+    pair_end = np.cumsum(flows)
+    classes = np.arange(member_class[-1] + 2)
+    S = np.concatenate(([0], pair_end))[np.searchsorted(flow_class, classes)]
+    cap_start = np.concatenate(([0], cap_end))[np.searchsorted(member_class, classes[:-1])]
+    row_end = np.minimum(cap_end - cap_start[member_class] + S[member_class], S[member_class + 1])
+    ends = np.sort(np.concatenate((pair_end, row_end)))
+    amounts = np.diff(ends, prepend=0)
+    piece = amounts > 0
+    at = ends[piece] - amounts[piece]  # each piece's start
+    return (
+        np.searchsorted(row_end, at, side="right"),
+        np.searchsorted(pair_end, at, side="right"),
+        amounts[piece],
+    )
+
+
+def _check_tall_witnesses(mask: SupportMask, row_cap, col_cap, fi, fj, fu, in_U, in_V) -> int:
+    """`_check_witnesses` in int64 arrays, for `_tall_witnesses`' output.
+
+    The caps are int64 arrays, the flow is (fi, fj, fu), and U and V are
+    boolean arrays; the checks and their messages are those of
+    `_check_witnesses`; `solve`'s guard keeps their sums within int64.
+    """
+    cells = mask.cells
+    if (fu <= 0).any():
+        raise AssertionError("coupling witness has a non-positive entry")
+    if not cells[fi, fj].all():
+        raise AssertionError("flow escaped the mask")
+    row_units = np.zeros(mask.rows, dtype=np.int64)
+    col_units = np.zeros(mask.cols, dtype=np.int64)
+    np.add.at(row_units, fi, fu)
+    np.add.at(col_units, fj, fu)
+    if (row_units > row_cap).any() or (col_units > col_cap).any():
+        raise AssertionError("coupling witness exceeds a row or column cap")
+    if (cells[~in_U] & ~in_V).any():
+        raise AssertionError("cover witness misses a mask cell")
+    return int(fu.sum())
 
 
 def _max_flow(row_caps, col_caps, pairs, scale) -> tuple[list[int], list[bool], list[bool]]:

@@ -70,7 +70,7 @@ STATS_DOMAIN = 2
 _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_LO, _PCG_HI = np.uint64(0x4385DF649FCCF645), np.uint64(0x2360ED051FC65DA4)
 
 # Entries (rows * columns) one batch PCG64 pass aims at; see _pcg64_blocks.
@@ -126,19 +126,20 @@ class Seed(Record):
         `_pcg64_blocks`).  k = max(1, min(size, _LEAP_ENTRIES // rows)) gives
         a pass a few thousand entries, so its numpy calls are not mostly
         overhead.  A replica index of 2**32 or more spans two spawn-key words
-        and is drawn by `stream`.
+        and is drawn by `stream`.  `replicas` may be a range, a list or an
+        integer array.
         """
-        reps = list(map(int, replicas))
-        if reps and min(reps) < 0:
-            raise BadParameter(f"replica index {min(reps)} negative")
-        narrow = [k for k, r in enumerate(reps) if r <= _M32]
-        drawn = _pcg64_uniforms(self._entropy([reps[k] for k in narrow], key), size)
-        if len(narrow) == len(reps):
+        reps = _replica_array(replicas)
+        if reps.size and reps.min() < 0:
+            raise BadParameter(f"replica index {reps.min()} negative")
+        narrow = reps <= _M32
+        drawn = _pcg64_uniforms(self._entropy(reps[narrow], key), size)
+        if narrow.all():
             return drawn
         out = np.empty((len(reps), size))
         out[narrow] = drawn
-        for k in set(range(len(reps))).difference(narrow):
-            out[k] = Seed(self.value, reps[k]).stream(*key).uniform(size=size)
+        for k in np.flatnonzero(~narrow).tolist():
+            out[k] = Seed(self.value, int(reps[k])).stream(*key).uniform(size=size)
         return out
 
     def _entropy(self, replicas, key) -> np.ndarray:
@@ -154,6 +155,17 @@ class Seed(Record):
         return Seed(self.value, replica)
 
 
+def _replica_array(replicas) -> np.ndarray:
+    """Replica indices as one integer array; a range becomes an arange."""
+    if isinstance(replicas, range):
+        return np.arange(replicas.start, replicas.stop, replicas.step)
+    reps = np.asarray(replicas)
+    if reps.dtype.kind in "iu":
+        return reps
+    # An empty list, floats and ints past 64 bits: exact Python ints.
+    return np.array([int(r) for r in replicas], dtype=object)
+
+
 def _words(n: int) -> list[int]:
     """32-bit words of a spawn-key entry, least significant first, as SeedSequence splits it."""
     if n < 0:
@@ -167,39 +179,47 @@ def _words(n: int) -> list[int]:
 def _seed_state(entropy: np.ndarray) -> np.ndarray:
     """`SeedSequence.generate_state(4, np.uint64)` for each row of assembled entropy.
 
-    Each row is the 4 run-entropy words followed by the spawn-key words; every
-    row has the same length, so the hash constants are shared by all rows.
+    Each row is the 4 run-entropy words, the replica word, then the other
+    spawn-key words, as `Seed._entropy` builds them: rows differ only in the
+    replica word (column 4).  A word's hash constant depends only on its
+    position, so the shared words are hashed once, from the first row, as
+    Python ints; only the replica word and the pool words it reaches run
+    over the rows, as uint32 arrays.
     """
+    if not len(entropy):
+        return np.empty((0, 4), dtype=np.uint64)
     h = _INIT_A
 
     def hashmix(value):
         nonlocal h
-        value = value ^ np.uint32(h)
+        value = value ^ h
         h = h * _MULT_A & _M32
-        value = value * np.uint32(h)
+        value = value * h & _M32
         return value ^ (value >> 16)
 
     def mix(x, y):
-        value = x * _MIX_L - y * _MIX_R
+        # Each product is reduced before the difference, so an array and a
+        # Python int meet as two uint32 values.
+        value = (x * _MIX_L & _M32) - (y * _MIX_R & _M32) & _M32
         return value ^ (value >> 16)
 
-    pool = [hashmix(entropy[:, i]) for i in range(4)]
+    run, tail = entropy[0, :4].tolist(), entropy[0, 5:].tolist()
+    pool = [hashmix(w) for w in run]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(4, entropy.shape[1]):
+    for word in [entropy[:, 4], *tail]:
         for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+            pool[dst] = mix(pool[dst], hashmix(word))
     h = _INIT_B
     words = []
     for i in range(8):
-        value = pool[i % 4] ^ np.uint32(h)
+        value = pool[i % 4] ^ h
         h = h * _MULT_B & _M32
-        value = value * np.uint32(h)
-        words.append(value ^ (value >> 16))
-    words = np.stack(words, axis=1).astype(np.uint64)
-    return words[:, 0::2] | words[:, 1::2] << 32
+        value = value * h & _M32
+        words.append((value ^ (value >> 16)).astype(np.uint64))
+    return np.stack([words[i] | words[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
 
 
 def _pcg64_step(lo, hi, mul_lo, mul_hi, add_lo, add_hi):

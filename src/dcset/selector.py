@@ -238,7 +238,7 @@ def _draw(
             raise UnsupportedCoupling(f"coupling gives replica {r} zero mass")
         j = int(np.argmax(missing[i]))
         raise UnsupportedCoupling(f"coupling charges bin {j} where replica {r} has no point")
-    u = seed.uniforms(rows.tolist(), SELECTOR_DOMAIN, component)[:, 0]
+    u = seed.uniforms(rows, SELECTOR_DOMAIN, component)[:, 0]
     k = (u * 2**53).astype(np.int64)
     idx = first[np.arange(len(rows)), _choose_bins(units, k)]
     values = np.empty(ensemble.size)
@@ -309,14 +309,17 @@ def _conditional_by_rank(
     rows = np.argsort(rank, kind="stable")
     bounds = [0, *(np.flatnonzero(np.diff(rank[rows])) + 1).tolist(), len(rows)]
     ordered = mask.cells[rows]
+    # A cell's key is its rows' bytes, a slice of one buffer; the row count
+    # is the key's length over the mask's width.
+    raw, width = ordered.tobytes(), mask.cols
     blocks = []
     for lo, hi in zip(bounds, bounds[1:]):
-        sub = ordered[lo:hi]
-        cache_key = (hi - lo, sub.tobytes())
+        cache_key = raw[lo * width : hi * width]
         units = units_cache.get(cache_key)
         if units is None:
             cell = label(int(rows[lo]))
-            units = units_cache[cache_key] = _full_units_or_obstruction(SupportMask(sub), cell=cell)
+            sub = SupportMask(ordered[lo:hi])
+            units = units_cache[cache_key] = _full_units_or_obstruction(sub, cell=cell)
         blocks.append(units)
     return _draw(ensemble, rows, np.concatenate(blocks), seed, component)
 

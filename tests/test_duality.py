@@ -459,10 +459,166 @@ class TestWitnessCheck:
             self.check(flow, {0, 1, 2}, set())
 
 
+@st.composite
+def tall_instances(draw):
+    """Masks of 1-80 rows drawn from 1-5 row patterns over 1-9 columns, under
+    uniform caps or integer weights with zero entries."""
+    m = draw(st.integers(1, 9))
+    patterns = draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m), min_size=1, max_size=5))
+    n = draw(st.integers(1, 80))
+    picks = draw(st.lists(st.integers(0, len(patterns) - 1), min_size=n, max_size=n))
+    mask = SupportMask(np.array([patterns[k] for k in picks], dtype=bool).reshape(n, m))
+    if draw(st.booleans()):
+        return mask, MarginalCaps.uniform(n, m)
+    weights = st.integers(0, 6)
+    rw = draw(st.lists(weights, min_size=n, max_size=n).filter(any))
+    cw = draw(st.lists(weights, min_size=m, max_size=m).filter(any))
+    caps = MarginalCaps(
+        tuple(Fraction(x, sum(rw)) for x in rw), tuple(Fraction(x, sum(cw)) for x in cw)
+    )
+    return mask, caps
+
+
+def tall_calls(monkeypatch) -> list:
+    """Record the mask of every solve that takes the tall path."""
+    calls = []
+    inner = duality._tall_witnesses
+
+    def recorded(mask, *args):
+        calls.append(mask)
+        return inner(mask, *args)
+
+    monkeypatch.setattr(duality, "_tall_witnesses", recorded)
+    return calls
+
+
+def tall_mask(n: int) -> SupportMask:
+    """n rows cycling through four patterns of three columns."""
+    patterns = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 0, 0]], dtype=bool)
+    return SupportMask(patterns[np.arange(n) % 4])
+
+
+def move_onto_first_row(fi, fj, fu, cells):
+    """The next entry in the first entry's column joins the first entry:
+    column sums keep, and the first entry's row exceeds its cap."""
+    k = np.flatnonzero(fj == fj[0])[1]
+    fu = fu.copy()
+    fu[0] += fu[k]
+    keep = np.arange(len(fu)) != k
+    return fi[keep], fj[keep], fu[keep]
+
+
+def move_to_another_column(fi, fj, fu, cells):
+    """The first entry moves to another mask cell of its row: row sums keep,
+    and the column it joins, already full, exceeds its cap."""
+    fj = fj.copy()
+    fj[0] = next(j for j in np.flatnonzero(cells[fi[0]]) if j != fj[0])
+    return fi, fj, fu
+
+
+def negate_entries(fi, fj, fu, cells):
+    return fi, fj, -fu
+
+
+def add_entry_outside(fi, fj, fu, cells):
+    i, j = np.argwhere(~cells)[0]
+    return np.append(fi, i), np.append(fj, j), np.append(fu, 1)
+
+
+class TestTallMasks:
+    """`solve`'s array path for masks of at least `_TALL_ROWS` rows."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(tall_instances(), st.sampled_from([1, 10, 40]))
+    def test_equals_row_loop_and_reference(self, instance, threshold):
+        mask, caps = instance
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(duality, "_TALL_ROWS", threshold)
+            cert = solve(mask, caps)
+            mp.setattr(duality, "_TALL_ROWS", mask.rows + 1)
+            loop = solve(mask, caps)
+        # Same flow entries in the same order, same cover, same units.
+        assert cert == loop and cert.flow == loop.flow
+        ref = reference_solve(mask, caps)
+        assert cert.gap == 0 == ref.gap
+        assert (cert.value, cert.cover_cost) == (ref.value, ref.cover_cost)
+
+    def test_threshold_picks_the_path(self, monkeypatch):
+        calls = tall_calls(monkeypatch)
+        for n in (duality._TALL_ROWS - 1, duality._TALL_ROWS):
+            solve(tall_mask(n))
+        solve(SupportMask(np.random.default_rng(7).random((64, 64)) < 0.1))
+        assert [mask.rows for mask in calls] == [duality._TALL_ROWS]
+
+    def test_ensemble_mask_equals_row_loop(self, monkeypatch):
+        # selector --seed 1: 5000 replicas, depth 64, 8 bins.
+        mask = build_support_mask(sample_ensemble(64, 5000, UnitGrid(8), 1))
+        calls = tall_calls(monkeypatch)
+        cert = solve(mask)
+        assert len(calls) == 1 and cert.value == 1 and cert.gap == 0
+        monkeypatch.setattr(duality, "_TALL_ROWS", mask.rows + 1)
+        loop = solve(mask)
+        assert len(calls) == 1 and cert == loop and cert.flow == loop.flow
+
+    def test_units_overflow_falls_back_to_the_loop(self, monkeypatch):
+        # scale = lcm(rows, 2**61) puts scale * rows * (cols + 1) past 2**62.
+        mask = tall_mask(duality._TALL_ROWS)
+        tiny = Fraction(1, 2**61)
+        caps = MarginalCaps((Fraction(1, mask.rows),) * mask.rows, (tiny, Fraction(1, 2) - tiny, Fraction(1, 2)))
+        calls = tall_calls(monkeypatch)
+        cert = solve(mask, caps)
+        assert calls == [] and cert.gap == 0
+        assert cert.value == reference_solve(mask, caps).value
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda fi, fj, fu, cells: (fi, fj, fu), None),
+            (negate_entries, "non-positive entry"),
+            (add_entry_outside, "flow escaped the mask"),
+            (move_onto_first_row, "exceeds a row or column cap"),
+            (move_to_another_column, "exceeds a row or column cap"),
+        ],
+        ids=["unchanged", "negative", "outside", "row-over-cap", "column-over-cap"],
+    )
+    def test_flow_is_checked(self, monkeypatch, corrupt, message):
+        inner = duality._tall_witnesses
+
+        def corrupted(mask, *args):
+            fi, fj, fu, in_U, in_V = inner(mask, *args)
+            return (*corrupt(fi, fj, fu, mask.cells), in_U, in_V)
+
+        monkeypatch.setattr(duality, "_tall_witnesses", corrupted)
+        mask = tall_mask(duality._TALL_ROWS)
+        if message is None:
+            cert = solve(mask)
+            monkeypatch.setattr(duality, "_TALL_ROWS", mask.rows + 1)
+            assert cert == solve(mask) and cert.value == 1
+        else:
+            with pytest.raises(AssertionError, match=message):
+                solve(mask)
+
+    def test_cover_is_checked(self, monkeypatch):
+        inner = duality._tall_witnesses
+
+        def drop_a_cover_row(mask, *args):
+            fi, fj, fu, in_U, in_V = inner(mask, *args)
+            in_U = in_U.copy()
+            in_U[np.argmax(in_U)] = False
+            return fi, fj, fu, in_U, in_V
+
+        monkeypatch.setattr(duality, "_tall_witnesses", drop_a_cover_row)
+        with pytest.raises(AssertionError, match="cover witness misses a mask cell"):
+            solve(tall_mask(duality._TALL_ROWS))
+
+
 class TestMarginalCaps:
-    @pytest.mark.parametrize("n, m", [(1, 1), (3, 7), (12, 8), (5000, 8)])
+    @pytest.mark.parametrize("n, m", [(1, 1), (3, 7), (7, 9), (12, 8), (5000, 8)])
     def test_uniform_scaled_matches_fractions(self, n, m):
+        # `uniform` builds its units directly; the checking constructor agrees.
         caps = MarginalCaps.uniform(n, m)
+        checked = MarginalCaps((Fraction(1, n),) * n, (Fraction(1, m),) * m)
+        assert caps == checked and caps.scaled() == checked.scaled()
         scale = math.lcm(*(c.denominator for c in caps.row_caps + caps.col_caps))
         assert caps.scaled() == (
             scale,

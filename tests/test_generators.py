@@ -36,7 +36,9 @@ from dcset.generators import (
     _minima_rows,
     _pcg64_blocks,
     _poisson_rows,
+    _replica_array,
     _sample_rows,
+    _seed_state,
 )
 
 CANTOR = fat_cantor_build(Fraction(1, 2), 10)
@@ -142,6 +144,40 @@ class TestUniforms:
     def test_empty_replica_list(self):
         assert Seed(3).uniforms([], 1, 0, size=4).shape == (0, 4)
         assert Seed(3).uniforms(range(0), 1, 0).shape == (0, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        value=st.integers(0, 2**64 - 1),
+        replicas=st.lists(
+            st.one_of(st.integers(0, 2**32 - 1), st.sampled_from([0, 2**31, 2**32 - 1])), max_size=8
+        ),
+        key=st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64)), max_size=3),
+    )
+    def test_seed_state_matches_seed_sequence(self, value, replicas, key):
+        # Only the replica word is hashed per row; the rest once, as Python ints.
+        state = _seed_state(Seed(value)._entropy(_replica_array(replicas), key))
+        assert state.shape == (len(replicas), 4) and state.dtype == np.uint64
+        for row, r in zip(state, replicas):
+            expected = np.random.SeedSequence(value, spawn_key=(r, *key)).generate_state(4, np.uint64)
+            assert np.array_equal(row, expected)
+
+    @pytest.mark.parametrize(
+        "replicas",
+        [[], [3, 0, 2**32 - 1], [2**32, 5, 2**63, 2**64 - 1, 2**70], range(4, 40, 3),
+         np.array([7, 2**40], dtype=np.uint64), np.arange(5, dtype=np.int32)],
+        ids=["empty", "narrow", "mixed-wide", "range", "uint64", "int32"],
+    )
+    def test_replica_array_keeps_every_index(self, replicas):
+        reps = _replica_array(replicas)
+        assert reps.ndim == 1 and reps.dtype.kind in "iuO"
+        assert [int(r) for r in reps] == [int(r) for r in replicas]
+
+    def test_mixed_replica_array_matches_stream(self):
+        # Indices of 2**32 or more are drawn by `stream`, the rest in one batch.
+        reps = np.array([2**32, 4, 2**64 - 1, 0], dtype=np.uint64)
+        got = Seed(11).uniforms(reps, 1, 2**33, size=3)
+        for row, r in zip(got, reps.tolist()):
+            assert np.array_equal(row, Seed(11, r).stream(1, 2**33).uniform(size=3))
 
 
 class TestSampleUniform:
