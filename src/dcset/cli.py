@@ -23,7 +23,7 @@ from .errors import (
     InsufficientDensity,
     ParseError,
     SweepTooLarge,
-    UnknownGenerator,
+    TooFewSamples,
     check_budget,
 )
 from .generators import (
@@ -136,8 +136,6 @@ def cmd_duality(args) -> int:
 def cmd_simulate(args) -> int:
     seed = _need_seed(args)
     name = args.generator
-    if name not in GENERATORS:
-        raise UnknownGenerator(f"unknown generator {name!r}; known: {', '.join(GENERATORS)}")
     _echo_config(args)
     if name == "sample":
         text = formats.enumeration_to_csv(sample_uniform(args.depth, Seed(seed)))
@@ -180,19 +178,15 @@ def cmd_stationarity(args) -> int:
         rows = partial(_sample_rows, args.depth)
     elif args.gen == "minima":
         rows = partial(_minima_rows, args.steps)
-    elif args.gen == "counterexample":
-        rows = partial(_counterexample_rows, args.depth, cantor)
     else:
-        raise UnknownGenerator(f"unknown generator {args.gen!r}")
+        rows = partial(_counterexample_rows, args.depth, cantor)
     observable_name = args.observable or (
         "count-cantor" if args.gen == "counterexample" else "count-half"
     )
     if observable_name == "count-half":
         region = BinSet(UnitGrid(2), frozenset({0}))
-    elif observable_name == "count-cantor":
-        region = cantor
     else:
-        raise BadParameter(f"unknown observable {observable_name!r}; known: {_OBSERVABLES}")
+        region = cantor
     expect = args.expect or ("fail" if args.gen == "counterexample" else "pass")
     report = stationarity_test(rows, region, args.replicas, seed, level=args.level)
     payload = formats.report_to_json(report)
@@ -206,9 +200,7 @@ def cmd_stationarity(args) -> int:
 
 def cmd_independence(args) -> int:
     seed = _need_seed(args)
-    kind = {"sample": "sample", "minima": "walk"}.get(args.gen)
-    if kind is None:
-        raise UnknownGenerator(f"unknown generator {args.gen!r}")
+    kind = {"sample": "sample", "minima": "walk"}[args.gen]
     cuts = [float(formats.parse_fraction(c)) for c in args.cuts.split(",")]
     report = fragment_independence_test(
         kind, cuts, args.replicas, seed, level=args.level, steps=args.steps
@@ -245,15 +237,14 @@ def cmd_selector(args) -> int:
     grid = UnitGrid(args.grid)
     if args.gen == "sample":
         ensemble = sample_ensemble(args.depth, args.replicas, grid, seed)
-    elif args.gen == "sample-upper":
-        # Deliberately thin ensemble: all points in (1/2, 1), lower bins empty.
+    else:
+        # sample-upper, a deliberately thin ensemble: all points in (1/2, 1),
+        # lower bins empty.
         def upper(s):
             pts = 0.5 + 0.5 * sample_uniform(args.depth, s).points
             return Enumeration(pts, depth=args.depth, provenance="sample-upper")
 
         ensemble = Ensemble.generate(upper, args.replicas, grid, seed)
-    else:
-        raise UnknownGenerator(f"unknown generator {args.gen!r}")
     expect = args.expect or "pass"
     try:
         table = uniform_selector(ensemble, Seed(seed))
@@ -359,7 +350,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_duality)
 
     p = sub.add_parser("simulate", parents=[common, cantorish], help="write one truncated enumeration")
-    p.add_argument("generator", help=f"one of: {', '.join(GENERATORS)}")
+    p.add_argument("generator", choices=GENERATORS)
     p.add_argument("--depth", type=int, default=100)
     p.add_argument("--steps", type=int, default=10000)
     p.set_defaults(func=cmd_simulate)
@@ -373,8 +364,9 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_distinguish)
 
     p = sub.add_parser("stationarity", parents=[common, cantorish], help="two-sample shift-invariance test")
-    p.add_argument("--gen", default="sample", help="sample | minima | counterexample")
-    p.add_argument("--observable", default=None, help="count-half | count-cantor")
+    p.add_argument("--gen", choices=("sample", "minima", "counterexample"), default="sample")
+    p.add_argument("--observable", choices=_OBSERVABLES, default=None,
+                   help="counted region (default: count-cantor for counterexample, else count-half)")
     p.add_argument("--expect", choices=("pass", "fail"), default=None,
                    help="expected outcome (default: fail for counterexample, else pass)")
     p.add_argument("--depth", type=int, default=200)
@@ -384,7 +376,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stationarity)
 
     p = sub.add_parser("independence", parents=[common], help="fragment independence test")
-    p.add_argument("--gen", default="sample", help="sample | minima")
+    p.add_argument("--gen", choices=("sample", "minima"), default="sample")
     p.add_argument("--cuts", default="0,1/2,1", help="comma-separated cut points")
     p.add_argument("--replicas", type=int, default=400)
     p.add_argument("--steps", type=int, default=2048)
@@ -400,7 +392,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_shifthit)
 
     p = sub.add_parser("selector", parents=[common], help="uniform selector over a sample ensemble")
-    p.add_argument("--gen", default="sample", help="sample | sample-upper (thin, for obstructions)")
+    p.add_argument("--gen", choices=("sample", "sample-upper"), default="sample",
+                   help="sample-upper is thin, for obstructions")
     p.add_argument("--depth", type=int, default=64)
     p.add_argument("--grid", type=int, default=8)
     p.add_argument("--replicas", type=int, default=5000)
@@ -426,29 +419,19 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _check_choices(parser: argparse.ArgumentParser, args: argparse.Namespace, config: dict) -> None:
-    """Refuse a config value outside its flag's choices, as argparse refuses the flag.
-
-    argparse reads a default through the flag's type but never checks it
-    against the flag's choices.
-    """
-    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    command = subparsers.choices[args.command]
-    for action in command._actions:
-        value = getattr(args, action.dest, None)
-        if action.dest not in config or action.choices is None or value is None:
-            continue
-        if value not in action.choices:
-            choices = ", ".join(map(repr, action.choices))
-            command.error(f"argument {'/'.join(action.option_strings)}: invalid choice: "
-                          f"{value!r} (choose from {choices})")
+# Keys of a config file that name no flag: the subcommand, its handler and
+# duality's positional mask file.
+_NOT_FLAGS = {"command", "func", "mask"}
+_ABSENT = object()
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
-    # A config file supplies flag defaults, so a flag given in any spelling
-    # wins; keys that are no flag of the chosen subcommand are ignored.
+    # A config file supplies flag defaults: each key that names a flag of the
+    # chosen subcommand, and that no flag on the command line gave in any
+    # spelling, is appended to argv as that flag, so argparse reads its value
+    # as it reads the flag.  Null values and other keys are ignored.
     if args.config:
         try:
             config = json.loads(Path(args.config).read_text())
@@ -457,24 +440,20 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: bad --config: {exc}", file=sys.stderr)
             return 2
-        dests = {key.replace("-", "_"): value for key, value in config.items()}
-        known = {d: v for d, v in dests.items() if hasattr(args, d) and d != "func"}
-        # Values reach argparse as text, so each flag's own type reads them.
-        # A list default is left as it is, so a list the command line did not
-        # override is read again as the flag's own arguments.
-        texts = {d: v if v is None or isinstance(v, list) else str(v) for d, v in known.items()}
-        parser = build_parser(texts)
-        args = parser.parse_args(argv)
-        _check_choices(parser, args, texts)
-        tail = [t for d, v in texts.items() if isinstance(v, list) and getattr(args, d) is v
-                for t in (f"--{d.replace('_', '-')}", *map(str, v))]
-        if tail:
-            args = build_parser(texts).parse_args([*argv, *tail])
+        given = build_parser(dict.fromkeys(vars(args), _ABSENT)).parse_args(argv)
+        for key, value in config.items():
+            dest = key.replace("-", "_")
+            if value is None or dest in _NOT_FLAGS or getattr(given, dest, None) is not _ABSENT:
+                continue
+            flag = "--" + dest.replace("_", "-")
+            # `--flag=value` keeps a value such as -1/2 from reading as an option.
+            argv += [flag, *map(str, value)] if isinstance(value, list) else [f"{flag}={value}"]
+        args = build_parser().parse_args(argv)
     try:
         # Every subcommand takes --level, so one check covers flags and config.
         _check_level(args.level)
         return args.func(args)
-    except (ParseError, SweepTooLarge, UnknownGenerator, BadParameter, OSError) as exc:
+    except (ParseError, SweepTooLarge, TooFewSamples, BadParameter, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DcsetError as exc:

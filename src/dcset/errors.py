@@ -102,7 +102,7 @@ class SparseTable(DcsetError):
 
 
 class UnknownGenerator(DcsetError):
-    """The CLI was asked for a generator name it does not know."""
+    """A generator name that is not known; the CLI refuses one through argparse's choices."""
 
 
 class ParseError(DcsetError):

@@ -121,11 +121,10 @@ class Seed(Record):
         """R-by-size array whose row k is
         `Seed(self.value, replicas[k]).stream(*key).uniform(size=size)`, bit for bit.
 
-        Rows are drawn together by `_pcg64_uniforms`, k columns of every row
-        per array pass by PCG64's jump-ahead s <- a**k * s + B_k * inc (see
-        `_pcg64_blocks`).  k = max(1, min(size, _LEAP_ENTRIES // rows)) gives
-        a pass a few thousand entries, so its numpy calls are not mostly
-        overhead.  A replica index of 2**32 or more spans two spawn-key words
+        Rows are drawn together by `_pcg64_blocks`, k columns of every row
+        per array pass by PCG64's jump-ahead s <- a**k * s + B_k * inc.
+        k = max(1, min(size, _LEAP_ENTRIES // rows)) gives a pass a few
+        thousand entries, so its numpy calls are not mostly overhead.  A replica index of 2**32 or more spans two spawn-key words
         and is drawn by `stream`.  `replicas` may be a range, a list or an
         integer array.
         """
@@ -133,7 +132,7 @@ class Seed(Record):
         if reps.size and reps.min() < 0:
             raise BadParameter(f"replica index {reps.min()} negative")
         narrow = reps <= _M32
-        drawn = _pcg64_uniforms(self._entropy(reps[narrow], key), size)
+        drawn = next(_pcg64_blocks(_seed_state(self.value, reps[narrow], key), size))
         if narrow.all():
             return drawn
         out = np.empty((len(reps), size))
@@ -141,15 +140,6 @@ class Seed(Record):
         for k in np.flatnonzero(~narrow).tolist():
             out[k] = Seed(self.value, int(reps[k])).stream(*key).uniform(size=size)
         return out
-
-    def _entropy(self, replicas, key) -> np.ndarray:
-        """SeedSequence entropy, one row per replica index below 2**32."""
-        tail = [w for k in key for w in _words(k)]
-        entropy = np.zeros((len(replicas), 5 + len(tail)), dtype=np.uint32)
-        entropy[:, :2] = self.value & _M32, self.value >> 32
-        entropy[:, 4] = replicas
-        entropy[:, 5:] = tail
-        return entropy
 
     def with_replica(self, replica: int) -> "Seed":
         return Seed(self.value, replica)
@@ -176,17 +166,17 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _seed_state(entropy: np.ndarray) -> np.ndarray:
-    """`SeedSequence.generate_state(4, np.uint64)` for each row of assembled entropy.
+def _seed_state(value: int, replicas, key) -> np.ndarray:
+    """`SeedSequence(value, spawn_key=(r, *key)).generate_state(4, np.uint64)`
+    for each replica index r below 2**32, one row each.
 
-    Each row is the 4 run-entropy words, the replica word, then the other
-    spawn-key words, as `Seed._entropy` builds them: rows differ only in the
-    replica word (column 4).  A word's hash constant depends only on its
-    position, so the shared words are hashed once, from the first row, as
-    Python ints; only the replica word and the pool words it reaches run
-    over the rows, as uint32 arrays.
+    SeedSequence hashes the 4 run-entropy words of a 64-bit `value`, the
+    replica word, then the words of `key`, so rows differ only in the replica
+    word.  A word's hash constant depends only on its position, so the shared
+    words are hashed once, as Python ints; only the replica word and the pool
+    words it reaches run over the rows, as uint32 arrays.
     """
-    if not len(entropy):
+    if not len(replicas):
         return np.empty((0, 4), dtype=np.uint64)
     h = _INIT_A
 
@@ -203,22 +193,23 @@ def _seed_state(entropy: np.ndarray) -> np.ndarray:
         value = (x * _MIX_L & _M32) - (y * _MIX_R & _M32) & _M32
         return value ^ (value >> 16)
 
-    run, tail = entropy[0, :4].tolist(), entropy[0, 5:].tolist()
+    run = [value & _M32, value >> 32, 0, 0]
+    tail = [w for k in key for w in _words(k)]
     pool = [hashmix(w) for w in run]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in [entropy[:, 4], *tail]:
+    for word in [np.asarray(replicas, dtype=np.uint32), *tail]:
         for dst in range(4):
             pool[dst] = mix(pool[dst], hashmix(word))
     h = _INIT_B
     words = []
     for i in range(8):
-        value = pool[i % 4] ^ h
+        word = pool[i % 4] ^ h
         h = h * _MULT_B & _M32
-        value = value * h & _M32
-        words.append((value ^ (value >> 16)).astype(np.uint64))
+        word = word * h & _M32
+        words.append((word ^ (word >> 16)).astype(np.uint64))
     return np.stack([words[i] | words[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
 
 
@@ -252,10 +243,10 @@ def _leap_constants(k: int) -> tuple[np.ndarray, ...]:
     return tuple(halves)
 
 
-def _pcg64_passes(entropy: np.ndarray, k: int):
+def _pcg64_passes(state: np.ndarray, k: int):
     """Successive k-by-R arrays of the doubles of the PCG64 generator seeded
-    from each entropy row (one column per row): the first holds draws 1..k,
-    the next k+1..2k, and so on.
+    from each row of `_seed_state` (one column per row): the first holds
+    draws 1..k, the next k+1..2k, and so on.
 
     Seeding follows pcg64_set_seed: initstate, then inc = 2*initseq + 1, one
     step, add initstate to get u, one step.  Each draw is the XSL-RR output
@@ -268,7 +259,6 @@ def _pcg64_passes(entropy: np.ndarray, k: int):
     array pass over the rows.
     """
     pow_lo, pow_hi, sum_lo, sum_hi = _leap_constants(k)
-    state = _seed_state(entropy)
     seq_hi, seq_lo = state[:, 2], state[:, 3]
     inc_lo = seq_lo << 1 | 1
     inc_hi = seq_hi << 1 | seq_lo >> 63
@@ -288,9 +278,9 @@ def _pcg64_passes(entropy: np.ndarray, k: int):
         lo, hi = _pcg64_step(lo, hi, leap_lo, leap_hi, inc_lo, inc_hi)
 
 
-def _pcg64_blocks(entropy: np.ndarray, width: int):
+def _pcg64_blocks(state: np.ndarray, width: int):
     """Successive R-by-width blocks of the doubles of the PCG64 generator
-    seeded from each entropy row, in stream order.
+    seeded from each row of `_seed_state`, in stream order.
 
     Columns j, j + k, j + 2k, ... of a row follow the LCG
     s <- a**k * s + B_k * inc, so the blocks are cut from `_pcg64_passes`,
@@ -299,9 +289,9 @@ def _pcg64_blocks(entropy: np.ndarray, width: int):
     one column of a few hundred rows leaves each of a pass's ~30 numpy calls
     mostly overhead, while from _LEAP_ENTRIES rows up one column fills a pass.
     """
-    rows = len(entropy)
+    rows = len(state)
     k = max(1, min(width, _LEAP_ENTRIES // max(rows, 1)))
-    passes = _pcg64_passes(entropy, k)
+    passes = _pcg64_passes(state, k)
     # Passes are k-by-R and are written into the block transposed, at least
     # 8 columns at a time: written one column at a time, a 5000-row block
     # cost more than twice as much per double.
@@ -318,11 +308,6 @@ def _pcg64_blocks(entropy: np.ndarray, width: int):
             out[:, start : start + n] = cols[:n].T
             spare = cols[n:]
         yield out
-
-
-def _pcg64_uniforms(entropy: np.ndarray, size: int) -> np.ndarray:
-    """First `size` doubles of the PCG64 generator seeded from each entropy row."""
-    return next(_pcg64_blocks(entropy, size))
 
 
 def _as_seed(seed) -> Seed:
@@ -599,7 +584,8 @@ def _counterexample_rows(depth: int, cantor: FatCantor, base: Seed, replicas: ra
     lengths = (~np.isnan(poisson)).sum(axis=1)
     points = np.full((len(replicas), poisson.shape[1] + depth), np.nan)
     points[:, : poisson.shape[1]] = poisson
-    blocks = _pcg64_blocks(base._entropy(replicas, (GENERATOR_DOMAIN, _MIX_SAMPLE)), _PICK_BLOCK)
+    state = _seed_state(base.value, replicas, (GENERATOR_DOMAIN, _MIX_SAMPLE))
+    blocks = _pcg64_blocks(state, _PICK_BLOCK)
     have = np.zeros(len(replicas), dtype=np.int64)
     read = 0
     while read <= _PICK_SLACK * depth / gap and (short := np.flatnonzero(have < depth)).size:

@@ -3,8 +3,10 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -88,8 +90,13 @@ class TestSimulate:
         rows = len(text.strip().splitlines()) - 1
         assert 2300 <= rows <= 2700
 
-    def test_unknown_generator(self, tmp_path):
-        assert main(["simulate", "bogus", "--seed", "1"]) == 2
+    def test_unknown_generator(self, capsys):
+        # argparse refuses a name outside the generator's choices.
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "bogus", "--seed", "1"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "argument generator: invalid choice: 'bogus'" in err and "Traceback" not in err
 
     def test_seed_required(self, tmp_path):
         assert main(["simulate", "sample"]) == 2
@@ -392,23 +399,67 @@ class TestConfig:
         assert exc.value.code == 2 and message in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "argv,choices",
+        "argv,flag,choices",
         [
-            (["selector", "--seed", "1", "--replicas", "20", "--depth", "16"], "'pass', 'obstruction'"),
-            (["stationarity", "--seed", "1", "--replicas", "20", "--depth", "16"], "'pass', 'fail'"),
+            (["selector", "--seed", "1", "--replicas", "20", "--depth", "16"], "expect",
+             "'pass', 'obstruction'"),
+            (["stationarity", "--seed", "1", "--replicas", "20", "--depth", "16"], "expect",
+             "'pass', 'fail'"),
+            (["stationarity", "--seed", "1"], "gen", "'sample', 'minima', 'counterexample'"),
+            (["independence", "--seed", "1"], "gen", "'sample', 'minima'"),
+            (["selector", "--seed", "1"], "gen", "'sample', 'sample-upper'"),
+            (["stationarity", "--seed", "1"], "observable", "'count-half', 'count-cantor'"),
         ],
-        ids=["selector", "stationarity"],
+        ids=["selector", "stationarity", "stationarity-gen", "independence-gen", "selector-gen",
+             "stationarity-observable"],
     )
-    def test_config_value_outside_choices_exits_2(self, tmp_path, capsys, argv, choices):
+    def test_config_value_outside_choices_exits_2(self, tmp_path, capsys, argv, flag, choices):
         # A config value is checked against the flag's choices, as the flag itself is.
-        message = f"error: argument --expect: invalid choice: 'bogus' (choose from {choices})"
+        message = f"error: argument --{flag}: invalid choice: 'bogus' (choose from {choices})"
         conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({"expect": "bogus"}))
-        for extra in (["--config", str(conf)], ["--expect", "bogus"]):
+        conf.write_text(json.dumps({flag: "bogus"}))
+        for extra in (["--config", str(conf)], [f"--{flag}", "bogus"]):
             with pytest.raises(SystemExit) as exc:
                 main([*argv, *extra])
             err = capsys.readouterr().err
             assert exc.value.code == 2 and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv,config",
+        [
+            (["distinguish", "--seed", "1", "--depth", "20", "--replicas", "30"], {"level": None}),
+            (["distinguish", "--seed", "1", "--replicas", "30"], {"depth": None}),
+            (["duality"], {"mask": "MASK"}),
+            (["duality", "--sweep", "2", "2"], {"command": "cantor", "func": "cantor"}),
+            (["cantor"], {"bogus": 1, "row-caps": "r.csv", "sweep": [1, 1]}),
+        ],
+        ids=["level-null", "depth-null", "mask", "command-func", "unknown"],
+    )
+    def test_config_keys_that_set_no_flag(self, tmp_path, capsys, argv, config):
+        # A null value means absent; a key that names no flag of the subcommand,
+        # duality's positional mask included, is ignored.
+        mask = tmp_path / "mask.txt"
+        mask.write_text("2 2\n10\n01\n")
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({k: str(mask) if v == "MASK" else v for k, v in config.items()}))
+        expected = main(argv), capsys.readouterr()
+        assert (main([*argv, "--config", str(conf)]), capsys.readouterr()) == expected
+
+    def test_config_command_key_leaves_echo(self, tmp_path, capsys):
+        # The echoed config names the subcommand run; depth 3 gives 3 rows.
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"command": "cantor", "depth": 3}))
+        assert main(["simulate", "sample", "--seed", "1", "--config", str(conf)]) == 0
+        captured = capsys.readouterr()
+        assert '"command": "simulate"' in captured.err and '"depth": 3' in captured.err
+        assert len(captured.out.splitlines()) == 4
+
+    def test_config_negative_fraction_is_a_value(self, tmp_path, capsys):
+        # The value reaches argparse as --gap=-1/2, never as an option of its own.
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"gap": "-1/2"}))
+        assert main(["cantor", "--config", str(conf)]) == 2
+        assert capsys.readouterr().err == "error: target gap -1/2 outside (0,1)\n"
 
     def test_config_list_for_multi_value_flag(self, tmp_path, capsys):
         conf = tmp_path / "conf.json"
@@ -420,6 +471,19 @@ class TestConfig:
         # A flag on the command line still wins over the config's list.
         assert main(["duality", "--sweep", "1", "1", "--config", str(conf)]) == 0
         assert json.loads(capsys.readouterr().out)["masks"] == 2
+
+
+def _readme_calls() -> list[list[str]]:
+    """The `dcset` lines of README's command-line block, comments dropped."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("dcset ")]
+
+
+@pytest.mark.parametrize("call", _readme_calls(), ids=" ".join)
+def test_readme_call_parses(call):
+    # Every documented call is one the parser accepts, names and all.
+    build_parser().parse_args(call[1:])
 
 
 @pytest.mark.parametrize(
@@ -505,6 +569,23 @@ def test_size_below_one_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "\nerror: " in "\n" + captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["stationarity", "--seed", "1", "--replicas", "5"], "needs >= 10 replicas per arm"),
+        (["selector", "--seed", "1", "--replicas", "10"], "KS needs >= 20 values"),
+        (["distinguish", "--seed", "1", "--replicas", "5", "--depth", "10"],
+         "two-sample test needs >= 10 values per arm"),
+    ],
+    ids=["stationarity", "selector", "distinguish"],
+)
+def test_too_few_replicas_exits_2(capsys, argv, message):
+    # The flags alone decide these refusals, so they are usage errors.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err and "Traceback" not in captured.err
 
 
 def test_level_checked_before_dispatch(tmp_path, monkeypatch, capsys):

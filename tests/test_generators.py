@@ -101,7 +101,7 @@ class TestUniforms:
     def test_blocks_continue_the_stream(self):
         # Reading a stream in blocks does not change its order.
         seed = Seed(2**64 - 1)
-        blocks = _pcg64_blocks(seed._entropy(range(9), (0, 3)), 5)
+        blocks = _pcg64_blocks(_seed_state(seed.value, range(9), (0, 3)), 5)
         got = np.hstack([next(blocks) for _ in range(4)])
         assert np.array_equal(got, seed.uniforms(range(9), 0, 3, size=20))
 
@@ -123,7 +123,7 @@ class TestUniforms:
         if rows <= 3:
             widths |= st.sampled_from([_LEAP_ENTRIES - 1, _LEAP_ENTRIES + 3])
         width = data.draw(widths, label="width")
-        blocks = _pcg64_blocks(Seed(value)._entropy(range(rows), key), width)
+        blocks = _pcg64_blocks(_seed_state(value, range(rows), key), width)
         got = [next(blocks) for _ in range(reads)]
         assert all(block.shape == (rows, width) for block in got)
         got = np.hstack(got)
@@ -136,7 +136,7 @@ class TestUniforms:
     )
     def test_benchmark_shapes_match_stream(self, rows, width, reads):
         # The distinguish sample, Poisson and pick blocks, and the selector's tall draw.
-        blocks = _pcg64_blocks(Seed(1)._entropy(range(rows), (0, 3)), width)
+        blocks = _pcg64_blocks(_seed_state(1, range(rows), (0, 3)), width)
         got = np.hstack([next(blocks) for _ in range(reads)])
         for r in (0, 1, rows - 1):
             assert np.array_equal(got[r], Seed(1, r).stream(0, 3).uniform(size=width * reads))
@@ -155,7 +155,7 @@ class TestUniforms:
     )
     def test_seed_state_matches_seed_sequence(self, value, replicas, key):
         # Only the replica word is hashed per row; the rest once, as Python ints.
-        state = _seed_state(Seed(value)._entropy(_replica_array(replicas), key))
+        state = _seed_state(value, _replica_array(replicas), key)
         assert state.shape == (len(replicas), 4) and state.dtype == np.uint64
         for row, r in zip(state, replicas):
             expected = np.random.SeedSequence(value, spawn_key=(r, *key)).generate_state(4, np.uint64)
@@ -595,9 +595,9 @@ class TestBatchCounterexample:
     def test_repeated_pick_row_is_redrawn(self, monkeypatch):
         blocks = generators._pcg64_blocks
 
-        def forged(entropy, width):
-            for block in blocks(entropy, width):
-                if entropy[0, -1] == generators._MIX_SAMPLE:
+        def forged(state, width):
+            for block in blocks(state, width):
+                if width == generators._PICK_BLOCK:
                     block[2, :2] = 0.5  # the centre of CANTOR's widest gap, picked twice
                 yield block
 

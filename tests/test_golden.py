@@ -45,7 +45,6 @@ _SEEDED = [
     ["selector", "--csv", "{tmp}/table.csv"],
     ["enumerate"],
 ]
-_BAD_MASK = {"mask.txt": "2 2\n1x\n01\n"}
 _SMALL_CONFIG = {"config.json": json.dumps({"depth": 20, "replicas": 30})}
 
 # (argv, inputs) of every row, in table order.
@@ -59,7 +58,7 @@ ROWS = [
     (["selector", "--seed", "1", "--level", "0"], {}),
     (["enumerate", "--seed", "1", "--config", "{tmp}/config.json"],
      {"config.json": json.dumps({"replicas": 2.5})}),
-    (["duality", "{tmp}/mask.txt"], _BAD_MASK),
+    (["duality", "{tmp}/mask.txt"], {"mask.txt": "2 2\n1x\n01\n"}),
     (["stationarity", "--gen", "bogus", "--seed", "1"], {}),
     (["simulate", "bogus", "--seed", "1"], {}),
     # Too few replicas for the test.

@@ -78,17 +78,17 @@ class TestSampleEnsemble:
             assert np.array_equal(pts, sample_uniform(16, Seed(91, r)).points)
 
     def test_rejected_rows_rebuilt_by_sample_uniform(self, monkeypatch):
-        engine = generators._pcg64_uniforms
+        engine = generators._pcg64_blocks
         drawn = {}
 
-        def flawed(entropy, size):
-            out = engine(entropy, size)
+        def flawed(state, size):
+            out = next(engine(state, size))
             drawn["rows"] = out.copy()
             out[2, 3] = out[2, 1]  # a repeated point
             out[5, 0] = 0.0  # an open-interval endpoint
-            return out
+            yield out
 
-        monkeypatch.setattr(generators, "_pcg64_uniforms", flawed)
+        monkeypatch.setattr(generators, "_pcg64_blocks", flawed)
         ens = sample_ensemble(6, 8, GRID8, 93)
         for r, pts in enumerate(replica_rows(ens)):
             assert np.array_equal(pts, sample_uniform(6, Seed(93, r)).points)
