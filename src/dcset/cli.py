@@ -235,16 +235,13 @@ def cmd_shifthit(args) -> int:
 def cmd_selector(args) -> int:
     seed = _need_seed(args)
     grid = UnitGrid(args.grid)
-    if args.gen == "sample":
-        ensemble = sample_ensemble(args.depth, args.replicas, grid, seed)
-    else:
-        # sample-upper, a deliberately thin ensemble: all points in (1/2, 1),
-        # lower bins empty.
-        def upper(s):
-            pts = 0.5 + 0.5 * sample_uniform(args.depth, s).points
-            return Enumeration(pts, depth=args.depth, provenance="sample-upper")
-
-        ensemble = Ensemble.generate(upper, args.replicas, grid, seed)
+    ensemble = sample_ensemble(args.depth, args.replicas, grid, seed)
+    if args.gen == "sample-upper":
+        # A deliberately thin ensemble: all points in (1/2, 1), lower bins empty.
+        upper = 0.5 + 0.5 * ensemble.points
+        ensemble = Ensemble(
+            [Enumeration(row, depth=args.depth, provenance="sample-upper") for row in upper], grid
+        )
     expect = args.expect or "pass"
     try:
         table = uniform_selector(ensemble, Seed(seed))

@@ -142,8 +142,6 @@ class MarginalCaps(Record):
     def __init__(self, row_caps: tuple, col_caps: tuple):
         rows = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in row_caps)
         cols = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in col_caps)
-        object.__setattr__(self, "row_caps", rows)
-        object.__setattr__(self, "col_caps", cols)
         scale = math.lcm(*{c.denominator for c in rows + cols})
         row_int = tuple(c.numerator * (scale // c.denominator) for c in rows)
         col_int = tuple(c.numerator * (scale // c.denominator) for c in cols)
@@ -154,6 +152,7 @@ class MarginalCaps(Record):
                 "caps must sum to 1 on each side, got "
                 f"{Fraction(sum(row_int), scale)} and {Fraction(sum(col_int), scale)}"
             )
+        super().__init__(rows, cols)
         object.__setattr__(self, "_scaled", (scale, row_int, col_int))
 
     @classmethod
@@ -164,8 +163,7 @@ class MarginalCaps(Record):
         if rows < 1 or cols < 1:
             raise BadParameter(f"uniform caps need a positive shape, got {rows}x{cols}")
         caps = cls.__new__(cls)
-        object.__setattr__(caps, "row_caps", (Fraction(1, rows),) * rows)
-        object.__setattr__(caps, "col_caps", (Fraction(1, cols),) * cols)
+        Record.__init__(caps, (Fraction(1, rows),) * rows, (Fraction(1, cols),) * cols)
         scale = math.lcm(rows, cols)
         object.__setattr__(caps, "_scaled", (scale, (scale // rows,) * rows, (scale // cols,) * cols))
         return caps
@@ -250,10 +248,6 @@ class Cover(Record):
 
     __slots__ = ("U", "V")
 
-    def __init__(self, U: frozenset, V: frozenset):
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "V", V)
-
     def cost(self, caps: MarginalCaps) -> Fraction:
         return sum((caps.row_caps[i] for i in self.U), _ZERO) + sum(
             (caps.col_caps[j] for j in self.V), _ZERO
@@ -273,24 +267,6 @@ class Certificate(Record):
     """
 
     __slots__ = ("mask", "caps", "scale", "flow", "mass_units", "cover", "cost_units")
-
-    def __init__(
-        self,
-        mask: SupportMask,
-        caps: MarginalCaps,
-        scale: int,
-        flow: list,
-        mass_units: int,
-        cover: Cover,
-        cost_units: int,
-    ):
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "caps", caps)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "flow", flow)
-        object.__setattr__(self, "mass_units", mass_units)
-        object.__setattr__(self, "cover", cover)
-        object.__setattr__(self, "cost_units", cost_units)
 
     @property
     def value(self) -> Fraction:
@@ -776,10 +752,6 @@ class ChainReport(Record):
 
     __slots__ = ("coupling_values", "cover_values")
 
-    def __init__(self, coupling_values: tuple, cover_values: tuple):
-        object.__setattr__(self, "coupling_values", coupling_values)
-        object.__setattr__(self, "cover_values", cover_values)
-
     @property
     def nondecreasing(self) -> bool:
         return all(
@@ -819,13 +791,6 @@ class FrequencyProfile(Record):
     """Per-bin visit frequencies f, g and joint frequencies h of two sequences."""
 
     __slots__ = ("row_grid", "col_grid", "f", "g", "h")
-
-    def __init__(self, row_grid: UnitGrid, col_grid: UnitGrid, f: tuple, g: tuple, h: tuple):
-        object.__setattr__(self, "row_grid", row_grid)
-        object.__setattr__(self, "col_grid", col_grid)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "h", h)
 
     def residual(self) -> Fraction:
         """Largest deviation |h(i,j) - f(i) g(j)| over all cells."""

@@ -185,16 +185,7 @@ def selector_to_csv(table: SelectorTable) -> str:
 
 
 def report_to_json(report: TestReport) -> dict:
-    return {
-        "name": report.name,
-        "statistic": report.statistic,
-        "threshold": report.threshold,
-        "level": report.level,
-        "passed": report.passed,
-        "replicas": report.replicas,
-        "seed": report.seed,
-        "details": _plain(report.details),
-    }
+    return {name: _plain(getattr(report, name)) for name in report._fields}
 
 
 def report_to_csv(report: TestReport) -> str:
@@ -206,14 +197,7 @@ def report_to_csv(report: TestReport) -> str:
 
 
 def curve_to_json(curve: ShiftHitCurve) -> dict:
-    return {
-        "depths": list(curve.depths),
-        "means": list(curve.means),
-        "medians": list(curve.medians),
-        "expected": list(curve.expected),
-        "shifts": curve.shifts,
-        "seed": curve.seed,
-    }
+    return {name: _plain(getattr(curve, name)) for name in curve._fields}
 
 
 def curve_to_csv(curve: ShiftHitCurve) -> str:

@@ -109,8 +109,7 @@ class Seed(Record):
             raise BadParameter(f"seed value {value} outside [0, 2**64)")
         if replica < 0:
             raise BadParameter(f"replica index {replica} negative")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "replica", replica)
+        super().__init__(value, replica)
 
     def stream(self, *key: int) -> np.random.Generator:
         """Independent PCG64 generator for the given substream key."""
@@ -363,10 +362,7 @@ class Enumeration(Record):
                 raise BadParameter("enumeration points must be pairwise distinct")
         if tags is not None and len(tags) != pts.size:
             raise BadParameter("one tag per point required")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "tags", tags)
+        super().__init__(pts, depth, provenance, tags)
 
     def __len__(self) -> int:
         return int(self.points.size)
@@ -415,8 +411,7 @@ class WalkPath(Record):
         vals.setflags(write=False)
         if vals.size != steps + 1:
             raise BadParameter("walk needs steps+1 values")
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "values", vals)
+        super().__init__(steps, vals)
 
 
 def gaussian_walk(steps: int, seed) -> WalkPath:
@@ -634,20 +629,6 @@ class RevealingSelectors(Record):
     """
 
     __slots__ = ("low", "mid", "high", "events", "chosen")
-
-    def __init__(
-        self,
-        low: Enumeration,
-        mid: Enumeration,
-        high: Enumeration,
-        events: np.ndarray,
-        chosen: Enumeration,
-    ):
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "mid", mid)
-        object.__setattr__(self, "high", high)
-        object.__setattr__(self, "events", events)
-        object.__setattr__(self, "chosen", chosen)
 
     @property
     def depth(self) -> int:

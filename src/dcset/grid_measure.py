@@ -48,7 +48,7 @@ class UnitGrid(Record):
     def __init__(self, n: int):
         if n < 1:
             raise BadParameter(f"grid needs at least one bin, got n={n}")
-        object.__setattr__(self, "n", n)
+        super().__init__(n)
 
     def bins(self, points) -> np.ndarray:
         """Vectorized bin indices for an array of points in (0,1)."""
@@ -72,8 +72,7 @@ class BinSet(Record):
         for k in members:
             if not 0 <= k < grid.n:
                 raise BadParameter(f"bin index {k} outside [0, {grid.n})")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "members", members)
+        super().__init__(grid, members)
 
     @property
     def measure(self) -> Fraction:
@@ -114,7 +113,7 @@ class CyclicShift(Record):
     def __init__(self, s):  # float or Fraction in (0,1)
         if not 0 < s < 1:
             raise BadParameter(f"shift {s} outside (0,1)")
-        object.__setattr__(self, "s", s)
+        super().__init__(s)
 
 
 def cyclic_shift_point(shift: CyclicShift, t):
@@ -159,7 +158,6 @@ class FatCantor(Record):
     __slots__ = ("depth", "removed", "_scale", "_starts", "_ends", "__dict__")
 
     def __init__(self, depth: int, removed: tuple):
-        object.__setattr__(self, "depth", depth)
         try:
             pairs = [(Fraction(lo), Fraction(hi)) for lo, hi in removed]
         except (TypeError, ValueError, OverflowError) as exc:
@@ -169,16 +167,15 @@ class FatCantor(Record):
             (lo.numerator * (scale // lo.denominator), hi.numerator * (scale // hi.denominator), k)
             for k, (lo, hi) in enumerate(pairs)
         )
-        object.__setattr__(self, "removed", tuple(pairs[k] for _, _, k in keyed))
+        super().__init__(depth, tuple(pairs[k] for _, _, k in keyed))
         self._set_units(scale, [(lo, hi) for lo, hi, _ in keyed])
 
     @classmethod
     def _from_units(cls, depth: int, scale: int, cuts: list) -> "FatCantor":
         """The set whose removed intervals are (lo/scale, hi/scale) for the sorted pairs `cuts`."""
         cantor = cls.__new__(cls)
-        object.__setattr__(cantor, "depth", depth)
         removed = tuple((Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in cuts)
-        object.__setattr__(cantor, "removed", removed)
+        Record.__init__(cantor, depth, removed)
         cantor._set_units(scale, cuts)
         return cantor
 

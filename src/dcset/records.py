@@ -3,9 +3,13 @@
 A record class names its fields, in constructor order, as the public names of
 its `__slots__`; private slots, and a `__dict__` slot where
 `functools.cached_property` needs one, hold derived state that is not a field.
-Constructors set slots through `object.__setattr__`.  `Record` supplies what a
-frozen dataclass would:
+`Record` supplies what a frozen dataclass would:
 
+* one shared constructor binds the fields in order, positionally or by name,
+  and raises TypeError, naming the class, for an unknown, repeated, missing or
+  extra field; a class that checks or converts its arguments, or gives a field
+  a default, does so in its own `__init__` and ends with
+  `super().__init__(...)`; private slots are set by the class itself;
 * assigning or deleting an attribute raises AttributeError;
 * two instances of one class are equal when their tuples of field values are,
   and an instance hashes as that tuple (so a record holding an array or a
@@ -32,6 +36,30 @@ class Record:
         if not eq:
             cls.__eq__ = object.__eq__
             cls.__hash__ = object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(self._fields, args):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values in order, from a call that is not one value per field."""
+        fields = cls._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__qualname__}() takes {len(fields)} fields, got {len(args)}")
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(f"{cls.__qualname__}() has no field {name!r}")
+            if name in values:
+                raise TypeError(f"{cls.__qualname__}() got field {name!r} twice")
+            values[name] = value
+        missing = [name for name in fields if name not in values]
+        if missing:
+            raise TypeError(f"{cls.__qualname__}() missing field(s) {', '.join(map(repr, missing))}")
+        return tuple(values[name] for name in fields)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

@@ -99,9 +99,7 @@ class Ensemble(Record, eq=False):
             raise BadParameter("ensemble needs at least one replica")
         points.setflags(write=False)
         lengths.setflags(write=False)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "grid", grid)
+        super().__init__(points, lengths, grid)
 
     @property
     def size(self) -> int:
@@ -166,8 +164,7 @@ class SelectorTable(Record):
         idx.setflags(write=False)
         if vals.shape != idx.shape:
             raise BadParameter("values and memberships must align")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "memberships", idx)
+        super().__init__(vals, idx)
 
     def __len__(self) -> int:
         return int(self.values.size)

@@ -73,14 +73,8 @@ class TestReport(Record):
         seed: int | None = None,
         details: dict | None = None,
     ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "statistic", statistic)
-        object.__setattr__(self, "threshold", threshold)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "replicas", replicas)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "details", {} if details is None else details)
+        details = {} if details is None else details
+        super().__init__(name, statistic, threshold, level, passed, replicas, seed, details)
 
     @property
     def rejected(self) -> bool:
@@ -508,16 +502,6 @@ class ShiftHitCurve(Record):
     """Hit counts of shifted dyadic prefixes against a fixed region."""
 
     __slots__ = ("depths", "means", "medians", "expected", "shifts", "seed")
-
-    def __init__(
-        self, depths: tuple, means: tuple, medians: tuple, expected: tuple, shifts: int, seed: int
-    ):
-        object.__setattr__(self, "depths", depths)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "medians", medians)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "shifts", shifts)
-        object.__setattr__(self, "seed", seed)
 
     @property
     def medians_nondecreasing(self) -> bool:

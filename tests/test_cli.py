@@ -238,6 +238,13 @@ class TestSelector:
         assert data["outcome"] == "obstruction"
         assert 0 in data["thin_bins"]
 
+    @pytest.mark.parametrize("gen", ["sample", "sample-upper"])
+    def test_depth_times_replicas_over_budget_exits_2(self, capsys, gen):
+        # 2001 x 5000 points exceed the work budget; refused before any is drawn.
+        argv = ["selector", "--gen", gen, "--depth", "2001", "--replicas", "5000", "--seed", "7"]
+        assert main(argv) == 2
+        assert "depth * replicas = 10005000 exceeds the work budget" in capsys.readouterr().err
+
     def test_obstruction_unexpected_exits_one(self, tmp_path):
         code, _ = run(
             tmp_path, "selector", "--gen", "sample-upper", "--seed", "9",
@@ -473,17 +480,45 @@ class TestConfig:
         assert json.loads(capsys.readouterr().out)["masks"] == 2
 
 
+README = (Path(__file__).parents[1] / "README.md").read_text()
+
+
+def _readme_block(section: str, fence: str) -> str:
+    """The first fenced block of the given kind after a README heading."""
+    return README.split(section, 1)[1].split(f"```{fence}\n", 1)[1].split("```", 1)[0]
+
+
 def _readme_calls() -> list[list[str]]:
     """The `dcset` lines of README's command-line block, comments dropped."""
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = _readme_block("## Command line", "sh")
     return [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("dcset ")]
 
 
+@pytest.fixture
+def readme_dir(tmp_path, monkeypatch):
+    """A working directory holding the input files README's calls name."""
+    (tmp_path / "mask.txt").write_text("2 2\n11\n01\n")
+    (tmp_path / "r.csv").write_text("0,1/2\n1,1/2\n")
+    (tmp_path / "c.csv").write_text("0,1/3\n1,2/3\n")
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
 @pytest.mark.parametrize("call", _readme_calls(), ids=" ".join)
-def test_readme_call_parses(call):
-    # Every documented call is one the parser accepts, names and all.
-    build_parser().parse_args(call[1:])
+def test_readme_call_parses(readme_dir, call):
+    # Every documented call parses, names and all, and runs to exit 0.
+    assert main(call[1:]) == 0
+
+
+def test_readme_artifact_exits_1(capsys):
+    # README's known artifact: minima times on the grid k/4096 over-hit the Cantor set.
+    assert main(["stationarity", "--gen", "minima", "--observable", "count-cantor", "--seed", "1"]) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
+
+
+def test_readme_quickstart_prints_true(capsys):
+    exec(_readme_block("## Library quickstart", "python"), {})
+    assert capsys.readouterr().out == "True\n"
 
 
 @pytest.mark.parametrize(

@@ -53,6 +53,8 @@ ROWS = [
     (["duality", "{tmp}/mask.txt", "--out", "{tmp}/out.json"], {"mask.txt": "3 3\n110\n011\n101\n"}),
     (["cantor", "--out", "{tmp}/cantor.json"], {}),
     *(([*argv, "--seed", str(seed)], {}) for seed in SEEDS for argv in _SEEDED),
+    # The thin ensemble: every point in (1/2, 1), so the selector meets a cover.
+    (["selector", "--gen", "sample-upper", "--expect", "obstruction", "--seed", "1"], {}),
     # Refusals, one of each kind.
     (["distinguish", "--seed", "1", "--replicas", "100000000"], {}),
     (["selector", "--seed", "1", "--level", "0"], {}),

@@ -1,17 +1,20 @@
-"""The frozen record classes: immutability, field equality and hashing, repr.
+"""The frozen record classes: construction, immutability, field equality and hashing, repr.
 
 Every value class of the package derives from `dcset.records.Record`.  Each
 case below builds two instances from equal fields; fields that are arrays are
 one shared object, since arrays compare elementwise.
 """
 
+import ast
 import copy
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dcset
 from dcset import (
     BinSet,
     Certificate,
@@ -77,6 +80,12 @@ def test_every_record_class_is_covered():
 
 @pytest.mark.parametrize("cls, make, hashable", CASES, ids=[cls.__name__ for cls, _, _ in CASES])
 class TestRecord:
+    def test_fields_bind_by_keyword_as_by_position(self, cls, make, hashable):
+        record = make()
+        by_position = cls(*record._values())
+        by_keyword = cls(**{name: getattr(record, name) for name in reversed(cls._fields)})
+        assert same(by_keyword, by_position) and same(by_position, record)
+
     def test_refuses_assignment_and_deletion(self, cls, make, hashable):
         record = make()
         assert type(record) is cls
@@ -105,6 +114,41 @@ class TestRecord:
         record = make()
         for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
             assert same(clone, record)
+
+
+A, B = frozenset({0}), frozenset({1})
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        ((A, B), {"W": B}, "Cover() has no field 'W'"),
+        ((A,), {"U": B}, "Cover() got field 'U' twice"),
+        ((A,), {}, "Cover() missing field(s) 'V'"),
+        ((), {}, "Cover() missing field(s) 'U', 'V'"),
+        ((A, B, A), {}, "Cover() takes 2 fields, got 3"),
+    ],
+    ids=["unknown", "repeated", "missing", "none", "extra"],
+)
+def test_bad_binding_raises_type_error(args, kwargs, message):
+    with pytest.raises(TypeError) as info:
+        Cover(*args, **kwargs)
+    assert str(info.value) == message
+
+
+def test_fields_are_stored_only_by_record():
+    # Outside records.py, object.__setattr__ may set only a private slot, named
+    # by a string literal; every field goes through Record.__init__.
+    found = []
+    for path in sorted(Path(dcset.__file__).parent.glob("*.py")):
+        if path.name == "records.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
+                name = node.args[1] if len(node.args) > 1 else None
+                if not (isinstance(name, ast.Constant) and str(name.value).startswith("_")):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, "fields set outside Record.__init__ at " + ", ".join(found)
 
 
 def test_ensemble_compares_by_identity():
