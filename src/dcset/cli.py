@@ -30,6 +30,7 @@ from .generators import (
     Enumeration,
     Seed,
     _counterexample_rows,
+    _distinct_rows,
     _minima_rows,
     _sample_rows,
     brownian_minima,
@@ -238,10 +239,13 @@ def cmd_selector(args) -> int:
     ensemble = sample_ensemble(args.depth, args.replicas, grid, seed)
     if args.gen == "sample-upper":
         # A deliberately thin ensemble: all points in (1/2, 1), lower bins empty.
+        # Rounding can repeat a point or reach 1.0; the first such row is
+        # refused by Enumeration, with its message.
         upper = 0.5 + 0.5 * ensemble.points
-        ensemble = Ensemble(
-            [Enumeration(row, depth=args.depth, provenance="sample-upper") for row in upper], grid
-        )
+        bad = ~_distinct_rows(upper)
+        if bad.any():
+            Enumeration(upper[bad.argmax()], depth=args.depth, provenance="sample-upper")
+        ensemble = Ensemble._packed(upper, ensemble.lengths, grid)
     expect = args.expect or "pass"
     try:
         table = uniform_selector(ensemble, Seed(seed))

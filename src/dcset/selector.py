@@ -26,6 +26,7 @@ containment takes, for each point, the first table holding its value.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -217,8 +218,10 @@ def _draw(
 
     `rows` orders every replica once.  Each replica's variate from its own
     substream is a multiple of 2**-53, so `_choose_bins` draws its bin
-    exactly; it then takes its lowest-index point in that bin.  Rows are
-    checked in the given order, so the first bad one names the error.
+    exactly; it then takes its lowest-index point in that bin.  A row with
+    one charged bin takes that bin for every variate, so only rows with two
+    or more draw one; the others keep k = 0.  Rows are checked in the given
+    order, so the first bad one names the error.
     """
     first = ensemble.first_index[rows]
     negative = units < 0
@@ -235,8 +238,11 @@ def _draw(
             raise UnsupportedCoupling(f"coupling gives replica {r} zero mass")
         j = int(np.argmax(missing[i]))
         raise UnsupportedCoupling(f"coupling charges bin {j} where replica {r} has no point")
-    u = seed.uniforms(rows, SELECTOR_DOMAIN, component)[:, 0]
-    k = (u * 2**53).astype(np.int64)
+    k = np.zeros(len(rows), dtype=np.int64)
+    multi = charged.sum(axis=1) > 1
+    if multi.any():
+        u = seed.uniforms(rows[multi], SELECTOR_DOMAIN, component)[:, 0]
+        k[multi] = (u * 2**53).astype(np.int64)
     idx = first[np.arange(len(rows)), _choose_bins(units, k)]
     values = np.empty(ensemble.size)
     memberships = np.empty(ensemble.size, dtype=np.int64)
@@ -267,7 +273,7 @@ def _full_units_or_obstruction(mask: SupportMask, cell=None) -> np.ndarray:
         raise InsufficientDensity(cert.cover, cert.cover_cost, mask.cols, cell=cell)
     # An amount is at most the scale, lcm(rows, cols), which int64 holds.
     units = np.zeros(mask.cells.shape, dtype=np.int64)
-    i, j, amounts = zip(*cert.flow)
+    i, j, amounts = np.fromiter(chain.from_iterable(cert.flow), np.int64).reshape(-1, 3).T
     units[i, j] = amounts
     return _units(units)
 

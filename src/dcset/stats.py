@@ -21,10 +21,11 @@ from .generators import (
     RevealingSelectors,
     Seed,
     _as_seed,
-    _counterexample_rows,
+    _distinct_rows,
     _poisson_rows,
     _row_slices,
     _sample_rows,
+    counterexample_mix,
     gaussian_walk,
 )
 from .grid_measure import FatCantor
@@ -452,15 +453,23 @@ def _distinguish_arms(cantor: FatCantor, depth: int, replicas: int, base: Seed):
     Entry r is, as a float, the count in C of sample_uniform(depth, ...) and of
     counterexample_mix(depth, cantor, ...) at base.with_replica(r); at depth 0
     it is 0 and the size of poisson_on_cantor(cantor, ...).
+
+    The mixed arm is the count in C of the Poisson part alone, exactly: the
+    mix keeps a gap pick only where `cantor.contains_points` said False, and
+    that test is elementwise and deterministic, so counted again every pick
+    counts 0.  The picks are therefore never drawn.  A replica whose Poisson
+    points Enumeration would refuse (a repeat, or a point outside (0, 1)) is
+    built by counterexample_mix, which raises that refusal.
     """
     reps = range(replicas)
+    if depth > 0 and float(cantor.gap_measure) <= 0:
+        raise BadParameter("cantor set must leave gaps for the sample")
+    poisson = _poisson_rows(cantor, base, reps)
     if depth == 0:
-        sizes = (~np.isnan(_poisson_rows(cantor, base, reps))).sum(axis=1)
-        return np.zeros(replicas), sizes.astype(float)
-    return (
-        _count_in_rows(cantor, _sample_rows(depth, base, reps)),
-        _count_in_rows(cantor, _counterexample_rows(depth, cantor, base, reps)),
-    )
+        return np.zeros(replicas), (~np.isnan(poisson)).sum(axis=1).astype(float)
+    for r in np.flatnonzero(~_distinct_rows(poisson)).tolist():
+        counterexample_mix(depth, cantor, base.with_replica(r))
+    return _count_in_rows(cantor, _sample_rows(depth, base, reps)), _count_in_rows(cantor, poisson)
 
 
 def distinguish_counterexample(
@@ -470,8 +479,10 @@ def distinguish_counterexample(
 
     The sample arm has mean depth * mes C, the mixed arm mean mes C, so the
     homogeneity test is expected to reject (`passed` False) decisively.
-    Depth 0 leaves the sample arm empty; a negative depth is refused.  Both
-    arms are drawn for all replicas at once (see `_distinguish_arms`), so
+    Depth 0 leaves the sample arm empty; a negative depth is refused.  The
+    mixed set's `depth` sample points all lie in the gaps, so its count in C
+    is that of its Poisson part, which is what the mixed arm counts (see
+    `_distinguish_arms`).  Both arms are drawn for all replicas at once, so
     `replicas * (depth + 1)` may not exceed `errors.WORK_BUDGET`.
     """
     _check_level(level)

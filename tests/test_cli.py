@@ -3,14 +3,17 @@
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dcset import cli
+from dcset.selector import Ensemble
 from dcset.cli import build_parser, main
 
 
@@ -251,6 +254,27 @@ class TestSelector:
             "--depth", "16", "--replicas", "60",
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # 0.5 + 0.5 * (1 - 2**-53) rounds to 1.0.
+            ([[0.1, 0.2], [0.3, 1 - 2**-53], [0.5, 0.5 + 2**-53]], "must lie in open \\(0,1\\)"),
+            # 0.5 and 0.5 + 2**-53 both move to 0.75.
+            ([[0.1, 0.2], [0.5, 0.5 + 2**-53], [0.3, 1 - 2**-53]], "must be pairwise distinct"),
+        ],
+        ids=["rounds-to-one", "repeat"],
+    )
+    def test_thin_row_refused_by_first_failing_row(self, monkeypatch, capsys, rows, message):
+        # Only the first row that rounds badly is built as an Enumeration, so
+        # the refusal names what that row breaks.
+        def fixed(depth, count, grid, seed):
+            return Ensemble._packed(np.array(rows), np.full(len(rows), 2), grid)
+
+        monkeypatch.setattr(cli, "sample_ensemble", fixed)
+        argv = ["selector", "--gen", "sample-upper", "--seed", "1", "--depth", "2", "--replicas", "3"]
+        assert main(argv) == 2
+        assert re.search(message, capsys.readouterr().err)
 
 
 class TestEnumerate:

@@ -5,7 +5,8 @@ input files it reads, and what it did: the exit code (a `SystemExit` code
 counts) and the sha256 of stdout, of stderr and of each `--out`/`--csv` file.
 The rows cover every subcommand at its default flags, `simulate` with each
 generator and `stationarity`/`independence` with each `--gen`, each at seeds
-1, 5 and 2023, plus one refusal of each kind and three config runs.
+1, 5 and 2023, plus four `distinguish` runs off its defaults, one refusal
+of each kind and three config runs.
 
 `{tmp}` in an argv stands for the row's own temporary directory; a row's
 inputs are written there first.  No row echoes that path to stdout or stderr.
@@ -55,6 +56,12 @@ ROWS = [
     *(([*argv, "--seed", str(seed)], {}) for seed in SEEDS for argv in _SEEDED),
     # The thin ensemble: every point in (1/2, 1), so the selector meets a cover.
     (["selector", "--gen", "sample-upper", "--expect", "obstruction", "--seed", "1"], {}),
+    # distinguish away from its defaults: no sample arm, one sample point,
+    # a coarse Cantor set with a small gap, and a fine one with a large gap.
+    (["distinguish", "--depth", "0", "--seed", "1"], {}),
+    (["distinguish", "--depth", "1", "--replicas", "40", "--seed", "1"], {}),
+    (["distinguish", "--gap", "1/4", "--cantor-depth", "3", "--depth", "50", "--seed", "1"], {}),
+    (["distinguish", "--gap", "3/4", "--cantor-depth", "12", "--seed", "5"], {}),
     # Refusals, one of each kind.
     (["distinguish", "--seed", "1", "--replicas", "100000000"], {}),
     (["selector", "--seed", "1", "--level", "0"], {}),

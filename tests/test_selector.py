@@ -520,6 +520,44 @@ class TestSelectorProperties:
         assert np.array_equal(chosen, reference_bins(stacked, k))
         assert (stacked[np.arange(len(k)), chosen] > 0).all()
 
+    @settings(max_examples=60, deadline=None)
+    @given(small_ensembles(), st.integers(0, 2**32), st.integers(0, 3), st.data())
+    def test_draw_equals_all_rows_draw(self, ens, seed, component, data):
+        # Rows charging one bin mixed with rows charging several, in a
+        # shuffled order; the reference draws a variate for every row.
+        rows = np.array(data.draw(st.permutations(range(ens.size))))
+        first = ens.first_index[rows]
+        units = np.zeros(first.shape, dtype=np.int64)
+        for i, supported in enumerate(first >= 0):
+            bins = np.flatnonzero(supported).tolist()
+            charged = data.draw(st.lists(st.sampled_from(bins), min_size=1, max_size=len(bins), unique=True))
+            units[i, charged] = data.draw(st.lists(st.integers(1, 40), min_size=len(charged), max_size=len(charged)))
+        u = Seed(seed).uniforms(rows, generators.SELECTOR_DOMAIN, component)[:, 0]
+        idx = first[np.arange(len(rows)), _choose_bins(units, (u * 2**53).astype(np.int64))]
+        table = _draw(ens, rows, units, Seed(seed), component)
+        assert table.memberships[rows].tolist() == idx.tolist()
+        assert np.array_equal(table.values[rows], ens.points[rows, idx])
+
+    def test_one_charged_bin_draws_no_variate(self, monkeypatch):
+        # Even replicas charge one supported bin, odd ones every supported bin.
+        ens = sample_ensemble(12, 40, UnitGrid(4), 17)
+        units = (ens.first_index >= 0).astype(np.int64)
+        even = np.arange(0, 40, 2)
+        lone = np.argmax(units[even], axis=1)
+        units[even] = 0
+        units[even, lone] = 1
+        drawn = []
+        uniforms = Seed.uniforms
+
+        def spy(self, replicas, *key, size=1):
+            drawn.append(np.asarray(replicas).tolist())
+            return uniforms(self, replicas, *key, size=size)
+
+        monkeypatch.setattr(Seed, "uniforms", spy)
+        _draw(ens, np.arange(40), units, Seed(17), 0)
+        assert drawn == [[r for r in range(1, 40, 2) if units[r].sum() > 1]]
+        assert len(drawn[0]) > 10
+
     @pytest.mark.parametrize("row", [[2**54 + 3, 1], [1, 2**70], [2**64 + 1, 0, 2**63], [0, 1, 0, 2**10 - 2]])
     def test_draws_on_rows_beyond_float_precision(self, row):
         # As floats, 2**54 + 3 and 2**64 + 1 round, and 1 / (2**70 + 1) is a

@@ -18,6 +18,7 @@ from dcset import (
     BinSet,
     CyclicShift,
     Enumeration,
+    FatCantor,
     Seed,
     SelectorTable,
     SparseTable,
@@ -43,11 +44,20 @@ from dcset import (
     stationarity_test,
     two_sample_test,
 )
-from dcset.generators import STATS_DOMAIN, _counterexample_rows, _minima_rows, _sample_rows
+from dcset import generators, stats
+from dcset.cli import main
+from dcset.generators import (
+    STATS_DOMAIN,
+    _counterexample_rows,
+    _minima_rows,
+    _poisson_rows,
+    _sample_rows,
+)
 from dcset.errors import WORK_BUDGET
 from dcset.stats import (
     _CHI2_TABLE,
     _chi2_quantile,
+    _count_in_rows,
     _distinct,
     _distinguish_arms,
     _fragment_observables,
@@ -463,6 +473,77 @@ class TestDistinguish:
                     float(counterexample_mix(depth, cantor, own).count_in(cantor)),
                 )
             assert (xs[r], ys[r]) == expected
+
+    def test_gapless_set_refused_with_a_sample(self):
+        # The mixed set's sample points need gaps; depth 0 draws none.
+        gapless = FatCantor(1, ())
+        with pytest.raises(BadParameter, match="cantor set must leave gaps"):
+            distinguish_counterexample(gapless, 10, 20, 107)
+        assert distinguish_counterexample(gapless, 0, 20, 107).details["mean_sample"] == 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        value=st.integers(0, 2**64 - 1),
+        gap=st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]),
+        cantor_depth=st.integers(1, 10),
+        depth=st.integers(1, 200),
+        offset=st.one_of(st.just(0), st.integers(0, 2**32 - 41)),
+        replicas=st.integers(1, 40),
+    )
+    def test_mixed_rows_count_only_their_poisson_part(
+        self, value, gap, cantor_depth, depth, offset, replicas
+    ):
+        # The full mixed rows, gap picks and all, are the oracle: every pick
+        # lies in a gap, so each row counts in C what its Poisson part counts.
+        cantor = fat_cantor_build(gap, cantor_depth)
+        reps = range(offset, offset + replicas)
+        mixed = _counterexample_rows(depth, cantor, Seed(value), reps)
+        poisson = _poisson_rows(cantor, Seed(value), reps)
+        assert np.array_equal(_count_in_rows(cantor, mixed), _count_in_rows(cantor, poisson))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [([0.25, 0.25], "pairwise distinct"), ([0.0, 0.5], "open \\(0,1\\)")],
+        ids=["repeat", "outside"],
+    )
+    def test_refused_poisson_row_still_raises(self, monkeypatch, bad, message):
+        # Replica 3's Poisson points are forced to ones Enumeration refuses;
+        # counterexample_mix, handed that replica, raises the refusal.
+        def forced(cantor, seed):
+            return np.array(bad) if seed.replica == 3 else poisson_on_cantor(cantor, seed)
+
+        def forced_rows(cantor, base, replicas):
+            every = np.ones(len(replicas), dtype=bool)
+            empty = np.empty((len(replicas), 0))
+            return generators._redo_rows(empty, every, base, replicas, partial(forced, cantor))
+
+        monkeypatch.setattr(generators, "poisson_on_cantor", forced)
+        monkeypatch.setattr(generators, "_poisson_rows", forced_rows)
+        monkeypatch.setattr(stats, "_poisson_rows", forced_rows)
+        with pytest.raises(BadParameter, match=message):
+            distinguish_counterexample(CANTOR, 20, 10, 106)
+        xs, ys = _distinguish_arms(CANTOR, 0, 10, Seed(106))  # depth 0: sizes, unchecked
+        assert ys[3] == 2.0
+
+    def test_counterexample_arm_draws_no_gap_picks(self, monkeypatch, capsys):
+        keys, mixes = [], []
+        seed_state = generators._seed_state
+
+        def spy_state(value, replicas, key):
+            keys.append(tuple(key))
+            return seed_state(value, replicas, key)
+
+        def spy_mix(*args):
+            mixes.append(args)
+            return counterexample_mix(*args)
+
+        monkeypatch.setattr(generators, "_seed_state", spy_state)
+        monkeypatch.setattr(generators, "counterexample_mix", spy_mix)
+        monkeypatch.setattr(stats, "counterexample_mix", spy_mix)
+        assert main(["distinguish", "--seed", "1", "--replicas", "40", "--depth", "50"]) == 0
+        assert (generators.GENERATOR_DOMAIN, generators._POISSON) in keys
+        assert (generators.GENERATOR_DOMAIN, generators._MIX_SAMPLE) not in keys
+        assert mixes == []
 
 
 class TestShiftHit:
