@@ -17,6 +17,13 @@ its `__slots__`; private slots, and a `__dict__` slot where
   and hashing instead;
 * the repr reads `Name(field=value, ...)`;
 * `copy` and `pickle` restore the slots without assigning to them.
+
+A class may instead declare `_fields` itself, to name a derived field that is
+not a slot: a `functools.cached_property` of that name forms the value from
+private state on its first read, and the constructor, which stores the field
+in the instance `__dict__`, takes the property's place for that instance.  A
+class that builds an instance without the field's value sets its other
+fields through `Record.__setstate__(instance, (None, {name: value, ...}))`.
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ class Record:
 
     def __init_subclass__(cls, eq: bool = True, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        if "_fields" not in cls.__dict__:
+            cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         if not eq:
             cls.__eq__ = object.__eq__
             cls.__hash__ = object.__hash__

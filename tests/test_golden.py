@@ -5,8 +5,8 @@ input files it reads, and what it did: the exit code (a `SystemExit` code
 counts) and the sha256 of stdout, of stderr and of each `--out`/`--csv` file.
 The rows cover every subcommand at its default flags, `simulate` with each
 generator and `stationarity`/`independence` with each `--gen`, each at seeds
-1, 5 and 2023, plus four `distinguish` runs off its defaults, one refusal
-of each kind and three config runs.
+1, 5 and 2023, plus four `distinguish` runs and four fat Cantor runs off
+their defaults, one refusal of each kind and three config runs.
 
 `{tmp}` in an argv stands for the row's own temporary directory; a row's
 inputs are written there first.  No row echoes that path to stdout or stderr.
@@ -62,6 +62,12 @@ ROWS = [
     (["distinguish", "--depth", "1", "--replicas", "40", "--seed", "1"], {}),
     (["distinguish", "--gap", "1/4", "--cantor-depth", "3", "--depth", "50", "--seed", "1"], {}),
     (["distinguish", "--gap", "3/4", "--cantor-depth", "12", "--seed", "5"], {}),
+    # Fat Cantor sets away from the default: coarse, fine with a large gap,
+    # a gap outside (0, 1), and a fine one under the counterexample.
+    (["cantor", "--gap", "1/3", "--cantor-depth", "5", "--out", "{tmp}/cantor.json"], {}),
+    (["cantor", "--gap", "99/100", "--cantor-depth", "12", "--out", "{tmp}/cantor.json"], {}),
+    (["cantor", "--gap", "3/2"], {}),
+    (["stationarity", "--gen", "counterexample", "--gap", "3/4", "--cantor-depth", "12", "--seed", "5"], {}),
     # Refusals, one of each kind.
     (["distinguish", "--seed", "1", "--replicas", "100000000"], {}),
     (["selector", "--seed", "1", "--level", "0"], {}),

@@ -357,11 +357,21 @@ class TestFatCantor:
         for bad in (float("nan"), float("inf"), None):
             with pytest.raises(BadParameter, match="need rational ends"):
                 FatCantor(1, ((bad, Fraction(1, 2)),))
-        with pytest.raises(BadParameter):
-            FatCantor(1, ((Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 3), Fraction(3, 4))))
+        overlaps = [
+            (((Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 3), Fraction(3, 4))),
+             "removed intervals (1/4, 1/2) and (1/3, 3/4) overlap"),
+            # Out of order over a shared denominator 8; 4/8 is worded reduced.
+            (((Fraction(3, 8), Fraction(5, 8)), (Fraction(1, 8), Fraction(4, 8))),
+             "removed intervals (1/8, 1/2) and (3/8, 5/8) overlap"),
+        ]
+        for removed, message in overlaps:
+            with pytest.raises(BadParameter) as info:
+                FatCantor(1, removed)
+            assert str(info.value) == message
         for lo, hi in [(Fraction(1, 2), Fraction(1, 2)), (0, Fraction(1, 2)), (Fraction(1, 2), 1)]:
-            with pytest.raises(BadParameter, match="needs 0 < lo < hi < 1"):
+            with pytest.raises(BadParameter) as info:
                 FatCantor(1, ((lo, hi),))
+            assert str(info.value) == f"removed interval ({lo}, {hi}) needs 0 < lo < hi < 1"
 
     def test_touching_intervals_keep_their_common_point(self):
         c = FatCantor(1, ((Fraction(1, 2), Fraction(3, 4)), (Fraction(1, 4), Fraction(1, 2))))

@@ -28,6 +28,7 @@ from dcset import (
     Seed,
     SupportMask,
     UnitGrid,
+    fat_cantor_build,
     solve,
 )
 from dcset.generators import RevealingSelectors, WalkPath
@@ -189,3 +190,33 @@ def test_fat_cantor_copy_keeps_its_units():
     clone = copy.deepcopy(cantor)
     assert clone.measure == cantor.measure == Fraction(2, 3)
     assert clone.contains_points(np.array([0.2, 0.5])).tolist() == [True, False]
+
+
+def _built_cantor() -> FatCantor:
+    # Built over the unit scale 2048, while its cut ends reduce to at most 128.
+    return fat_cantor_build(HALF, 3)
+
+
+def test_built_fat_cantor_equals_its_rational_form():
+    built = _built_cantor()
+    given = FatCantor(3, built.removed)
+    assert given._scale < built._scale
+    assert built == given and hash(built) == hash(given) and repr(built) == repr(given)
+    assert FatCantor(depth=3, removed=built.removed) == given
+
+
+def test_fat_cantor_copies_taken_before_removed_is_read():
+    built = _built_cantor()
+    for clone in (copy.copy(built), copy.deepcopy(built), pickle.loads(pickle.dumps(built))):
+        assert "removed" not in built.__dict__ and "removed" not in clone.__dict__
+        assert clone == _built_cantor() and hash(clone) == hash(_built_cantor())
+
+
+def test_fat_cantor_forms_removed_only_when_read():
+    cantor = _built_cantor()
+    assert cantor.gap_measure == Fraction(7, 16) and cantor.measure == Fraction(9, 16)
+    cantor.float_segments
+    assert cantor.contains_points(np.array([0.01, 0.5])).tolist() == [True, False]
+    assert "removed" not in cantor.__dict__
+    assert cantor.removed[0] == (Fraction(9, 128), Fraction(11, 128))
+    assert "removed" in cantor.__dict__

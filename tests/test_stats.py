@@ -546,6 +546,31 @@ class TestDistinguish:
         assert mixes == []
 
 
+@pytest.mark.parametrize(
+    "argv, reads_removed",
+    [
+        (["distinguish", "--seed", "1", "--replicas", "40", "--depth", "50"], False),
+        (["stationarity", "--seed", "1", "--replicas", "40"], False),
+        (["cantor", "--cantor-depth", "3"], True),  # the JSON writes them out
+    ],
+    ids=["distinguish", "stationarity", "cantor"],
+)
+def test_runs_form_removed_fractions_only_to_write_them(monkeypatch, capsys, argv, reads_removed):
+    # The Cantor set is built in integer units; `removed` is read only at
+    # the file-format boundary.
+    reads = []
+    removed = FatCantor.__dict__["removed"]
+
+    class Spy:
+        def __get__(self, cantor, owner=None):
+            reads.append(cantor)
+            return removed.__get__(cantor, owner)
+
+    monkeypatch.setattr(FatCantor, "removed", Spy())
+    assert main(argv) == 0
+    assert bool(reads) == reads_removed
+
+
 class TestShiftHit:
     def test_dyadic_enumeration(self):
         first = dyadic_rationals(7)
