@@ -19,7 +19,6 @@ from dcset import (
     build_support_mask,
     ks_uniform,
     sample_ensemble,
-    sample_uniform,
     uniform_selector,
     verify_selector,
 )
@@ -42,13 +41,8 @@ print("per-bin counts:", np.bincount(grid.bins(table.values), minlength=8))
 
 print("\n=== thin ensemble: every replica avoids the lower quarter ===")
 
-
-def upper_only(seed):
-    pts = 0.25 + 0.75 * sample_uniform(12, seed).points
-    return Enumeration(pts, depth=12, provenance="upper-only")
-
-
-thin = Ensemble.generate(upper_only, 200, grid, SEED)
+upper = 0.25 + 0.75 * sample_ensemble(12, 200, grid, SEED).points
+thin = Ensemble([Enumeration(row, depth=12, provenance="upper-only") for row in upper], grid)
 try:
     uniform_selector(thin, Seed(SEED + 2))
 except InsufficientDensity as obstruction:

@@ -37,7 +37,6 @@ from .errors import (
     SweepTooLarge,
     TooFewSamples,
     UndefinedPoint,
-    UnknownGenerator,
     UnsupportedCoupling,
 )
 from .generators import (

@@ -101,10 +101,6 @@ class SparseTable(DcsetError):
     """A contingency table has an expected cell count below the chi-square floor."""
 
 
-class UnknownGenerator(DcsetError):
-    """A generator name that is not known; the CLI refuses one through argparse's choices."""
-
-
 class ParseError(DcsetError):
     """A text input file is malformed; carries the offending line number."""
 

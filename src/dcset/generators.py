@@ -601,22 +601,19 @@ def intensity_estimate(
 ) -> Fraction:
     """Monte Carlo estimate of the weighted hit intensity sum_n n**-2 Pr(Y_n in A).
 
-    Exact rational: the estimate is an average of dyadic-free rationals 1/n^2
-    over replicas, so it is returned as a Fraction.
+    Exact rational: with c_n the number of replicas whose n-th point lies in
+    A, the estimate is sum_n c_n / n**2 / replicas, summed in integers over
+    the least common multiple of the n**2 and returned as one Fraction.
     """
     if replicas < 1:
         raise BadParameter(f"replicas must be >= 1, got {replicas}")
+    check_budget("replicas", replicas)
     base = _as_seed(seed)
-    total = Fraction(0)
-    for r in range(replicas):
-        enum = make(base.with_replica(r))
-        if not len(enum):
-            continue
-        hits = region.contains_points(enum.points)
-        for n_index in np.flatnonzero(hits):
-            n = int(n_index) + 1
-            total += Fraction(1, n * n)
-    return total / replicas
+    rows = (make(base.with_replica(r)).points for r in range(replicas))
+    hits = np.bincount(np.concatenate([np.flatnonzero(region.contains_points(row)) for row in rows]))
+    counts = {n: c for n, c in enumerate(hits.tolist(), start=1) if c}
+    scale = math.lcm(*(n * n for n in counts))
+    return Fraction(sum(c * (scale // (n * n)) for n, c in counts.items()), scale * replicas)
 
 
 class RevealingSelectors(Record):

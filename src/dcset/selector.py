@@ -130,14 +130,6 @@ class Ensemble(Record, eq=False):
         table.setflags(write=False)
         return table
 
-    @classmethod
-    def generate(
-        cls, make: Callable[[Seed], Enumeration], count: int, grid: UnitGrid, seed
-    ) -> "Ensemble":
-        check_budget("replicas * bins", count * grid.n)
-        base = _as_seed(seed)
-        return cls([make(base.with_replica(r)) for r in range(count)], grid)
-
 
 def sample_ensemble(depth: int, count: int, grid: UnitGrid, seed) -> Ensemble:
     """Ensemble of uniform-sample replicas, the workhorse test bed.
@@ -146,10 +138,10 @@ def sample_ensemble(depth: int, count: int, grid: UnitGrid, seed) -> Ensemble:
     from `generators._sample_rows`: one `Seed.uniforms` call and one row check,
     a failing row rebuilt by sample_uniform.
     """
-    check_budget("replicas * bins", count * grid.n)
-    points = _sample_rows(depth, _as_seed(seed), range(count))
     if count < 1:
         raise BadParameter(f"ensemble needs at least one replica, got {count}")
+    check_budget("replicas * bins", count * grid.n)
+    points = _sample_rows(depth, _as_seed(seed), range(count))
     return Ensemble._packed(points, np.full(count, depth, dtype=np.int64), grid)
 
 

@@ -343,6 +343,10 @@ def fragment_independence_test(
     observable is the capped count of the fragment's first points in its left
     half.  For walks the observable is the coarse position of the deepest
     strict local minimum detected from increments inside the fragment.
+
+    `level` is the family-wise level over all fragment pairs: each pair is
+    tested at `level / pairs` (Bonferroni), and `threshold` is that per-pair
+    threshold.
     """
     _check_level(level)
     cuts = [float(c) for c in cuts]
@@ -354,6 +358,8 @@ def fragment_independence_test(
         raise BadParameter(f"unknown fragment kind {kind!r}")
     if replicas < 1:
         raise BadParameter(f"replicas must be >= 1, got {replicas}")
+    if steps < 1:
+        raise BadParameter(f"steps must be >= 1, got {steps}")
     base = _as_seed(seed)
 
     fragments = list(zip(cuts, cuts[1:]))
@@ -362,25 +368,26 @@ def fragment_independence_test(
     categories = 3 if kind == "sample" else 2
     obs = _fragment_observables(kind, fragments, replicas, base, steps)
 
-    pair_reports = {}
-    worst = None
-    for i in range(len(fragments)):
-        for j in range(i + 1, len(fragments)):
-            rep = chi_square_independence(
-                obs[i], obs[j], categories, categories, level, base.value
-            )
-            pair_reports[f"{i}-{j}"] = rep.statistic
-            if worst is None or rep.statistic > worst.statistic:
-                worst = rep
+    pair_level = level / math.comb(len(fragments), 2)
+    reports = {
+        f"{i}-{j}": chi_square_independence(obs[i], obs[j], categories, categories, pair_level, base.value)
+        for i in range(len(fragments))
+        for j in range(i + 1, len(fragments))
+    }
+    worst = max(reports.values(), key=lambda rep: rep.statistic)
+    details = {"pairs": {key: rep.statistic for key, rep in reports.items()}, "df": worst.details["df"]}
+    if len(reports) > 1:
+        # With one pair the per-pair level is `level` itself: there is no split to name.
+        details.update(pair_level=pair_level, pair_count=len(reports))
     return TestReport(
         name=f"fragment-independence-{kind}",
         statistic=worst.statistic,
         threshold=worst.threshold,
         level=level,
-        passed=all(v < worst.threshold for v in pair_reports.values()),
+        passed=worst.passed,
         replicas=replicas,
         seed=base.value,
-        details={"pairs": pair_reports, "df": worst.details["df"]},
+        details=details,
     )
 
 

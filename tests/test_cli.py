@@ -182,6 +182,14 @@ class TestIndependence:
         )
         assert code == 0 and json.loads(text)["name"] == "fragment-independence-walk"
 
+    @pytest.mark.parametrize("steps", ["0", "-5"])
+    @pytest.mark.parametrize("gen", ["sample", "minima"])
+    def test_steps_below_one_exits_2(self, tmp_path, capsys, gen, steps):
+        # The sample kind does not walk, yet a step count below 1 is still refused.
+        code, text = run(tmp_path, "independence", "--gen", gen, "--seed", "1", "--steps", steps)
+        assert code == 2 and text is None
+        assert capsys.readouterr().err == f"error: steps must be >= 1, got {steps}\n"
+
 
 class TestShiftHit:
     def test_half_measure_curve(self, tmp_path):

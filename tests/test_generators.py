@@ -412,6 +412,36 @@ class TestIntensityEstimate:
         # every point hits the full set: estimate is exactly 1 + 1/4 + 1/9
         assert est == Fraction(49, 36)
 
+    @pytest.mark.parametrize("seed", [31, 32])
+    @pytest.mark.parametrize("region", [BinSet(UnitGrid(4), frozenset({0, 1})), CANTOR], ids=["bins", "cantor"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda s: sample_uniform(40, s),
+            lambda s: counterexample_mix(12, CANTOR, s),
+            lambda s: walk_minima(gaussian_walk(64, s)),
+        ],
+        ids=["sample", "mix", "minima"],
+    )
+    def test_matches_per_hit_sum(self, make, region, seed):
+        # The per-hit Fraction sum the integer counts replaced; walk minima
+        # give replicas of differing lengths.
+        total = Fraction(0)
+        for r in range(60):
+            enum = make(Seed(seed, r))
+            for i in np.flatnonzero(region.contains_points(enum.points)).tolist():
+                total += Fraction(1, (i + 1) ** 2)
+        estimate = intensity_estimate(make, region, 60, seed)
+        assert type(estimate) is Fraction and estimate == total / 60
+
+    @pytest.mark.parametrize("replicas", [0, WORK_BUDGET + 1, 2_000_000_000])
+    def test_refused_before_drawing(self, replicas):
+        def never(seed):
+            raise AssertionError("drew a replica")
+
+        with pytest.raises(BadParameter, match="replicas must be >= 1|exceeds the work budget"):
+            intensity_estimate(never, UnitGrid(2).full(), replicas, 1)
+
 
 class TestRevealingSelectors:
     @pytest.mark.parametrize("seed", [0, 5, 91])

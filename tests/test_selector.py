@@ -95,10 +95,15 @@ class TestSampleEnsemble:
             if r not in (2, 5):
                 assert np.array_equal(pts, drawn["rows"][r])
 
-    def test_bad_sizes_rejected(self):
+    def test_bad_sizes_rejected(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("drew rows")
+
         with pytest.raises(BadParameter, match="depth must be >= 1, got 0"):
             sample_ensemble(0, 5, GRID8, 1)
-        with pytest.raises(BadParameter, match="ensemble needs at least one replica"):
+        # No replica is refused before any row is drawn.
+        monkeypatch.setattr("dcset.selector._sample_rows", never)
+        with pytest.raises(BadParameter, match="ensemble needs at least one replica, got 0"):
             sample_ensemble(4, 0, GRID8, 1)
 
     def test_work_budget(self):
@@ -108,7 +113,6 @@ class TestSampleEnsemble:
             lambda: sample_ensemble(64, 2_000_000_000, GRID8, 1),
             lambda: sample_ensemble(4, 2, UnitGrid(WORK_BUDGET), 1),
             lambda: sample_ensemble(WORK_BUDGET, 2, GRID8, 1),
-            lambda: Ensemble.generate(lambda s: sample_uniform(4, s), 2_000_000_000, GRID8, 1),
         ]
         for call in calls:
             with pytest.raises(BadParameter, match="exceeds the work budget"):
@@ -199,11 +203,8 @@ class TestUniformSelector:
         assert ks_uniform(table.values, 0.01).passed
 
     def test_obstruction_names_thin_bins(self):
-        def avoid_low(s):
-            pts = 0.25 + 0.75 * sample_uniform(12, s).points
-            return Enumeration(pts, depth=12, provenance="avoid-low")
-
-        ens = Ensemble.generate(avoid_low, 40, UnitGrid(4), 57)
+        high = 0.25 + 0.75 * sample_ensemble(12, 40, UnitGrid(4), 57).points
+        ens = Ensemble([Enumeration(row, depth=12, provenance="avoid-low") for row in high], UnitGrid(4))
         with pytest.raises(InsufficientDensity) as err:
             uniform_selector(ens, Seed(58))
         assert 0 in err.value.thin_bins

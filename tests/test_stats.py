@@ -296,15 +296,34 @@ class TestFragmentIndependence:
         cuts, replicas = [0, 0.25, 0.5, 1], 300
         obs = _reference_fragment_observables(kind, cuts, replicas, seed, 2048)
         categories = 3 if kind == "sample" else 2
+        # Each of the three pairs is tested at the family level 0.01 over 3.
         pairs = {
-            f"{i}-{j}": chi_square_independence(obs[i], obs[j], categories, categories, seed=seed)
+            f"{i}-{j}": chi_square_independence(obs[i], obs[j], categories, categories, 0.01 / 3, seed)
             for i in range(3) for j in range(i + 1, 3)
         }
         worst = max(pairs.values(), key=lambda rep: rep.statistic)
         # A Seed's own replica index is not used: replica r is Seed(seed, r).
         report = fragment_independence_test(kind, cuts, replicas, Seed(seed, 5))
-        assert report.details == {"pairs": {k: rep.statistic for k, rep in pairs.items()}, "df": worst.details["df"]}
+        assert report.details == {
+            "pairs": {k: rep.statistic for k, rep in pairs.items()},
+            "df": worst.details["df"],
+            "pair_level": 0.01 / 3,
+            "pair_count": 3,
+        }
         assert report.passed == all(rep.passed for rep in pairs.values())
+        assert (report.level, report.threshold) == (0.01, worst.threshold)
+
+    def test_level_is_family_wise(self):
+        # Four fragments make six pairs. Under the null a family-wise 1% test
+        # rejects Bin(300, <= 0.01) times over 300 seeds, and P(X >= 11) is
+        # 2.6e-4. Testing every pair at the full level rejects 17 of these
+        # seeds. The seeds are fixed: never re-choose them.
+        cuts = [0, 0.25, 0.5, 0.75, 1]
+        rejected = sum(
+            not fragment_independence_test("sample", cuts, 400, seed, level=0.01).passed
+            for seed in range(1, 301)
+        )
+        assert rejected <= 10
 
 
 def _reference_fragment_observables(kind, cuts, replicas, seed, steps):
