@@ -68,6 +68,13 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit_report(report, args, **extra) -> None:
+    """Write the report's JSON, with `extra` keys added, to --out and its CSV to --csv."""
+    _emit(formats.dump_json({**formats.report_to_json(report), **extra}), args.out)
+    if args.csv:
+        Path(args.csv).write_text(formats.report_to_csv(report))
+
+
 def _echo_config(args: argparse.Namespace) -> None:
     config = {
         k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None
@@ -159,11 +166,7 @@ def cmd_simulate(args) -> int:
 def cmd_distinguish(args) -> int:
     seed = _need_seed(args)
     report = distinguish_counterexample(_cantor_of(args), args.depth, args.replicas, seed, level=args.level)
-    payload = formats.report_to_json(report)
-    payload["expected_outcome"] = "reject"
-    _emit(formats.dump_json(payload), args.out)
-    if args.csv:
-        Path(args.csv).write_text(formats.report_to_csv(report))
+    _emit_report(report, args, expected_outcome="reject")
     return 0 if report.rejected else 1
 
 
@@ -190,12 +193,7 @@ def cmd_stationarity(args) -> int:
         region = cantor
     expect = args.expect or ("fail" if args.gen == "counterexample" else "pass")
     report = stationarity_test(rows, region, args.replicas, seed, level=args.level)
-    payload = formats.report_to_json(report)
-    payload["expected_outcome"] = expect
-    payload["observable"] = observable_name
-    _emit(formats.dump_json(payload), args.out)
-    if args.csv:
-        Path(args.csv).write_text(formats.report_to_csv(report))
+    _emit_report(report, args, expected_outcome=expect, observable=observable_name)
     return 0 if report.passed == (expect == "pass") else 1
 
 
@@ -206,9 +204,7 @@ def cmd_independence(args) -> int:
     report = fragment_independence_test(
         kind, cuts, args.replicas, seed, level=args.level, steps=args.steps
     )
-    _emit(formats.dump_json(formats.report_to_json(report)), args.out)
-    if args.csv:
-        Path(args.csv).write_text(formats.report_to_csv(report))
+    _emit_report(report, args)
     return 0 if report.passed else 1
 
 

@@ -26,7 +26,9 @@ passes (`_tall_witnesses`), with the same classes, flow, cover and messages
 as the loop over rows that smaller masks keep.  The
 frequency-profile machinery at the bottom handles periodic set sequences:
 exact limit frequencies, their product factorization, and the limsup witness
-rectangle.
+rectangle.  It reads each sequence's 0/1 rows periodically in one gather, so
+the horizon (for a profile) and the joint period (for a limsup mask) times
+either bin count may not exceed `errors.WORK_BUDGET`.
 """
 
 from __future__ import annotations
@@ -39,8 +41,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BadParameter, DeficientSupport, FactorizationFailure, NotNested, SweepTooLarge
-from .grid_measure import BinSet, UnitGrid
+from .errors import (
+    BadParameter, DeficientSupport, FactorizationFailure, NotNested, SweepTooLarge, check_budget, check_count
+)
+from .grid_measure import BinSet
 from .records import Record
 
 __all__ = [
@@ -794,13 +798,8 @@ class FrequencyProfile(Record):
 
     def residual(self) -> Fraction:
         """Largest deviation |h(i,j) - f(i) g(j)| over all cells."""
-        worst = _ZERO
-        for i, fi in enumerate(self.f):
-            for j, gj in enumerate(self.g):
-                dev = abs(self.h[i][j] - fi * gj)
-                if dev > worst:
-                    worst = dev
-        return worst
+        f, g = np.array(self.f, dtype=object), np.array(self.g, dtype=object)
+        return np.abs(np.array(self.h, dtype=object) - np.outer(f, g)).max(initial=_ZERO)
 
     @property
     def factorizes(self) -> bool:
@@ -816,14 +815,28 @@ class FrequencyProfile(Record):
         return Fraction(sum(self.g, _ZERO), self.col_grid.n)
 
 
-def _as_bool_rows(sets: Sequence[BinSet]) -> tuple[UnitGrid, np.ndarray]:
-    grid = sets[0].grid
-    if any(s.grid != grid for s in sets):
-        raise BadParameter("all sets in a sequence must share one grid")
-    arr = np.zeros((len(sets), grid.n), dtype=np.int64)
-    for k, s in enumerate(sets):
-        arr[k, list(s.members)] = 1
-    return grid, arr
+def _periodic_rows(a_sets: Sequence[BinSet], b_sets: Sequence[BinSet], steps: int, what: str) -> tuple:
+    """Grid and 0/1 rows of each sequence, row k marking set k mod its length, for k < steps.
+
+    Both sequences must be nonempty and each on one grid, and steps times
+    either bin count may not exceed the work budget; all checked before any
+    row is made.  The rows are float64 so that products of them run in BLAS;
+    the budget keeps every count they sum below 2**53, so the sums are exact.
+    """
+    if not a_sets or not b_sets:
+        raise BadParameter("sequences must be nonempty")
+    seqs = [(sets, sets[0].grid) for sets in (a_sets, b_sets)]
+    for sets, grid in seqs:
+        if any(s.grid != grid for s in sets):
+            raise BadParameter("all sets in a sequence must share one grid")
+        check_budget(f"{what} * bins", steps * grid.n)
+    out = ()
+    for sets, grid in seqs:
+        rows = np.zeros((len(sets), grid.n))
+        for k, s in enumerate(sets):
+            rows[k, list(s.members)] = 1
+        out += (grid, rows[np.arange(steps) % len(sets)])
+    return out
 
 
 def frequency_profile(
@@ -838,50 +851,28 @@ def frequency_profile(
     indices wrap, so a horizon divisible by both periods yields the exact
     limit frequencies as rationals with denominator dividing the horizon.
     With `periodic=False` the lists are finite prefixes and the horizon must
-    not exceed them (empirical frequencies).
+    not exceed them (empirical frequencies).  `horizon` times either grid's
+    bin count may not exceed the work budget.
     """
-    if horizon < 1:
-        raise BadParameter(f"horizon must be >= 1, got {horizon}")
-    if not a_sets or not b_sets:
-        raise BadParameter("sequences must be nonempty")
-    if not periodic and (horizon > len(a_sets) or horizon > len(b_sets)):
+    check_count("horizon", horizon)
+    if not periodic and horizon > min(len(a_sets), len(b_sets)) > 0:  # empty: refused below
         raise BadParameter("horizon exceeds the given finite prefixes")
-
-    row_grid, a_arr = _as_bool_rows(a_sets)
-    col_grid, b_arr = _as_bool_rows(b_sets)
-    la, lb = len(a_sets), len(b_sets)
-
-    f_counts = np.zeros(row_grid.n, dtype=np.int64)
-    g_counts = np.zeros(col_grid.n, dtype=np.int64)
-    h_counts = np.zeros((row_grid.n, col_grid.n), dtype=np.int64)
-    for k in range(horizon):
-        a = a_arr[k % la if periodic else k]
-        b = b_arr[k % lb if periodic else k]
-        f_counts += a
-        g_counts += b
-        h_counts += np.outer(a, b)
-
-    f = tuple(Fraction(int(c), horizon) for c in f_counts)
-    g = tuple(Fraction(int(c), horizon) for c in g_counts)
-    h = tuple(
-        tuple(Fraction(int(c), horizon) for c in row) for row in h_counts
-    )
+    row_grid, a, col_grid, b = _periodic_rows(a_sets, b_sets, horizon, "horizon")
+    f = tuple(Fraction(int(c), horizon) for c in a.sum(0))
+    g = tuple(Fraction(int(c), horizon) for c in b.sum(0))
+    h = tuple(tuple(Fraction(int(c), horizon) for c in row) for row in a.T @ b)
     return FrequencyProfile(row_grid, col_grid, f, g, h)
 
 
 def periodic_limsup_mask(
     a_sets: Sequence[BinSet], b_sets: Sequence[BinSet]
 ) -> SupportMask:
-    """Cells hit by A_k x B_k for infinitely many k, exact for periodic input."""
-    row_grid, a_arr = _as_bool_rows(a_sets)
-    col_grid, b_arr = _as_bool_rows(b_sets)
+    """Cells hit by A_k x B_k for infinitely many k, exact for periodic input:
+    those hit within one joint period, which times either bin count may not
+    exceed the work budget."""
     period = math.lcm(len(a_sets), len(b_sets))
-    cells = np.zeros((row_grid.n, col_grid.n), dtype=bool)
-    for k in range(period):
-        cells |= np.outer(
-            a_arr[k % len(a_sets)].astype(bool), b_arr[k % len(b_sets)].astype(bool)
-        )
-    return SupportMask(cells)
+    _, a, _, b = _periodic_rows(a_sets, b_sets, period, "period")
+    return SupportMask(a.T @ b > 0)
 
 
 def product_limsup_witness(
@@ -898,22 +889,23 @@ def product_limsup_witness(
     than extracts).  When mass targets are supplied the witness measures are
     checked against them exactly.
     """
+    shape = (profile.row_grid.n, profile.col_grid.n)
+    if limsup_mask.cells.shape != shape:
+        raise BadParameter(
+            f"limsup mask shape {limsup_mask.cells.shape} does not match the profile's bins {shape}"
+        )
     residual = profile.residual()
     if residual != 0:
         raise FactorizationFailure(residual)
-
-    a_set = BinSet(
-        profile.row_grid, frozenset(i for i, v in enumerate(profile.f) if v > 0)
-    )
-    b_set = BinSet(
-        profile.col_grid, frozenset(j for j, v in enumerate(profile.g) if v > 0)
-    )
-    for i in a_set.members:
-        for j in b_set.members:
-            if not limsup_mask.cell(i, j):
-                raise BadParameter(
-                    f"limsup mask misses cell ({i},{j}); it does not match the profile"
-                )
+    rows = [i for i, v in enumerate(profile.f) if v > 0]
+    cols = [j for j, v in enumerate(profile.g) if v > 0]
+    missing = np.argwhere(~limsup_mask.cells[np.ix_(rows, cols)])
+    if missing.size:
+        i, j = missing[0]
+        raise BadParameter(
+            f"limsup mask misses cell ({rows[i]},{cols[j]}); it does not match the profile"
+        )
+    a_set, b_set = BinSet(profile.row_grid, frozenset(rows)), BinSet(profile.col_grid, frozenset(cols))
     if a_target is not None and a_set.measure < a_target:
         raise BadParameter(f"witness row set measure {a_set.measure} < {a_target}")
     if b_target is not None and b_set.measure < b_target:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the work-budget check.
+"""Exception types shared across the package, and the count and work-budget checks.
 
 The structured ones (DeficientSupport, InsufficientDensity, FactorizationFailure)
 carry their obstruction as a payload so callers can print or test it.
@@ -31,6 +31,12 @@ def check_budget(what: str, work: int) -> None:
     """Refuse, before anything is allocated, work above WORK_BUDGET."""
     if work > WORK_BUDGET:
         raise BadParameter(f"{what} = {work} exceeds the work budget {WORK_BUDGET}")
+
+
+def check_count(name: str, value: int, least: int = 1) -> None:
+    """Refuse a count, size or depth below `least`."""
+    if value < least:
+        raise BadParameter(f"{name} must be >= {least}, got {value}")
 
 
 class NotNested(DcsetError):

@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BadParameter, check_budget
+from .errors import BadParameter, check_budget, check_count
 from .grid_measure import BinSet, FatCantor
 from .records import Record
 
@@ -392,8 +392,7 @@ def _distinct_uniform(rng: np.random.Generator, count: int, lo: float, hi: float
 
 def sample_uniform(depth: int, seed) -> Enumeration:
     """First `depth` points of an unordered infinite uniform sample."""
-    if depth < 1:
-        raise BadParameter(f"depth must be >= 1, got {depth}")
+    check_count("depth", depth)
     check_budget("depth", depth)
     rng = _as_seed(seed).stream(GENERATOR_DOMAIN, _SAMPLE)
     return Enumeration(
@@ -416,8 +415,7 @@ class WalkPath(Record):
 
 def gaussian_walk(steps: int, seed) -> WalkPath:
     """Walk with independent Gaussian increments of variance 1/steps."""
-    if steps < 1:
-        raise BadParameter(f"steps must be >= 1, got {steps}")
+    check_count("steps", steps)
     check_budget("steps", steps)
     rng = _as_seed(seed).stream(GENERATOR_DOMAIN, _WALK)
     increments = rng.normal(0.0, np.sqrt(1.0 / steps), size=steps)
@@ -464,6 +462,14 @@ def poisson_on_cantor(cantor: FatCantor, seed) -> np.ndarray:
     return starts[idx] + (us - cum[idx])
 
 
+def _sample_gap(cantor: FatCantor) -> float:
+    """The gap measure of C as a float, refused when C leaves no gap for sample picks."""
+    gap = float(cantor.gap_measure)
+    if gap <= 0:
+        raise BadParameter("cantor set must leave gaps for the sample")
+    return gap
+
+
 def counterexample_mix(depth: int, cantor: FatCantor, seed) -> Enumeration:
     """Poisson points on the Cantor set united with sample points in its gaps.
 
@@ -471,9 +477,9 @@ def counterexample_mix(depth: int, cantor: FatCantor, seed) -> Enumeration:
     the dense open complement; the Poisson component's size does not depend on
     `depth` - the executable difference between this set and a pure sample.
     """
-    if depth < 1:
-        raise BadParameter(f"depth must be >= 1, got {depth}")
+    check_count("depth", depth)
     check_budget("depth", depth)
+    _sample_gap(cantor)
     poisson_part = poisson_on_cantor(cantor, seed)
     rng = _as_seed(seed).stream(GENERATOR_DOMAIN, _MIX_SAMPLE)
     seen = set(poisson_part.tolist())
@@ -500,8 +506,7 @@ def _sample_rows(depth: int, base: Seed, replicas: range) -> np.ndarray:
     would not keep whole (a repeated point, or one outside (0, 1)) is rebuilt
     by sample_uniform.
     """
-    if depth < 1:
-        raise BadParameter(f"depth must be >= 1, got {depth}")
+    check_count("depth", depth)
     check_budget("depth * replicas", depth * len(replicas))
     points = base.uniforms(replicas, GENERATOR_DOMAIN, _SAMPLE, size=depth)
     redo = ~_distinct_rows(points)
@@ -527,6 +532,8 @@ def _minima_rows(steps: int, base: Seed, replicas: range) -> np.ndarray:
     Drawn one replica at a time, since numpy's ziggurat normal is not
     reproduced in array passes.
     """
+    if steps < 3:
+        raise BadParameter(f"need steps >= 3 for interior minima, got {steps}")
     check_budget("steps * replicas", steps * len(replicas))
     return _redo_rows(
         np.empty((len(replicas), 0)), np.ones(len(replicas), dtype=bool), base, replicas,
@@ -569,12 +576,9 @@ def _counterexample_rows(depth: int, cantor: FatCantor, base: Seed, replicas: ra
     A row that runs short of picks, or that Enumeration would refuse (a pick
     repeated, or equal to a Poisson point), is drawn by counterexample_mix.
     """
-    if depth < 1:
-        raise BadParameter(f"depth must be >= 1, got {depth}")
+    check_count("depth", depth)
     check_budget("depth * replicas", depth * len(replicas))
-    gap = float(cantor.gap_measure)
-    if gap <= 0:
-        raise BadParameter("cantor set must leave gaps for the sample")
+    gap = _sample_gap(cantor)
     poisson = _poisson_rows(cantor, base, replicas)
     lengths = (~np.isnan(poisson)).sum(axis=1)
     points = np.full((len(replicas), poisson.shape[1] + depth), np.nan)
@@ -605,8 +609,7 @@ def intensity_estimate(
     A, the estimate is sum_n c_n / n**2 / replicas, summed in integers over
     the least common multiple of the n**2 and returned as one Fraction.
     """
-    if replicas < 1:
-        raise BadParameter(f"replicas must be >= 1, got {replicas}")
+    check_count("replicas", replicas)
     check_budget("replicas", replicas)
     base = _as_seed(seed)
     rows = (make(base.with_replica(r)).points for r in range(replicas))
@@ -634,8 +637,7 @@ class RevealingSelectors(Record):
 
 def revealing_selectors(depth: int, seed) -> RevealingSelectors:
     """Build the coupled family U_k, V_k, Z_k, A_k, Y_k of one replica."""
-    if depth < 1:
-        raise BadParameter(f"depth must be >= 1, got {depth}")
+    check_count("depth", depth)
     check_budget("3 * depth", 3 * depth)
     base = _as_seed(seed)
     low_pts = _distinct_uniform(base.stream(GENERATOR_DOMAIN, _LOW), depth, 0.0, 0.25)

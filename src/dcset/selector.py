@@ -38,6 +38,7 @@ from .errors import (
     InsufficientDensity,
     UnsupportedCoupling,
     check_budget,
+    check_count,
 )
 from .generators import (
     SELECTOR_DOMAIN,
@@ -368,8 +369,7 @@ def interleaved_enumeration(
     bins over every table so far.
     """
     base = _as_seed(seed)
-    if rounds < 0:
-        raise BadParameter(f"rounds must be >= 0, got {rounds}")
+    check_count("rounds", rounds, 0)
     check_budget("rounds * replicas", rounds * ensemble.size)
     empty = ensemble.lengths < 1
     if empty.any():

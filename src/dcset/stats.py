@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BadParameter, SparseTable, TooFewSamples, check_budget
+from .errors import BadParameter, SparseTable, TooFewSamples, check_budget, check_count
 from .generators import (
     REVEAL_CUT,
     STATS_DOMAIN,
@@ -24,6 +24,7 @@ from .generators import (
     _distinct_rows,
     _poisson_rows,
     _row_slices,
+    _sample_gap,
     _sample_rows,
     counterexample_mix,
     gaussian_walk,
@@ -356,10 +357,8 @@ def fragment_independence_test(
         raise BadParameter("cuts must increase strictly from 0 to 1")
     if kind not in ("sample", "walk"):
         raise BadParameter(f"unknown fragment kind {kind!r}")
-    if replicas < 1:
-        raise BadParameter(f"replicas must be >= 1, got {replicas}")
-    if steps < 1:
-        raise BadParameter(f"steps must be >= 1, got {steps}")
+    check_count("replicas", replicas)
+    check_count("steps", steps)
     base = _as_seed(seed)
 
     fragments = list(zip(cuts, cuts[1:]))
@@ -407,8 +406,7 @@ def stationarity_test(
     produces identically distributed arms.
     """
     _check_level(level)
-    if replicas < 1:
-        raise BadParameter(f"replicas must be >= 1, got {replicas}")
+    check_count("replicas", replicas)
     if replicas < 10:
         raise TooFewSamples("stationarity test needs >= 10 replicas per arm")
     check_budget("replicas", replicas)
@@ -469,8 +467,8 @@ def _distinguish_arms(cantor: FatCantor, depth: int, replicas: int, base: Seed):
     built by counterexample_mix, which raises that refusal.
     """
     reps = range(replicas)
-    if depth > 0 and float(cantor.gap_measure) <= 0:
-        raise BadParameter("cantor set must leave gaps for the sample")
+    if depth > 0:
+        _sample_gap(cantor)
     poisson = _poisson_rows(cantor, base, reps)
     if depth == 0:
         return np.zeros(replicas), (~np.isnan(poisson)).sum(axis=1).astype(float)
@@ -493,10 +491,8 @@ def distinguish_counterexample(
     `replicas * (depth + 1)` may not exceed `errors.WORK_BUDGET`.
     """
     _check_level(level)
-    if replicas < 1:
-        raise BadParameter(f"replicas must be >= 1, got {replicas}")
-    if depth < 0:
-        raise BadParameter(f"depth must be >= 0, got {depth}")
+    check_count("replicas", replicas)
+    check_count("depth", depth, 0)
     check_budget("replicas * (depth + 1)", replicas * (depth + 1))
     base = _as_seed(seed)
     xs, ys = _distinguish_arms(cantor, depth, replicas, base)
@@ -538,8 +534,7 @@ def shift_hit_curve(region, depths: Sequence[int], shifts: int, seed) -> ShiftHi
     depths = sorted(int(d) for d in depths)
     if not depths or depths[0] < 1:
         raise BadParameter("depths must be positive")
-    if shifts < 1:
-        raise BadParameter(f"shifts must be >= 1, got {shifts}")
+    check_count("shifts", shifts)
     check_budget("shifts * largest depth", shifts * depths[-1])
     base = _as_seed(seed)
     points = dyadic_rationals(depths[-1])

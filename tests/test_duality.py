@@ -28,6 +28,7 @@ from dcset import (
     Cover,
     DeficientSupport,
     FactorizationFailure,
+    FrequencyProfile,
     MarginalCaps,
     NotNested,
     SupportMask,
@@ -43,6 +44,7 @@ from dcset import (
     sweep,
 )
 from dcset import duality
+from dcset.errors import WORK_BUDGET
 from dcset.selector import build_support_mask
 
 
@@ -967,6 +969,150 @@ class TestFullCoupling:
 
 def binsets(grid, *memberships):
     return [BinSet(grid, frozenset(m)) for m in memberships]
+
+
+def loop_rows(sets):
+    """Per-set 0/1 rows, one Python pass per set."""
+    rows = np.zeros((len(sets), sets[0].grid.n), dtype=np.int64)
+    for k, s in enumerate(sets):
+        rows[k, list(s.members)] = 1
+    return rows
+
+
+def loop_frequency_profile(a_sets, b_sets, horizon, periodic=True):
+    """Per-step reference: add the step-k rows and their outer product, step by step."""
+    a_arr, b_arr = loop_rows(a_sets), loop_rows(b_sets)
+    f_counts = np.zeros(a_arr.shape[1], dtype=np.int64)
+    g_counts = np.zeros(b_arr.shape[1], dtype=np.int64)
+    h_counts = np.zeros((a_arr.shape[1], b_arr.shape[1]), dtype=np.int64)
+    for k in range(horizon):
+        a = a_arr[k % len(a_sets) if periodic else k]
+        b = b_arr[k % len(b_sets) if periodic else k]
+        f_counts += a
+        g_counts += b
+        h_counts += np.outer(a, b)
+    f = tuple(Fraction(int(c), horizon) for c in f_counts)
+    g = tuple(Fraction(int(c), horizon) for c in g_counts)
+    h = tuple(tuple(Fraction(int(c), horizon) for c in row) for row in h_counts)
+    return FrequencyProfile(a_sets[0].grid, b_sets[0].grid, f, g, h)
+
+
+def loop_limsup_cells(a_sets, b_sets):
+    """Per-step reference: the union of A_k x B_k over one joint period."""
+    a_arr, b_arr = loop_rows(a_sets).astype(bool), loop_rows(b_sets).astype(bool)
+    cells = np.zeros((a_arr.shape[1], b_arr.shape[1]), dtype=bool)
+    for k in range(math.lcm(len(a_sets), len(b_sets))):
+        cells |= np.outer(a_arr[k % len(a_sets)], b_arr[k % len(b_sets)])
+    return cells
+
+
+def loop_residual(profile):
+    """Per-cell reference for FrequencyProfile.residual."""
+    worst = Fraction(0)
+    for i, fi in enumerate(profile.f):
+        for j, gj in enumerate(profile.g):
+            worst = max(worst, abs(profile.h[i][j] - fi * gj))
+    return worst
+
+
+@st.composite
+def bin_sequences(draw, min_size=1, max_size=6):
+    grid = UnitGrid(draw(st.integers(1, 5)))
+    members = st.frozensets(st.integers(0, grid.n - 1))
+    return [BinSet(grid, m) for m in draw(st.lists(members, min_size=min_size, max_size=max_size))]
+
+
+class TestProfileAgainstPerStepLoop:
+    """frequency_profile and periodic_limsup_mask gather each sequence's rows
+    once; the per-step loops above are their oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(a_seq=bin_sequences(), b_seq=bin_sequences(), horizon=st.integers(1, 40))
+    def test_periodic_profile(self, a_seq, b_seq, horizon):
+        profile = frequency_profile(a_seq, b_seq, horizon)
+        assert profile == loop_frequency_profile(a_seq, b_seq, horizon)
+        assert profile.residual() == loop_residual(profile)
+
+    @settings(max_examples=100, deadline=None)
+    @given(a_seq=bin_sequences(max_size=40), b_seq=bin_sequences(max_size=40), data=st.data())
+    def test_prefix_profile(self, a_seq, b_seq, data):
+        horizon = data.draw(st.integers(1, min(len(a_seq), len(b_seq))))
+        profile = frequency_profile(a_seq, b_seq, horizon, periodic=False)
+        assert profile == loop_frequency_profile(a_seq, b_seq, horizon, periodic=False)
+        assert profile.residual() == loop_residual(profile)
+
+    @settings(max_examples=150, deadline=None)
+    @given(a_seq=bin_sequences(), b_seq=bin_sequences())
+    def test_limsup_mask(self, a_seq, b_seq):
+        mask = periodic_limsup_mask(a_seq, b_seq)
+        assert np.array_equal(mask.cells, loop_limsup_cells(a_seq, b_seq))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 5), cols=st.integers(1, 5))
+    def test_witness_names_first_missing_cell(self, data, rows, cols):
+        # A product profile, so only the mask decides; the first cell of the
+        # rectangle missing from the mask, in ascending (i, j) order, is named.
+        weights = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1)])
+        f = tuple(data.draw(st.lists(weights, min_size=rows, max_size=rows)))
+        g = tuple(data.draw(st.lists(weights, min_size=cols, max_size=cols)))
+        profile = FrequencyProfile(
+            UnitGrid(rows), UnitGrid(cols), f, g, tuple(tuple(fi * gj for gj in g) for fi in f)
+        )
+        cells = data.draw(st.lists(st.lists(st.booleans(), min_size=cols, max_size=cols),
+                                   min_size=rows, max_size=rows))
+        support = [(i, j) for i in range(rows) if f[i] for j in range(cols) if g[j]]
+        missing = [(i, j) for i, j in support if not cells[i][j]]
+        if missing:
+            with pytest.raises(BadParameter) as err:
+                product_limsup_witness(profile, SupportMask(cells))
+            i, j = missing[0]
+            assert str(err.value) == f"limsup mask misses cell ({i},{j}); it does not match the profile"
+        else:
+            a, b = product_limsup_witness(profile, SupportMask(cells))
+            assert a.members == {i for i in range(rows) if f[i]}
+            assert b.members == {j for j in range(cols) if g[j]}
+
+
+class TestProfileRefusals:
+    def test_empty_sequence(self):
+        seq = binsets(UnitGrid(2), {0}, {1})
+        for make in (
+            lambda: periodic_limsup_mask([], seq),
+            lambda: periodic_limsup_mask(seq, []),
+            lambda: frequency_profile([], seq, 2),
+            lambda: frequency_profile(seq, [], 2, periodic=False),
+        ):
+            with pytest.raises(BadParameter, match="sequences must be nonempty"):
+                make()
+
+    def test_mask_of_wrong_shape(self):
+        g4 = UnitGrid(4)
+        a_seq, b_seq = binsets(g4, {0, 1}), binsets(g4, {0, 1})
+        profile = frequency_profile(a_seq, b_seq, 1)
+        for cells in (np.ones((2, 2)), np.ones((4, 5)), np.ones((5, 4))):
+            with pytest.raises(BadParameter, match=r"does not match the profile's bins \(4, 4\)"):
+                product_limsup_witness(profile, SupportMask(cells))
+        # The shape is checked before the profile's factorization.
+        coupled = frequency_profile(binsets(g4, {0}, {1}), binsets(g4, {0}, {1}), 2)
+        with pytest.raises(BadParameter, match="does not match"):
+            product_limsup_witness(coupled, SupportMask(np.ones((2, 2))))
+
+    def test_horizon_over_budget(self):
+        g1000 = UnitGrid(1000)
+        seq = binsets(g1000, {0}, {999})
+        horizon = WORK_BUDGET // 1000 + 1
+        with pytest.raises(BadParameter, match=f"horizon \\* bins = {horizon * 1000} exceeds"):
+            frequency_profile(seq, binsets(UnitGrid(2), {1}), horizon)
+        with pytest.raises(BadParameter, match="horizon \\* bins = 4000000000000 exceeds"):
+            frequency_profile(binsets(UnitGrid(4), {1}), binsets(UnitGrid(2), {1}), 10**12)
+
+    def test_period_over_budget(self):
+        # Coprime lengths: the joint period is 16,016,003 steps.
+        a_seq = binsets(UnitGrid(2), {0}) * 4001
+        b_seq = binsets(UnitGrid(3), {2}) * 4003
+        period = 4001 * 4003
+        with pytest.raises(BadParameter, match=f"period \\* bins = {period * 2} exceeds"):
+            periodic_limsup_mask(a_seq, b_seq)
 
 
 class TestFrequencyProfile:

@@ -1,6 +1,9 @@
 """Simulator behavior: determinism, distributional laws, constructions."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +16,7 @@ from dcset import (
     BadParameter,
     BinSet,
     Enumeration,
+    FatCantor,
     Seed,
     UnitGrid,
     WalkPath,
@@ -42,6 +46,11 @@ from dcset.generators import (
 )
 
 CANTOR = fat_cantor_build(Fraction(1, 2), 10)
+
+
+def no_draw(*args):
+    """Stand-in for a generator that must not run before a refusal."""
+    raise AssertionError("drew before refusing")
 
 
 class TestSeed:
@@ -381,6 +390,32 @@ class TestCounterexampleMix:
         enum = counterexample_mix(25, CANTOR, Seed(24))
         assert sum(1 for tag in enum.tags if tag == "sample") == 25
 
+    def test_gapless_set_refused_like_its_row_maker(self):
+        # A set with no gaps leaves the sample picks nowhere to fall, so a
+        # missing refusal loops for ever: run it in a child under a timeout.
+        import dcset
+
+        code = (
+            "from dcset import BadParameter, FatCantor, Seed, counterexample_mix\n"
+            "from dcset.generators import _counterexample_rows\n"
+            "for make in (lambda: counterexample_mix(1, FatCantor(1, ()), Seed(1)),\n"
+            "             lambda: _counterexample_rows(1, FatCantor(1, ()), Seed(1), range(3))):\n"
+            "    try:\n"
+            "        make()\n"
+            "    except BadParameter as err:\n"
+            "        print(err)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(dcset.__file__))}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+        )
+        assert done.stdout.splitlines() == ["cantor set must leave gaps for the sample"] * 2
+
+    def test_gapless_set_refused_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(generators, "poisson_on_cantor", no_draw)
+        with pytest.raises(BadParameter, match="cantor set must leave gaps"):
+            counterexample_mix(1, FatCantor(1, ()), Seed(1))
+
 
 class TestIntensityEstimate:
     def test_uniform_sample_matches_binomial_mean(self):
@@ -587,6 +622,17 @@ class TestBatchCounterexample:
         assert len(got) == replicas
         for r, row in zip(reps, got):
             assert np.array_equal(row, brownian_minima(steps, Seed(value, r)).points)
+
+    @pytest.mark.parametrize("steps", [2, 0, -4])
+    @pytest.mark.parametrize("replicas", [0, 5])
+    def test_minima_rows_refuse_like_brownian_minima(self, monkeypatch, steps, replicas):
+        with pytest.raises(BadParameter) as want:
+            brownian_minima(steps, Seed(1))
+
+        monkeypatch.setattr(generators, "brownian_minima", no_draw)
+        with pytest.raises(BadParameter) as got:
+            _minima_rows(steps, Seed(1), range(replicas))
+        assert str(got.value) == str(want.value) == f"need steps >= 3 for interior minima, got {steps}"
 
     @staticmethod
     def counted(monkeypatch, name):
