@@ -614,14 +614,6 @@ def _check_witnesses(mask: SupportMask, row_int, col_int, flow, U, V) -> int:
     return sum(row_units)
 
 
-# Masks per block of `sweep`.  A block's arrays are allocated afresh, so the
-# block size sets the peak: a fresh `duality --sweep 4 4` process (2-core
-# Xeon, Python 3.11, numpy 2.4) peaked at 31.7 MB with blocks of 256 masks,
-# 32.3 MB with 1024, 34.4 MB with 4096 and 54.2 MB with one block of all
-# 65,536; blocks of 256 ran about 15% slower than blocks of 1024.
-_SWEEP_BLOCK = 1024
-
-
 def sweep(rows: int, cols: int) -> tuple[int, int, Fraction]:
     """Certify every mask on a rows-by-cols grid under uniform caps.
 
@@ -630,19 +622,20 @@ def sweep(rows: int, cols: int) -> tuple[int, int, Fraction]:
     row and column permutations, so each orbit of the two is solved once, at
     its representative (see `_orbit_table`), in ascending bit order.
 
-    The sweep works in the taller frame, the transpose when cols > rows, and
-    walks every bit number of that frame: a mask is R row codes of C <= 4
-    bits, read straight from its number.  Each representative's witnesses
-    are kept in its own frame as one row: flow-support row codes, row sums,
-    cover row codes (every bit for a row of U, else V's code), U, column
-    sums, V, mass and least flow entry.
+    The sweep works in the taller frame, the transpose when cols > rows: a
+    mask is R row codes of C <= 4 bits.  Each representative's witnesses are
+    kept in its own frame as one row: flow-support row codes, row sums, cover
+    row codes (every bit for a row of U, else V's code), U, column sums, V,
+    mass and least flow entry.
 
-    Every mask looks up its column permutation and representative by its
-    sorted codes, moves its own codes by that permutation, sorts its rows,
-    and is checked in that frame in integer arrays as `solve` checks one
-    pair: no negative entry, flow inside the mask's cells, row and column
-    sums within the caps read through the mask's permutations, the cover
-    meeting every cell, and the mask's own gap.
+    Masks with the same multiset of rows differ by a row permutation, which
+    moves no uniform cap, so each multiset is checked once and stands for
+    R!/prod(m_c!) masks, m_c being how often code c occurs in it; these
+    counts must sum to the mask count.  A multiset's own codes are moved by
+    its column permutation and sorted into its representative's frame, and
+    checked there in integer arrays as `solve` checks one pair: no negative
+    entry, flow inside the cells, row and column sums within the caps read
+    through the permutations, the cover meeting every cell, and the gap.
     """
     if rows < 1 or cols < 1:
         raise BadParameter("sweep bounds must be positive")
@@ -656,48 +649,40 @@ def sweep(rows: int, cols: int) -> tuple[int, int, Fraction]:
     perms, moved = _column_moves(C)
     keys, perm, rep = _orbit_table(R, C, moved)
     reps, rep_index = np.unique(rep, return_inverse=True)
-    total = 1 << (rows * cols)
-    perm_of = np.empty(total, dtype=np.int8)  # row-multiset key -> column permutation
-    perm_of[keys] = perm
-    rep_of = np.empty(total, dtype=np.int16)  # row-multiset key -> representative
-    rep_of[keys] = rep_index
     witnesses = []
-    for bits in reps.tolist():
-        cells = ((bits >> np.arange(R * C)) & 1).astype(bool).reshape(R, C)
+    for cells in ((reps[:, None] >> np.arange(R * C)) & 1).astype(bool).reshape(-1, R, C):
         cert = solve(SupportMask(cells.T if flip else cells), caps)
         witnesses.append(_frame_witnesses(cert, flip, R, C))
-    wit = np.array(witnesses, dtype=np.int64)
+    w = np.array(witnesses, dtype=np.int64)[rep_index]
 
-    full, shifts = (1 << C) - 1, C * np.arange(R)
-    weights = 1 << shifts
-    row_tag = np.arange(R, dtype=np.uint8)  # rows < 16 and codes < 16 share a byte
-    nonzero, worst = 0, 0
-    for lo in range(0, total, _SWEEP_BLOCK):
-        codes = ((np.arange(lo, min(lo + _SWEEP_BLOCK, total))[:, None] >> shifts) & full).astype(np.uint8)
-        key = np.sort(codes, axis=1) @ weights
-        p = perm_of[key]
-        w = wit[rep_of[key]]
-        # The mask in its representative's frame: columns moved by perms[p],
-        # then rows sorted, each carrying its own index in the low four bits,
-        # so rho[:, r] is the mask row that lands on row r.
-        tagged = np.sort((moved[(p.astype(np.intp) << C)[:, None] | codes] << 4) | row_tag, axis=1)
-        codes, rho = tagged >> 4, tagged & 15
-        rcap, ccap = row_cap[rho], col_cap[perms[p]]
-        supp, rsum, cover, U = w[:, :R], w[:, R : 2 * R], w[:, 2 * R : 3 * R], w[:, 3 * R : 4 * R]
-        csum, V = w[:, 4 * R : 4 * R + C], w[:, 4 * R + C : 4 * R + 2 * C]
+    codes = ((keys[:, None] >> C * np.arange(R)) & ((1 << C) - 1)).astype(np.uint8)
+    factorial = np.array([math.factorial(k) for k in range(R + 1)], dtype=np.int64)
+    repeats = (codes[:, :, None] == np.arange(1 << C)).sum(axis=1)
+    masks = factorial[R] // factorial[repeats].prod(axis=1)
+    total = int(masks.sum())
+    if total != 1 << (rows * cols):
+        raise AssertionError(f"row multisets count {total} masks, not 2**{rows * cols}")
+    # Each multiset in its representative's frame: columns moved by perms[p],
+    # then rows sorted, each carrying its own index in the low four bits (R
+    # <= 16 rows and codes < 16 share a byte), so rho[:, r] is the row that
+    # lands on row r.
+    p = perm.astype(np.intp)
+    tagged = np.sort((moved[(p << C)[:, None] | codes] << 4) | np.arange(R, dtype=np.uint8), axis=1)
+    codes, rho = tagged >> 4, tagged & 15
+    rcap, ccap = row_cap[rho], col_cap[perms[p]]
+    supp, rsum, cover, U = w[:, :R], w[:, R : 2 * R], w[:, 2 * R : 3 * R], w[:, 3 * R : 4 * R]
+    csum, V = w[:, 4 * R : 4 * R + C], w[:, 4 * R + C : 4 * R + 2 * C]
 
-        if (w[:, -1] < 0).any():
-            raise AssertionError("coupling witness has a negative entry")
-        if (supp & ~codes).any():
-            raise AssertionError("flow escaped the mask")
-        if (rsum > rcap).any() or (csum > ccap).any():
-            raise AssertionError("coupling witness exceeds a row or column cap")
-        if (codes & ~cover).any():
-            raise AssertionError("cover witness misses a mask cell")
-        gap = np.einsum("ij,ij->i", U, rcap) + np.einsum("ij,ij->i", V, ccap) - w[:, -2]
-        nonzero += int(np.count_nonzero(gap))
-        worst = max(worst, int(np.abs(gap).max()))
-    return total, nonzero, Fraction(worst, scale)
+    if (w[:, -1] < 0).any():
+        raise AssertionError("coupling witness has a negative entry")
+    if (supp & ~codes).any():
+        raise AssertionError("flow escaped the mask")
+    if (rsum > rcap).any() or (csum > ccap).any():
+        raise AssertionError("coupling witness exceeds a row or column cap")
+    if (codes & ~cover).any():
+        raise AssertionError("cover witness misses a mask cell")
+    gap = np.einsum("ij,ij->i", U, rcap) + np.einsum("ij,ij->i", V, ccap) - w[:, -2]
+    return total, int(masks[gap != 0].sum()), Fraction(int(np.abs(gap).max()), scale)
 
 
 def _column_moves(C: int) -> tuple[np.ndarray, np.ndarray]:

@@ -462,12 +462,15 @@ def poisson_on_cantor(cantor: FatCantor, seed) -> np.ndarray:
     return starts[idx] + (us - cum[idx])
 
 
-def _sample_gap(cantor: FatCantor) -> float:
-    """The gap measure of C as a float, refused when C leaves no gap for sample picks."""
-    gap = float(cantor.gap_measure)
+def _sample_gap(cantor: FatCantor, depth: int) -> float:
+    """The gap measure of C as a float, refused when C leaves no gap for sample
+    picks, or when `depth` picks would take about depth / gap uniform draws,
+    more than the work budget."""
+    gap = cantor.gap_measure
     if gap <= 0:
         raise BadParameter("cantor set must leave gaps for the sample")
-    return gap
+    check_budget("depth / gap measure", math.ceil(depth / gap))
+    return float(gap)
 
 
 def counterexample_mix(depth: int, cantor: FatCantor, seed) -> Enumeration:
@@ -479,7 +482,7 @@ def counterexample_mix(depth: int, cantor: FatCantor, seed) -> Enumeration:
     """
     check_count("depth", depth)
     check_budget("depth", depth)
-    _sample_gap(cantor)
+    _sample_gap(cantor, depth)
     poisson_part = poisson_on_cantor(cantor, seed)
     rng = _as_seed(seed).stream(GENERATOR_DOMAIN, _MIX_SAMPLE)
     seen = set(poisson_part.tolist())
@@ -578,7 +581,7 @@ def _counterexample_rows(depth: int, cantor: FatCantor, base: Seed, replicas: ra
     """
     check_count("depth", depth)
     check_budget("depth * replicas", depth * len(replicas))
-    gap = _sample_gap(cantor)
+    gap = _sample_gap(cantor, depth)
     poisson = _poisson_rows(cantor, base, replicas)
     lengths = (~np.isnan(poisson)).sum(axis=1)
     points = np.full((len(replicas), poisson.shape[1] + depth), np.nan)

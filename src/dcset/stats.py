@@ -468,7 +468,7 @@ def _distinguish_arms(cantor: FatCantor, depth: int, replicas: int, base: Seed):
     """
     reps = range(replicas)
     if depth > 0:
-        _sample_gap(cantor)
+        _sample_gap(cantor, depth)
     poisson = _poisson_rows(cantor, base, reps)
     if depth == 0:
         return np.zeros(replicas), (~np.isnan(poisson)).sum(axis=1).astype(float)

@@ -228,6 +228,26 @@ def test_work_budget_exits_2(capsys, argv):
     assert "exceeds the work budget" in capsys.readouterr().err
 
 
+def test_tiny_gap_exits_2_before_drawing():
+    # A gap of 1/10**6 takes about 10**6 draws per gap pick.  Unrefused, the
+    # picks run on for minutes, so each call runs in a child under a timeout.
+    code = (
+        "import contextlib, io\n"
+        "from dcset.cli import main\n"
+        "for command in (['simulate', 'counterexample'], ['stationarity', '--gen', 'counterexample'],\n"
+        "                ['distinguish']):\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stderr(err):\n"
+        "        code = main(command + ['--gap', '1/1000000', '--seed', '1'])\n"
+        "    print(code, err.getvalue().splitlines()[-1])\n"
+    )
+    lines = _fresh_interpreter(code).splitlines()
+    assert len(lines) == 3
+    for line in lines:
+        assert line.startswith("2 error: depth / gap measure = ")
+        assert line.endswith(" exceeds the work budget 10000000")
+
+
 class TestSelector:
     def test_pass_with_csv(self, tmp_path):
         code, text = run(
@@ -673,7 +693,7 @@ def _fresh_interpreter(code: str) -> str:
     """What `code` prints in a new interpreter that imports dcset from this tree."""
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
     )
     return done.stdout.strip()
 

@@ -700,27 +700,6 @@ class TestSweep:
         assert 0 < len(calls) < math.comb(16 + 4 - 1, 4)
 
     @pytest.mark.parametrize(
-        "shape, block",
-        [((3, 3), 1), ((3, 3), 7), ((3, 3), 2**9 + 1), ((2, 4), 1), ((2, 4), 7),
-         ((2, 4), 2**8 + 1), ((3, 5), 2**15 + 1)],
-        ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"block{v}",
-    )
-    def test_block_size_changes_nothing(self, monkeypatch, shape, block):
-        def solved_masks():
-            masks = []
-
-            def recorded(mask, caps=None):
-                masks.append(mask.cells.tobytes())
-                return solve(mask, caps)
-
-            monkeypatch.setattr(duality, "solve", recorded)
-            return sweep(*shape), Counter(masks)
-
-        expected = solved_masks()
-        monkeypatch.setattr(duality, "_SWEEP_BLOCK", block)
-        assert solved_masks() == expected
-
-    @pytest.mark.parametrize(
         "shape, orbits",
         [((1, m), m + 1) for m in (1, 2, 3, 4, 16)]
         + [((m, 1), m + 1) for m in (2, 3, 4, 16)]
@@ -848,6 +827,113 @@ class TestSweep:
 
         monkeypatch.setattr(duality, "solve", drop_a_flow_entry)
         assert sweep(2, 2) == (16, 15, Fraction(1, 2))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3), (2, 4), (1, 16)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_each_multiset_counts_its_masks(self, monkeypatch, shape):
+        # Brute force: bin every bit number by its sorted row codes in the
+        # sweep's frame, the transpose of a wide grid.
+        rows, cols = shape
+        flip = cols > rows
+        R, C = (cols, rows) if flip else (rows, cols)
+        cells = (np.arange(1 << (rows * cols))[:, None] >> np.arange(rows * cols)) & 1
+        cells = cells.reshape(-1, rows, cols)
+        codes = np.sort((cells.transpose(0, 2, 1) if flip else cells) @ (1 << np.arange(C)), axis=1)
+        masks_of = Counter((codes @ (1 << C * np.arange(R))).tolist())
+
+        # Make every multiset its own representative, then inflate one
+        # multiset's cover to all rows and columns: only its masks show a gap.
+        def own_representatives(R, C, moved):
+            keys, perm, rep = orbit_table(R, C, moved)
+            return keys, np.zeros_like(perm), keys.copy()
+
+        orbit_table = duality._orbit_table
+        monkeypatch.setattr(duality, "_orbit_table", own_representatives)
+        solved = {}
+
+        def inflated(mask, caps=None):
+            frame = mask.cells.T if flip else mask.cells
+            if frame.tobytes() not in solved:
+                solved[frame.tobytes()] = solve(mask, caps)
+            cert = solved[frame.tobytes()]
+            if int(frame.ravel() @ (1 << np.arange(R * C))) != target:
+                return cert
+            return _with_witnesses(cert, cover=Cover(range(rows), range(cols)))
+
+        monkeypatch.setattr(duality, "solve", inflated)
+        for target, count in masks_of.items():
+            total, nonzero, worst = sweep(rows, cols)
+            assert (total, nonzero) == (1 << (rows * cols), count)
+            assert worst > 0
+
+    @pytest.mark.parametrize("shape, caught", [((3, 3), 71), ((2, 4), 26)], ids=["3x3", "2x4"])
+    def test_corrupted_permutation_caught_as_per_mask(self, monkeypatch, shape, caught):
+        # One key's column permutation is moved to the next one.  The sweep
+        # must fail or show a gap exactly where checking each of that key's
+        # masks in the corrupted frame does.
+        rows, cols = shape
+        flip = cols > rows
+        R, C = (cols, rows) if flip else (rows, cols)
+        perms, moved = duality._column_moves(C)
+        keys, perm, rep = duality._orbit_table(R, C, moved)
+        scale, row_int, col_int = MarginalCaps.uniform(rows, cols).scaled()
+        row_cap, col_cap = (col_int, row_int) if flip else (row_int, col_int)
+        messages = ["negative entry", "flow escaped the mask", "exceeds a row or column cap",
+                    "cover witness misses a mask cell", "gap"]
+
+        def first_failure(frame, q, cert):
+            """Index into `messages` of the first check that `frame` fails, or None."""
+            frame = frame[:, perms[q]]
+            rho = sorted(range(R), key=lambda r: frame[r].tolist()[::-1])
+            frame = frame[rho]
+            flow = [((j, i) if flip else (i, j), u) for i, j, u in cert.flow]
+            U, V = (cert.cover.V, cert.cover.U) if flip else (cert.cover.U, cert.cover.V)
+            rsum, csum = [0] * R, [0] * C
+            for (r, c), u in flow:
+                rsum[r] += u
+                csum[c] += u
+            failed = [
+                any(u < 0 for _, u in flow),
+                any(not frame[r, c] for (r, c), _ in flow),
+                any(rsum[r] > row_cap[rho[r]] for r in range(R))
+                or any(csum[c] > col_cap[perms[q][c]] for c in range(C)),
+                any(frame[r, c] and r not in U and c not in V for r in range(R) for c in range(C)),
+                sum(row_cap[rho[r]] for r in U) + sum(col_cap[perms[q][c]] for c in V) != sum(rsum),
+            ]
+            return failed.index(True) if any(failed) else None
+
+        index = {key: k for k, key in enumerate(keys.tolist())}
+        certs = {}
+        expected = {}
+        for bits in range(1 << (rows * cols)):
+            cells = SupportMask.from_bits(rows, cols, bits).cells
+            frame = cells.T if flip else cells
+            codes = sorted(int(row @ (1 << np.arange(C))) for row in frame)
+            k = index[sum(code << C * r for r, code in enumerate(codes))]
+            cells = ((int(rep[k]) >> np.arange(R * C)) & 1).astype(bool).reshape(R, C)
+            if k not in certs:
+                certs[k] = solve(SupportMask(cells.T if flip else cells))
+            failure = first_failure(frame, (perm[k] + 1) % len(perms), certs[k])
+            if failure is not None:
+                expected[k] = min(failure, expected.get(k, failure))
+
+        orbit_table = duality._orbit_table
+        found = {}
+        for k in range(len(keys)):
+            def corrupted(R, C, moved):
+                keys, perm, rep = orbit_table(R, C, moved)
+                perm = perm.copy()
+                perm[k] = (perm[k] + 1) % len(perms)
+                return keys, perm, rep
+
+            monkeypatch.setattr(duality, "_orbit_table", corrupted)
+            try:
+                if sweep(rows, cols)[1]:
+                    found[k] = messages.index("gap")
+            except AssertionError as error:
+                found[k] = next(i for i, m in enumerate(messages) if m in str(error))
+        assert found == expected
+        assert len(found) == caught
 
     def test_bounds_rejected(self):
         with pytest.raises(SweepTooLarge):

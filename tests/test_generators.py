@@ -416,6 +416,48 @@ class TestCounterexampleMix:
         with pytest.raises(BadParameter, match="cantor set must leave gaps"):
             counterexample_mix(1, FatCantor(1, ()), Seed(1))
 
+    def test_tiny_gap_refused_like_its_row_maker(self):
+        # A gap of 10**-9 takes about 10**9 draws per pick, so a missing
+        # refusal runs on for minutes: run it in a child under a timeout.
+        import dcset
+
+        code = (
+            "from fractions import Fraction as F\n"
+            "from dcset import BadParameter, FatCantor, Seed, counterexample_mix\n"
+            "from dcset.generators import _counterexample_rows\n"
+            "tiny = FatCantor(1, ((F(1, 2), F(1, 2) + F(1, 10**9)),))\n"
+            "for make in (lambda: counterexample_mix(1, tiny, Seed(1)),\n"
+            "             lambda: _counterexample_rows(1, tiny, Seed(1), range(2))):\n"
+            "    try:\n"
+            "        make()\n"
+            "    except BadParameter as err:\n"
+            "        print(err)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(dcset.__file__))}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+        )
+        refusal = f"depth / gap measure = 1000000000 exceeds the work budget {WORK_BUDGET}"
+        assert done.stdout.splitlines() == [refusal] * 2
+
+    def test_draws_over_budget_refused_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(generators, "poisson_on_cantor", no_draw)
+        monkeypatch.setattr(generators, "_poisson_rows", no_draw)
+        tiny = FatCantor(1, ((Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**7)),))
+        for make in (lambda: counterexample_mix(2, tiny, Seed(1)),
+                     lambda: _counterexample_rows(2, tiny, Seed(1), range(3))):
+            with pytest.raises(BadParameter, match="depth / gap measure = 20000000 exceeds"):
+                make()
+        # Draws are rounded up and may reach the budget itself.
+        half = FatCantor(1, ((Fraction(1, 4), Fraction(3, 4)),))
+        assert generators._sample_gap(half, WORK_BUDGET // 2) == 0.5
+        with pytest.raises(BadParameter, match=f"= {WORK_BUDGET + 2} exceeds"):
+            generators._sample_gap(half, WORK_BUDGET // 2 + 1)
+        two_thirds = FatCantor(1, ((Fraction(1, 6), Fraction(5, 6)),))
+        assert generators._sample_gap(two_thirds, 6_666_666) == 2 / 3  # 9,999,999 draws
+        with pytest.raises(BadParameter, match=f"= {WORK_BUDGET + 1} exceeds"):
+            generators._sample_gap(two_thirds, 6_666_667)  # 10,000,000.5 draws
+
 
 class TestIntensityEstimate:
     def test_uniform_sample_matches_binomial_mean(self):
