@@ -68,11 +68,13 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_report(report, args, **extra) -> None:
-    """Write the report's JSON, with `extra` keys added, to --out and its CSV to --csv."""
-    _emit(formats.dump_json({**formats.report_to_json(report), **extra}), args.out)
+def _emit_report(record, args, to_csv=None, **extra) -> None:
+    """Write the record's JSON, with `extra` keys added, to --out and its CSV,
+    by `to_csv` or else `formats.report_to_csv`, to --csv.  The writer is
+    looked up when called, so a wrapper installed on `formats` sees it."""
+    _emit(formats.dump_json({**formats.report_to_json(record), **extra}), args.out)
     if args.csv:
-        Path(args.csv).write_text(formats.report_to_csv(report))
+        Path(args.csv).write_text((to_csv or formats.report_to_csv)(record))
 
 
 def _echo_config(args: argparse.Namespace) -> None:
@@ -219,9 +221,7 @@ def cmd_shifthit(args) -> int:
     region = BinSet(grid, members)
     depths = _int_list(args.depths, "--depths")
     curve = shift_hit_curve(region, depths, args.shifts, seed)
-    _emit(formats.dump_json(formats.curve_to_json(curve)), args.out)
-    if args.csv:
-        Path(args.csv).write_text(formats.curve_to_csv(curve))
+    _emit_report(curve, args, to_csv=formats.curve_to_csv)
     means_ok = all(
         abs(mean - exp) <= 0.1 * exp for mean, exp in zip(curve.means, curve.expected)
     )
@@ -304,7 +304,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_cantor(args) -> int:
     cantor = _cantor_of(args)
-    _emit(formats.dump_json(formats.cantor_to_json(cantor)), args.out)
+    _emit(formats.dump_json(formats.report_to_json(cantor)), args.out)
     print(
         f"# fat Cantor: depth {cantor.depth}, gap {cantor.gap_measure}, "
         f"measure {cantor.measure}",

@@ -15,6 +15,7 @@ from .duality import Coupling, Cover, MarginalCaps, SupportMask
 from .errors import ParseError
 from .generators import Enumeration, RevealingSelectors
 from .grid_measure import BinSet, FatCantor, UnitGrid
+from .records import Record
 from .selector import SelectorTable
 from .stats import ShiftHitCurve, TestReport
 
@@ -26,7 +27,6 @@ __all__ = [
     "parse_caps_side",
     "parse_binset",
     "format_binset",
-    "cantor_to_json",
     "cantor_from_json",
     "coupling_to_json",
     "cover_to_json",
@@ -35,7 +35,6 @@ __all__ = [
     "selector_to_csv",
     "report_to_json",
     "report_to_csv",
-    "curve_to_json",
     "curve_to_csv",
 ]
 
@@ -127,15 +126,6 @@ def parse_binset(text: str) -> BinSet:
     return BinSet(grid, frozenset(members))
 
 
-def cantor_to_json(cantor: FatCantor) -> dict:
-    return {
-        "depth": cantor.depth,
-        "removed": [
-            [format_fraction(lo), format_fraction(hi)] for lo, hi in cantor.removed
-        ],
-    }
-
-
 def cantor_from_json(data: dict) -> FatCantor:
     try:
         depth = int(data["depth"])
@@ -184,8 +174,10 @@ def selector_to_csv(table: SelectorTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_to_json(report: TestReport) -> dict:
-    return {name: _plain(getattr(report, name)) for name in report._fields}
+def report_to_json(record: Record) -> dict:
+    """Any value record as a JSON-ready dict of its fields: a test report, a
+    shift-hit curve, a fat Cantor set (which `cantor_from_json` reads back)."""
+    return {name: _plain(getattr(record, name)) for name in record._fields}
 
 
 def report_to_csv(report: TestReport) -> str:
@@ -194,10 +186,6 @@ def report_to_csv(report: TestReport) -> str:
         f"{report.name},{report.statistic!r},{report.threshold!r},"
         f"{report.level!r},{int(report.passed)},{report.replicas},{report.seed}\n"
     )
-
-
-def curve_to_json(curve: ShiftHitCurve) -> dict:
-    return {name: _plain(getattr(curve, name)) for name in curve._fields}
 
 
 def curve_to_csv(curve: ShiftHitCurve) -> str:

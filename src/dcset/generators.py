@@ -30,6 +30,9 @@ every row; `_minima_rows` loops `brownian_minima`.  Every generator and row
 maker refuses more than `errors.WORK_BUDGET` points before it draws any:
 depth for one enumeration (3 * depth for revealing selectors), steps for a
 walk, depth * replicas (steps * replicas for minima) for a batch of rows.
+Draws are held to the same budget: replicas * _POISSON_WIDTH doubles for
+`_poisson_rows`, and about depth / gap measure gap-pick doubles for one
+counterexample, replicas times that for `_counterexample_rows`.
 """
 
 from __future__ import annotations
@@ -445,9 +448,8 @@ def brownian_minima(steps: int, seed) -> Enumeration:
 def poisson_on_cantor(cantor: FatCantor, seed) -> np.ndarray:
     """Poisson point set with Lebesgue intensity restricted to the Cantor set.
 
-    The count is Poisson(mes C); positions are drawn uniformly on C by pushing
-    a uniform variate on (0, mes C) through the cumulative length of the kept
-    segments (inverse CDF through the removed-interval structure).
+    The count is Poisson(mes C); positions are uniform variates on (0, mes C)
+    pushed through `FatCantor.place`, the inverse CDF of the uniform law on C.
     """
     measure = float(cantor.measure)
     if measure <= 0:
@@ -456,20 +458,19 @@ def poisson_on_cantor(cantor: FatCantor, seed) -> np.ndarray:
     count = int(rng.poisson(measure))
     if count == 0:
         return np.empty(0)
-    us = _distinct_uniform(rng, count, 0.0, measure)
-    starts, _, cum = cantor.float_segments
-    idx = np.clip(np.searchsorted(cum, us, side="right") - 1, 0, len(starts) - 1)
-    return starts[idx] + (us - cum[idx])
+    return cantor.place(_distinct_uniform(rng, count, 0.0, measure))
 
 
-def _sample_gap(cantor: FatCantor, depth: int) -> float:
+def _sample_gap(cantor: FatCantor, depth: int, replicas: int = 1) -> float:
     """The gap measure of C as a float, refused when C leaves no gap for sample
     picks, or when `depth` picks would take about depth / gap uniform draws,
-    more than the work budget."""
+    or `replicas` times that, more than the work budget."""
     gap = cantor.gap_measure
     if gap <= 0:
         raise BadParameter("cantor set must leave gaps for the sample")
-    check_budget("depth / gap measure", math.ceil(depth / gap))
+    draws = math.ceil(depth / gap)
+    check_budget("depth / gap measure", draws)
+    check_budget("replicas * depth / gap measure", replicas * draws)
     return float(gap)
 
 
@@ -556,6 +557,7 @@ def _poisson_rows(cantor: FatCantor, base: Seed, replicas: range) -> np.ndarray:
     measure = float(cantor.measure)
     if measure <= 0:
         raise BadParameter("cantor set must have positive measure")
+    check_budget(f"replicas * {_POISSON_WIDTH} Poisson draws", len(replicas) * _POISSON_WIDTH)
     draws = base.uniforms(replicas, GENERATOR_DOMAIN, _POISSON, size=_POISSON_WIDTH)
     lengths = (np.cumprod(draws, axis=1) > math.exp(-measure)).sum(axis=1)
     cols = np.arange(int(lengths.max(initial=0)))
@@ -563,10 +565,7 @@ def _poisson_rows(cantor: FatCantor, base: Seed, replicas: range) -> np.ndarray:
     us = measure * np.take_along_axis(draws, take, axis=1)
     us[cols >= lengths[:, None]] = np.nan
     kept = (2 * lengths + 1 <= _POISSON_WIDTH) & _distinct_rows(us, 0.0, measure)
-    starts, _, cum = cantor.float_segments
-    idx = np.clip(np.searchsorted(cum, us, side="right") - 1, 0, len(starts) - 1)
-    points = starts[idx] + (us - cum[idx])
-    return _redo_rows(points, ~kept, base, replicas, lambda s: poisson_on_cantor(cantor, s))
+    return _redo_rows(cantor.place(us), ~kept, base, replicas, lambda s: poisson_on_cantor(cantor, s))
 
 
 def _counterexample_rows(depth: int, cantor: FatCantor, base: Seed, replicas: range) -> np.ndarray:
@@ -580,8 +579,7 @@ def _counterexample_rows(depth: int, cantor: FatCantor, base: Seed, replicas: ra
     repeated, or equal to a Poisson point), is drawn by counterexample_mix.
     """
     check_count("depth", depth)
-    check_budget("depth * replicas", depth * len(replicas))
-    gap = _sample_gap(cantor, depth)
+    gap = _sample_gap(cantor, depth, len(replicas))
     poisson = _poisson_rows(cantor, base, replicas)
     lengths = (~np.isnan(poisson)).sum(axis=1)
     points = np.full((len(replicas), poisson.shape[1] + depth), np.nan)

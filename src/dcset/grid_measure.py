@@ -229,6 +229,14 @@ class FatCantor(Record):
             table.flags.writeable = False  # shared by every caller
         return starts, ends, cum
 
+    def place(self, us: np.ndarray) -> np.ndarray:
+        """The inverse CDF of the uniform law on C: each u in [0, mes C) goes to
+        the point of C that leaves length u of C to its left, by the float
+        cumulative lengths of the kept segments.  NaN stays NaN."""
+        starts, _, cum = self.float_segments
+        idx = np.clip(np.searchsorted(cum, us, side="right") - 1, 0, len(starts) - 1)
+        return starts[idx] + (us - cum[idx])
+
     @cached_property
     def bucket_table(self) -> tuple[np.ndarray, np.ndarray, int]:
         """Segment lookup over G equal buckets of [0, 1), built once: (first, next_start, passes).

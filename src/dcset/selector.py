@@ -45,13 +45,12 @@ from .generators import (
     Enumeration,
     Seed,
     _as_seed,
+    _row_slices,
     _sample_rows,
 )
 from .grid_measure import UnitGrid
 from .records import Record
 
-# Bound on the padded points binned at once in Ensemble.first_index.
-_BLOCK_POINTS = 1 << 16
 # Filler past the end of a shorter replica's row of Ensemble.points.
 _PAD = 0.5
 
@@ -111,21 +110,21 @@ class Ensemble(Record, eq=False):
     def first_index(self) -> np.ndarray:
         """R-by-n table: each replica's lowest point index in each bin, or -1.
 
-        Rows are binned a block at a time, so no cell index of every point is
-        held at once.
+        Rows are binned one `generators._row_slices` slice at a time, so no
+        cell index of every point is held at once.
         """
         n = self.grid.n
         width = self.points.shape[1]
         index = np.arange(width)
-        step = max(1, _BLOCK_POINTS // width)
         # Cell r*n + j takes the least index of replica r's points in bin j;
         # padding goes to one spare cell at the end.
         spare = self.size * n
         least = np.full(spare + 1, width, dtype=np.int64)
-        for lo in range(0, self.size, step):
-            block = self.points[lo : lo + step]
-            cells = np.arange(lo, lo + len(block))[:, None] * n + self.grid.bins(block)
-            cells[index >= self.lengths[lo : lo + step, None]] = spare
+        first_cell = np.arange(0, spare, n)[:, None]
+        for rows in _row_slices(self.size, width):
+            block = self.points[rows]
+            cells = first_cell[rows] + self.grid.bins(block)
+            cells[index >= self.lengths[rows, None]] = spare
             np.minimum.at(least, cells.ravel(), np.tile(index, len(block)))
         table = np.where(least[:spare] < width, least[:spare], -1).reshape(self.size, n)
         table.setflags(write=False)

@@ -15,6 +15,7 @@ import pytest
 from dcset import cli
 from dcset.selector import Ensemble
 from dcset.cli import build_parser, main
+from dcset.errors import WORK_BUDGET
 
 
 def run(tmp_path, *argv, out_name="out.json"):
@@ -246,6 +247,25 @@ def test_tiny_gap_exits_2_before_drawing():
     for line in lines:
         assert line.startswith("2 error: depth / gap measure = ")
         assert line.endswith(" exceeds the work budget 10000000")
+
+
+_OVER_BUDGET_DRAWS = [
+    (["stationarity", "--gen", "counterexample", "--depth", "50", "--gap", "1/1000"],
+     "replicas * depth / gap measure = 20019600"),
+    (["stationarity", "--gen", "counterexample", "--depth", "50", "--gap", "1/3000"],
+     "replicas * depth / gap measure = 60058800"),
+    (["stationarity", "--gen", "counterexample", "--depth", "50", "--gap", "1/10000"],
+     "replicas * depth / gap measure = 200195600"),
+    (["distinguish", "--depth", "0", "--replicas", "10000000"], "replicas * 24 Poisson draws = 240000000"),
+    (["distinguish", "--depth", "0", "--replicas", "1000000"], "replicas * 24 Poisson draws = 24000000"),
+]
+
+
+@pytest.mark.parametrize("argv,refusal", _OVER_BUDGET_DRAWS, ids=[" ".join(argv) for argv, _ in _OVER_BUDGET_DRAWS])
+def test_draws_over_budget_exit_2_before_drawing(argv, refusal):
+    # Unrefused, the gap picks run for seconds to minutes and the Poisson rows
+    # take gigabytes, so each call runs in a capped child under a timeout.
+    assert _exit_in_child([*argv, "--seed", "1"]) == f"2 error: {refusal} exceeds the work budget {WORK_BUDGET}"
 
 
 class TestSelector:
@@ -556,6 +576,60 @@ def readme_dir(tmp_path, monkeypatch):
     return tmp_path
 
 
+def _readme_budgets() -> list[tuple[str, str]]:
+    """(subcommand, product) for each product a `budget:` comment names in
+    README's command-line block.  A comment-only line goes on with the comment
+    of the call above it, and products are joined by "and"."""
+    calls = []  # [subcommand, comment] per call
+    for line in _readme_block("## Command line", "sh").splitlines():
+        call, _, comment = line.partition("#")
+        if call.strip():
+            calls.append([shlex.split(call)[1], ""])
+        calls[-1][1] += " " + comment.strip()
+    return [
+        (command, product.strip())
+        for command, comment in calls
+        for text in comment.split("budget:")[1:]
+        for product in text.split(" and ")
+    ]
+
+
+# One call per README budget product, a little over it: the argv and the name
+# the refusal gives the product.
+_BUDGET_CALLS = {
+    ("simulate", "depth"): (["simulate", "sample", "--depth", "10000001"], "depth"),
+    ("distinguish", "replicas x (depth + 1)"):
+        (["distinguish", "--depth", "0", "--replicas", "10000001"], "replicas * (depth + 1)"),
+    ("distinguish", "replicas x 24 Poisson draws"):
+        (["distinguish", "--depth", "0", "--replicas", "416667"], "replicas * 24 Poisson draws"),
+    ("stationarity", "replicas x depth"): (["stationarity", "--depth", "25001"], "replicas * depth"),
+    ("stationarity", "replicas x depth / gap measure"):
+        (["stationarity", "--gen", "counterexample", "--depth", "12489"], "replicas * depth / gap measure"),
+    ("independence", "replicas x (fragments + walk steps)"):
+        (["independence", "--gen", "minima", "--steps", "24999"], "replicas * (fragments + walk steps)"),
+    ("shifthit", "shifts x largest depth"): (["shifthit", "--depths", "64,50001"], "shifts * largest depth"),
+    ("selector", "replicas x grid"): (["selector", "--replicas", "1250001"], "replicas * bins"),
+    ("selector", "depth x replicas"): (["selector", "--depth", "2001"], "depth * replicas"),
+    ("enumerate", "rounds x replicas"): (["enumerate", "--rounds", "20001"], "rounds * replicas"),
+}
+
+
+@pytest.mark.parametrize("budget", _readme_budgets(), ids=": ".join)
+def test_readme_budget_exits_2(budget):
+    # Every documented budget binds: a call a little over it exits 2 before
+    # drawing, naming its product.  A budget with no call fails here.
+    assert budget in _BUDGET_CALLS, f"README budget {budget} has no call in _BUDGET_CALLS"
+    argv, name = _BUDGET_CALLS[budget]
+    line = _exit_in_child([*argv, "--seed", "1"])
+    refusal = re.fullmatch(rf"2 error: {re.escape(name)} = (\d+) exceeds the work budget {WORK_BUDGET}", line)
+    assert refusal, line
+    assert WORK_BUDGET < int(refusal[1]) <= WORK_BUDGET * 1.001
+
+
+def test_readme_names_every_budget_call():
+    assert sorted(_readme_budgets()) == sorted(_BUDGET_CALLS)
+
+
 @pytest.mark.parametrize("call", _readme_calls(), ids=" ".join)
 def test_readme_call_parses(readme_dir, call):
     # Every documented call parses, names and all, and runs to exit 0.
@@ -696,6 +770,22 @@ def _fresh_interpreter(code: str) -> str:
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
     )
     return done.stdout.strip()
+
+
+def _exit_in_child(argv: list[str]) -> str:
+    """"<exit code> <last stderr line>" of `main(argv)` in a fresh interpreter
+    whose address space is capped at 3 GiB, so a run that draws instead of
+    refusing fails rather than swapping."""
+    code = (
+        "import contextlib, io, resource\n"
+        "from dcset.cli import main\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        f"    code = main({argv!r})\n"
+        "print(code, (err.getvalue().splitlines() or [''])[-1])\n"
+    )
+    return _fresh_interpreter(code).splitlines()[-1]
 
 
 class TestStartup:

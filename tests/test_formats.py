@@ -7,6 +7,7 @@ import pytest
 from dcset import (
     BadParameter,
     BinSet,
+    FatCantor,
     MarginalCaps,
     ParseError,
     Seed,
@@ -23,12 +24,13 @@ from dcset import (
 )
 from dcset.formats import (
     cantor_from_json,
-    cantor_to_json,
     coupling_to_json,
     cover_to_json,
     curve_to_csv,
+    dump_json,
     enumeration_to_csv,
     format_binset,
+    format_fraction,
     format_mask,
     parse_binset,
     parse_caps_side,
@@ -101,14 +103,35 @@ class TestBinSetFormat:
 class TestCantorJson:
     def test_roundtrip_exact(self):
         cantor = fat_cantor_build(Fraction(2, 3), 5)
-        again = cantor_from_json(cantor_to_json(cantor))
+        again = cantor_from_json(report_to_json(cantor))
         assert again.removed == cantor.removed
         assert again.gap_measure == cantor.gap_measure
         assert again.depth == cantor.depth
 
     def test_rational_strings(self):
-        data = cantor_to_json(fat_cantor_build(Fraction(1, 2), 1))
+        data = report_to_json(fat_cantor_build(Fraction(1, 2), 1))
         assert data == {"depth": 1, "removed": [["3/8", "5/8"]]}
+
+    @pytest.mark.parametrize(
+        "cantor",
+        [
+            fat_cantor_build(Fraction(1, 2), 1),
+            fat_cantor_build(Fraction(2, 3), 5),
+            fat_cantor_build(Fraction(99, 100), 8),
+            FatCantor(4, ()),
+            FatCantor(2, ((Fraction(1, 2), Fraction(3, 4)), (Fraction(1, 7), Fraction(1, 3)))),
+            FatCantor(3, ((Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 2), Fraction(2, 3)))),
+        ],
+    )
+    def test_record_writer_matches_hand_written_dict(self, cantor):
+        # The fat Cantor JSON format written out by hand: the oracle for the record writer.
+        by_hand = {
+            "depth": cantor.depth,
+            "removed": [[format_fraction(lo), format_fraction(hi)] for lo, hi in cantor.removed],
+        }
+        assert report_to_json(cantor) == by_hand
+        assert dump_json(report_to_json(cantor)) == dump_json(by_hand)
+        assert cantor_from_json(report_to_json(cantor)) == cantor
 
     @pytest.mark.parametrize(
         "removed",

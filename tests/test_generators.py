@@ -459,6 +459,51 @@ class TestCounterexampleMix:
             generators._sample_gap(two_thirds, 6_666_667)  # 10,000,000.5 draws
 
 
+class Drew(Exception):
+    """Raised by a spy on `_seed_state`: the budget checks passed and drawing began."""
+
+
+def spy_on_draws(*args):
+    raise Drew
+
+
+class TestDrawBudgets:
+    """The batch rows' Poisson and gap-pick draws are held to the work budget
+    before anything is drawn; a call at the budget itself passes its checks,
+    and a spy stops it at its first draw."""
+
+    @pytest.mark.parametrize("width", [24, 20])
+    def test_poisson_draws(self, monkeypatch, width):
+        monkeypatch.setattr(generators, "_POISSON_WIDTH", width)
+        monkeypatch.setattr(generators, "_seed_state", spy_on_draws)
+        inside = WORK_BUDGET // width
+        with pytest.raises(BadParameter) as refused:
+            _poisson_rows(CANTOR, Seed(1), range(inside + 1))
+        product = (inside + 1) * width
+        assert str(refused.value) == (
+            f"replicas * {width} Poisson draws = {product} exceeds the work budget {WORK_BUDGET}"
+        )
+        with pytest.raises(Drew):
+            _poisson_rows(CANTOR, Seed(1), range(inside))
+
+    def test_gap_pick_draws(self, monkeypatch):
+        monkeypatch.setattr(generators, "_seed_state", spy_on_draws)
+        # 909,091 draws a replica; 11 replicas are one draw over the budget.
+        narrow = FatCantor(1, ((Fraction(1, 4), Fraction(1, 4) + Fraction(1, 909_091)),))
+        with pytest.raises(BadParameter) as refused:
+            _counterexample_rows(1, narrow, Seed(1), range(11))
+        assert str(refused.value) == (
+            f"replicas * depth / gap measure = {WORK_BUDGET + 1} exceeds the work budget {WORK_BUDGET}"
+        )
+        # 10 replicas of 10**6 draws each reach the budget itself.
+        half = FatCantor(1, ((Fraction(1, 4), Fraction(3, 4)),))
+        with pytest.raises(Drew):
+            _counterexample_rows(WORK_BUDGET // 20, half, Seed(1), range(10))
+        # A replica's own draws are still checked first, under their own name.
+        with pytest.raises(BadParameter, match="^depth / gap measure = 10000002 exceeds"):
+            _counterexample_rows(WORK_BUDGET // 2 + 1, half, Seed(1), range(1))
+
+
 class TestIntensityEstimate:
     def test_uniform_sample_matches_binomial_mean(self):
         # Pr(Y_n in A) = mes A exactly, so the weighted sum has expectation

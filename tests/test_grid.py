@@ -23,7 +23,7 @@ from dcset import (
     fat_cantor_contains,
     mes,
 )
-from dcset.formats import cantor_from_json, cantor_to_json
+from dcset.formats import cantor_from_json, report_to_json
 
 
 class TestBins:
@@ -339,7 +339,7 @@ class TestFatCantor:
         # bucket included.
         c = FatCantor(3, removed)
         _check_lookup(c, np.random.default_rng(seed))
-        again = cantor_from_json(cantor_to_json(c))
+        again = cantor_from_json(report_to_json(c))
         assert again == c
         _check_lookup(again, np.random.default_rng(seed))
 
@@ -380,3 +380,46 @@ class TestFatCantor:
         pts = np.array([0.2, 0.3, 0.5, 0.6, 0.8])
         assert c.contains_points(pts).tolist() == [True, False, True, False, True]
         assert all(fat_cantor_contains(c, float(p)) == v for p, v in zip(pts, c.contains_points(pts)))
+
+
+def _placed_by_hand(cantor, us):
+    """The inverse CDF written out over the float segment tables: the oracle
+    for `FatCantor.place`, which must match it bit for bit."""
+    starts, _, cum = cantor.float_segments
+    idx = np.clip(np.searchsorted(cum, us, side="right") - 1, 0, len(starts) - 1)
+    return starts[idx] + (us - cum[idx])
+
+
+class TestPlace:
+    @staticmethod
+    def check(cantor, drawn):
+        # 0, every cumulative segment length, the largest float below mes C,
+        # NaN padding, and drawn values, as one row and as a NaN-padded block.
+        measure = float(cantor.measure)
+        _, _, cum = cantor.float_segments
+        us = np.concatenate([[0.0], cum, [np.nextafter(measure, 0.0), np.nan], drawn])
+        for shaped in (us, np.resize(us, (3, len(us) + 1))):
+            assert cantor.place(shaped).tobytes() == _placed_by_hand(cantor, shaped).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(gap=st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(9, 10), Fraction(99, 100)]),
+           depth=st.integers(1, 12), data=st.data())
+    def test_built_sets_bit_equal(self, gap, depth, data):
+        c = fat_cantor_build(gap, depth)
+        measure = float(c.measure)
+        drawn = data.draw(st.lists(st.floats(0.0, measure, exclude_max=True), max_size=50))
+        self.check(c, np.array(drawn))
+
+    @settings(max_examples=60, deadline=None)
+    @given(removed=_removed_intervals(), data=st.data())
+    def test_rational_sets_bit_equal(self, removed, data):
+        c = FatCantor(3, removed)
+        measure = float(c.measure)
+        drawn = data.draw(st.lists(st.floats(0.0, measure, exclude_max=True), max_size=50))
+        self.check(c, np.array(drawn))
+
+    def test_segment_starts_placed_exactly(self):
+        # Length cum[k] of C lies left of segment k's start.
+        c = fat_cantor_build(Fraction(1, 3), 4)
+        starts, _, cum = c.float_segments
+        assert np.array_equal(c.place(cum[:-1]), starts)

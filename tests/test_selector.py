@@ -643,6 +643,23 @@ class TestArrayPathsMatchReferences:
         assert np.array_equal(interleave_containment(ens, got), reference_containment(ens, want))
 
     @settings(max_examples=100, deadline=None)
+    @given(ragged_ensembles())
+    def test_first_index_any_slice_size(self, ens):
+        # Slices of one row, of two rows, and of every row build one table.
+        width = ens.points.shape[1]
+        with pytest.MonkeyPatch.context() as mp:
+            for rows in (1, 2, ens.size):
+                mp.setattr(generators, "_SLICE_POINTS", rows * width)
+                assert len(generators._row_slices(ens.size, width)) == -(-ens.size // rows)
+                fresh = Ensemble._packed(ens.points, ens.lengths, ens.grid)
+                assert np.array_equal(fresh.first_index, reference_first_index(ens))
+
+    def test_first_index_over_many_slices(self):
+        ens = sample_ensemble(64, 700, GRID8, 86)
+        assert len(generators._row_slices(ens.size, ens.points.shape[1])) == 3
+        assert np.array_equal(ens.first_index, reference_first_index(ens))
+
+    @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_containment_and_verify_on_forged_tables(self, data):
         ens = data.draw(ragged_ensembles())
