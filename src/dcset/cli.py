@@ -3,7 +3,8 @@
 Every subcommand is a pure function of its flags (plus an optional JSON config
 file supplying defaults); all randomness flows from --seed.  Exit codes:
 0 = expectations met (including expected-fail modes), 1 = an asserted property
-was violated, 2 = usage or parse errors.
+was violated, 2 = usage or parse errors, too few replicas or too sparse a table
+for a test, or a work budget exceeded.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import (
     DcsetError,
     InsufficientDensity,
     ParseError,
+    SparseTable,
     SweepTooLarge,
     TooFewSamples,
     check_budget,
@@ -450,7 +452,7 @@ def main(argv=None) -> int:
         # Every subcommand takes --level, so one check covers flags and config.
         _check_level(args.level)
         return args.func(args)
-    except (ParseError, SweepTooLarge, TooFewSamples, BadParameter, OSError) as exc:
+    except (ParseError, SweepTooLarge, TooFewSamples, SparseTable, BadParameter, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DcsetError as exc:

@@ -314,7 +314,7 @@ def solve(mask: SupportMask, caps: MarginalCaps | None = None) -> Certificate:
     and keeps within every row and column cap, and the cover meets every mask
     cell.  A zero `gap` is therefore a proof of strong duality for the instance.
     A mask of `_TALL_ROWS` rows or more takes the same steps in array passes
-    (`_tall_witnesses`, `_check_tall_witnesses`) and gives an equal Certificate.
+    (`_tall_witnesses`, `_check_witness_arrays`) and gives an equal Certificate.
     """
     if caps is None:
         caps = MarginalCaps.uniform(mask.rows, mask.cols)
@@ -328,7 +328,14 @@ def solve(mask: SupportMask, caps: MarginalCaps | None = None) -> Certificate:
     if n >= _TALL_ROWS and m < 64 and scale * n * (m + 1) < 2**62:
         row_cap, col_cap = np.fromiter(row_int, np.int64, n), np.array(col_int, dtype=np.int64)
         fi, fj, fu, in_U, in_V = _tall_witnesses(mask, row_cap, col_int, scale)
-        mass_units = _check_tall_witnesses(mask, row_cap, col_cap, fi, fj, fu, in_U, in_V)
+        supp = np.zeros_like(mask.cells)
+        supp[fi, fj] = True
+        row_units, col_units = np.zeros(n, dtype=np.int64), np.zeros(m, dtype=np.int64)
+        np.add.at(row_units, fi, fu)
+        np.add.at(col_units, fj, fu)
+        cover = in_U[:, None] | in_V
+        _check_witness_arrays(mask.cells, fu, supp, row_units, row_cap, col_units, col_cap, cover)
+        mass_units = int(fu.sum())
         # One int object per row, shared by the flow and U as in the loop:
         # a separate set of 5000 row ints raised a selector run's peak RSS.
         ids = list(range(n))
@@ -466,27 +473,21 @@ def _north_west(flows, flow_class, cap_end, member_class) -> tuple[np.ndarray, .
     )
 
 
-def _check_tall_witnesses(mask: SupportMask, row_cap, col_cap, fi, fj, fu, in_U, in_V) -> int:
-    """`_check_witnesses` in int64 arrays, for `_tall_witnesses`' output.
+def _check_witness_arrays(cells, least, supp, rsum, rcap, csum, ccap, cover) -> None:
+    """`_check_witnesses` in integer arrays, for `solve`'s tall path and `sweep`.
 
-    The caps are int64 arrays, the flow is (fi, fj, fu), and U and V are
-    boolean arrays; the checks and their messages are those of
-    `_check_witnesses`; `solve`'s guard keeps their sums within int64.
+    `cells`, `supp` (cells carrying flow) and `cover` (cells the cover meets)
+    may be boolean cells or rows of bit codes, which `&` and `~` read alike;
+    `least` holds flow entries, or each mask's least one.  Same checks and messages.
     """
-    cells = mask.cells
-    if (fu <= 0).any():
+    if (least <= 0).any():
         raise AssertionError("coupling witness has a non-positive entry")
-    if not cells[fi, fj].all():
+    if (supp & ~cells).any():
         raise AssertionError("flow escaped the mask")
-    row_units = np.zeros(mask.rows, dtype=np.int64)
-    col_units = np.zeros(mask.cols, dtype=np.int64)
-    np.add.at(row_units, fi, fu)
-    np.add.at(col_units, fj, fu)
-    if (row_units > row_cap).any() or (col_units > col_cap).any():
+    if (rsum > rcap).any() or (csum > ccap).any():
         raise AssertionError("coupling witness exceeds a row or column cap")
-    if (cells[~in_U] & ~in_V).any():
+    if (cells & ~cover).any():
         raise AssertionError("cover witness misses a mask cell")
-    return int(fu.sum())
 
 
 def _max_flow(row_caps, col_caps, pairs, scale) -> tuple[list[int], list[bool], list[bool]]:
@@ -633,8 +634,8 @@ def sweep(rows: int, cols: int) -> tuple[int, int, Fraction]:
     R!/prod(m_c!) masks, m_c being how often code c occurs in it; these
     counts must sum to the mask count.  A multiset's own codes are moved by
     its column permutation and sorted into its representative's frame, and
-    checked there in integer arrays as `solve` checks one pair: no negative
-    entry, flow inside the cells, row and column sums within the caps read
+    checked there by `_check_witness_arrays`: no non-positive entry, flow
+    inside the cells, row and column sums within the caps read
     through the permutations, the cover meeting every cell, and the gap.
     """
     if rows < 1 or cols < 1:
@@ -673,14 +674,7 @@ def sweep(rows: int, cols: int) -> tuple[int, int, Fraction]:
     supp, rsum, cover, U = w[:, :R], w[:, R : 2 * R], w[:, 2 * R : 3 * R], w[:, 3 * R : 4 * R]
     csum, V = w[:, 4 * R : 4 * R + C], w[:, 4 * R + C : 4 * R + 2 * C]
 
-    if (w[:, -1] < 0).any():
-        raise AssertionError("coupling witness has a negative entry")
-    if (supp & ~codes).any():
-        raise AssertionError("flow escaped the mask")
-    if (rsum > rcap).any() or (csum > ccap).any():
-        raise AssertionError("coupling witness exceeds a row or column cap")
-    if (codes & ~cover).any():
-        raise AssertionError("cover witness misses a mask cell")
+    _check_witness_arrays(codes, w[:, -1], supp, rsum, rcap, csum, ccap, cover)
     gap = np.einsum("ij,ij->i", U, rcap) + np.einsum("ij,ij->i", V, ccap) - w[:, -2]
     return total, int(masks[gap != 0].sum()), Fraction(int(np.abs(gap).max()), scale)
 
@@ -731,7 +725,7 @@ def _frame_witnesses(cert: Certificate, flip: bool, R: int, C: int) -> list[int]
     U, V = (cert.cover.V, cert.cover.U) if flip else (cert.cover.U, cert.cover.V)
     v_code = sum(1 << c for c in V)
     cover = [(1 << C) - 1 if r in U else v_code for r in range(R)]
-    least = min((u for *_, u in cert.flow), default=0)
+    least = min((u for *_, u in cert.flow), default=1)  # an empty flow has no entry to refuse
     in_U, in_V = [r in U for r in range(R)], [c in V for c in range(C)]
     return supp + rsum + cover + in_U + csum + in_V + [sum(rsum), least]
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .duality import Coupling, Cover, MarginalCaps, SupportMask
-from .errors import ParseError
+from .errors import ParseError, check_budget
 from .generators import Enumeration, RevealingSelectors
 from .grid_measure import BinSet, FatCantor, UnitGrid
 from .records import Record
@@ -68,6 +68,7 @@ def parse_mask(text: str) -> SupportMask:
     rows, cols = int(head[0]), int(head[1])
     if rows < 1 or cols < 1:
         raise ParseError("mask dimensions must be positive", line=1)
+    check_budget("mask rows * cols", rows * cols)
     if len(lines) < rows + 1:
         raise ParseError(
             f"expected {rows} mask rows, found {len(lines) - 1}", line=len(lines) + 1

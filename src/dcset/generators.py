@@ -22,7 +22,7 @@ The stochastic batteries draw a range of replicas at once this way, as
 NaN-padded rows (`rows(base, replicas)`): `_sample_rows` (shared with
 `selector.sample_ensemble`), `_poisson_rows` (numpy's Poisson multiplication
 method as one cumulative product per row) and `_counterexample_rows` (gap
-picks read in column blocks of one PCG64 pass).  A row that runs out of drawn
+picks read one PCG64 pass of columns at a time).  A row that runs out of drawn
 doubles, or that the per-replica generator would not keep whole (a repeat, or
 a point outside its interval), is redrawn by `sample_uniform`,
 `poisson_on_cantor` or `counterexample_mix`, which stay the reference for
@@ -76,7 +76,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_LO, _PCG_HI = np.uint64(0x4385DF649FCCF645), np.uint64(0x2360ED051FC65DA4)
 
-# Entries (rows * columns) one batch PCG64 pass aims at; see _pcg64_blocks.
+# Entries (rows * columns) one batch PCG64 pass aims at; see _pcg64_block.
 # In fresh `distinguish --seed 1` processes (500 rows, so 8 columns a pass)
 # peak RSS was 57.9 MB, against 57.3 MB with one column a pass; 16384
 # (32 columns) took 59.3 MB and ran no faster, and 1024 (2 columns) ran
@@ -87,11 +87,10 @@ _LEAP_ENTRIES = 4096
 _SAMPLE, _WALK, _POISSON, _MIX_SAMPLE, _LOW, _MID, _HIGH = range(7)
 
 # Batch counterexample draws.  A Poisson row reads this many doubles; a count c
-# needs 2c + 1 of them.  Gap picks are read in blocks of _PICK_BLOCK columns,
-# up to _PICK_SLACK times the depth / gap-measure doubles a row needs on
-# average.  A row that runs out is drawn by the per-replica generator.
+# needs 2c + 1 of them.  Gap picks are read one PCG64 pass at a time, up to
+# _PICK_SLACK times the depth / gap-measure doubles a row needs on average.
+# A row that runs out is drawn by the per-replica generator.
 _POISSON_WIDTH = 24
-_PICK_BLOCK = 32
 _PICK_SLACK = 4
 # Entries per slice of a row-wise check, which bounds its temporaries.
 _SLICE_POINTS = 1 << 14
@@ -123,18 +122,18 @@ class Seed(Record):
         """R-by-size array whose row k is
         `Seed(self.value, replicas[k]).stream(*key).uniform(size=size)`, bit for bit.
 
-        Rows are drawn together by `_pcg64_blocks`, k columns of every row
+        Rows are drawn together by `_pcg64_block`, k columns of every row
         per array pass by PCG64's jump-ahead s <- a**k * s + B_k * inc.
         k = max(1, min(size, _LEAP_ENTRIES // rows)) gives a pass a few
-        thousand entries, so its numpy calls are not mostly overhead.  A replica index of 2**32 or more spans two spawn-key words
-        and is drawn by `stream`.  `replicas` may be a range, a list or an
-        integer array.
+        thousand entries, so its numpy calls are not mostly overhead.  A
+        replica index of 2**32 or more spans two spawn-key words and is drawn
+        by `stream`.  `replicas` may be a range, a list or an integer array.
         """
         reps = _replica_array(replicas)
         if reps.size and reps.min() < 0:
             raise BadParameter(f"replica index {reps.min()} negative")
         narrow = reps <= _M32
-        drawn = next(_pcg64_blocks(_seed_state(self.value, reps[narrow], key), size))
+        drawn = _pcg64_block(_seed_state(self.value, reps[narrow], key), size)
         if narrow.all():
             return drawn
         out = np.empty((len(reps), size))
@@ -280,36 +279,28 @@ def _pcg64_passes(state: np.ndarray, k: int):
         lo, hi = _pcg64_step(lo, hi, leap_lo, leap_hi, inc_lo, inc_hi)
 
 
-def _pcg64_blocks(state: np.ndarray, width: int):
-    """Successive R-by-width blocks of the doubles of the PCG64 generator
-    seeded from each row of `_seed_state`, in stream order.
+def _pcg64_block(state: np.ndarray, width: int) -> np.ndarray:
+    """R-by-width array of the first `width` doubles of the PCG64 generator
+    seeded from each row of `_seed_state`, one row each.
 
-    Columns j, j + k, j + 2k, ... of a row follow the LCG
-    s <- a**k * s + B_k * inc, so the blocks are cut from `_pcg64_passes`,
-    which draws k columns of every row per array pass; doubles past the end
-    of one block start the next.  k = max(1, min(width, _LEAP_ENTRIES // R)):
-    one column of a few hundred rows leaves each of a pass's ~30 numpy calls
-    mostly overhead, while from _LEAP_ENTRIES rows up one column fills a pass.
+    The columns come from `_pcg64_passes`, k of every row per array pass.
+    k = max(1, min(width, _LEAP_ENTRIES // R)): one column of a few hundred
+    rows leaves each of a pass's ~30 numpy calls mostly overhead, while from
+    _LEAP_ENTRIES rows up one column fills a pass.
     """
     rows = len(state)
     k = max(1, min(width, _LEAP_ENTRIES // max(rows, 1)))
     passes = _pcg64_passes(state, k)
-    # Passes are k-by-R and are written into the block transposed, at least
+    out = np.empty((rows, width))
+    # Passes are k-by-R and are written transposed, whole passes of at least
     # 8 columns at a time: written one column at a time, a 5000-row block
     # cost more than twice as much per double.
-    chunk = max(k, 8)
-    spare = np.empty((0, rows))
-    while True:
-        out = np.empty((rows, width))
-        for start in range(0, width, chunk):
-            n = min(chunk, width - start)
-            parts = [spare]
-            while sum(map(len, parts)) < n:
-                parts.append(next(passes))
-            cols = np.concatenate(parts)
-            out[:, start : start + n] = cols[:n].T
-            spare = cols[n:]
-        yield out
+    step = k * -(-8 // k)
+    for start in range(0, width, step):
+        n = min(step, width - start)
+        cols = np.concatenate([next(passes) for _ in range(-(-n // k))])
+        out[:, start : start + n] = cols[:n].T
+    return out
 
 
 def _as_seed(seed) -> Seed:
@@ -574,7 +565,8 @@ def _counterexample_rows(depth: int, cantor: FatCantor, base: Seed, replicas: ra
 
     The Poisson part comes from `_poisson_rows`.  The gap picks are the first
     `depth` doubles of each row's _MIX_SAMPLE substream that lie in a gap and
-    inside (0, 1), read for all rows together a block of columns at a time.
+    inside (0, 1), read for all rows together one `_pcg64_passes` pass at a
+    time, of k columns by `_pcg64_block`'s rule for width depth / gap measure.
     A row that runs short of picks, or that Enumeration would refuse (a pick
     repeated, or equal to a Poisson point), is drawn by counterexample_mix.
     """
@@ -584,13 +576,13 @@ def _counterexample_rows(depth: int, cantor: FatCantor, base: Seed, replicas: ra
     lengths = (~np.isnan(poisson)).sum(axis=1)
     points = np.full((len(replicas), poisson.shape[1] + depth), np.nan)
     points[:, : poisson.shape[1]] = poisson
-    state = _seed_state(base.value, replicas, (GENERATOR_DOMAIN, _MIX_SAMPLE))
-    blocks = _pcg64_blocks(state, _PICK_BLOCK)
+    k = max(1, min(math.ceil(depth / gap), _LEAP_ENTRIES // max(len(replicas), 1)))
+    passes = _pcg64_passes(_seed_state(base.value, replicas, (GENERATOR_DOMAIN, _MIX_SAMPLE)), k)
     have = np.zeros(len(replicas), dtype=np.int64)
     read = 0
     while read <= _PICK_SLACK * depth / gap and (short := np.flatnonzero(have < depth)).size:
-        block = next(blocks)[short]
-        read += _PICK_BLOCK
+        block = next(passes).T[short]
+        read += k
         keep = ~cantor.contains_points(block)  # 0 lies in C, so a gap double lies in (0, 1)
         slot = np.cumsum(keep, axis=1) + (have[short] - 1)[:, None]
         keep &= slot < depth

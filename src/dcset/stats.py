@@ -266,22 +266,13 @@ def two_sample_test(
             seed=seed,
             details={"buckets": 1, "note": "single bucket; arms indistinguishable"},
         )
-    table = np.zeros((2, n_buckets))
-    np.add.at(table, (0, labels[: xs.size]), 1)
-    np.add.at(table, (1, labels[xs.size :]), 1)
-    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / pooled.size
-    statistic = float(((table - expected) ** 2 / expected).sum())
-    df = n_buckets - 1
-    threshold = _chi2_quantile(1 - level, df)
+    # Arm against bucket.  Every bucket holds at least min_pooled values, so
+    # every expected count is at least 5 and the table is never too sparse.
+    arms = np.repeat([0, 1], [xs.size, ys.size])
+    report = chi_square_independence(arms, labels, 2, n_buckets, level, seed)
     return TestReport(
-        name=name,
-        statistic=statistic,
-        threshold=threshold,
-        level=level,
-        passed=statistic < threshold,
-        replicas=int(pooled.size),
-        seed=seed,
-        details={"buckets": n_buckets, "df": df},
+        name, report.statistic, report.threshold, level, report.passed, report.replicas, seed,
+        {"buckets": n_buckets, **report.details},
     )
 
 

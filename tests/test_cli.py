@@ -595,8 +595,11 @@ def _readme_budgets() -> list[tuple[str, str]]:
 
 
 # One call per README budget product, a little over it: the argv and the name
-# the refusal gives the product.
+# the refusal gives the product.  OVER_MASK is a header-only mask file that
+# test_readme_budget_exits_2 writes.
+OVER_MASK = "over-budget-mask.txt"
 _BUDGET_CALLS = {
+    ("duality", "mask rows x cols"): (["duality", OVER_MASK], "mask rows * cols"),
     ("simulate", "depth"): (["simulate", "sample", "--depth", "10000001"], "depth"),
     ("distinguish", "replicas x (depth + 1)"):
         (["distinguish", "--depth", "0", "--replicas", "10000001"], "replicas * (depth + 1)"),
@@ -615,11 +618,13 @@ _BUDGET_CALLS = {
 
 
 @pytest.mark.parametrize("budget", _readme_budgets(), ids=": ".join)
-def test_readme_budget_exits_2(budget):
+def test_readme_budget_exits_2(tmp_path, monkeypatch, budget):
     # Every documented budget binds: a call a little over it exits 2 before
     # drawing, naming its product.  A budget with no call fails here.
     assert budget in _BUDGET_CALLS, f"README budget {budget} has no call in _BUDGET_CALLS"
     argv, name = _BUDGET_CALLS[budget]
+    (tmp_path / OVER_MASK).write_text("5000 2001\n")  # 10,005,000 cells
+    monkeypatch.chdir(tmp_path)
     line = _exit_in_child([*argv, "--seed", "1"])
     refusal = re.fullmatch(rf"2 error: {re.escape(name)} = (\d+) exceeds the work budget {WORK_BUDGET}", line)
     assert refusal, line
@@ -739,8 +744,12 @@ def test_size_below_one_exits_2(capsys, argv):
         (["selector", "--seed", "1", "--replicas", "10"], "KS needs >= 20 values"),
         (["distinguish", "--seed", "1", "--replicas", "5", "--depth", "10"],
          "two-sample test needs >= 10 values per arm"),
+        # A contingency table too sparse for the chi-square test.
+        (["independence", "--seed", "1", "--replicas", "10"], "minimum expected cell count 0.4 below 5"),
+        (["independence", "--gen", "minima", "--steps", "3", "--seed", "1"],
+         "minimum expected cell count 0 below 5"),
     ],
-    ids=["stationarity", "selector", "distinguish"],
+    ids=["stationarity", "selector", "distinguish", "independence", "independence-minima"],
 )
 def test_too_few_replicas_exits_2(capsys, argv, message):
     # The flags alone decide these refusals, so they are usage errors.

@@ -661,6 +661,11 @@ def negate_flow(flow, cells):
     return [(i, j, -u) for i, j, u in flow]
 
 
+def zero_first_entry(flow, cells):
+    """The first flow entry kept on its cell with amount 0."""
+    return [(*flow[0][:2], 0), *flow[1:]] if flow else flow
+
+
 def add_flow_outside(flow, cells):
     """One unit on the first cell outside the mask, if there is one."""
     return flow + [(*np.argwhere(~cells)[0].tolist(), 1)] if not cells.all() else flow
@@ -781,16 +786,17 @@ class TestSweep:
         "shape, corrupt, message",
         [
             ((3, 3), lambda flow, cells: flow, None),
-            ((3, 3), negate_flow, "negative entry"),
+            ((3, 3), negate_flow, "non-positive entry"),
+            ((3, 3), zero_first_entry, "non-positive entry"),
             ((3, 3), add_flow_outside, "flow escaped the mask"),
             ((3, 1), pile_on_first_cell, "exceeds a row or column cap"),
             ((1, 3), pile_on_first_cell, "exceeds a row or column cap"),
             # A wide grid is swept in its transpose.
             ((2, 4), lambda flow, cells: flow, None),
-            ((2, 4), negate_flow, "negative entry"),
+            ((2, 4), negate_flow, "non-positive entry"),
             ((2, 4), add_flow_outside, "flow escaped the mask"),
         ],
-        ids=["unchanged", "negative", "outside", "row-over-cap", "column-over-cap",
+        ids=["unchanged", "negative", "zero", "outside", "row-over-cap", "column-over-cap",
              "unchanged-wide", "negative-wide", "outside-wide"],
     )
     def test_carried_flow_is_checked(self, monkeypatch, shape, corrupt, message):
@@ -878,7 +884,7 @@ class TestSweep:
         keys, perm, rep = duality._orbit_table(R, C, moved)
         scale, row_int, col_int = MarginalCaps.uniform(rows, cols).scaled()
         row_cap, col_cap = (col_int, row_int) if flip else (row_int, col_int)
-        messages = ["negative entry", "flow escaped the mask", "exceeds a row or column cap",
+        messages = ["non-positive entry", "flow escaped the mask", "exceeds a row or column cap",
                     "cover witness misses a mask cell", "gap"]
 
         def first_failure(frame, q, cert):
@@ -893,7 +899,7 @@ class TestSweep:
                 rsum[r] += u
                 csum[c] += u
             failed = [
-                any(u < 0 for _, u in flow),
+                any(u <= 0 for _, u in flow),
                 any(not frame[r, c] for (r, c), _ in flow),
                 any(rsum[r] > row_cap[rho[r]] for r in range(R))
                 or any(csum[c] > col_cap[perms[q][c]] for c in range(C)),

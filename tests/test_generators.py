@@ -38,7 +38,8 @@ from dcset.generators import (
     _counterexample_rows,
     _distinct_uniform,
     _minima_rows,
-    _pcg64_blocks,
+    _pcg64_block,
+    _pcg64_passes,
     _poisson_rows,
     _replica_array,
     _sample_rows,
@@ -108,11 +109,12 @@ class TestUniforms:
             Seed(3).uniforms([0, -1, 2], 1, 0)
 
     def test_blocks_continue_the_stream(self):
-        # Reading a stream in blocks does not change its order.
+        # Successive passes of k columns, concatenated, are the stream in order.
         seed = Seed(2**64 - 1)
-        blocks = _pcg64_blocks(_seed_state(seed.value, range(9), (0, 3)), 5)
-        got = np.hstack([next(blocks) for _ in range(4)])
-        assert np.array_equal(got, seed.uniforms(range(9), 0, 3, size=20))
+        for k in (1, 3, 8):
+            passes = _pcg64_passes(_seed_state(seed.value, range(9), (0, 3)), k)
+            got = np.concatenate([next(passes) for _ in range(5)]).T
+            assert np.array_equal(got, seed.uniforms(range(9), 0, 3, size=5 * k))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -121,32 +123,29 @@ class TestUniforms:
         rows=st.sampled_from(
             [0, 1, 3, _LEAP_ENTRIES // 5, _LEAP_ENTRIES // 2, _LEAP_ENTRIES, _LEAP_ENTRIES + 1]
         ),
-        reads=st.integers(1, 4),
         data=st.data(),
     )
-    def test_blocks_match_stream(self, value, key, rows, reads, data):
+    def test_blocks_match_stream(self, value, key, rows, data):
         # A pass draws k = max(1, min(width, _LEAP_ENTRIES // rows)) columns, so
-        # these row counts put k on both sides of 1.  A width that is not a
-        # multiple of k carries doubles from one block into the next.
+        # these row counts put k on both sides of 1, and of 8, the fewest
+        # columns a write takes; a width that is not a multiple of k leaves
+        # part of the last pass unread.
         widths = st.integers(0, 11)
         if rows <= 3:
             widths |= st.sampled_from([_LEAP_ENTRIES - 1, _LEAP_ENTRIES + 3])
         width = data.draw(widths, label="width")
-        blocks = _pcg64_blocks(_seed_state(value, range(rows), key), width)
-        got = [next(blocks) for _ in range(reads)]
-        assert all(block.shape == (rows, width) for block in got)
-        got = np.hstack(got)
+        got = _pcg64_block(_seed_state(value, range(rows), key), width)
+        assert got.shape == (rows, width)
         for r in range(rows):
-            expected = Seed(value, r).stream(*key).uniform(size=width * reads)
-            assert np.array_equal(got[r], expected)
+            assert np.array_equal(got[r], Seed(value, r).stream(*key).uniform(size=width))
 
     @pytest.mark.parametrize(
         "rows, width, reads", [(500, 200, 1), (500, 24, 1), (500, 32, 16), (5000, 64, 1)]
     )
     def test_benchmark_shapes_match_stream(self, rows, width, reads):
-        # The distinguish sample, Poisson and pick blocks, and the selector's tall draw.
-        blocks = _pcg64_blocks(_seed_state(1, range(rows), (0, 3)), width)
-        got = np.hstack([next(blocks) for _ in range(reads)])
+        # The distinguish sample and Poisson rows, 512 doubles of 500 rows,
+        # and the selector's tall draw, each drawn as one block.
+        got = _pcg64_block(_seed_state(1, range(rows), (0, 3)), width * reads)
         for r in (0, 1, rows - 1):
             assert np.array_equal(got[r], Seed(1, r).stream(0, 3).uniform(size=width * reads))
 
@@ -745,8 +744,9 @@ class TestBatchCounterexample:
 
     @pytest.mark.parametrize("slack", [0, 1])
     def test_rows_short_of_picks_are_redrawn(self, monkeypatch, slack):
-        # Slack 0 reads one block, so every row runs short; slack 1 leaves some short.
-        monkeypatch.setattr(generators, "_PICK_BLOCK", 8)
+        # At 100 rows a pass draws 8 columns.  Slack 0 reads one pass, so every
+        # row runs short; slack 1 leaves some short.
+        monkeypatch.setattr(generators, "_LEAP_ENTRIES", 800)
         monkeypatch.setattr(generators, "_PICK_SLACK", slack)
         monkeypatch.setattr(generators, "_POISSON_WIDTH", 3)
         calls = self.counted(monkeypatch, "counterexample_mix")
@@ -756,15 +756,18 @@ class TestBatchCounterexample:
             assert np.array_equal(row, counterexample_mix(20, CANTOR, Seed(32, r)).points)
 
     def test_repeated_pick_row_is_redrawn(self, monkeypatch):
-        blocks = generators._pcg64_blocks
+        passes = generators._pcg64_passes
+        picks = _seed_state(33, range(7, 13), (0, generators._MIX_SAMPLE))
 
-        def forged(state, width):
-            for block in blocks(state, width):
-                if width == generators._PICK_BLOCK:
-                    block[2, :2] = 0.5  # the centre of CANTOR's widest gap, picked twice
-                yield block
+        def forged(state, k):
+            drawn = passes(state, k)
+            if np.array_equal(state, picks):
+                first = next(drawn)
+                first[:2, 2] = 0.5  # the centre of CANTOR's widest gap, picked twice
+                yield first
+            yield from drawn
 
-        monkeypatch.setattr(generators, "_pcg64_blocks", forged)
+        monkeypatch.setattr(generators, "_pcg64_passes", forged)
         calls = self.counted(monkeypatch, "counterexample_mix")
         got = rows_of(_counterexample_rows(10, CANTOR, Seed(33), range(7, 13)))
         assert [args[2] for args in calls] == [Seed(33, 9)]

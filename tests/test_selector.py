@@ -78,17 +78,17 @@ class TestSampleEnsemble:
             assert np.array_equal(pts, sample_uniform(16, Seed(91, r)).points)
 
     def test_rejected_rows_rebuilt_by_sample_uniform(self, monkeypatch):
-        engine = generators._pcg64_blocks
+        engine = generators._pcg64_block
         drawn = {}
 
         def flawed(state, size):
-            out = next(engine(state, size))
+            out = engine(state, size)
             drawn["rows"] = out.copy()
             out[2, 3] = out[2, 1]  # a repeated point
             out[5, 0] = 0.0  # an open-interval endpoint
-            yield out
+            return out
 
-        monkeypatch.setattr(generators, "_pcg64_blocks", flawed)
+        monkeypatch.setattr(generators, "_pcg64_block", flawed)
         ens = sample_ensemble(6, 8, GRID8, 93)
         for r, pts in enumerate(replica_rows(ens)):
             assert np.array_equal(pts, sample_uniform(6, Seed(93, r)).points)

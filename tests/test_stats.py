@@ -10,7 +10,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dcset import (
@@ -56,6 +56,7 @@ from dcset.generators import (
 from dcset.errors import WORK_BUDGET
 from dcset.stats import (
     _CHI2_TABLE,
+    _bucket_labels,
     _chi2_quantile,
     _count_in_rows,
     _distinct,
@@ -224,6 +225,31 @@ class TestTwoSample:
     def test_constant_arms_trivially_pass(self):
         report = two_sample_test(np.full(50, 2.0), np.full(50, 2.0))
         assert report.passed and report.details["buckets"] == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        xs=st.lists(st.integers(0, 30) | st.floats(0, 1), min_size=10, max_size=80),
+        ys=st.lists(st.integers(0, 30) | st.floats(0, 1), min_size=10, max_size=80),
+        level=st.sampled_from([0.01, 1e-6, 0.05]),
+    )
+    def test_matches_inline_pearson_statistic(self, xs, ys, level):
+        # The 2-by-buckets table, statistic and threshold as two_sample_test
+        # once built them itself, kept here as the oracle.
+        xs, ys = np.array(xs, dtype=float), np.array(ys, dtype=float)
+        pooled = np.concatenate([xs, ys])
+        min_pooled = max(10, math.ceil(5 * pooled.size / min(xs.size, ys.size)))
+        labels, n_buckets = _bucket_labels(pooled, min_pooled)
+        assume(n_buckets >= 2)
+        table = np.zeros((2, n_buckets))
+        np.add.at(table, (0, labels[: xs.size]), 1)
+        np.add.at(table, (1, labels[xs.size :]), 1)
+        expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / pooled.size
+        statistic = float(((table - expected) ** 2 / expected).sum())
+        threshold = _chi2_quantile(1 - level, n_buckets - 1)
+        details = {"buckets": n_buckets, "df": n_buckets - 1}
+        want = stats.TestReport("arms", statistic, threshold, level, statistic < threshold, pooled.size, 7, details)
+        got = two_sample_test(xs, ys, level, seed=7, name="arms")
+        assert got == want and list(got.details) == list(details)
 
     @pytest.mark.parametrize(
         "values",
