@@ -105,6 +105,8 @@ def _int_list(text: str, flag: str) -> list[int]:
 
 def cmd_duality(args) -> int:
     if args.sweep:
+        if args.mask or args.row_caps or args.col_caps:
+            raise BadParameter("--sweep takes no mask file, --row-caps or --col-caps: it sweeps under uniform caps")
         rows, cols = args.sweep
         count, nonzero, worst = sweep(rows, cols)
         report = {

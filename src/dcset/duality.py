@@ -23,12 +23,17 @@ not: the masks that shrink are tall, and splitting columns too would cost a
 second expansion on every small mask.  From `_TALL_ROWS` rows up, the
 classes are keyed from packed row codes, split and checked in int64 array
 passes (`_tall_witnesses`), with the same classes, flow, cover and messages
-as the loop over rows that smaller masks keep.  The
-frequency-profile machinery at the bottom handles periodic set sequences:
-exact limit frequencies, their product factorization, and the limsup witness
-rectangle.  It reads each sequence's 0/1 rows periodically in one gather, so
-the horizon (for a profile) and the joint period (for a limsup mask) times
-either bin count may not exceed `errors.WORK_BUDGET`.
+as the loop over rows that smaller masks keep.  `sweep` certifies every
+mask of a small grid: it solves one representative per orbit under row and
+column permutations, all of them in one flow over their disjoint union
+(`_orbit_flows`), and finds each orbit's representative by ranking row-code
+histograms, read as base R + 1 numbers that float64 holds exactly
+(`_orbit_table`).  The frequency-profile machinery at the bottom handles
+periodic set sequences: exact limit frequencies, their product
+factorization, and the limsup witness rectangle.  It reads each sequence's
+0/1 rows periodically in one gather, so the horizon (for a profile) and the
+joint period (for a limsup mask) times either bin count may not exceed
+`errors.WORK_BUDGET`.
 """
 
 from __future__ import annotations
@@ -478,7 +483,7 @@ def _check_witness_arrays(cells, least, supp, rsum, rcap, csum, ccap, cover) -> 
 
     `cells`, `supp` (cells carrying flow) and `cover` (cells the cover meets)
     may be boolean cells or rows of bit codes, which `&` and `~` read alike;
-    `least` holds flow entries, or each mask's least one.  Same checks and messages.
+    `least` holds the flow entries.  Same checks and messages.
     """
     if (least <= 0).any():
         raise AssertionError("coupling witness has a non-positive entry")
@@ -621,22 +626,24 @@ def sweep(rows: int, cols: int) -> tuple[int, int, Fraction]:
     Returns (masks, nonzero, worst): the mask count, how many masks have a
     nonzero gap, and the largest absolute gap.  Uniform caps are unchanged by
     row and column permutations, so each orbit of the two is solved once, at
-    its representative (see `_orbit_table`), in ascending bit order.
+    its representative (see `_orbit_table`).
 
     The sweep works in the taller frame, the transpose when cols > rows: a
-    mask is R row codes of C <= 4 bits.  Each representative's witnesses are
-    kept in its own frame as one row: flow-support row codes, row sums, cover
-    row codes (every bit for a row of U, else V's code), U, column sums, V,
-    mass and least flow entry.
+    mask is R row codes of C <= 4 bits.  All representatives are solved by
+    one max flow over their disjoint union (`_orbit_flows`), and each one's
+    witnesses are gathered in its own frame in array passes: flow-support row
+    codes, row sums, cover row codes (every bit for a row of U, else V's
+    code), U, column sums and V.
 
     Masks with the same multiset of rows differ by a row permutation, which
     moves no uniform cap, so each multiset is checked once and stands for
-    R!/prod(m_c!) masks, m_c being how often code c occurs in it; these
-    counts must sum to the mask count.  A multiset's own codes are moved by
-    its column permutation and sorted into its representative's frame, and
-    checked there by `_check_witness_arrays`: no non-positive entry, flow
-    inside the cells, row and column sums within the caps read
-    through the permutations, the cover meeting every cell, and the gap.
+    R!/prod(m_c!) masks, m_c being how often code c occurs in it (its row-code
+    histogram); these counts must sum to the mask count.  A multiset's own
+    codes are moved by its column permutation and sorted into its
+    representative's frame, and checked there by `_check_witness_arrays`: no
+    non-positive flow entry, flow inside the cells, row and column sums within
+    the caps read through the permutations, the cover meeting every cell, and
+    the gap.
     """
     if rows < 1 or cols < 1:
         raise BadParameter("sweep bounds must be positive")
@@ -648,18 +655,19 @@ def sweep(rows: int, cols: int) -> tuple[int, int, Fraction]:
     R, C = (cols, rows) if flip else (rows, cols)
     row_cap, col_cap = map(np.array, (col_int, row_int) if flip else (row_int, col_int))
     perms, moved = _column_moves(C)
-    keys, perm, rep = _orbit_table(R, C, moved)
+    keys, perm, rep, hist = _orbit_table(R, C, moved)
     reps, rep_index = np.unique(rep, return_inverse=True)
-    witnesses = []
-    for cells in ((reps[:, None] >> np.arange(R * C)) & 1).astype(bool).reshape(-1, R, C):
-        cert = solve(SupportMask(cells.T if flip else cells), caps)
-        witnesses.append(_frame_witnesses(cert, flip, R, C))
-    w = np.array(witnesses, dtype=np.int64)[rep_index]
+    cells = ((reps[:, None] >> np.arange(R * C)) & 1).astype(bool).reshape(-1, R, C)
+    fq, fr, fc, fu, U, V = _orbit_flows(cells, row_cap, col_cap, scale)
+    supp, rsum = np.zeros((2, len(reps), R), dtype=np.int64)
+    csum = np.zeros((len(reps), C), dtype=np.int64)
+    np.bitwise_or.at(supp, (fq, fr), 1 << fc)
+    np.add.at(rsum, (fq, fr), fu)
+    np.add.at(csum, (fq, fc), fu)
+    cover = np.where(U, (1 << C) - 1, (V @ (1 << np.arange(C)))[:, None])
 
-    codes = ((keys[:, None] >> C * np.arange(R)) & ((1 << C) - 1)).astype(np.uint8)
     factorial = np.array([math.factorial(k) for k in range(R + 1)], dtype=np.int64)
-    repeats = (codes[:, :, None] == np.arange(1 << C)).sum(axis=1)
-    masks = factorial[R] // factorial[repeats].prod(axis=1)
+    masks = factorial[R] // factorial[hist].prod(axis=1)
     total = int(masks.sum())
     if total != 1 << (rows * cols):
         raise AssertionError(f"row multisets count {total} masks, not 2**{rows * cols}")
@@ -667,16 +675,46 @@ def sweep(rows: int, cols: int) -> tuple[int, int, Fraction]:
     # then rows sorted, each carrying its own index in the low four bits (R
     # <= 16 rows and codes < 16 share a byte), so rho[:, r] is the row that
     # lands on row r.
-    p = perm.astype(np.intp)
-    tagged = np.sort((moved[(p << C)[:, None] | codes] << 4) | np.arange(R, dtype=np.uint8), axis=1)
+    codes = ((keys[:, None] >> C * np.arange(R)) & ((1 << C) - 1)).astype(np.uint8)
+    tagged = np.sort((moved[(perm << C)[:, None] | codes] << 4) | np.arange(R, dtype=np.uint8), axis=1)
     codes, rho = tagged >> 4, tagged & 15
-    rcap, ccap = row_cap[rho], col_cap[perms[p]]
-    supp, rsum, cover, U = w[:, :R], w[:, R : 2 * R], w[:, 2 * R : 3 * R], w[:, 3 * R : 4 * R]
-    csum, V = w[:, 4 * R : 4 * R + C], w[:, 4 * R + C : 4 * R + 2 * C]
+    rcap, ccap = row_cap[rho], col_cap[perms[perm]]
+    supp, rsum, cover, U, csum, V = (w[rep_index] for w in (supp, rsum, cover, U, csum, V))
 
-    _check_witness_arrays(codes, w[:, -1], supp, rsum, rcap, csum, ccap, cover)
-    gap = np.einsum("ij,ij->i", U, rcap) + np.einsum("ij,ij->i", V, ccap) - w[:, -2]
+    # Every representative is some multiset's, so checking every flow entry
+    # checks each multiset's entries; a representative with no flow has none.
+    _check_witness_arrays(codes, fu, supp, rsum, rcap, csum, ccap, cover)
+    gap = (U * rcap).sum(axis=1) + (V * ccap).sum(axis=1) - rsum.sum(axis=1)
     return total, int(masks[gap != 0].sum()), Fraction(int(np.abs(gap).max()), scale)
+
+
+def _orbit_flows(cells: np.ndarray, row_cap, col_cap, scale: int) -> tuple[np.ndarray, ...]:
+    """Every representative's flow and min cut from one max flow, in `sweep`'s frame.
+
+    `cells` holds Q representatives' R-by-C cells.  They form one bipartite
+    network: representative q's row r is row node q*R + r with cap
+    row_cap[r], its column c is column node q*C + c with cap col_cap[c], and
+    each of its true cells is a pair.  No pair joins two representatives, so
+    the network is their disjoint union: its max flow is theirs side by side,
+    and the residual search that ends `_max_flow` marks each one's min cut
+    (Ford & Fulkerson 1956).  Returns the flow entries, every pair with
+    nonzero units, as four arrays (representative, row, column, units), then
+    U (Q by R) and V (Q by C) as boolean arrays.
+    """
+    Q, R, C = cells.shape
+    fq, fr, fc = np.nonzero(cells)
+    units, cut, reached = _max_flow(
+        np.tile(row_cap, Q).tolist(),
+        np.tile(col_cap, Q).tolist(),
+        list(zip((fq * R + fr).tolist(), (fq * C + fc).tolist())),
+        scale,
+    )
+    units = np.array(units, dtype=np.int64)
+    flows = units != 0
+    return (
+        fq[flows], fr[flows], fc[flows], units[flows],
+        np.array(cut).reshape(Q, R), np.array(reached).reshape(Q, C),
+    )
 
 
 def _column_moves(C: int) -> tuple[np.ndarray, np.ndarray]:
@@ -691,43 +729,34 @@ def _column_moves(C: int) -> tuple[np.ndarray, np.ndarray]:
     return perms, moved.sum(axis=2, dtype=np.uint8).ravel()
 
 
-def _orbit_table(R: int, C: int, moved: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _orbit_table(R: int, C: int, moved: np.ndarray) -> tuple[np.ndarray, ...]:
     """Every multiset of R codes of C bits, with its orbit's representative.
 
     A mask in `sweep`'s frame is R row codes of C bits, row r at bits
     C*r..C*r+C-1 of its number; sorting its codes and packing them so gives
-    its key, which names its multiset of rows.  Returns (keys, perm, rep):
-    every key, the column permutation (an index into `_column_moves(C)`)
-    whose moved codes, sorted, pack least, and that least packing.  It is
-    the same for all masks one row and column permutation apart, and no two
-    other masks share it, so it is their orbit's representative.
+    its key, which names its multiset of rows.  Returns (keys, perm, rep,
+    hist): every key, the column permutation (an index into
+    `_column_moves(C)`) whose moved codes, sorted, pack least, that least
+    packing, and the key's row-code histogram (hist[k, c] rows of code c).
+    The representative is the same for all masks one row and column
+    permutation apart, and no two other masks share it, so it names their orbit.
+
+    Sorted packings order as the histograms read as numbers in base R + 1,
+    sum_c hist[c] (R+1)**c: both compare the largest codes' counts first.  So
+    one product ranks every key's C! moved images, and the first least rank
+    picks the first permutation that packs least.  The ranks are integers of
+    at most R (R+1)**(2**C - 1) <= 4 * 5**15 < 2**53 for R*C <= 16 and
+    C <= 4, as are the product's partial sums, so float64 holds them exactly.
     """
     weights = 1 << C * np.arange(R)
     rows = combinations_with_replacement(range(1 << C), R)
     rows = np.fromiter(chain.from_iterable(rows), dtype=np.uint8).reshape(-1, R)
-    keys = rows @ weights
-    rep, perm = keys.copy(), np.zeros(len(keys), dtype=np.int8)  # permutation 0 moves nothing
-    for p in range(1, len(moved) >> C):
-        packed = np.sort(moved[p << C : (p + 1) << C][rows], axis=1) @ weights
-        less = packed < rep
-        rep[less], perm[less] = packed[less], p
-    return keys, perm, rep
-
-
-def _frame_witnesses(cert: Certificate, flip: bool, R: int, C: int) -> list[int]:
-    """A representative's witnesses in `sweep`'s R-by-C frame, as one row."""
-    supp, rsum, csum = [0] * R, [0] * R, [0] * C
-    for i, j, u in cert.flow:
-        r, c = (j, i) if flip else (i, j)
-        supp[r] |= 1 << c
-        rsum[r] += u
-        csum[c] += u
-    U, V = (cert.cover.V, cert.cover.U) if flip else (cert.cover.U, cert.cover.V)
-    v_code = sum(1 << c for c in V)
-    cover = [(1 << C) - 1 if r in U else v_code for r in range(R)]
-    least = min((u for *_, u in cert.flow), default=1)  # an empty flow has no entry to refuse
-    in_U, in_V = [r in U for r in range(R)], [c in V for c in range(C)]
-    return supp + rsum + cover + in_U + csum + in_V + [sum(rsum), least]
+    K = len(rows)
+    hist = np.bincount(((np.arange(K) << C)[:, None] | rows).ravel(), minlength=K << C).reshape(K, 1 << C)
+    place = ((R + 1) ** moved.astype(np.int64)).reshape(-1, 1 << C).T.astype(np.float64)
+    perm = (hist.astype(np.float64) @ place).argmin(axis=1)
+    rep = np.sort(moved[(perm << C)[:, None] | rows], axis=1) @ weights
+    return rows @ weights, perm, rep, hist
 
 
 class ChainReport(Record):

@@ -50,6 +50,26 @@ class TestDuality:
     def test_sweep_too_large(self, tmp_path):
         assert main(["duality", "--sweep", "5", "4"]) == 2
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["{mask}"], ["--row-caps", "{caps}", "--col-caps", "{caps}"], ["--col-caps", "{caps}"],
+         ["--config", "{conf}"]],
+        ids=["mask-file", "caps-flags", "one-caps-flag", "caps-from-config"],
+    )
+    def test_sweep_refuses_a_mask_file_or_caps(self, tmp_path, capsys, extra):
+        # The sweep runs under uniform caps over every mask, so a mask file or
+        # caps, from a flag or a config file, would go unused: exit 2.
+        paths = {"mask": tmp_path / "m.txt", "caps": tmp_path / "r.csv", "conf": tmp_path / "conf.json"}
+        paths["mask"].write_text("2 2\n10\n01\n")
+        paths["caps"].write_text("0,1/2\n1,1/2\n")
+        paths["conf"].write_text(json.dumps({"row-caps": str(paths["caps"]), "col-caps": str(paths["caps"])}))
+        assert main(["duality", "--sweep", "2", "2", *(a.format(**paths) for a in extra)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --sweep takes no mask file, --row-caps or --col-caps: it sweeps under uniform caps\n"
+        )
+
     def test_diagonal_mask_file(self, tmp_path):
         mask = tmp_path / "diag.txt"
         mask.write_text("2 2\n10\n01\n")

@@ -671,17 +671,65 @@ def add_flow_outside(flow, cells):
     return flow + [(*np.argwhere(~cells)[0].tolist(), 1)] if not cells.all() else flow
 
 
-def _with_witnesses(cert: Certificate, flow=None, cover=None) -> Certificate:
-    """`cert` with its flow or cover witness swapped, every other field kept."""
-    return Certificate(
-        cert.mask,
-        cert.caps,
-        cert.scale,
-        cert.flow if flow is None else flow,
-        cert.mass_units,
-        cert.cover if cover is None else cover,
-        cert.cost_units,
-    )
+def move_first_entry_along_its_row(flow, cells):
+    """The first entry moves to the next other cell of its row, if there is one:
+    row sums keep, and on a full mask the column it joins, already full,
+    exceeds its cap."""
+    if not flow:
+        return flow
+    i, j, u = flow[0]
+    others = [k for k in np.flatnonzero(cells[i]).tolist() if k != j]
+    return [(i, others[0], u), *flow[1:]] if others else flow
+
+
+def sweep_representatives(monkeypatch, edit=None) -> list:
+    """Record every representative `sweep` solves in its one flow network.
+
+    Returns the list that collects, per representative, its cells in the
+    sweep's frame, its flow entries as (row, col, units) and its cut as sets
+    U of rows and V of columns, as `_orbit_flows` gives them.  With `edit`,
+    `edit(cells, flow, U, V)` returns the (flow, U, V) that the sweep checks.
+    """
+    seen = []
+    inner = duality._orbit_flows
+
+    def recorded(cells, *args):
+        fq, fr, fc, fu, U, V = inner(cells, *args)
+        entries, U, V = [], U.copy(), V.copy()
+        for q, rep in enumerate(cells):
+            at = fq == q
+            flow = list(zip(fr[at].tolist(), fc[at].tolist(), fu[at].tolist()))
+            cut = set(np.flatnonzero(U[q]).tolist()), set(np.flatnonzero(V[q]).tolist())
+            seen.append((rep, flow, *cut))
+            if edit is not None:
+                flow, *cut = edit(rep, flow, *cut)
+                U[q], V[q] = [r in cut[0] for r in range(U.shape[1])], [c in cut[1] for c in range(V.shape[1])]
+            entries += [(q, r, c, u) for r, c, u in flow]
+        return (*np.array(entries, dtype=np.int64).reshape(-1, 4).T, U, V)
+
+    monkeypatch.setattr(duality, "_orbit_flows", recorded)
+    return seen
+
+
+def number(bits) -> int:
+    """The bit number of a 0/1 sequence, bit k first."""
+    return sum(1 << k for k, bit in enumerate(bits) if bit)
+
+
+def reference_orbit_table(R: int, C: int, moved: np.ndarray) -> tuple:
+    """Oracle: `_orbit_table`'s keys, permutations and representatives by a
+    loop over the permutations, each key keeping the first whose moved codes,
+    sorted, pack strictly least."""
+    weights = 1 << C * np.arange(R)
+    rows = itertools.combinations_with_replacement(range(1 << C), R)
+    rows = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.uint8).reshape(-1, R)
+    keys = rows @ weights
+    rep, perm = keys.copy(), np.zeros(len(keys), dtype=np.int8)  # permutation 0 moves nothing
+    for p in range(1, len(moved) >> C):
+        packed = np.sort(moved[p << C : (p + 1) << C][rows], axis=1) @ weights
+        less = packed < rep
+        rep[less], perm[less] = packed[less], p
+    return keys, perm, rep
 
 
 class TestSweep:
@@ -689,20 +737,23 @@ class TestSweep:
         "n, m",
         [(n, m) for n in range(1, 5) for m in range(1, 5)] + [(1, 16), (16, 1), (2, 8), (8, 2)],
     )
-    def test_every_mask_certified(self, n, m):
+    def test_every_mask_certified(self, monkeypatch, n, m):
+        reps = sweep_representatives(monkeypatch)
         assert sweep(n, m) == (2 ** (n * m), 0, Fraction(0))
+        # Each representative's share of the one network has the mass and
+        # cover cost of its own solve.
+        scale, row_int, col_int = MarginalCaps.uniform(n, m).scaled()
+        row_cap, col_cap = (col_int, row_int) if m > n else (row_int, col_int)
+        for cells, flow, U, V in reps:
+            cert = solve(SupportMask(cells.T if m > n else cells))
+            assert sum(u for *_, u in flow) == cert.mass_units
+            assert sum(row_cap[r] for r in U) + sum(col_cap[c] for c in V) == cert.cost_units
 
     def test_4x4_solves_fewer_masks_than_column_multisets(self, monkeypatch):
         # C(16 + 4 - 1, 4) = 3,876 multisets of four 4-bit columns.
-        calls = []
-
-        def counted(mask, caps=None):
-            calls.append(mask)
-            return solve(mask, caps)
-
-        monkeypatch.setattr(duality, "solve", counted)
+        reps = sweep_representatives(monkeypatch)
         assert sweep(4, 4) == (65536, 0, Fraction(0))
-        assert 0 < len(calls) < math.comb(16 + 4 - 1, 4)
+        assert 0 < len(reps) < math.comb(16 + 4 - 1, 4)
 
     @pytest.mark.parametrize(
         "shape, orbits",
@@ -713,25 +764,17 @@ class TestSweep:
         ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v),
     )
     def test_each_representative_solved_once(self, monkeypatch, shape, orbits):
-        # One solve per orbit under row and column permutations; OEIS A028657
-        # counts the orbits of binary n-by-m matrices (Harary 1958).
-        masks = []
-
-        def recorded(mask, caps=None):
-            masks.append(mask.cells.tobytes())
-            return solve(mask, caps)
-
-        monkeypatch.setattr(duality, "solve", recorded)
+        # One representative per orbit under row and column permutations;
+        # OEIS A028657 counts the orbits of binary n-by-m matrices (Harary 1958).
+        reps = sweep_representatives(monkeypatch)
         assert sweep(*shape) == (2 ** (shape[0] * shape[1]), 0, Fraction(0))
+        masks = [cells.tobytes() for cells, *_ in reps]
         assert len(masks) == len(set(masks)) == orbits
 
     @pytest.mark.parametrize("rows, cols", [(2, 3), (3, 3)])
     def test_masks_share_a_representative_exactly_when_permutations_join_them(
         self, monkeypatch, rows, cols
     ):
-        def number(bits):
-            return sum(1 << k for k, bit in enumerate(bits) if bit)
-
         masks = [SupportMask.from_bits(rows, cols, b).cells for b in range(1 << (rows * cols))]
         # Brute force: an orbit is named by its least bit number.
         orbit = [
@@ -743,7 +786,7 @@ class TestSweep:
         # The sweep's frame is the taller one: R row codes of C bits.
         R, C = max(rows, cols), min(rows, cols)
         perms, moved = duality._column_moves(C)
-        keys, perm, rep = duality._orbit_table(R, C, moved)
+        keys, perm, rep, _ = duality._orbit_table(R, C, moved)
         perm_of = dict(zip(keys.tolist(), perm.tolist()))
         rep_of = dict(zip(keys.tolist(), rep.tolist()))
         assigned = []
@@ -759,26 +802,30 @@ class TestSweep:
         # Same representative exactly when same orbit.
         assert len(set(zip(orbit, assigned))) == len(set(orbit)) == len(set(assigned))
 
-        solved = []
-
-        def recorded(mask, caps=None):
-            cells = mask.cells.T if cols > rows else mask.cells
-            solved.append(number(cells.ravel()))
-            return solve(mask, caps)
-
-        monkeypatch.setattr(duality, "solve", recorded)
+        reps = sweep_representatives(monkeypatch)
         sweep(rows, cols)
-        assert sorted(solved) == sorted(set(assigned))
+        assert sorted(number(cells.ravel()) for cells, *_ in reps) == sorted(set(assigned))
+
+    @pytest.mark.parametrize("R, C", [(R, C) for C in range(1, 5) for R in range(C, 17) if R * C <= 16])
+    def test_histogram_ranking_equals_the_permutation_loop(self, R, C):
+        perms, moved = duality._column_moves(C)
+        keys, perm, rep, hist = duality._orbit_table(R, C, moved)
+        for got, want in zip((keys, perm, rep), reference_orbit_table(R, C, moved)):
+            np.testing.assert_array_equal(got, want)
+        codes = (keys[:, None] >> C * np.arange(R)) & ((1 << C) - 1)
+        np.testing.assert_array_equal(hist, (codes[:, :, None] == np.arange(1 << C)).sum(axis=1))
+        # The ranks in exact integers: the largest is the full mask's,
+        # R (R+1)**(2**C - 1), at most 4 * 5**15 (4x4), so float64 holds them.
+        ranks = hist @ ((R + 1) ** moved.astype(np.int64)).reshape(-1, 1 << C).T
+        assert ranks.max() == R * (R + 1) ** ((1 << C) - 1) <= 4 * 5**15 < 2**53
 
     def test_wrong_representative_certificate_is_caught(self, monkeypatch):
         # The full mask is its own representative; answering it with the
-        # empty mask's certificate leaves its cells uncovered.
-        empty = solve(SupportMask.empty(3, 3))
+        # empty mask's witnesses (no flow, empty cut) leaves its cells uncovered.
+        def answer_full_with_empty(cells, flow, U, V):
+            return ([], set(), set()) if cells.all() else (flow, U, V)
 
-        def answer_full_with_empty(mask, caps=None):
-            return empty if mask.cells.all() else solve(mask, caps)
-
-        monkeypatch.setattr(duality, "solve", answer_full_with_empty)
+        sweep_representatives(monkeypatch, answer_full_with_empty)
         with pytest.raises(AssertionError, match="cover witness misses a mask cell"):
             sweep(3, 3)
 
@@ -790,36 +837,43 @@ class TestSweep:
             ((3, 3), zero_first_entry, "non-positive entry"),
             ((3, 3), add_flow_outside, "flow escaped the mask"),
             ((3, 1), pile_on_first_cell, "exceeds a row or column cap"),
+            # Swept as its 3x1 transpose: the overfilled column is a frame row.
             ((1, 3), pile_on_first_cell, "exceeds a row or column cap"),
+            ((3, 3), move_first_entry_along_its_row, "exceeds a row or column cap"),
             # A wide grid is swept in its transpose.
             ((2, 4), lambda flow, cells: flow, None),
             ((2, 4), negate_flow, "non-positive entry"),
             ((2, 4), add_flow_outside, "flow escaped the mask"),
         ],
         ids=["unchanged", "negative", "zero", "outside", "row-over-cap", "column-over-cap",
-             "unchanged-wide", "negative-wide", "outside-wide"],
+             "frame-column-over-cap", "unchanged-wide", "negative-wide", "outside-wide"],
     )
     def test_carried_flow_is_checked(self, monkeypatch, shape, corrupt, message):
-        def corrupted(mask, caps=None):
-            cert = solve(mask, caps)
-            return _with_witnesses(cert, flow=corrupt(cert.flow, mask.cells))
-
-        monkeypatch.setattr(duality, "solve", corrupted)
+        sweep_representatives(monkeypatch, lambda cells, flow, U, V: (corrupt(flow, cells), U, V))
         if message is None:
             assert sweep(*shape) == (2 ** (shape[0] * shape[1]), 0, Fraction(0))
         else:
             with pytest.raises(AssertionError, match=message):
                 sweep(*shape)
 
-    def test_carried_cover_is_checked(self, monkeypatch):
-        def drop_a_cover_row(mask, caps=None):
-            cert = solve(mask, caps)
-            U = cert.cover.U
-            if U:
-                return _with_witnesses(cert, cover=Cover(U - {min(U)}, cert.cover.V))
-            return cert
+    def test_negative_network_flow_is_refused(self, monkeypatch):
+        # A flow entry is every pair with nonzero units, so a negative amount
+        # out of the max flow reaches the sign check instead of being dropped.
+        inner = duality._max_flow
 
-        monkeypatch.setattr(duality, "solve", drop_a_cover_row)
+        def negated(*args):
+            units, cut, reached = inner(*args)
+            return [-u for u in units], cut, reached
+
+        monkeypatch.setattr(duality, "_max_flow", negated)
+        with pytest.raises(AssertionError, match="non-positive entry"):
+            sweep(2, 2)
+
+    def test_carried_cover_is_checked(self, monkeypatch):
+        def drop_a_cover_row(cells, flow, U, V):
+            return flow, U - {min(U)} if U else U, V
+
+        sweep_representatives(monkeypatch, drop_a_cover_row)
         for shape in ((3, 3), (2, 4)):  # 2x4 is swept in its transpose
             with pytest.raises(AssertionError, match="cover witness misses a mask cell"):
                 sweep(*shape)
@@ -827,11 +881,7 @@ class TestSweep:
     def test_gap_comes_from_carried_witnesses(self, monkeypatch):
         # Dropping one flow entry leaves a feasible but short coupling, so
         # every nonempty 2x2 mask shows a gap of one unit, 1/2.
-        def drop_a_flow_entry(mask, caps=None):
-            cert = solve(mask, caps)
-            return _with_witnesses(cert, flow=cert.flow[1:])
-
-        monkeypatch.setattr(duality, "solve", drop_a_flow_entry)
+        sweep_representatives(monkeypatch, lambda cells, flow, U, V: (flow[1:], U, V))
         assert sweep(2, 2) == (16, 15, Fraction(1, 2))
 
     @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3), (2, 4), (1, 16)],
@@ -850,23 +900,16 @@ class TestSweep:
         # Make every multiset its own representative, then inflate one
         # multiset's cover to all rows and columns: only its masks show a gap.
         def own_representatives(R, C, moved):
-            keys, perm, rep = orbit_table(R, C, moved)
-            return keys, np.zeros_like(perm), keys.copy()
+            keys, perm, rep, hist = orbit_table(R, C, moved)
+            return keys, np.zeros_like(perm), keys.copy(), hist
 
         orbit_table = duality._orbit_table
         monkeypatch.setattr(duality, "_orbit_table", own_representatives)
-        solved = {}
 
-        def inflated(mask, caps=None):
-            frame = mask.cells.T if flip else mask.cells
-            if frame.tobytes() not in solved:
-                solved[frame.tobytes()] = solve(mask, caps)
-            cert = solved[frame.tobytes()]
-            if int(frame.ravel() @ (1 << np.arange(R * C))) != target:
-                return cert
-            return _with_witnesses(cert, cover=Cover(range(rows), range(cols)))
+        def inflated(cells, flow, U, V):
+            return (flow, set(range(R)), set(range(C))) if number(cells.ravel()) == target else (flow, U, V)
 
-        monkeypatch.setattr(duality, "solve", inflated)
+        sweep_representatives(monkeypatch, inflated)
         for target, count in masks_of.items():
             total, nonzero, worst = sweep(rows, cols)
             assert (total, nonzero) == (1 << (rows * cols), count)
@@ -876,31 +919,34 @@ class TestSweep:
     def test_corrupted_permutation_caught_as_per_mask(self, monkeypatch, shape, caught):
         # One key's column permutation is moved to the next one.  The sweep
         # must fail or show a gap exactly where checking each of that key's
-        # masks in the corrupted frame does.
+        # masks in the corrupted frame, against its representative's
+        # witnesses from the one network, does.
         rows, cols = shape
         flip = cols > rows
         R, C = (cols, rows) if flip else (rows, cols)
         perms, moved = duality._column_moves(C)
-        keys, perm, rep = duality._orbit_table(R, C, moved)
+        keys, perm, rep, _ = duality._orbit_table(R, C, moved)
         scale, row_int, col_int = MarginalCaps.uniform(rows, cols).scaled()
         row_cap, col_cap = (col_int, row_int) if flip else (row_int, col_int)
         messages = ["non-positive entry", "flow escaped the mask", "exceeds a row or column cap",
                     "cover witness misses a mask cell", "gap"]
+        with monkeypatch.context() as patched:
+            reps = sweep_representatives(patched)
+            sweep(rows, cols)
+        witnesses = {number(cells.ravel()): rest for cells, *rest in reps}
 
-        def first_failure(frame, q, cert):
+        def first_failure(frame, q, flow, U, V):
             """Index into `messages` of the first check that `frame` fails, or None."""
             frame = frame[:, perms[q]]
             rho = sorted(range(R), key=lambda r: frame[r].tolist()[::-1])
             frame = frame[rho]
-            flow = [((j, i) if flip else (i, j), u) for i, j, u in cert.flow]
-            U, V = (cert.cover.V, cert.cover.U) if flip else (cert.cover.U, cert.cover.V)
             rsum, csum = [0] * R, [0] * C
-            for (r, c), u in flow:
+            for r, c, u in flow:
                 rsum[r] += u
                 csum[c] += u
             failed = [
-                any(u <= 0 for _, u in flow),
-                any(not frame[r, c] for (r, c), _ in flow),
+                any(u <= 0 for *_, u in flow),
+                any(not frame[r, c] for r, c, _ in flow),
                 any(rsum[r] > row_cap[rho[r]] for r in range(R))
                 or any(csum[c] > col_cap[perms[q][c]] for c in range(C)),
                 any(frame[r, c] and r not in U and c not in V for r in range(R) for c in range(C)),
@@ -909,17 +955,13 @@ class TestSweep:
             return failed.index(True) if any(failed) else None
 
         index = {key: k for k, key in enumerate(keys.tolist())}
-        certs = {}
         expected = {}
         for bits in range(1 << (rows * cols)):
             cells = SupportMask.from_bits(rows, cols, bits).cells
             frame = cells.T if flip else cells
             codes = sorted(int(row @ (1 << np.arange(C))) for row in frame)
             k = index[sum(code << C * r for r, code in enumerate(codes))]
-            cells = ((int(rep[k]) >> np.arange(R * C)) & 1).astype(bool).reshape(R, C)
-            if k not in certs:
-                certs[k] = solve(SupportMask(cells.T if flip else cells))
-            failure = first_failure(frame, (perm[k] + 1) % len(perms), certs[k])
+            failure = first_failure(frame, (perm[k] + 1) % len(perms), *witnesses[int(rep[k])])
             if failure is not None:
                 expected[k] = min(failure, expected.get(k, failure))
 
@@ -927,10 +969,10 @@ class TestSweep:
         found = {}
         for k in range(len(keys)):
             def corrupted(R, C, moved):
-                keys, perm, rep = orbit_table(R, C, moved)
+                keys, perm, rep, hist = orbit_table(R, C, moved)
                 perm = perm.copy()
                 perm[k] = (perm[k] + 1) % len(perms)
-                return keys, perm, rep
+                return keys, perm, rep, hist
 
             monkeypatch.setattr(duality, "_orbit_table", corrupted)
             try:
