@@ -25,15 +25,17 @@ classes are keyed from packed row codes, split and checked in int64 array
 passes (`_tall_witnesses`), with the same classes, flow, cover and messages
 as the loop over rows that smaller masks keep.  `sweep` certifies every
 mask of a small grid: it solves one representative per orbit under row and
-column permutations, all of them in one flow over their disjoint union
-(`_orbit_flows`), and finds each orbit's representative by ranking row-code
-histograms, read as base R + 1 numbers that float64 holds exactly
-(`_orbit_table`).  The frequency-profile machinery at the bottom handles
-periodic set sequences: exact limit frequencies, their product
-factorization, and the limsup witness rectangle.  It reads each sequence's
-0/1 rows periodically in one gather, so the horizon (for a profile) and the
-joint period (for a limsup mask) times either bin count may not exceed
-`errors.WORK_BUDGET`.
+column permutations, all of them at once as small networks side by side in
+int64 array passes (`_lockstep_flow`: a greedy start, then one shortest
+augmenting path per network per round; the min cut read from the last
+residual search is the same for every max flow, so it is `_max_flow`'s),
+and finds each orbit's representative by ranking row-code histograms, read
+as base R + 1 numbers that float64 holds exactly (`_orbit_table`).  The
+frequency-profile machinery at the bottom handles periodic set sequences:
+exact limit frequencies, their product factorization, and the limsup
+witness rectangle.  It reads each sequence's 0/1 rows periodically in one
+gather, so the horizon (for a profile) and the joint period (for a limsup
+mask) times either bin count may not exceed `errors.WORK_BUDGET`.
 """
 
 from __future__ import annotations
@@ -629,11 +631,13 @@ def sweep(rows: int, cols: int) -> tuple[int, int, Fraction]:
     its representative (see `_orbit_table`).
 
     The sweep works in the taller frame, the transpose when cols > rows: a
-    mask is R row codes of C <= 4 bits.  All representatives are solved by
-    one max flow over their disjoint union (`_orbit_flows`), and each one's
-    witnesses are gathered in its own frame in array passes: flow-support row
-    codes, row sums, cover row codes (every bit for a row of U, else V's
-    code), U, column sums and V.
+    mask is R row codes of C <= 4 bits.  All representatives' max flows run
+    in lockstep array passes (`_orbit_flows`): a greedy start, then rounds
+    that push one shortest augmenting path in every network that has one,
+    and the min cut from the last residual search.  Each one's witnesses are
+    gathered in its own frame in array passes: flow-support row codes, row
+    sums, cover row codes (every bit for a row of U, else V's code), U,
+    column sums and V.
 
     Masks with the same multiset of rows differ by a row permutation, which
     moves no uniform cap, so each multiset is checked once and stands for
@@ -689,32 +693,100 @@ def sweep(rows: int, cols: int) -> tuple[int, int, Fraction]:
 
 
 def _orbit_flows(cells: np.ndarray, row_cap, col_cap, scale: int) -> tuple[np.ndarray, ...]:
-    """Every representative's flow and min cut from one max flow, in `sweep`'s frame.
+    """Every representative's flow and min cut, in `sweep`'s frame.
 
-    `cells` holds Q representatives' R-by-C cells.  They form one bipartite
-    network: representative q's row r is row node q*R + r with cap
-    row_cap[r], its column c is column node q*C + c with cap col_cap[c], and
-    each of its true cells is a pair.  No pair joins two representatives, so
-    the network is their disjoint union: its max flow is theirs side by side,
-    and the residual search that ends `_max_flow` marks each one's min cut
-    (Ford & Fulkerson 1956).  Returns the flow entries, every pair with
-    nonzero units, as four arrays (representative, row, column, units), then
-    U (Q by R) and V (Q by C) as boolean arrays.
+    `cells` holds Q representatives' R-by-C cells, each one small bipartite
+    network under the caps, and `_lockstep_flow` solves them all at once.
+    Returns the flow entries, every cell with nonzero units, as four arrays
+    (representative, row, column, units), then U (Q by R), the rows the last
+    residual search did not reach, and V (Q by C), the columns it reached,
+    as boolean arrays.  The source-reachable set is the same for every
+    maximum flow (Picard & Queyranne 1980), so U and V are those of
+    `_max_flow` on each representative alone, though the flows may differ.
+    """
+    units, row_reached, col_reached = _lockstep_flow(cells, row_cap, col_cap, scale)
+    fq, fr, fc = np.nonzero(units)
+    return fq, fr, fc, units[fq, fr, fc], ~row_reached, col_reached
+
+
+def _lockstep_flow(cells: np.ndarray, row_cap, col_cap, scale: int) -> tuple[np.ndarray, ...]:
+    """Max flows of Q small bipartite networks at once, in int64 array passes.
+
+    In network q the source feeds row r up to row_cap[r], column c drains up
+    to col_cap[c] into the sink, and each true cell of cells[q] carries up
+    to `scale`.  A greedy start fills the cells in row-major order, each by
+    the least of its row's, its column's and its own room.  Then each round
+    searches every residual network level by level, recording each node's
+    parent, and every network that reaches a column with room pushes one
+    shortest augmenting path by its bottleneck (Edmonds & Karp 1972).  Each
+    such round raises a network's value by at least one unit, so more rounds
+    than the total row cap plus one mean a defect, and raise AssertionError.
+    Returns the units F (Q by R by C), then the rows and the columns the
+    last search, which found no path and so ran to the end, reached from
+    the source.
     """
     Q, R, C = cells.shape
-    fq, fr, fc = np.nonzero(cells)
-    units, cut, reached = _max_flow(
-        np.tile(row_cap, Q).tolist(),
-        np.tile(col_cap, Q).tolist(),
-        list(zip((fq * R + fr).tolist(), (fq * C + fc).tolist())),
-        scale,
-    )
-    units = np.array(units, dtype=np.int64)
-    flows = units != 0
-    return (
-        fq[flows], fr[flows], fc[flows], units[flows],
-        np.array(cut).reshape(Q, R), np.array(reached).reshape(Q, C),
-    )
+    units = np.zeros((Q, R, C), dtype=np.int64)
+    row_room = np.tile(np.asarray(row_cap, dtype=np.int64), (Q, 1))
+    col_room = np.tile(np.asarray(col_cap, dtype=np.int64), (Q, 1))
+    for r in range(R):
+        for c in range(C):
+            take = np.minimum(np.minimum(row_room[:, r], col_room[:, c]), scale) * cells[:, r, c]
+            units[:, r, c] = take
+            row_room[:, r] -= take
+            col_room[:, c] -= take
+    for _ in range(int(np.sum(row_cap)) + 1):
+        forward, back = cells & (units < scale), units > 0
+        row_reached, col_reached = row_room > 0, np.zeros((Q, C), dtype=bool)
+        row_from = np.full((Q, R), -1)  # the column a row was reached from; -1 for the source
+        col_from = np.zeros((Q, C), dtype=np.intp)
+        found, end = np.zeros(Q, dtype=bool), np.zeros(Q, dtype=np.intp)
+        rows = row_reached
+        while rows.any():
+            step = rows[:, :, None] & forward
+            cols = step.any(axis=1) & ~col_reached
+            col_from[cols] = step.argmax(axis=1)[cols]
+            col_reached |= cols
+            sink = cols & (col_room > 0)
+            first = sink.any(axis=1) & ~found
+            end[first] = sink.argmax(axis=1)[first]
+            found |= first
+            step = cols[:, None, :] & back
+            rows = step.any(axis=2) & ~row_reached
+            row_from[rows] = step.argmax(axis=2)[rows]
+            row_reached |= rows
+        if not found.any():
+            return units, row_reached, col_reached
+        _push_paths(units, np.flatnonzero(found), end, row_from, col_from, row_room, col_room, scale)
+        row_room = row_cap - units.sum(axis=2)
+        col_room = col_cap - units.sum(axis=1)
+    raise AssertionError("lockstep max flow found paths after the total row cap plus one rounds")
+
+
+def _push_paths(units, nets, end, row_from, col_from, row_room, col_room, scale) -> None:
+    """Push one augmenting path in each network of `nets`, in place.
+
+    A path runs back from the network's `end` column: a column's parent row
+    fills it through a forward cell, and a row reached from a column gives
+    back flow on that cell, until a row reached from the source.  The
+    bottleneck is the least room along it: the end column's, each forward
+    cell's up to `scale`, each back cell's flow and the first row's.  A path
+    meets each cell at most once, so plain fancy-indexed `+=` pushes it.
+    """
+    at, col = np.arange(len(nets)), end[nets]
+    bottleneck = col_room[nets, col]
+    path = []
+    while at.size:
+        q = nets[at]
+        row = col_from[q, col]
+        back = row_from[q, row]
+        first = back < 0
+        room = np.where(first, row_room[q, row], units[q, row, back])
+        bottleneck[at] = np.minimum(bottleneck[at], np.minimum(scale - units[q, row, col], room))
+        path += [(at, q, row, col, 1), (at[~first], q[~first], row[~first], back[~first], -1)]
+        at, col = at[~first], back[~first]
+    for at, q, row, col, sign in path:
+        units[q, row, col] += sign * bottleneck[at]
 
 
 def _column_moves(C: int) -> tuple[np.ndarray, np.ndarray]:

@@ -206,13 +206,19 @@ class TestProperties:
 def networkx_max_units(mask: SupportMask, caps: MarginalCaps) -> int:
     """Second max-flow oracle on the same integer network."""
     scale, row_int, col_int = caps.scaled()
+    return networkx_flow_value(mask.cells, row_int, col_int, scale)
+
+
+def networkx_flow_value(cells, row_int, col_int, scale: int) -> int:
+    """Max flow of the bipartite network of boolean `cells` under integer
+    row, column and cell caps, by networkx."""
     graph = nx.DiGraph()
     graph.add_nodes_from(["s", "t"])
-    for i in range(mask.rows):
-        graph.add_edge("s", ("r", i), capacity=row_int[i])
-    for j in range(mask.cols):
-        graph.add_edge(("c", j), "t", capacity=col_int[j])
-    for i, j in mask.pairs():
+    for i, cap in enumerate(row_int):
+        graph.add_edge("s", ("r", i), capacity=int(cap))
+    for j, cap in enumerate(col_int):
+        graph.add_edge(("c", j), "t", capacity=int(cap))
+    for i, j in zip(*np.nonzero(cells)):
         graph.add_edge(("r", i), ("c", j), capacity=scale)
     return nx.maximum_flow_value(graph, "s", "t")
 
@@ -857,15 +863,15 @@ class TestSweep:
                 sweep(*shape)
 
     def test_negative_network_flow_is_refused(self, monkeypatch):
-        # A flow entry is every pair with nonzero units, so a negative amount
+        # A flow entry is every cell with nonzero units, so a negative amount
         # out of the max flow reaches the sign check instead of being dropped.
-        inner = duality._max_flow
+        inner = duality._lockstep_flow
 
         def negated(*args):
-            units, cut, reached = inner(*args)
-            return [-u for u in units], cut, reached
+            units, row_reached, col_reached = inner(*args)
+            return -units, row_reached, col_reached
 
-        monkeypatch.setattr(duality, "_max_flow", negated)
+        monkeypatch.setattr(duality, "_lockstep_flow", negated)
         with pytest.raises(AssertionError, match="non-positive entry"):
             sweep(2, 2)
 
@@ -983,11 +989,64 @@ class TestSweep:
         assert found == expected
         assert len(found) == caught
 
+    def test_sweep_runs_no_per_node_flow(self, monkeypatch):
+        # `sweep` solves its representatives in lockstep array passes; only
+        # `solve` goes through the per-node Python flow.
+        def refused(*args):
+            raise RuntimeError("sweep called the per-node flow")
+
+        counts = flow_node_counts(monkeypatch)
+        solve(SupportMask.full(2, 2))
+        assert counts == [1]
+        monkeypatch.setattr(duality, "_max_flow", refused)
+        monkeypatch.setattr(duality, "solve", refused)
+        assert sweep(4, 4) == (65536, 0, Fraction(0))
+
     def test_bounds_rejected(self):
         with pytest.raises(SweepTooLarge):
             sweep(5, 4)
         with pytest.raises(BadParameter):
             sweep(0, 3)
+
+
+@st.composite
+def network_stacks(draw):
+    """Q = 1..12 random R-by-C masks (R, C = 1..6) under one set of
+    nonnegative integer row and column caps, some above the cell cap."""
+    Q, R, C = draw(st.integers(1, 12)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = draw(st.lists(st.booleans(), min_size=Q * R * C, max_size=Q * R * C))
+    scale = draw(st.integers(1, 6))
+    row_cap = draw(st.lists(st.integers(0, 3 * scale), min_size=R, max_size=R))
+    col_cap = draw(st.lists(st.integers(0, 3 * scale), min_size=C, max_size=C))
+    return np.array(cells).reshape(Q, R, C), np.array(row_cap), np.array(col_cap), scale
+
+
+class TestLockstepFlow:
+    @settings(max_examples=150, deadline=None)
+    @given(network_stacks())
+    def test_each_network_against_oracles(self, stack):
+        cells, row_cap, col_cap, scale = stack
+        units, row_reached, col_reached = duality._lockstep_flow(cells, row_cap, col_cap, scale)
+        assert units.dtype == np.int64 and units.shape == cells.shape
+        assert (units >= 0).all() and (units <= scale * cells).all()
+        assert (units.sum(axis=2) <= row_cap).all() and (units.sum(axis=1) <= col_cap).all()
+        for q, net in enumerate(cells):
+            pairs = list(zip(*(k.tolist() for k in np.nonzero(net))))
+            alone, cut, reached = duality._max_flow(row_cap.tolist(), col_cap.tolist(), pairs, scale)
+            value = int(units[q].sum())
+            assert value == sum(alone) == networkx_flow_value(net, row_cap, col_cap, scale)
+            np.testing.assert_array_equal(~row_reached[q], cut)
+            np.testing.assert_array_equal(col_reached[q], reached)
+
+    def test_rounds_are_bounded(self, monkeypatch):
+        # A push that moves nothing leaves every path in place; the rounds
+        # stop at the total row cap plus one instead of spinning.
+        rounds = []
+        monkeypatch.setattr(duality, "_push_paths", lambda *args: rounds.append(1))
+        cells = np.array([[[True, True], [True, False]]] * 3)  # the greedy start leaves a path
+        with pytest.raises(AssertionError, match="total row cap plus one"):
+            duality._lockstep_flow(cells, np.array([1, 1]), np.array([1, 1]), 2)
+        assert len(rounds) == 3  # the total row cap, 2, plus one
 
 
 @st.composite
