@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, combinations_with_replacement, compress, permutations
 from typing import Iterable, Iterator, Sequence
 
@@ -274,10 +274,32 @@ class Certificate(Record):
 
     Every amount is an integer multiple of 1/scale.  The coupling witness is
     `flow`, a list of (row, col, units) with positive units.  `Fraction`s are
-    formed only by the accessors.
+    formed only by the accessors.  A tall solve keeps its flow as the int64
+    arrays `_flow_arrays` (rows, columns, units), and `flow` is formed from
+    them on its first read; a certificate built from a list forms the arrays
+    from it when they are first read.
     """
 
-    __slots__ = ("mask", "caps", "scale", "flow", "mass_units", "cover", "cost_units")
+    __slots__ = ("mask", "caps", "scale", "mass_units", "cover", "cost_units", "__dict__")
+    _fields = ("mask", "caps", "scale", "flow", "mass_units", "cover", "cost_units")
+
+    @classmethod
+    def _from_arrays(cls, flow_arrays: tuple, **fields) -> "Certificate":
+        """The certificate with the other `fields` whose flow is `flow_arrays`."""
+        for array in flow_arrays:
+            array.setflags(write=False)
+        cert = cls.__new__(cls)
+        Record.__setstate__(cert, ({"_flow_arrays": flow_arrays}, fields))
+        return cert
+
+    @cached_property
+    def flow(self) -> list[tuple[int, int, int]]:
+        return list(zip(*(array.tolist() for array in self._flow_arrays)))
+
+    @cached_property
+    def _flow_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Formed from a list only for amounts int64 holds.
+        return tuple(np.fromiter(chain.from_iterable(self.flow), np.int64).reshape(-1, 3).T)
 
     @property
     def value(self) -> Fraction:
@@ -342,15 +364,11 @@ def solve(mask: SupportMask, caps: MarginalCaps | None = None) -> Certificate:
         np.add.at(col_units, fj, fu)
         cover = in_U[:, None] | in_V
         _check_witness_arrays(mask.cells, fu, supp, row_units, row_cap, col_units, col_cap, cover)
-        mass_units = int(fu.sum())
-        # One int object per row, shared by the flow and U as in the loop:
-        # a separate set of 5000 row ints raised a selector run's peak RSS.
-        ids = list(range(n))
-        flow = list(zip(map(ids.__getitem__, fi.tolist()), fj.tolist(), fu.tolist()))
-        U = frozenset(compress(ids, in_U.tolist()))
-        V = frozenset(np.flatnonzero(in_V).tolist())
-        cost_units = int(row_cap[in_U].sum() + col_cap[in_V].sum())
-        return Certificate(mask, caps, scale, flow, mass_units, Cover(U, V), cost_units)
+        U, V = (frozenset(np.flatnonzero(cut).tolist()) for cut in (in_U, in_V))
+        return Certificate._from_arrays(
+            (fi, fj, fu), mask=mask, caps=caps, scale=scale, mass_units=int(fu.sum()),
+            cover=Cover(U, V), cost_units=int(row_cap[in_U].sum() + col_cap[in_V].sum()),
+        )
 
     # Row classes in order of their first row, keyed on the row's bytes; a
     # class's cap is the sum of its rows' caps.

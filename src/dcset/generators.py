@@ -14,9 +14,12 @@ independent within and across replicas and every output is bit-reproducible:
 generators, 1 for selector draws and 2 for test-side randomization.
 `Seed(value).uniforms(replicas, domain, component, size=n)` is the batch form
 of that convention: it draws the first n uniforms of every listed replica's
-substream together, bit for bit equal to the streams themselves.  PCG64 is
-a 128-bit LCG, so every k-th state of a row follows another LCG (jump-ahead),
-and one array pass draws k columns of every row.
+substream together, bit for bit equal to the streams themselves.  Seeding
+hashes every row's replica word into SeedSequence's four pool words as one
+(4, R) uint32 array.  PCG64 is a 128-bit LCG, so every k-th state of a row
+follows another LCG (jump-ahead), and one array pass draws k columns of
+every row; a pass updates the states in place, in a fixed set of work
+arrays, and allocates nothing.
 
 The stochastic batteries draw a range of replicas at once this way, as
 NaN-padded rows (`rows(base, replicas)`): `_sample_rows` (shared with
@@ -40,6 +43,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -68,19 +72,25 @@ GENERATOR_DOMAIN = 0
 SELECTOR_DOMAIN = 1
 STATS_DOMAIN = 2
 
-# numpy's SeedSequence hashing constants and the two 64-bit halves of PCG64's
-# 128-bit multiplier; numpy keeps these streams fixed (NEP 19).
+# numpy's SeedSequence hashing constants and PCG64's 128-bit multiplier;
+# numpy keeps these streams fixed (NEP 19).
 _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_LO, _PCG_HI = np.uint64(0x4385DF649FCCF645), np.uint64(0x2360ED051FC65DA4)
+_PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+# Operands of the in-place uint64 passes, as numpy scalars: wrapping
+# arithmetic stays on arrays, where numpy 1.x and 2.x agree and never warn.
+_LOW_32 = np.uint64(_M32)
+_U1, _U11, _U32, _U58, _U63, _U64 = map(np.uint64, (1, 11, 32, 58, 63, 64))
+_TWO_M53 = 2.0**-53
 
 # Entries (rows * columns) one batch PCG64 pass aims at; see _pcg64_block.
-# In fresh `distinguish --seed 1` processes (500 rows, so 8 columns a pass)
-# peak RSS was 57.9 MB, against 57.3 MB with one column a pass; 16384
-# (32 columns) took 59.3 MB and ran no faster, and 1024 (2 columns) ran
-# slower at the same 57.9 MB.
+# `distinguish --seed 1` draws 500 rows, so 8 columns a pass: peak RSS was
+# 32.2 MB in fresh processes and a warm run took 7.3 ms, against 11.4 ms
+# with one column a pass (500) and 9.2 ms with two (1024) at the same RSS;
+# 32 columns (16384) took 8.0 ms and 33.0 MB (2-core VM, numpy 2.4, best of
+# 29 warm runs).
 _LEAP_ENTRIES = 4096
 
 # Generator components within GENERATOR_DOMAIN.
@@ -122,12 +132,14 @@ class Seed(Record):
         """R-by-size array whose row k is
         `Seed(self.value, replicas[k]).stream(*key).uniform(size=size)`, bit for bit.
 
-        Rows are drawn together by `_pcg64_block`, k columns of every row
-        per array pass by PCG64's jump-ahead s <- a**k * s + B_k * inc.
-        k = max(1, min(size, _LEAP_ENTRIES // rows)) gives a pass a few
-        thousand entries, so its numpy calls are not mostly overhead.  A
-        replica index of 2**32 or more spans two spawn-key words and is drawn
-        by `stream`.  `replicas` may be a range, a list or an integer array.
+        The rows' seeds come from `_seed_state`, one (4, R) pass per
+        spawn-key word.  The rows are then drawn together by `_pcg64_block`,
+        k columns of every row per in-place array pass by PCG64's jump-ahead
+        s <- a**k * s + B_k * inc.  k = max(1, min(size, _LEAP_ENTRIES // rows))
+        gives a pass a few thousand entries, so its numpy calls are not
+        mostly overhead.  A replica index of 2**32 or more spans two
+        spawn-key words and is drawn by `stream`.  `replicas` may be a
+        range, a list or an integer array.
         """
         reps = _replica_array(replicas)
         if reps.size and reps.min() < 0:
@@ -167,139 +179,256 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _seed_state(value: int, replicas, key) -> np.ndarray:
-    """`SeedSequence(value, spawn_key=(r, *key)).generate_state(4, np.uint64)`
-    for each replica index r below 2**32, one row each.
+def _hash_steps(init: int, mult: int):
+    """SeedSequence's hash constants, call by call: the pair (h, h * mult mod
+    2**32) a call XORs its word with and then multiplies it by, from h = init."""
+    h = init
+    while True:
+        g = h * mult & _M32
+        yield h, g
+        h = g
 
-    SeedSequence hashes the 4 run-entropy words of a 64-bit `value`, the
-    replica word, then the words of `key`, so rows differ only in the replica
-    word.  A word's hash constant depends only on its position, so the shared
-    words are hashed once, as Python ints; only the replica word and the pool
-    words it reaches run over the rows, as uint32 arrays.
+
+def _uint32_column(values) -> np.ndarray:
+    column = np.array(values, dtype=np.uint32).reshape(-1, 1)
+    column.setflags(write=False)
+    return column
+
+
+@lru_cache(maxsize=64)
+def _seed_constants(value: int, key: tuple) -> tuple:
+    """What `_seed_state` hashes alike for every replica word, as read-only
+    uint32 columns: the pool after `value`'s 4 run words, times _MIX_L; the
+    replica word's 4 hash constants (XOR, then multiply); a tuple holding
+    each word of `key` hashed once per pool word, times _MIX_R; the 8 output
+    hash constants (XOR, then multiply).
+
+    A hash call's constants depend only on its position, so all of this is
+    Python int arithmetic, done once per (value, key).
     """
-    if not len(replicas):
-        return np.empty((0, 4), dtype=np.uint64)
-    h = _INIT_A
-
-    def hashmix(value):
-        nonlocal h
-        value = value ^ h
-        h = h * _MULT_A & _M32
-        value = value * h & _M32
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        # Each product is reduced before the difference, so an array and a
-        # Python int meet as two uint32 values.
-        value = (x * _MIX_L & _M32) - (y * _MIX_R & _M32) & _M32
-        return value ^ (value >> 16)
-
-    run = [value & _M32, value >> 32, 0, 0]
     tail = [w for k in key for w in _words(k)]
-    pool = [hashmix(w) for w in run]
+    steps = _hash_steps(_INIT_A, _MULT_A)
+
+    def hashmix(word: int) -> int:
+        xor, mul = next(steps)
+        word = (word ^ xor) * mul & _M32
+        return word ^ word >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (x * _MIX_L & _M32) - (y * _MIX_R & _M32) & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(w) for w in (value & _M32, value >> 32, 0, 0)]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in [np.asarray(replicas, dtype=np.uint32), *tail]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    h = _INIT_B
-    words = []
-    for i in range(8):
-        word = pool[i % 4] ^ h
-        h = h * _MULT_B & _M32
-        word = word * h & _M32
-        words.append((word ^ (word >> 16)).astype(np.uint64))
-    return np.stack([words[i] | words[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
+    replica_xor, replica_mul = zip(*islice(steps, 4))
+    hashed = tuple(_uint32_column([hashmix(w) * _MIX_R & _M32 for _ in range(4)]) for w in tail)
+    out_xor, out_mul = zip(*islice(_hash_steps(_INIT_B, _MULT_B), 8))
+    return (
+        _uint32_column([v * _MIX_L & _M32 for v in pool]),
+        _uint32_column(replica_xor),
+        _uint32_column(replica_mul),
+        hashed,
+        _uint32_column(out_xor),
+        _uint32_column(out_mul),
+    )
 
 
-def _pcg64_step(lo, hi, mul_lo, mul_hi, add_lo, add_hi):
-    """state * mul + add mod 2**128 on 64-bit halves, broadcast elementwise."""
-    a0, a1 = lo & _M32, lo >> 32
-    b0, b1 = mul_lo & _M32, mul_lo >> 32
-    mid = a1 * b0 + (a0 * b0 >> 32)
-    mid2 = a0 * b1 + (mid & _M32)
-    carry = a1 * b1 + (mid >> 32) + (mid2 >> 32)  # high half of lo * mul_lo
-    new_lo = lo * mul_lo + add_lo
-    new_hi = carry + lo * mul_hi + hi * mul_lo + add_hi + (new_lo < add_lo)
-    return new_lo, new_hi
+def _seed_state(value: int, replicas, key) -> np.ndarray:
+    """`SeedSequence(value, spawn_key=(r, *key)).generate_state(4, np.uint64)`
+    for each replica index r below 2**32, one row each.
+
+    SeedSequence hashes the 4 run-entropy words of a 64-bit `value` into its
+    4 pool words and mixes them, then hashes the replica word and each word
+    of `key` into all 4 pool words in turn, and hashes the pool into 8
+    output words.  Rows differ only in the replica word, so everything else
+    comes from `_seed_constants`.  From the replica word on, the pool is one
+    (4, R) uint32 array, and each later word one pass over it; the output
+    words are one (8, R) pass, paired into the R-by-4 uint64 state.  uint32
+    arrays wrap, so no step needs a mask.
+    """
+    if not len(replicas):
+        return np.empty((0, 4), dtype=np.uint64)
+    run, xor, mul, tail, out_xor, out_mul = _seed_constants(value, tuple(key))
+    # Pool word d becomes mix(pool[d], hashmix(word)), for d = 0..3 at once.
+    pool = _replica_array(replicas).astype(np.uint32) ^ xor
+    pool *= mul
+    pool ^= pool >> 16
+    pool *= _MIX_R
+    np.subtract(run, pool, out=pool)
+    pool ^= pool >> 16
+    for hashed in tail:
+        pool *= _MIX_L
+        pool -= hashed
+        pool ^= pool >> 16
+    # Output word i hashes pool word i % 4; words 2j and 2j + 1 are the low
+    # and high halves of state word j.
+    out = np.tile(pool, (2, 1))
+    out ^= out_xor
+    out *= out_mul
+    out ^= out >> 16
+    state = out[1::2].astype(np.uint64)
+    state <<= _U32
+    state |= out[0::2]
+    return state.T
+
+
+def _mul_add(lo, hi, mul, add, work) -> None:
+    """(lo, hi) <- (lo, hi) * mul + add mod 2**128, in place on 64-bit halves.
+
+    `mul` is the multiplier as `_leap_constants` lays it out: its halves
+    (m_lo, m_hi) and m_lo's 32-bit halves (b0, b1), each broadcasting against
+    lo.  The high word of lo * m_lo is summed from 32-bit partial products.
+    `add` is a pair of halves, or None for no addend.  Every step writes into
+    (lo, hi) or into `work`, three uint64 arrays and one boolean array shaped
+    like lo, so a call allocates nothing.
+    """
+    m_lo, m_hi, b0, b1 = mul
+    a0, a1, t, carry = work
+    np.bitwise_and(lo, _LOW_32, out=a0)
+    np.right_shift(lo, _U32, out=a1)
+    hi *= m_lo
+    np.multiply(lo, m_hi, out=t)
+    hi += t
+    lo *= m_lo
+    np.multiply(a1, b1, out=t)
+    hi += t
+    a1 *= b0
+    np.multiply(a0, b0, out=t)
+    t >>= _U32
+    a1 += t  # mid = a1 * b0 + (a0 * b0 >> 32)
+    a0 *= b1
+    np.bitwise_and(a1, _LOW_32, out=t)
+    a0 += t  # a0 * b1 + low half of mid
+    a0 >>= _U32
+    a1 >>= _U32
+    hi += a1
+    hi += a0  # hi * m_lo + lo * m_hi + high word of lo * m_lo
+    if add is not None:
+        add_lo, add_hi = add
+        lo += add_lo
+        hi += add_hi
+        np.less(lo, add_lo, out=carry)
+        hi += carry
 
 
 @lru_cache(maxsize=8)
-def _leap_constants(k: int) -> tuple[np.ndarray, ...]:
-    """Halves (lo, hi) of a**c and of B_c = 1 + a + ... + a**(c-1) mod 2**128,
-    for c = 1..k+1 and PCG64's multiplier a, as read-only uint64 columns."""
-    a = int(_PCG_HI) << 64 | int(_PCG_LO)
+def _leap_constants(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """a**c and B_c = 1 + a + ... + a**(c-1) mod 2**128 for c = 1..k and
+    PCG64's multiplier a, as two read-only (4, k, 1) uint64 arrays: the
+    halves (lo, hi), then lo's 32-bit halves, as `_mul_add` takes them."""
     powers, sums = [1], [0]
-    for _ in range(k + 1):
+    for _ in range(k):
         sums.append((sums[-1] + powers[-1]) % 2**128)
-        powers.append(powers[-1] * a % 2**128)
-    halves = []
+        powers.append(powers[-1] * _PCG_MULT % 2**128)
+    tables = []
     for values in (powers[1:], sums[1:]):
-        for shift in (0, 64):
-            half = np.array([[v >> shift & 0xFFFFFFFFFFFFFFFF] for v in values], dtype=np.uint64)
-            half.setflags(write=False)
-            halves.append(half)
-    return tuple(halves)
+        lows = [v & 0xFFFFFFFFFFFFFFFF for v in values]
+        parts = [lows, [v >> 64 for v in values], [v & _M32 for v in lows], [v >> 32 for v in lows]]
+        table = np.array(parts, dtype=np.uint64)[:, :, None]
+        table.setflags(write=False)
+        tables.append(table)
+    return tables[0], tables[1]
+
+
+def _pcg64_bits(state: np.ndarray, k: int):
+    """Successive k-by-R uint64 arrays of the 53-bit words behind the doubles
+    of `_pcg64_passes`: draws 1..k, then k+1..2k, and so on.
+
+    Seeding follows pcg64_set_seed: initstate, then inc = 2*initseq + 1, one
+    step, add initstate to get u, one step to s_0 = a*u + inc.  Draw c is
+    the XSL-RR output x of state s_c, and its word is x >> 11.  A row's
+    state follows s <- a*s + inc mod 2**128, so
+    s_c = a**c * s_0 + B_c * inc with B_c = 1 + a + ... + a**(c-1), and
+    columns c, c + k, c + 2k, ... follow s <- a**k * s + B_k * inc,
+    another LCG (Brown 1994).  One array pass therefore draws k columns of
+    every row.  Row c - 1 of the set-up addends is B_c * inc; at k = 1 that
+    is inc itself (B_1 = 1), so no product is formed.  Rows run along the
+    last axis, so at k = 1 every pass is a one-dimensional pass over them.
+
+    The set-up runs when this is called and keeps nothing of `state`.  The
+    returned generator updates the states in place through `_mul_add` and
+    forms the words in its work arrays: it yields the same array each time,
+    overwritten by the next pass.
+    """
+    powers, sums = _leap_constants(k)
+    rows = len(state)
+    lo, hi, add_lo, add_hi = np.empty((4, k, rows), dtype=np.uint64)
+    work = (*np.empty((3, k, rows), dtype=np.uint64), np.empty((k, rows), dtype=bool))
+    inc_lo, inc_hi = add_lo[0], add_hi[0]
+    np.left_shift(state[:, 3], _U1, out=inc_lo)
+    inc_lo |= _U1
+    np.left_shift(state[:, 2], _U1, out=inc_hi)
+    inc_hi |= state[:, 3] >> _U63
+    np.add(inc_lo, state[:, 1], out=lo[0])  # u = inc + initstate
+    np.add(inc_hi, state[:, 0], out=hi[0])
+    hi[0] += lo[0] < inc_lo
+    lo[1:], hi[1:], add_lo[1:], add_hi[1:] = lo[0], hi[0], inc_lo, inc_hi
+    _mul_add(lo, hi, powers[:, :1], (inc_lo, inc_hi), work)  # s_0 in every row
+    if k > 1:
+        _mul_add(add_lo, add_hi, sums, None, work)  # B_c * inc in row c - 1
+    _mul_add(lo, hi, powers, (add_lo, add_hi), work)  # s_c in row c - 1
+    leap, step = powers[:, k - 1 :], (add_lo[k - 1], add_hi[k - 1])
+    rot, x, t = work[:3]
+
+    def passes():
+        while True:
+            np.right_shift(hi, _U58, out=rot)
+            np.bitwise_xor(hi, lo, out=x)
+            np.subtract(_U64, rot, out=t)
+            np.bitwise_and(t, _U63, out=t)
+            np.left_shift(x, t, out=t)
+            np.right_shift(x, rot, out=x)
+            np.bitwise_or(x, t, out=x)
+            np.right_shift(x, _U11, out=x)
+            yield x
+            _mul_add(lo, hi, leap, step, work)
+
+    return passes()
 
 
 def _pcg64_passes(state: np.ndarray, k: int):
     """Successive k-by-R arrays of the doubles of the PCG64 generator seeded
     from each row of `_seed_state` (one column per row): the first holds
-    draws 1..k, the next k+1..2k, and so on.
-
-    Seeding follows pcg64_set_seed: initstate, then inc = 2*initseq + 1, one
-    step, add initstate to get u, one step.  Each draw is the XSL-RR output
-    x of a state, as the double (x >> 11) * 2**-53.  A row's state follows
-    s <- a*s + inc mod 2**128, so draw c comes from
-    a**(c+1) * u + B_(c+1) * inc with B_c = 1 + a + ... + a**(c-1), and
-    columns c, c + k, c + 2k, ... follow s <- a**k * s + B_k * inc, another
-    LCG (Brown 1994).  One array pass therefore draws k columns of every row.
-    Rows run along the last axis, so at k = 1 every pass is a one-dimensional
-    array pass over the rows.
+    draws 1..k, the next k+1..2k, and so on.  A double is the word of
+    `_pcg64_bits` times 2**-53, and each pass is a fresh array, which the
+    caller may keep or edit.
     """
-    pow_lo, pow_hi, sum_lo, sum_hi = _leap_constants(k)
-    seq_hi, seq_lo = state[:, 2], state[:, 3]
-    inc_lo = seq_lo << 1 | 1
-    inc_hi = seq_hi << 1 | seq_lo >> 63
-    u_lo = inc_lo + state[:, 1]
-    u_hi = inc_hi + state[:, 0] + (u_lo < inc_lo)
-    zero = np.uint64(0)
-    add_lo, add_hi = _pcg64_step(inc_lo, inc_hi, sum_lo[1:], sum_hi[1:], zero, zero)
-    lo, hi = _pcg64_step(u_lo, u_hi, pow_lo[1:], pow_hi[1:], add_lo, add_hi)
-    if k > 1:  # B_k * inc is among those addends; B_1 * inc is inc
-        inc_lo, inc_hi = add_lo[k - 2], add_hi[k - 2]
-    leap_lo, leap_hi = pow_lo[k - 1, 0], pow_hi[k - 1, 0]
-    while True:
-        rot = hi >> 58
-        x = hi ^ lo
-        x = (x >> rot) | (x << ((64 - rot) & 63))
-        yield (x >> 11) * 2.0**-53
-        lo, hi = _pcg64_step(lo, hi, leap_lo, leap_hi, inc_lo, inc_hi)
+    for bits in _pcg64_bits(state, k):
+        yield bits * _TWO_M53
 
 
 def _pcg64_block(state: np.ndarray, width: int) -> np.ndarray:
     """R-by-width array of the first `width` doubles of the PCG64 generator
     seeded from each row of `_seed_state`, one row each.
 
-    The columns come from `_pcg64_passes`, k of every row per array pass.
-    k = max(1, min(width, _LEAP_ENTRIES // R)): one column of a few hundred
-    rows leaves each of a pass's ~30 numpy calls mostly overhead, while from
-    _LEAP_ENTRIES rows up one column fills a pass.
+    The words come from `_pcg64_bits`, k columns of every row per in-place
+    array pass, k = max(1, min(width, _LEAP_ENTRIES // R)): one column of a
+    few hundred rows leaves each of a pass's ~30 numpy calls mostly overhead,
+    while from _LEAP_ENTRIES rows up one column fills a pass.  Each pass is
+    scaled by 2**-53 straight into a k-by-R slot of one staging block, and
+    the block is written transposed into the output, whole passes of at
+    least 8 columns at a time: written one column at a time, a 5000-row
+    block cost more than twice as much per double.  Nothing here keeps the
+    seeds past the set-up, so when the caller keeps none either, a draw
+    holds besides the output only the passes' arrays and the staging block.
     """
     rows = len(state)
     k = max(1, min(width, _LEAP_ENTRIES // max(rows, 1)))
-    passes = _pcg64_passes(state, k)
     out = np.empty((rows, width))
-    # Passes are k-by-R and are written transposed, whole passes of at least
-    # 8 columns at a time: written one column at a time, a 5000-row block
-    # cost more than twice as much per double.
-    step = k * -(-8 // k)
+    if not width:
+        return out
+    bits = _pcg64_bits(state, k)
+    del state  # the last reference, unless the caller keeps one
+    step = k * min(-(-8 // k), -(-width // k))
+    staging = np.empty((step, rows))
     for start in range(0, width, step):
         n = min(step, width - start)
-        cols = np.concatenate([next(passes) for _ in range(-(-n // k))])
-        out[:, start : start + n] = cols[:n].T
+        for j in range(0, n, k):
+            np.multiply(next(bits), _TWO_M53, out=staging[j : j + k])
+        out[:, start : start + n] = staging[:n].T
     return out
 
 

@@ -26,7 +26,6 @@ containment takes, for each point, the first table holding its value.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -265,7 +264,7 @@ def _full_units_or_obstruction(mask: SupportMask, cell=None) -> np.ndarray:
         raise InsufficientDensity(cert.cover, cert.cover_cost, mask.cols, cell=cell)
     # An amount is at most the scale, lcm(rows, cols), which int64 holds.
     units = np.zeros(mask.cells.shape, dtype=np.int64)
-    i, j, amounts = np.fromiter(chain.from_iterable(cert.flow), np.int64).reshape(-1, 3).T
+    i, j, amounts = cert._flow_arrays
     units[i, j] = amounts
     return _units(units)
 

@@ -9,6 +9,7 @@ with the LP to solver tolerance.
 
 import itertools
 import math
+import pickle
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -567,6 +568,24 @@ class TestTallMasks:
         monkeypatch.setattr(duality, "_TALL_ROWS", mask.rows + 1)
         loop = solve(mask)
         assert len(calls) == 1 and cert == loop and cert.flow == loop.flow
+
+    def test_flow_list_is_formed_on_first_read(self, monkeypatch):
+        # The tall path keeps its flow as int64 arrays; the list, its repr and
+        # its copies equal the loop's, and the loop's arrays equal the tall's.
+        mask = tall_mask(duality._TALL_ROWS)
+        cert = solve(mask)
+        assert "flow" not in cert.__dict__
+        monkeypatch.setattr(duality, "_TALL_ROWS", mask.rows + 1)
+        loop = solve(mask)
+        for got, want in zip(cert._flow_arrays, loop._flow_arrays):
+            assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+        clone = pickle.loads(pickle.dumps(cert))
+        assert "flow" not in clone.__dict__
+        assert repr(cert) == repr(loop) == repr(clone) and cert == loop == clone
+        assert cert.flow == loop.flow and all(type(v) is int for entry in cert.flow for v in entry)
+        for record in (cert, loop):
+            with pytest.raises(TypeError):
+                hash(record)
 
     def test_units_overflow_falls_back_to_the_loop(self, monkeypatch):
         # scale = lcm(rows, 2**61) puts scale * rows * (cols + 1) past 2**62.

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -148,6 +150,44 @@ class TestUniforms:
         got = _pcg64_block(_seed_state(1, range(rows), (0, 3)), width * reads)
         for r in (0, 1, rows - 1):
             assert np.array_equal(got[r], Seed(1, r).stream(0, 3).uniform(size=width * reads))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        value=st.integers(0, 2**64 - 1),
+        replicas=st.lists(
+            st.one_of(st.integers(0, 2**32 - 1), st.just(2**32 - 1), st.integers(2**32, 2**63 - 1)),
+            min_size=1, max_size=80, unique=True,
+        ),
+        component=st.integers(0, 3),
+        size=st.integers(1, 40),
+    )
+    def test_selector_replica_sets_match_stream(self, value, replicas, component, size):
+        # selector._draw passes an unsorted int64 array of rows with gaps.  At
+        # 64 entries a pass, up to 64 rows draw k > 1 columns a pass, over
+        # many passes whose last is cut short; an index of 2**32 or more spans
+        # two spawn-key words.  No wrapping product may warn or raise.
+        reps = np.array(replicas, dtype=np.int64)
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            mp.setattr(generators, "_LEAP_ENTRIES", 64)
+            got = Seed(value).uniforms(reps, generators.SELECTOR_DOMAIN, component, size=size)
+        for row, r in zip(got, replicas):
+            expected = Seed(value, r).stream(generators.SELECTOR_DOMAIN, component).uniform(size=size)
+            assert np.array_equal(row, expected)
+
+    def test_peak_memory_stays_near_the_output(self):
+        # A second array the size of the output would show in peak RSS.
+        def peak(draw) -> int:
+            draw()  # fills the constant caches
+            tracemalloc.start()
+            try:
+                draw()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: Seed(1).uniforms(range(5000), 0, 0, size=64)) <= 5000 * 64 * 8 + 750_000
+        assert peak(lambda: _seed_state(1, range(5000), (0, 0))) <= 5000 * 4 * 8 + 400_000
 
     def test_empty_replica_list(self):
         assert Seed(3).uniforms([], 1, 0, size=4).shape == (0, 4)
