@@ -329,42 +329,37 @@ def _common_flags(level: float) -> argparse.ArgumentParser:
     return common
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    """The dcset parser; `defaults` overrides flag defaults of every subcommand."""
-    common = _common_flags(level=0.01)
-
+def _cantor_flags() -> argparse.ArgumentParser:
     cantorish = argparse.ArgumentParser(add_help=False)
     cantorish.add_argument("--gap", default="1/2", help="fat-Cantor target gap p/q")
     cantorish.add_argument("--cantor-depth", type=int, default=10, help="fat-Cantor construction depth")
+    return cantorish
 
-    parser = argparse.ArgumentParser(
-        prog="dcset",
-        description="Exact marginal/cover duality, random-set simulators, selectors and tests.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("duality", parents=[common], help="solve one mask or sweep all masks")
+_COMMON = partial(_common_flags, 0.01)
+_STRICT = partial(_common_flags, 1e-6)  # distinguish's default level
+
+
+def _duality_flags(p) -> None:
     p.add_argument("mask", nargs="?", help="mask file: 'n m' then rows of 0/1")
     p.add_argument("--sweep", nargs=2, type=int, metavar=("N", "M"), help="sweep all masks up to n*m <= 16")
     p.add_argument("--row-caps", help="CSV 'index,p/q' for row budgets")
     p.add_argument("--col-caps", help="CSV 'index,p/q' for column budgets")
-    p.set_defaults(func=cmd_duality)
 
-    p = sub.add_parser("simulate", parents=[common, cantorish], help="write one truncated enumeration")
+
+def _simulate_flags(p) -> None:
     p.add_argument("generator", choices=GENERATORS)
     p.add_argument("--depth", type=int, default=100)
     p.add_argument("--steps", type=int, default=10000)
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser(
-        "distinguish", parents=[_common_flags(level=1e-6), cantorish], help="tell the counterexample from the sample"
-    )
+
+def _distinguish_flags(p) -> None:
     p.add_argument("--depth", type=int, default=200)
     p.add_argument("--replicas", type=int, default=500)
     p.add_argument("--csv", default=None, help="also write the report as flat CSV here")
-    p.set_defaults(func=cmd_distinguish)
 
-    p = sub.add_parser("stationarity", parents=[common, cantorish], help="two-sample shift-invariance test")
+
+def _stationarity_flags(p) -> None:
     p.add_argument("--gen", choices=("sample", "minima", "counterexample"), default="sample")
     p.add_argument("--observable", choices=_OBSERVABLES, default=None,
                    help="counted region (default: count-cantor for counterexample, else count-half)")
@@ -374,25 +369,25 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=4096)
     p.add_argument("--replicas", type=int, default=400)
     p.add_argument("--csv", default=None, help="also write the report as flat CSV here")
-    p.set_defaults(func=cmd_stationarity)
 
-    p = sub.add_parser("independence", parents=[common], help="fragment independence test")
+
+def _independence_flags(p) -> None:
     p.add_argument("--gen", choices=("sample", "minima"), default="sample")
     p.add_argument("--cuts", default="0,1/2,1", help="comma-separated cut points")
     p.add_argument("--replicas", type=int, default=400)
     p.add_argument("--steps", type=int, default=2048)
     p.add_argument("--csv", default=None, help="also write the report as flat CSV here")
-    p.set_defaults(func=cmd_independence)
 
-    p = sub.add_parser("shifthit", parents=[common], help="hit counts of shifted dyadic prefixes")
+
+def _shifthit_flags(p) -> None:
     p.add_argument("--grid", type=int, default=8)
     p.add_argument("--bins", default=None, help="comma-separated bin indices (default every other bin)")
     p.add_argument("--depths", default="64,256,1024")
     p.add_argument("--shifts", type=int, default=200)
     p.add_argument("--csv", default=None, help="also write the curve as CSV here")
-    p.set_defaults(func=cmd_shifthit)
 
-    p = sub.add_parser("selector", parents=[common], help="uniform selector over a sample ensemble")
+
+def _selector_flags(p) -> None:
     p.add_argument("--gen", choices=("sample", "sample-upper"), default="sample",
                    help="sample-upper is thin, for obstructions")
     p.add_argument("--depth", type=int, default=64)
@@ -400,9 +395,9 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=int, default=5000)
     p.add_argument("--expect", choices=("pass", "obstruction"), default=None)
     p.add_argument("--csv", default=None, help="write the selector table as CSV here")
-    p.set_defaults(func=cmd_selector)
 
-    p = sub.add_parser("enumerate", parents=[common], help="interleaved enumeration with containment check")
+
+def _enumerate_flags(p) -> None:
     p.add_argument("--rounds", type=int, default=10)
     # Conditioning cells shrink to single replicas, so every replica must
     # cover every bin: depth far above grid*log(grid) keeps that sure.
@@ -410,14 +405,64 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=8)
     p.add_argument("--coarse", type=int, default=2)
     p.add_argument("--replicas", type=int, default=500)
-    p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("cantor", parents=[common, cantorish], help="build and serialize a fat Cantor set")
-    p.set_defaults(func=cmd_cantor)
 
-    for p in sub.choices.values():
-        p.set_defaults(**(defaults or {}))
+# The subcommands, in help order: name -> (help, parent parser makers, flag
+# adder, handler).  Both the full parser and a one-subcommand parser read it.
+_COMMANDS = {
+    "duality": ("solve one mask or sweep all masks", (_COMMON,), _duality_flags, cmd_duality),
+    "simulate": ("write one truncated enumeration", (_COMMON, _cantor_flags), _simulate_flags, cmd_simulate),
+    "distinguish": (
+        "tell the counterexample from the sample", (_STRICT, _cantor_flags), _distinguish_flags, cmd_distinguish,
+    ),
+    "stationarity": (
+        "two-sample shift-invariance test", (_COMMON, _cantor_flags), _stationarity_flags, cmd_stationarity,
+    ),
+    "independence": ("fragment independence test", (_COMMON,), _independence_flags, cmd_independence),
+    "shifthit": ("hit counts of shifted dyadic prefixes", (_COMMON,), _shifthit_flags, cmd_shifthit),
+    "selector": ("uniform selector over a sample ensemble", (_COMMON,), _selector_flags, cmd_selector),
+    "enumerate": (
+        "interleaved enumeration with containment check", (_COMMON,), _enumerate_flags, cmd_enumerate,
+    ),
+    "cantor": ("build and serialize a fat Cantor set", (_COMMON, _cantor_flags), None, cmd_cantor),
+}
+# What the full parser's usage line shows for the subcommand argument.
+_ALL_COMMANDS = "{" + ",".join(_COMMANDS) + "}"
+
+
+def build_parser(defaults: dict | None = None, command: str | None = None) -> argparse.ArgumentParser:
+    """The dcset parser; `defaults` overrides flag defaults of every subcommand.
+
+    With a `command` it holds only that subcommand's parser, and parses that
+    subcommand's argv as the full parser does, usage and error text included.
+    """
+    parser = argparse.ArgumentParser(
+        prog="dcset",
+        description="Exact marginal/cover duality, random-set simulators, selectors and tests.",
+    )
+    # A one-subcommand parser shows all nine names too, in the usage line it
+    # prints for leftover arguments.  (Its metavar would also rename the
+    # argument in an invalid-choice error, which only the full parser meets.)
+    lean = {} if command is None else {"metavar": _ALL_COMMANDS}
+    sub = parser.add_subparsers(dest="command", required=True, **lean)
+    parents = {}  # one parser per maker, shared by the subcommands built here
+    for name in _COMMANDS if command is None else (command,):
+        help_text, makers, add_flags, handler = _COMMANDS[name]
+        for make in makers:
+            if make not in parents:
+                parents[make] = make()
+        p = sub.add_parser(name, parents=[parents[make] for make in makers], help=help_text)
+        if add_flags:
+            add_flags(p)
+        p.set_defaults(**{"func": handler, **(defaults or {})})
     return parser
+
+
+def _parse(argv: list, defaults: dict | None = None) -> argparse.Namespace:
+    """Parse argv with only its subcommand's parser built when argv[0] names
+    one; `--help`, an unknown command or none at all gets the full parser."""
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    return build_parser(defaults, command).parse_args(argv)
 
 
 # Keys of a config file that name no flag: the subcommand, its handler and
@@ -428,7 +473,7 @@ _ABSENT = object()
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     # A config file supplies flag defaults: each key that names a flag of the
     # chosen subcommand, and that no flag on the command line gave in any
     # spelling, is appended to argv as that flag, so argparse reads its value
@@ -441,7 +486,7 @@ def main(argv=None) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: bad --config: {exc}", file=sys.stderr)
             return 2
-        given = build_parser(dict.fromkeys(vars(args), _ABSENT)).parse_args(argv)
+        given = _parse(argv, dict.fromkeys(vars(args), _ABSENT))
         for key, value in config.items():
             dest = key.replace("-", "_")
             if value is None or dest in _NOT_FLAGS or getattr(given, dest, None) is not _ABSENT:
@@ -449,7 +494,7 @@ def main(argv=None) -> int:
             flag = "--" + dest.replace("_", "-")
             # `--flag=value` keeps a value such as -1/2 from reading as an option.
             argv += [flag, *map(str, value)] if isinstance(value, list) else [f"{flag}={value}"]
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
     try:
         # Every subcommand takes --level, so one check covers flags and config.
         _check_level(args.level)

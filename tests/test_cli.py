@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, exit codes, reproducibility."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -572,6 +573,69 @@ class TestConfig:
         assert json.loads(capsys.readouterr().out)["masks"] == 2
 
 
+def _parse_outcome(parse, argv, capsys):
+    """The Namespace `parse(argv)` returns, or the code it exits with, and
+    what it printed."""
+    try:
+        outcome = parse(argv)
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+_DEFAULT_ARGV = [
+    ["duality"],
+    ["simulate", "sample"],
+    ["distinguish"],
+    ["stationarity"],
+    ["independence"],
+    ["shifthit"],
+    ["selector"],
+    ["enumerate"],
+    ["cantor"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *_DEFAULT_ARGV,
+        ["duality", "mask.txt", "--row-caps", "r.csv", "--col-caps", "c.csv"],
+        ["simulate", "sample", "--seed", "1", "2"],  # a stray positional
+        ["cantor", "--no-such-flag"],
+        ["duality", "--sweep", "2", "x"],  # a bad int
+        ["selector", "--gen", "nope"],  # a bad choice
+        ["bogus"],
+        [],
+        ["-h"],
+        *([command, "-h"] for command, *_ in _DEFAULT_ARGV),
+    ],
+    ids=lambda argv: " ".join(argv) or "no arguments",
+)
+def test_lean_parser_matches_full(capsys, argv):
+    # A run builds only its subcommand's parser; what it parses, prints and
+    # exits with must be what the full parser gives.
+    lean = _parse_outcome(cli._parse, argv, capsys)
+    full = _parse_outcome(build_parser().parse_args, argv, capsys)
+    assert lean == full
+
+
+@pytest.mark.parametrize(
+    "config",
+    ['{"gap": "1/3", "cantor_depth": 3, "seed": 4}', "{not json", '{"cantor_depth": "x"}'],
+    ids=["good", "unreadable", "bad value"],
+)
+def test_config_run_matches_full_parser(tmp_path, monkeypatch, capsys, config):
+    conf = tmp_path / "conf.json"
+    conf.write_text(config)
+    argv = ["cantor", "--gap", "1/4", "--config", str(conf)]
+    lean = _parse_outcome(main, argv, capsys)
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda defaults=None, command=None: full_parser(defaults))
+    assert _parse_outcome(main, argv, capsys) == lean
+
+
 README = (Path(__file__).parents[1] / "README.md").read_text()
 
 
@@ -829,6 +893,24 @@ class TestStartup:
     draw only through `Seed.uniforms` never load numpy.random; `simulate` and
     the minima runs, which draw through `Seed.stream`, do.
     """
+
+    def test_run_builds_only_its_subparser(self, monkeypatch, capsys):
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def spy(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        assert main(["duality", "--sweep", "2", "2"]) == 0
+        assert built == ["duality"]
+        built.clear()
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0 and len(built) == 9
+        listing = capsys.readouterr().out.split("positional arguments:")[1]
+        assert all(f"\n    {name} " in listing for name in built)
 
     def test_parser_leaves_scipy_out(self):
         code = (

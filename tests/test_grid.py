@@ -126,14 +126,6 @@ class TestCyclicShift:
             out = cyclic_shift_point(CyclicShift(1 - s), cyclic_shift_point(CyclicShift(s), t))
             assert out == pytest.approx(t, abs=1e-12)
 
-    def test_grid_aligned_shift_preserves_measure(self):
-        rng = np.random.default_rng(14)
-        grid = UnitGrid(12)
-        for _ in range(30):
-            a = BinSet(grid, frozenset(int(k) for k in rng.integers(0, 12, 5)))
-            j = int(rng.integers(0, 12))
-            assert mes(a.shifted(j)) == mes(a)
-
 
 def _exact_contains(cantor, points) -> list:
     """Reference membership: no removed open interval holds the point, in Fractions."""
@@ -302,11 +294,15 @@ class TestFatCantor:
         assert vec.tolist() == [fat_cantor_contains(c, float(p)) for p in near]
         assert vec.tolist() == _exact_contains(c, near)
 
-    @pytest.mark.parametrize("gap", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(9, 10), Fraction(99, 100)])
+    @pytest.mark.parametrize(
+        "gap", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(9, 10), Fraction(99, 100), Fraction(1, 1025)]
+    )
     def test_build_matches_fraction_recurrence(self, gap):
         # The integer schedule gives the same intervals, measure and float
-        # tables, bit for bit, as the stage recurrence in Fractions.
-        for depth in range(1, 13):
+        # tables, bit for bit, as the stage recurrence in Fractions, on int64
+        # units and on Python ints: 1/1025 at depth 14 has 2**43 * 1025 > 2**53
+        # units.
+        for depth in (*range(1, 13), 14):
             c = fat_cantor_build(gap, depth)
             removed = _fraction_build(gap, depth)
             assert c.removed == removed, (gap, depth)
