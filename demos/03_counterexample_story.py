@@ -11,14 +11,14 @@ from fractions import Fraction
 from functools import partial
 
 from dcset import (
+    counterexample_rows,
     distinguish_counterexample,
     fat_cantor_build,
+    sample_rows,
     stationarity_test,
     BinSet,
     UnitGrid,
 )
-# Row makers: all replicas of one range drawn at once, as NaN-padded rows.
-from dcset.generators import _counterexample_rows, _sample_rows
 
 SEED = 99
 cantor = fat_cantor_build(Fraction(1, 2), 10)
@@ -32,11 +32,11 @@ print(f"homogeneity statistic {report.statistic:.1f} vs threshold {report.thresh
 
 print("\n=== stationarity under a random cyclic shift ===")
 half = BinSet(UnitGrid(2), frozenset({0}))
-passing = stationarity_test(partial(_sample_rows, 200), half, 400, SEED)
+passing = stationarity_test(partial(sample_rows, 200), half, 400, SEED)
 print(f"uniform sample:  statistic {passing.statistic:.1f} < {passing.threshold:.1f} "
       f"-> stationary ({passing.passed})")
 
-failing = stationarity_test(partial(_counterexample_rows, 200, cantor), cantor, 400, SEED)
+failing = stationarity_test(partial(counterexample_rows, 200, cantor), cantor, 400, SEED)
 print(f"counterexample:  statistic {failing.statistic:.1f} > {failing.threshold:.1f} "
       f"-> shift detected ({not failing.passed})")
 print("\nshifting scatters the Cantor-bound Poisson points into the gaps and")

@@ -31,12 +31,10 @@ from .errors import (
     FactorizationFailure,
     InsufficientDensity,
     NotNested,
-    OutOfDomain,
     ParseError,
     SparseTable,
     SweepTooLarge,
     TooFewSamples,
-    UndefinedPoint,
     UnsupportedCoupling,
 )
 from .generators import (
@@ -46,10 +44,14 @@ from .generators import (
     WalkPath,
     brownian_minima,
     counterexample_mix,
+    counterexample_rows,
     gaussian_walk,
     intensity_estimate,
+    minima_rows,
     poisson_on_cantor,
+    poisson_rows,
     revealing_selectors,
+    sample_rows,
     sample_uniform,
     walk_minima,
 )
@@ -58,12 +60,8 @@ from .grid_measure import (
     CyclicShift,
     FatCantor,
     UnitGrid,
-    bin_of,
-    cyclic_shift_point,
     cyclic_shift_points,
     fat_cantor_build,
-    fat_cantor_contains,
-    mes,
 )
 from .selector import (
     Ensemble,
@@ -86,7 +84,6 @@ from .stats import (
     event_reconstruction_check,
     fragment_independence_test,
     ks_uniform,
-    nonsingularity_diagnostic,
     shift_hit_curve,
     stationarity_test,
     two_sample_test,

@@ -27,18 +27,19 @@ from .errors import (
     SweepTooLarge,
     TooFewSamples,
     check_budget,
+    check_level,
 )
 from .generators import (
     Enumeration,
     Seed,
-    _counterexample_rows,
-    _distinct_rows,
-    _minima_rows,
-    _sample_rows,
     brownian_minima,
     counterexample_mix,
+    counterexample_rows,
+    distinct_rows,
+    minima_rows,
     poisson_on_cantor,
     revealing_selectors,
+    sample_rows,
     sample_uniform,
 )
 from .grid_measure import BinSet, UnitGrid, fat_cantor_build
@@ -51,7 +52,6 @@ from .selector import (
     verify_selector,
 )
 from .stats import (
-    _check_level,
     chi_square_independence,
     distinguish_counterexample,
     fragment_independence_test,
@@ -185,11 +185,11 @@ def cmd_stationarity(args) -> int:
     check_budget("replicas * depth", args.replicas * depth)
     cantor = _cantor_of(args)
     if args.gen == "sample":
-        rows = partial(_sample_rows, args.depth)
+        rows = partial(sample_rows, args.depth)
     elif args.gen == "minima":
-        rows = partial(_minima_rows, args.steps)
+        rows = partial(minima_rows, args.steps)
     else:
-        rows = partial(_counterexample_rows, args.depth, cantor)
+        rows = partial(counterexample_rows, args.depth, cantor)
     observable_name = args.observable or (
         "count-cantor" if args.gen == "counterexample" else "count-half"
     )
@@ -242,7 +242,7 @@ def cmd_selector(args) -> int:
         # Rounding can repeat a point or reach 1.0; the first such row is
         # refused by Enumeration, with its message.
         upper = 0.5 + 0.5 * ensemble.points
-        bad = ~_distinct_rows(upper)
+        bad = ~distinct_rows(upper)
         if bad.any():
             Enumeration(upper[bad.argmax()], depth=args.depth, provenance="sample-upper")
         ensemble = Ensemble._packed(upper, ensemble.lengths, grid)
@@ -497,7 +497,7 @@ def main(argv=None) -> int:
         args = _parse(argv)
     try:
         # Every subcommand takes --level, so one check covers flags and config.
-        _check_level(args.level)
+        check_level(args.level)
         return args.func(args)
     except (ParseError, SweepTooLarge, TooFewSamples, SparseTable, BadParameter, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -230,10 +230,6 @@ class Coupling:
     def col_sums(self) -> tuple:
         return tuple(Fraction(sum(col), self.scale) for col in zip(*self.units))
 
-    def mass_on(self, mask: SupportMask) -> Fraction:
-        """Total mass sitting on the mask's true cells."""
-        return Fraction(sum(self.units[i][j] for i, j in mask.pairs()), self.scale)
-
     def supported_on(self, mask: SupportMask) -> bool:
         return all(
             u == 0 or mask.cells[i, j]
@@ -941,20 +937,16 @@ def frequency_profile(
     a_sets: Sequence[BinSet],
     b_sets: Sequence[BinSet],
     horizon: int,
-    periodic: bool = True,
 ) -> FrequencyProfile:
     """Visit frequencies of two bin-set sequences over a finite horizon.
 
-    With `periodic=True` the given lists are read as one period each and
-    indices wrap, so a horizon divisible by both periods yields the exact
-    limit frequencies as rationals with denominator dividing the horizon.
-    With `periodic=False` the lists are finite prefixes and the horizon must
-    not exceed them (empirical frequencies).  `horizon` times either grid's
-    bin count may not exceed the work budget.
+    The given lists are read as one period each and indices wrap, so a
+    horizon divisible by both periods yields the exact limit frequencies as
+    rationals with denominator dividing the horizon; a horizon no longer than
+    either list reads them as finite prefixes (empirical frequencies).
+    `horizon` times either grid's bin count may not exceed the work budget.
     """
     check_count("horizon", horizon)
-    if not periodic and horizon > min(len(a_sets), len(b_sets)) > 0:  # empty: refused below
-        raise BadParameter("horizon exceeds the given finite prefixes")
     row_grid, a, col_grid, b = _periodic_rows(a_sets, b_sets, horizon, "horizon")
     f = tuple(Fraction(int(c), horizon) for c in a.sum(0))
     g = tuple(Fraction(int(c), horizon) for c in b.sum(0))

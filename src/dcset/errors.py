@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the count and work-budget checks.
+"""Exception types shared across the package, and the count, level and work-budget checks.
 
 The structured ones (DeficientSupport, InsufficientDensity, FactorizationFailure)
 carry their obstruction as a payload so callers can print or test it.
@@ -7,14 +7,6 @@ carry their obstruction as a payload so callers can print or test it.
 
 class DcsetError(Exception):
     """Base class for all package errors."""
-
-
-class OutOfDomain(DcsetError):
-    """A point lies outside the open interval (0, 1)."""
-
-
-class UndefinedPoint(DcsetError):
-    """The cyclic shift is undefined at this point (t = 1 - s)."""
 
 
 class BadParameter(DcsetError):
@@ -37,6 +29,12 @@ def check_count(name: str, value: int, least: int = 1) -> None:
     """Refuse a count, size or depth below `least`."""
     if value < least:
         raise BadParameter(f"{name} must be >= {least}, got {value}")
+
+
+def check_level(level: float) -> None:
+    """Refuse a test level outside the open interval (0, 1)."""
+    if not 0 < level < 1:
+        raise BadParameter(f"level must lie strictly between 0 and 1, got {level}")
 
 
 class NotNested(DcsetError):

@@ -1,7 +1,7 @@
-"""Text and JSON formats for masks, caps, bin sets, Cantor sets and reports.
+"""Text and JSON formats for masks, caps, Cantor sets and reports.
 
-Rationals travel as strings "p/q" (or plain integers) so every file
-round-trips exactly.
+Rationals travel as strings "p/q" (or plain integers) so every file holds
+them exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 from .duality import Coupling, Cover, MarginalCaps, SupportMask
 from .errors import ParseError, check_budget
 from .generators import Enumeration, RevealingSelectors
-from .grid_measure import BinSet, FatCantor, UnitGrid
 from .records import Record
 from .selector import SelectorTable
 from .stats import ShiftHitCurve, TestReport
@@ -23,11 +22,7 @@ __all__ = [
     "parse_fraction",
     "format_fraction",
     "parse_mask",
-    "format_mask",
     "parse_caps_side",
-    "parse_binset",
-    "format_binset",
-    "cantor_from_json",
     "coupling_to_json",
     "cover_to_json",
     "enumeration_to_csv",
@@ -48,13 +43,6 @@ def parse_fraction(text: str) -> Fraction:
 
 def format_fraction(value: Fraction) -> str:
     return str(Fraction(value))
-
-
-def format_mask(mask: SupportMask) -> str:
-    lines = [f"{mask.rows} {mask.cols}"]
-    for row in mask.cells:
-        lines.append("".join("1" if x else "0" for x in row))
-    return "\n".join(lines) + "\n"
 
 
 def parse_mask(text: str) -> SupportMask:
@@ -107,37 +95,6 @@ def parse_caps_side(text: str, count: int) -> tuple:
     return tuple(values)
 
 
-def format_binset(binset: BinSet) -> str:
-    indices = " ".join(str(k) for k in sorted(binset.members))
-    return f"{binset.grid.n}\n{indices}\n"
-
-
-def parse_binset(text: str) -> BinSet:
-    """Bin set file: line "n" then space-separated bin indices."""
-    lines = [l for l in text.splitlines()]
-    if not lines or not lines[0].strip().isdigit():
-        raise ParseError("expected grid size on the first line", line=1)
-    grid = UnitGrid(int(lines[0]))
-    members = set()
-    if len(lines) > 1 and lines[1].strip():
-        for token in lines[1].split():
-            if not token.isdigit() or not 0 <= int(token) < grid.n:
-                raise ParseError(f"bad bin index {token!r}", line=2)
-            members.add(int(token))
-    return BinSet(grid, frozenset(members))
-
-
-def cantor_from_json(data: dict) -> FatCantor:
-    try:
-        depth = int(data["depth"])
-        removed = tuple(
-            (parse_fraction(lo), parse_fraction(hi)) for lo, hi in data["removed"]
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad cantor JSON: {exc}") from exc
-    return FatCantor(depth=depth, removed=removed)
-
-
 def coupling_to_json(coupling: Coupling) -> dict:
     return {
         "mass": [[format_fraction(x) for x in row] for row in coupling.mass],
@@ -177,7 +134,7 @@ def selector_to_csv(table: SelectorTable) -> str:
 
 def report_to_json(record: Record) -> dict:
     """Any value record as a JSON-ready dict of its fields: a test report, a
-    shift-hit curve, a fat Cantor set (which `cantor_from_json` reads back)."""
+    shift-hit curve, a fat Cantor set (what `dcset cantor --out` writes)."""
     return {name: _plain(getattr(record, name)) for name in record._fields}
 
 

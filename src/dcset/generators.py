@@ -21,21 +21,27 @@ follows another LCG (jump-ahead), and one array pass draws k columns of
 every row; a pass updates the states in place, in a fixed set of work
 arrays, and allocates nothing.
 
-The stochastic batteries draw a range of replicas at once this way, as
-NaN-padded rows (`rows(base, replicas)`): `_sample_rows` (shared with
-`selector.sample_ensemble`), `_poisson_rows` (numpy's Poisson multiplication
-method as one cumulative product per row) and `_counterexample_rows` (gap
-picks read one PCG64 pass of columns at a time).  A row that runs out of drawn
-doubles, or that the per-replica generator would not keep whole (a repeat, or
-a point outside its interval), is redrawn by `sample_uniform`,
-`poisson_on_cantor` or `counterexample_mix`, which stay the reference for
-every row; `_minima_rows` loops `brownian_minima`.  Every generator and row
-maker refuses more than `errors.WORK_BUDGET` points before it draws any:
-depth for one enumeration (3 * depth for revealing selectors), steps for a
-walk, depth * replicas (steps * replicas for minima) for a batch of rows.
-Draws are held to the same budget: replicas * _POISSON_WIDTH doubles for
-`_poisson_rows`, and about depth / gap measure gap-pick doubles for one
-counterexample, replicas times that for `_counterexample_rows`.
+The stochastic batteries draw a range of replicas at once this way, through
+the row makers `sample_rows` (shared with `selector.sample_ensemble`),
+`minima_rows`, `poisson_rows` (numpy's Poisson multiplication method as one
+cumulative product per row) and `counterexample_rows` (gap picks read one
+PCG64 pass of columns at a time).  Each takes its construction's parameters,
+then `(base, replicas)`, and returns NaN-padded rows, row k holding the points
+of replica replicas[k]; with the parameters bound by `functools.partial` it
+is the `rows(base, replicas)` that `stats.stationarity_test` takes.
+`as_seed`, `distinct_rows`, `row_slices` and `sample_gap` are helpers that
+`selector`, `stats` and `cli` share; the package does not re-export them.
+
+A row that runs out of drawn doubles, or that the per-replica generator would
+not keep whole (a repeat, or a point outside its interval), is redrawn by
+`sample_uniform`, `poisson_on_cantor` or `counterexample_mix`, which stay the
+reference for every row; `minima_rows` loops `brownian_minima`.  Every
+generator and row maker refuses more than `errors.WORK_BUDGET` points before
+it draws any: depth for one enumeration (3 * depth for revealing selectors),
+steps for a walk, depth * replicas (steps * replicas for minima) for a batch
+of rows.  Draws are held to the same budget: replicas * _POISSON_WIDTH
+doubles for `poisson_rows`, and about depth / gap measure gap-pick doubles
+for one counterexample, replicas times that for `counterexample_rows`.
 """
 
 from __future__ import annotations
@@ -65,6 +71,10 @@ __all__ = [
     "counterexample_mix",
     "intensity_estimate",
     "revealing_selectors",
+    "sample_rows",
+    "minima_rows",
+    "poisson_rows",
+    "counterexample_rows",
 ]
 
 # Substream domains (first spawn-key slot after the replica index).
@@ -334,8 +344,9 @@ def _leap_constants(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pcg64_bits(state: np.ndarray, k: int):
-    """Successive k-by-R uint64 arrays of the 53-bit words behind the doubles
-    of `_pcg64_passes`: draws 1..k, then k+1..2k, and so on.
+    """Successive k-by-R uint64 arrays of the 53-bit words of the PCG64
+    generator seeded from each row of `_seed_state` (one column per row):
+    draws 1..k, then k+1..2k, and so on.  A word times 2**-53 is its double.
 
     Seeding follows pcg64_set_seed: initstate, then inc = 2*initseq + 1, one
     step, add initstate to get u, one step to s_0 = a*u + inc.  Draw c is
@@ -389,17 +400,6 @@ def _pcg64_bits(state: np.ndarray, k: int):
     return passes()
 
 
-def _pcg64_passes(state: np.ndarray, k: int):
-    """Successive k-by-R arrays of the doubles of the PCG64 generator seeded
-    from each row of `_seed_state` (one column per row): the first holds
-    draws 1..k, the next k+1..2k, and so on.  A double is the word of
-    `_pcg64_bits` times 2**-53, and each pass is a fresh array, which the
-    caller may keep or edit.
-    """
-    for bits in _pcg64_bits(state, k):
-        yield bits * _TWO_M53
-
-
 def _pcg64_block(state: np.ndarray, width: int) -> np.ndarray:
     """R-by-width array of the first `width` doubles of the PCG64 generator
     seeded from each row of `_seed_state`, one row each.
@@ -432,7 +432,8 @@ def _pcg64_block(state: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _as_seed(seed) -> Seed:
+def as_seed(seed) -> Seed:
+    """A Seed as given; a plain integer becomes Seed(int(seed))."""
     return seed if isinstance(seed, Seed) else Seed(int(seed))
 
 
@@ -441,14 +442,14 @@ def _in_open_unit(points: np.ndarray) -> np.ndarray:
     return (points > 0.0) & (points < 1.0)
 
 
-def _row_slices(rows: int, width: int) -> list[slice]:
+def row_slices(rows: int, width: int) -> list[slice]:
     """Slices of `rows` rows of `width` entries, each at most _SLICE_POINTS
     entries; an array pass taken a slice at a time bounds its temporaries."""
     step = max(1, _SLICE_POINTS // max(width, 1))
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
-def _distinct_rows(points: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+def distinct_rows(points: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
     """Per row: its points, the entries other than its NaN padding, are
     pairwise distinct and inside (lo, hi).
 
@@ -457,7 +458,7 @@ def _distinct_rows(points: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> np.n
     every entry and fails both comparisons, so the padding passes.
     """
     kept = np.empty(len(points), dtype=bool)
-    for rows in _row_slices(*points.shape):
+    for rows in row_slices(*points.shape):
         ordered = np.sort(points[rows], axis=1)
         inside = ~((ordered <= lo) | (ordered >= hi))
         kept[rows] = inside.all(axis=1) & (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
@@ -503,7 +504,7 @@ def _distinct_uniform(rng: np.random.Generator, count: int, lo: float, hi: float
     seen: set[float] = set()
     while len(picked) < count:
         chunk = rng.uniform(lo, hi, size=count - len(picked))
-        if not picked and _distinct_rows(chunk[None], lo, hi)[0]:
+        if not picked and distinct_rows(chunk[None], lo, hi)[0]:
             return chunk  # distinct draws inside (lo, hi) are kept whole
         for t in chunk:
             t = float(t)
@@ -517,7 +518,7 @@ def sample_uniform(depth: int, seed) -> Enumeration:
     """First `depth` points of an unordered infinite uniform sample."""
     check_count("depth", depth)
     check_budget("depth", depth)
-    rng = _as_seed(seed).stream(GENERATOR_DOMAIN, _SAMPLE)
+    rng = as_seed(seed).stream(GENERATOR_DOMAIN, _SAMPLE)
     return Enumeration(
         _distinct_uniform(rng, depth, 0.0, 1.0), depth=depth, provenance="sample"
     )
@@ -540,7 +541,7 @@ def gaussian_walk(steps: int, seed) -> WalkPath:
     """Walk with independent Gaussian increments of variance 1/steps."""
     check_count("steps", steps)
     check_budget("steps", steps)
-    rng = _as_seed(seed).stream(GENERATOR_DOMAIN, _WALK)
+    rng = as_seed(seed).stream(GENERATOR_DOMAIN, _WALK)
     increments = rng.normal(0.0, np.sqrt(1.0 / steps), size=steps)
     values = np.concatenate([[0.0], np.cumsum(increments)])
     return WalkPath(steps=steps, values=values)
@@ -574,14 +575,14 @@ def poisson_on_cantor(cantor: FatCantor, seed) -> np.ndarray:
     measure = float(cantor.measure)
     if measure <= 0:
         raise BadParameter("cantor set must have positive measure")
-    rng = _as_seed(seed).stream(GENERATOR_DOMAIN, _POISSON)
+    rng = as_seed(seed).stream(GENERATOR_DOMAIN, _POISSON)
     count = int(rng.poisson(measure))
     if count == 0:
         return np.empty(0)
     return cantor.place(_distinct_uniform(rng, count, 0.0, measure))
 
 
-def _sample_gap(cantor: FatCantor, depth: int, replicas: int = 1) -> float:
+def sample_gap(cantor: FatCantor, depth: int, replicas: int = 1) -> float:
     """The gap measure of C as a float, refused when C leaves no gap for sample
     picks, or when `depth` picks would take about depth / gap uniform draws,
     or `replicas` times that, more than the work budget."""
@@ -603,9 +604,9 @@ def counterexample_mix(depth: int, cantor: FatCantor, seed) -> Enumeration:
     """
     check_count("depth", depth)
     check_budget("depth", depth)
-    _sample_gap(cantor, depth)
+    sample_gap(cantor, depth)
     poisson_part = poisson_on_cantor(cantor, seed)
-    rng = _as_seed(seed).stream(GENERATOR_DOMAIN, _MIX_SAMPLE)
+    rng = as_seed(seed).stream(GENERATOR_DOMAIN, _MIX_SAMPLE)
     seen = set(poisson_part.tolist())
     picked: list[float] = []
     while len(picked) < depth:
@@ -623,7 +624,7 @@ def counterexample_mix(depth: int, cantor: FatCantor, seed) -> Enumeration:
     return Enumeration(points, depth=len(points), provenance="counterexample", tags=tags)
 
 
-def _sample_rows(depth: int, base: Seed, replicas: range) -> np.ndarray:
+def sample_rows(depth: int, base: Seed, replicas: range) -> np.ndarray:
     """Array whose row k is sample_uniform(depth, base.with_replica(replicas[k])).points.
 
     Every row comes from one `Seed.uniforms` call; a row that sample_uniform
@@ -633,7 +634,7 @@ def _sample_rows(depth: int, base: Seed, replicas: range) -> np.ndarray:
     check_count("depth", depth)
     check_budget("depth * replicas", depth * len(replicas))
     points = base.uniforms(replicas, GENERATOR_DOMAIN, _SAMPLE, size=depth)
-    redo = ~_distinct_rows(points)
+    redo = ~distinct_rows(points)
     return _redo_rows(points, redo, base, replicas, lambda s: sample_uniform(depth, s).points)
 
 
@@ -650,7 +651,7 @@ def _redo_rows(points: np.ndarray, redo: np.ndarray, base: Seed, replicas: range
     return points
 
 
-def _minima_rows(steps: int, base: Seed, replicas: range) -> np.ndarray:
+def minima_rows(steps: int, base: Seed, replicas: range) -> np.ndarray:
     """NaN-padded rows: row k holds brownian_minima(steps, base.with_replica(replicas[k])).points.
 
     Drawn one replica at a time, since numpy's ziggurat normal is not
@@ -665,7 +666,7 @@ def _minima_rows(steps: int, base: Seed, replicas: range) -> np.ndarray:
     )
 
 
-def _poisson_rows(cantor: FatCantor, base: Seed, replicas: range) -> np.ndarray:
+def poisson_rows(cantor: FatCantor, base: Seed, replicas: range) -> np.ndarray:
     """NaN-padded rows: row k holds poisson_on_cantor(cantor, base.with_replica(replicas[k])).
 
     Below a mean of 10, numpy's Poisson draw is the multiplication method: the
@@ -684,33 +685,33 @@ def _poisson_rows(cantor: FatCantor, base: Seed, replicas: range) -> np.ndarray:
     take = np.minimum(lengths[:, None] + 1 + cols, _POISSON_WIDTH - 1)
     us = measure * np.take_along_axis(draws, take, axis=1)
     us[cols >= lengths[:, None]] = np.nan
-    kept = (2 * lengths + 1 <= _POISSON_WIDTH) & _distinct_rows(us, 0.0, measure)
+    kept = (2 * lengths + 1 <= _POISSON_WIDTH) & distinct_rows(us, 0.0, measure)
     return _redo_rows(cantor.place(us), ~kept, base, replicas, lambda s: poisson_on_cantor(cantor, s))
 
 
-def _counterexample_rows(depth: int, cantor: FatCantor, base: Seed, replicas: range) -> np.ndarray:
+def counterexample_rows(depth: int, cantor: FatCantor, base: Seed, replicas: range) -> np.ndarray:
     """NaN-padded rows: row k holds
     counterexample_mix(depth, cantor, base.with_replica(replicas[k])).points.
 
-    The Poisson part comes from `_poisson_rows`.  The gap picks are the first
+    The Poisson part comes from `poisson_rows`.  The gap picks are the first
     `depth` doubles of each row's _MIX_SAMPLE substream that lie in a gap and
-    inside (0, 1), read for all rows together one `_pcg64_passes` pass at a
+    inside (0, 1), read for all rows together one `_pcg64_bits` pass at a
     time, of k columns by `_pcg64_block`'s rule for width depth / gap measure.
     A row that runs short of picks, or that Enumeration would refuse (a pick
     repeated, or equal to a Poisson point), is drawn by counterexample_mix.
     """
     check_count("depth", depth)
-    gap = _sample_gap(cantor, depth, len(replicas))
-    poisson = _poisson_rows(cantor, base, replicas)
+    gap = sample_gap(cantor, depth, len(replicas))
+    poisson = poisson_rows(cantor, base, replicas)
     lengths = (~np.isnan(poisson)).sum(axis=1)
     points = np.full((len(replicas), poisson.shape[1] + depth), np.nan)
     points[:, : poisson.shape[1]] = poisson
     k = max(1, min(math.ceil(depth / gap), _LEAP_ENTRIES // max(len(replicas), 1)))
-    passes = _pcg64_passes(_seed_state(base.value, replicas, (GENERATOR_DOMAIN, _MIX_SAMPLE)), k)
+    bits = _pcg64_bits(_seed_state(base.value, replicas, (GENERATOR_DOMAIN, _MIX_SAMPLE)), k)
     have = np.zeros(len(replicas), dtype=np.int64)
     read = 0
     while read <= _PICK_SLACK * depth / gap and (short := np.flatnonzero(have < depth)).size:
-        block = next(passes).T[short]
+        block = next(bits).T[short] * _TWO_M53
         read += k
         keep = ~cantor.contains_points(block)  # 0 lies in C, so a gap double lies in (0, 1)
         slot = np.cumsum(keep, axis=1) + (have[short] - 1)[:, None]
@@ -718,7 +719,7 @@ def _counterexample_rows(depth: int, cantor: FatCantor, base: Seed, replicas: ra
         rows = short[np.nonzero(keep)[0]]
         points[rows, lengths[rows] + slot[keep]] = block[keep]
         have[short] += keep.sum(axis=1)
-    kept = (have == depth) & _distinct_rows(points)
+    kept = (have == depth) & distinct_rows(points)
     return _redo_rows(points, ~kept, base, replicas, lambda s: counterexample_mix(depth, cantor, s).points)
 
 
@@ -733,7 +734,7 @@ def intensity_estimate(
     """
     check_count("replicas", replicas)
     check_budget("replicas", replicas)
-    base = _as_seed(seed)
+    base = as_seed(seed)
     rows = (make(base.with_replica(r)).points for r in range(replicas))
     hits = np.bincount(np.concatenate([np.flatnonzero(region.contains_points(row)) for row in rows]))
     counts = {n: c for n, c in enumerate(hits.tolist(), start=1) if c}
@@ -761,7 +762,7 @@ def revealing_selectors(depth: int, seed) -> RevealingSelectors:
     """Build the coupled family U_k, V_k, Z_k, A_k, Y_k of one replica."""
     check_count("depth", depth)
     check_budget("3 * depth", 3 * depth)
-    base = _as_seed(seed)
+    base = as_seed(seed)
     low_pts = _distinct_uniform(base.stream(GENERATOR_DOMAIN, _LOW), depth, 0.0, 0.25)
     mid_pts = _distinct_uniform(base.stream(GENERATOR_DOMAIN, _MID), depth, 0.25, 0.5)
     high_pts = _distinct_uniform(base.stream(GENERATOR_DOMAIN, _HIGH), depth, 0.5, 1.0)

@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BadParameter, OutOfDomain, UndefinedPoint
+from .errors import BadParameter
 from .records import Record
 
 __all__ = [
@@ -27,12 +27,8 @@ __all__ = [
     "BinSet",
     "CyclicShift",
     "FatCantor",
-    "bin_of",
-    "mes",
-    "cyclic_shift_point",
     "cyclic_shift_points",
     "fat_cantor_build",
-    "fat_cantor_contains",
 ]
 
 
@@ -102,18 +98,6 @@ class BinSet(Record):
         return BinSet(self.grid, frozenset(range(self.grid.n)) - self.members)
 
 
-def bin_of(grid: UnitGrid, t: float) -> int:
-    """Index k with k/n <= t < (k+1)/n for a point of the open interval."""
-    if not 0.0 < t < 1.0:
-        raise OutOfDomain(f"point {t} outside (0,1)")
-    return int(grid.bins(np.array([t]))[0])
-
-
-def mes(a: BinSet) -> Fraction:
-    """Exact Lebesgue measure of a bin set."""
-    return a.measure
-
-
 class CyclicShift(Record):
     """The interval exchange t -> t + s mod 1 on (0,1); undefined at 1 - s."""
 
@@ -123,22 +107,6 @@ class CyclicShift(Record):
         if not 0 < s < 1:
             raise BadParameter(f"shift {s} outside (0,1)")
         super().__init__(s)
-
-
-def cyclic_shift_point(shift: CyclicShift, t):
-    """Apply the cyclic shift to one point.
-
-    Exact when both the shift and the point are Fractions; float otherwise.
-    Raises UndefinedPoint at t = 1 - s, where the exchange has no value.
-    """
-    if not 0 < t < 1:
-        raise OutOfDomain(f"point {t} outside (0,1)")
-    s = shift.s
-    if t == 1 - s:
-        raise UndefinedPoint(f"shift by {s} undefined at {t}")
-    if t < 1 - s:
-        return t + s
-    return t + s - 1
 
 
 def cyclic_shift_points(shift: CyclicShift, points: Iterable) -> list:
@@ -348,9 +316,3 @@ def fat_cantor_build(target_gap, depth: int) -> FatCantor:
         length = next_length
     return FatCantor._from_units(depth, scale, starts[:-1] + length, starts[1:])
 
-
-def fat_cantor_contains(cantor: FatCantor, t: float) -> bool:
-    """True iff the point lies in no removed interval (compared exactly)."""
-    if not 0 < t < 1:
-        raise OutOfDomain(f"point {t} outside (0,1)")
-    return cantor._holds(t)

@@ -43,9 +43,9 @@ from .generators import (
     SELECTOR_DOMAIN,
     Enumeration,
     Seed,
-    _as_seed,
-    _row_slices,
-    _sample_rows,
+    as_seed,
+    row_slices,
+    sample_rows,
 )
 from .grid_measure import UnitGrid
 from .records import Record
@@ -109,7 +109,7 @@ class Ensemble(Record, eq=False):
     def first_index(self) -> np.ndarray:
         """R-by-n table: each replica's lowest point index in each bin, or -1.
 
-        Rows are binned one `generators._row_slices` slice at a time, so no
+        Rows are binned one `generators.row_slices` slice at a time, so no
         cell index of every point is held at once.
         """
         n = self.grid.n
@@ -120,7 +120,7 @@ class Ensemble(Record, eq=False):
         spare = self.size * n
         least = np.full(spare + 1, width, dtype=np.int64)
         first_cell = np.arange(0, spare, n)[:, None]
-        for rows in _row_slices(self.size, width):
+        for rows in row_slices(self.size, width):
             block = self.points[rows]
             cells = first_cell[rows] + self.grid.bins(block)
             cells[index >= self.lengths[rows, None]] = spare
@@ -134,13 +134,13 @@ def sample_ensemble(depth: int, count: int, grid: UnitGrid, seed) -> Ensemble:
     """Ensemble of uniform-sample replicas, the workhorse test bed.
 
     Replica r equals sample_uniform(depth, Seed(value, r)).  The rows come
-    from `generators._sample_rows`: one `Seed.uniforms` call and one row check,
+    from `generators.sample_rows`: one `Seed.uniforms` call and one row check,
     a failing row rebuilt by sample_uniform.
     """
     if count < 1:
         raise BadParameter(f"ensemble needs at least one replica, got {count}")
     check_budget("replicas * bins", count * grid.n)
-    points = _sample_rows(depth, _as_seed(seed), range(count))
+    points = sample_rows(depth, as_seed(seed), range(count))
     return Ensemble._packed(points, np.full(count, depth, dtype=np.int64), grid)
 
 
@@ -250,7 +250,7 @@ def selector_from_coupling(
     Raises UnsupportedCoupling if the coupling has a negative entry, charges a
     cell outside the ensemble's support mask or leaves a replica without mass.
     """
-    base = _as_seed(seed)
+    base = as_seed(seed)
     if coupling.rows != ensemble.size or coupling.cols != ensemble.grid.n:
         raise BadParameter("coupling dimensions do not match the ensemble")
     return _draw(ensemble, np.arange(ensemble.size), _units(coupling.units), base, component)
@@ -277,7 +277,7 @@ def uniform_selector(ensemble: Ensemble, seed, component: int = 0) -> SelectorTa
     value bins the ensemble fails to reach.
     """
     units = _full_units_or_obstruction(build_support_mask(ensemble))
-    return _draw(ensemble, np.arange(ensemble.size), units, _as_seed(seed), component)
+    return _draw(ensemble, np.arange(ensemble.size), units, as_seed(seed), component)
 
 
 def _refine(rank: np.ndarray, bins: np.ndarray, n: int) -> np.ndarray:
@@ -332,7 +332,7 @@ def conditional_uniform_selector(
     structure cell by cell.  A cell whose sub-mask has no full coupling raises
     InsufficientDensity naming that cell by its tuple of coarse bins.
     """
-    base = _as_seed(seed)
+    base = as_seed(seed)
     if not priors:
         return uniform_selector(ensemble, base, component)
     for prior in priors:
@@ -366,7 +366,7 @@ def interleaved_enumeration(
     failing conditioning cell is named by the mixed-radix int of its coarse
     bins over every table so far.
     """
-    base = _as_seed(seed)
+    base = as_seed(seed)
     check_count("rounds", rounds, 0)
     check_budget("rounds * replicas", rounds * ensemble.size)
     empty = ensemble.lengths < 1

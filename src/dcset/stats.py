@@ -14,24 +14,23 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BadParameter, SparseTable, TooFewSamples, check_budget, check_count
+from .errors import BadParameter, SparseTable, TooFewSamples, check_budget, check_count, check_level
 from .generators import (
     REVEAL_CUT,
     STATS_DOMAIN,
     RevealingSelectors,
     Seed,
-    _as_seed,
-    _distinct_rows,
-    _poisson_rows,
-    _row_slices,
-    _sample_gap,
-    _sample_rows,
+    as_seed,
     counterexample_mix,
+    distinct_rows,
     gaussian_walk,
+    poisson_rows,
+    row_slices,
+    sample_gap,
+    sample_rows,
 )
 from .grid_measure import FatCantor
 from .records import Record
-from .selector import SelectorTable
 
 __all__ = [
     "TestReport",
@@ -43,17 +42,12 @@ __all__ = [
     "stationarity_test",
     "distinguish_counterexample",
     "shift_hit_curve",
-    "nonsingularity_diagnostic",
     "event_reconstruction_check",
     "dyadic_rationals",
 ]
 
 # Points drawn per fragment by the sample observable of fragment_independence_test.
 _FRAG_POINTS = 4
-# nonsingularity_diagnostic keeps replicas whose Y lies below this cut ...
-_HALF_THRESHOLD = 0.5
-# ... and flags a cell whose joint mass exceeds this multiple of its product mass.
-_RATIO_CAP = 4.0
 
 
 class TestReport(Record):
@@ -141,18 +135,13 @@ def _chi2_quantile(q: float, df: int) -> float:
     return float(2 * gammaincinv(df / 2, q))
 
 
-def _check_level(level: float) -> None:
-    if not 0 < level < 1:
-        raise BadParameter(f"level must lie strictly between 0 and 1, got {level}")
-
-
 def ks_uniform(values, level: float = 0.01, seed: int | None = None) -> TestReport:
     """One-sample Kolmogorov-Smirnov test against the uniform law on (0,1).
 
     Uses the asymptotic critical value c(level)/sqrt(N) with
     c(a) = sqrt(ln(2/a)/2).
     """
-    _check_level(level)
+    check_level(level)
     xs = np.sort(np.asarray(values, dtype=float))
     n = xs.size
     if n < 20:
@@ -175,7 +164,7 @@ def chi_square_independence(
     x_bins, y_bins, rows: int, cols: int, level: float = 0.01, seed: int | None = None
 ) -> TestReport:
     """Pearson independence test on a rows-by-cols contingency table."""
-    _check_level(level)
+    check_level(level)
     x = np.asarray(x_bins, dtype=np.int64)
     y = np.asarray(y_bins, dtype=np.int64)
     if x.shape != y.shape:
@@ -247,7 +236,7 @@ def two_sample_test(
     xs, ys, level: float = 0.01, seed: int | None = None, name: str = "two-sample"
 ) -> TestReport:
     """Chi-square homogeneity test of two samples over deterministic buckets."""
-    _check_level(level)
+    check_level(level)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.size < 10 or ys.size < 10:
@@ -306,7 +295,7 @@ def _fragment_observables(kind: str, fragments, replicas: int, base: Seed, steps
     `gaussian_walk`."""
     width = steps + 1 if kind == "walk" else _FRAG_POINTS * len(fragments)
     obs = np.empty((len(fragments), replicas), dtype=np.int64)
-    for rows in _row_slices(replicas, width):
+    for rows in row_slices(replicas, width):
         reps = range(replicas)[rows]
         if kind == "walk":
             values = np.stack([gaussian_walk(steps, base.with_replica(r)).values for r in reps])
@@ -340,7 +329,7 @@ def fragment_independence_test(
     tested at `level / pairs` (Bonferroni), and `threshold` is that per-pair
     threshold.
     """
-    _check_level(level)
+    check_level(level)
     cuts = [float(c) for c in cuts]
     if len(cuts) < 3:
         raise BadParameter("need at least two fragments")
@@ -350,7 +339,7 @@ def fragment_independence_test(
         raise BadParameter(f"unknown fragment kind {kind!r}")
     check_count("replicas", replicas)
     check_count("steps", steps)
-    base = _as_seed(seed)
+    base = as_seed(seed)
 
     fragments = list(zip(cuts, cuts[1:]))
     work = replicas * (len(fragments) + (steps if kind == "walk" else 0))
@@ -391,18 +380,20 @@ def stationarity_test(
     """Two-sample comparison of the count in a region on X versus on a freshly shifted X.
 
     `rows(base, replicas)` returns NaN-padded rows, row k holding the points
-    of replica replicas[k] (the row makers of `generators`).  The plain arm
+    of replica replicas[k]: one of the row makers `generators.sample_rows`,
+    `minima_rows`, `poisson_rows` or `counterexample_rows` with its leading
+    arguments bound, as `functools.partial(sample_rows, depth)`.  The plain arm
     is replicas 0..R-1.  The shifted arm is replicas R..2R-1, each moved by
     its own uniform shift s by `_shift_rows`.  A stationary construction
     produces identically distributed arms.
     """
-    _check_level(level)
+    check_level(level)
     check_count("replicas", replicas)
     if replicas < 10:
         raise TooFewSamples("stationarity test needs >= 10 replicas per arm")
     check_budget("replicas", replicas)
 
-    base = _as_seed(seed)
+    base = as_seed(seed)
     shifts = base.uniforms(range(replicas, 2 * replicas), STATS_DOMAIN, 0)
     plain = _count_in_rows(region, rows(base, range(replicas)))
     shifted = _count_in_rows(region, _shift_rows(rows(base, range(replicas, 2 * replicas)), shifts))
@@ -438,7 +429,7 @@ def _count_in_rows(region, points: np.ndarray) -> np.ndarray:
     """Per row, as a float: how many of its points lie in the region, tested
     a slice of rows at a time by `_hits_in_rows`."""
     counts = np.empty(len(points))
-    for rows in _row_slices(*points.shape):
+    for rows in row_slices(*points.shape):
         counts[rows] = _hits_in_rows(region, points[rows]).sum(axis=1)
     return counts
 
@@ -459,13 +450,13 @@ def _distinguish_arms(cantor: FatCantor, depth: int, replicas: int, base: Seed):
     """
     reps = range(replicas)
     if depth > 0:
-        _sample_gap(cantor, depth)
-    poisson = _poisson_rows(cantor, base, reps)
+        sample_gap(cantor, depth)
+    poisson = poisson_rows(cantor, base, reps)
     if depth == 0:
         return np.zeros(replicas), (~np.isnan(poisson)).sum(axis=1).astype(float)
-    for r in np.flatnonzero(~_distinct_rows(poisson)).tolist():
+    for r in np.flatnonzero(~distinct_rows(poisson)).tolist():
         counterexample_mix(depth, cantor, base.with_replica(r))
-    return _count_in_rows(cantor, _sample_rows(depth, base, reps)), _count_in_rows(cantor, poisson)
+    return _count_in_rows(cantor, sample_rows(depth, base, reps)), _count_in_rows(cantor, poisson)
 
 
 def distinguish_counterexample(
@@ -481,11 +472,11 @@ def distinguish_counterexample(
     `_distinguish_arms`).  Both arms are drawn for all replicas at once, so
     `replicas * (depth + 1)` may not exceed `errors.WORK_BUDGET`.
     """
-    _check_level(level)
+    check_level(level)
     check_count("replicas", replicas)
     check_count("depth", depth, 0)
     check_budget("replicas * (depth + 1)", replicas * (depth + 1))
-    base = _as_seed(seed)
+    base = as_seed(seed)
     xs, ys = _distinguish_arms(cantor, depth, replicas, base)
     report = two_sample_test(xs, ys, level, base.value, name="distinguish-counterexample")
     report.details["mean_sample"] = float(xs.mean())
@@ -527,12 +518,12 @@ def shift_hit_curve(region, depths: Sequence[int], shifts: int, seed) -> ShiftHi
         raise BadParameter("depths must be positive")
     check_count("shifts", shifts)
     check_budget("shifts * largest depth", shifts * depths[-1])
-    base = _as_seed(seed)
+    base = as_seed(seed)
     points = dyadic_rationals(depths[-1])
     ss = base.uniforms([base.replica], STATS_DOMAIN, 1, size=shifts)[0]
     ends = np.array(depths) - 1
     counts = np.empty((shifts, len(depths)))
-    for rows in _row_slices(shifts, points.size):
+    for rows in row_slices(shifts, points.size):
         hits = _hits_in_rows(region, _shift_rows(points, ss[rows, None]))
         counts[rows] = np.cumsum(hits, axis=1)[:, ends]
     # The two middle order statistics, averaged as numpy's median does; that
@@ -547,56 +538,6 @@ def shift_hit_curve(region, depths: Sequence[int], shifts: int, seed) -> ShiftHi
         expected=tuple(measure * d for d in depths),
         shifts=shifts,
         seed=base.value,
-    )
-
-
-def nonsingularity_diagnostic(
-    y_table: SelectorTable,
-    z_table: SelectorTable,
-    resolution: int = 8,
-    seed: int | None = None,
-) -> TestReport:
-    """Empirical absolute-continuity proxy for a selector pair within an event.
-
-    Restricted to the replicas with Y below 1/2, at least 4 r^2 of them, the
-    joint histogram of (Y, Z) bins is compared cell-wise against the product
-    of marginals: a cell is flagged when its joint mass exceeds four times the
-    product mass (the product floored at 1/(4 r^2), to stabilize thin
-    marginals).  Joint mass concentrating on a thin set flags; any pair with a
-    bounded joint density passes.  A proxy, not a proof.
-    """
-    y = np.asarray(y_table.values, dtype=float)
-    z = np.asarray(z_table.values, dtype=float)
-    if y.shape != z.shape:
-        raise BadParameter("selector tables must share the ensemble")
-    keep = y < _HALF_THRESHOLD
-    n_kept = int(keep.sum())
-    required = 4 * resolution * resolution
-    if n_kept < required:
-        raise TooFewSamples(f"only {n_kept} replicas below the threshold; need {required}")
-    floor = 1.0 / required
-
-    yk = np.clip((y[keep] / _HALF_THRESHOLD * resolution).astype(int), 0, resolution - 1)
-    zk = np.clip((z[keep] * resolution).astype(int), 0, resolution - 1)
-    joint = np.zeros((resolution, resolution))
-    np.add.at(joint, (yk, zk), 1)
-    joint /= n_kept
-    product = np.outer(joint.sum(axis=1), joint.sum(axis=0))
-    ratios = np.where(joint > 0, joint / np.maximum(product, floor), 0.0)
-    statistic = float(ratios.max())
-    flagged = [
-        (int(i), int(j))
-        for i, j in zip(*np.nonzero(ratios > _RATIO_CAP))
-    ]
-    return TestReport(
-        name="nonsingularity-diagnostic",
-        statistic=statistic,
-        threshold=_RATIO_CAP,
-        level=0.0,
-        passed=not flagged,
-        replicas=n_kept,
-        seed=seed,
-        details={"flagged_cells": flagged, "floor": floor},
     )
 
 

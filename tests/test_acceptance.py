@@ -34,6 +34,7 @@ from dcset import (
     brownian_minima,
     chi_square_independence,
     conditional_uniform_selector,
+    counterexample_rows,
     distinguish_counterexample,
     event_reconstruction_check,
     fat_cantor_build,
@@ -47,13 +48,13 @@ from dcset import (
     product_limsup_witness,
     revealing_selectors,
     sample_ensemble,
+    sample_rows,
     shift_hit_curve,
     solve,
     stationarity_test,
     uniform_selector,
     verify_selector,
 )
-from dcset.generators import _counterexample_rows, _sample_rows
 
 SEED_RANDOM_MASKS = 16161616
 SEED_CHAINS = 88888
@@ -315,9 +316,9 @@ def test_criterion_10_interleaved_enumeration():
 def test_criterion_11_stationarity_both_directions():
     """Sample passes the shift test at 0.01; the mixed set is rejected."""
     half = BinSet(UnitGrid(2), frozenset({0}))
-    passing = stationarity_test(partial(_sample_rows, 200), half, 400, SEED_STATIONARITY)
+    passing = stationarity_test(partial(sample_rows, 200), half, 400, SEED_STATIONARITY)
     failing = stationarity_test(
-        partial(_counterexample_rows, 200, CANTOR_HALF), CANTOR_HALF, 400, SEED_STATIONARITY
+        partial(counterexample_rows, 200, CANTOR_HALF), CANTOR_HALF, 400, SEED_STATIONARITY
     )
     assert passing.passed
     assert not failing.passed

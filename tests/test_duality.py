@@ -97,7 +97,7 @@ def assert_witnesses_valid(mask, caps=None):
     cost, cover = cert.cover_cost, cert.cover
     assert coupling.is_feasible(caps, mask)
     assert coupling.total_mass() == value
-    assert coupling.mass_on(mask) == value
+    assert sum((coupling.mass[i][j] for i, j in mask.pairs()), Fraction(0)) == value
     assert cover.covers(mask)
     assert cover.cost(caps) == cost
     assert value == cost
@@ -1248,8 +1248,9 @@ class TestProfileAgainstPerStepLoop:
     @settings(max_examples=100, deadline=None)
     @given(a_seq=bin_sequences(max_size=40), b_seq=bin_sequences(max_size=40), data=st.data())
     def test_prefix_profile(self, a_seq, b_seq, data):
+        # Up to the shorter length the periodic read never wraps: it is the prefix read.
         horizon = data.draw(st.integers(1, min(len(a_seq), len(b_seq))))
-        profile = frequency_profile(a_seq, b_seq, horizon, periodic=False)
+        profile = frequency_profile(a_seq, b_seq, horizon)
         assert profile == loop_frequency_profile(a_seq, b_seq, horizon, periodic=False)
         assert profile.residual() == loop_residual(profile)
 
@@ -1292,7 +1293,7 @@ class TestProfileRefusals:
             lambda: periodic_limsup_mask([], seq),
             lambda: periodic_limsup_mask(seq, []),
             lambda: frequency_profile([], seq, 2),
-            lambda: frequency_profile(seq, [], 2, periodic=False),
+            lambda: frequency_profile(seq, [], 2),
         ):
             with pytest.raises(BadParameter, match="sequences must be nonempty"):
                 make()
@@ -1363,14 +1364,8 @@ class TestFrequencyProfile:
         g4 = UnitGrid(4)
         a_seq = [BinSet(g4, frozenset(k for k in range(4) if rng.random() < 0.5)) for _ in range(5000)]
         b_seq = [BinSet(g4, frozenset(k for k in range(4) if rng.random() < 0.5)) for _ in range(5000)]
-        profile = frequency_profile(a_seq, b_seq, 5000, periodic=False)
+        profile = frequency_profile(a_seq, b_seq, 5000)
         assert float(profile.residual()) < 0.05
-
-    def test_empirical_prefix_bounds(self):
-        g2 = UnitGrid(2)
-        seq = binsets(g2, {0}, {1})
-        with pytest.raises(BadParameter):
-            frequency_profile(seq, seq, 3, periodic=False)
 
 
 class TestLimsupWitness:

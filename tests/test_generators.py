@@ -24,12 +24,15 @@ from dcset import (
     WalkPath,
     brownian_minima,
     counterexample_mix,
+    counterexample_rows,
     fat_cantor_build,
-    fat_cantor_contains,
     gaussian_walk,
     intensity_estimate,
+    minima_rows,
     poisson_on_cantor,
+    poisson_rows,
     revealing_selectors,
+    sample_rows,
     sample_uniform,
     walk_minima,
 )
@@ -37,14 +40,10 @@ from dcset import generators
 from dcset.errors import WORK_BUDGET
 from dcset.generators import (
     _LEAP_ENTRIES,
-    _counterexample_rows,
     _distinct_uniform,
-    _minima_rows,
+    _pcg64_bits,
     _pcg64_block,
-    _pcg64_passes,
-    _poisson_rows,
     _replica_array,
-    _sample_rows,
     _seed_state,
 )
 
@@ -111,11 +110,12 @@ class TestUniforms:
             Seed(3).uniforms([0, -1, 2], 1, 0)
 
     def test_blocks_continue_the_stream(self):
-        # Successive passes of k columns, concatenated, are the stream in order.
+        # Successive passes of k columns, concatenated and scaled by 2**-53,
+        # are the stream in order.
         seed = Seed(2**64 - 1)
         for k in (1, 3, 8):
-            passes = _pcg64_passes(_seed_state(seed.value, range(9), (0, 3)), k)
-            got = np.concatenate([next(passes) for _ in range(5)]).T
+            bits = _pcg64_bits(_seed_state(seed.value, range(9), (0, 3)), k)
+            got = np.concatenate([next(bits) * 2.0**-53 for _ in range(5)]).T
             assert np.array_equal(got, seed.uniforms(range(9), 0, 3, size=5 * k))
 
     @settings(max_examples=30, deadline=None)
@@ -253,9 +253,9 @@ class TestSampleUniform:
             lambda: gaussian_walk(WORK_BUDGET + 1, 1),
             lambda: counterexample_mix(2_000_000_000, CANTOR, 1),
             lambda: revealing_selectors(WORK_BUDGET // 3 + 1, 1),
-            lambda: _sample_rows(WORK_BUDGET // 10 + 1, Seed(1), range(10)),
-            lambda: _counterexample_rows(WORK_BUDGET // 10 + 1, CANTOR, Seed(1), range(10)),
-            lambda: _minima_rows(WORK_BUDGET // 10 + 1, Seed(1), range(10)),
+            lambda: sample_rows(WORK_BUDGET // 10 + 1, Seed(1), range(10)),
+            lambda: counterexample_rows(WORK_BUDGET // 10 + 1, CANTOR, Seed(1), range(10)),
+            lambda: minima_rows(WORK_BUDGET // 10 + 1, Seed(1), range(10)),
         ]
         for call in calls:
             with pytest.raises(BadParameter, match="exceeds the work budget"):
@@ -376,7 +376,7 @@ class TestPoissonOnCantor:
     def test_membership_sure(self):
         for r in range(20):
             for t in poisson_on_cantor(CANTOR, Seed(8, r)):
-                assert fat_cantor_contains(CANTOR, float(t))
+                assert CANTOR._holds(float(t))
 
     def test_poisson_mean(self):
         replicas = 4000
@@ -402,7 +402,7 @@ class TestCounterexampleMix:
         for r in range(15):
             enum = counterexample_mix(30, CANTOR, Seed(21, r))
             for t, tag in zip(enum.points, enum.tags):
-                inside = fat_cantor_contains(CANTOR, float(t))
+                inside = CANTOR._holds(float(t))
                 assert inside if tag == "poisson" else not inside
 
     def test_count_in_cantor_is_depth_free(self):
@@ -436,9 +436,9 @@ class TestCounterexampleMix:
 
         code = (
             "from dcset import BadParameter, FatCantor, Seed, counterexample_mix\n"
-            "from dcset.generators import _counterexample_rows\n"
+            "from dcset.generators import counterexample_rows\n"
             "for make in (lambda: counterexample_mix(1, FatCantor(1, ()), Seed(1)),\n"
-            "             lambda: _counterexample_rows(1, FatCantor(1, ()), Seed(1), range(3))):\n"
+            "             lambda: counterexample_rows(1, FatCantor(1, ()), Seed(1), range(3))):\n"
             "    try:\n"
             "        make()\n"
             "    except BadParameter as err:\n"
@@ -463,10 +463,10 @@ class TestCounterexampleMix:
         code = (
             "from fractions import Fraction as F\n"
             "from dcset import BadParameter, FatCantor, Seed, counterexample_mix\n"
-            "from dcset.generators import _counterexample_rows\n"
+            "from dcset.generators import counterexample_rows\n"
             "tiny = FatCantor(1, ((F(1, 2), F(1, 2) + F(1, 10**9)),))\n"
             "for make in (lambda: counterexample_mix(1, tiny, Seed(1)),\n"
-            "             lambda: _counterexample_rows(1, tiny, Seed(1), range(2))):\n"
+            "             lambda: counterexample_rows(1, tiny, Seed(1), range(2))):\n"
             "    try:\n"
             "        make()\n"
             "    except BadParameter as err:\n"
@@ -481,21 +481,21 @@ class TestCounterexampleMix:
 
     def test_draws_over_budget_refused_before_drawing(self, monkeypatch):
         monkeypatch.setattr(generators, "poisson_on_cantor", no_draw)
-        monkeypatch.setattr(generators, "_poisson_rows", no_draw)
+        monkeypatch.setattr(generators, "poisson_rows", no_draw)
         tiny = FatCantor(1, ((Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**7)),))
         for make in (lambda: counterexample_mix(2, tiny, Seed(1)),
-                     lambda: _counterexample_rows(2, tiny, Seed(1), range(3))):
+                     lambda: counterexample_rows(2, tiny, Seed(1), range(3))):
             with pytest.raises(BadParameter, match="depth / gap measure = 20000000 exceeds"):
                 make()
         # Draws are rounded up and may reach the budget itself.
         half = FatCantor(1, ((Fraction(1, 4), Fraction(3, 4)),))
-        assert generators._sample_gap(half, WORK_BUDGET // 2) == 0.5
+        assert generators.sample_gap(half, WORK_BUDGET // 2) == 0.5
         with pytest.raises(BadParameter, match=f"= {WORK_BUDGET + 2} exceeds"):
-            generators._sample_gap(half, WORK_BUDGET // 2 + 1)
+            generators.sample_gap(half, WORK_BUDGET // 2 + 1)
         two_thirds = FatCantor(1, ((Fraction(1, 6), Fraction(5, 6)),))
-        assert generators._sample_gap(two_thirds, 6_666_666) == 2 / 3  # 9,999,999 draws
+        assert generators.sample_gap(two_thirds, 6_666_666) == 2 / 3  # 9,999,999 draws
         with pytest.raises(BadParameter, match=f"= {WORK_BUDGET + 1} exceeds"):
-            generators._sample_gap(two_thirds, 6_666_667)  # 10,000,000.5 draws
+            generators.sample_gap(two_thirds, 6_666_667)  # 10,000,000.5 draws
 
 
 class Drew(Exception):
@@ -517,30 +517,30 @@ class TestDrawBudgets:
         monkeypatch.setattr(generators, "_seed_state", spy_on_draws)
         inside = WORK_BUDGET // width
         with pytest.raises(BadParameter) as refused:
-            _poisson_rows(CANTOR, Seed(1), range(inside + 1))
+            poisson_rows(CANTOR, Seed(1), range(inside + 1))
         product = (inside + 1) * width
         assert str(refused.value) == (
             f"replicas * {width} Poisson draws = {product} exceeds the work budget {WORK_BUDGET}"
         )
         with pytest.raises(Drew):
-            _poisson_rows(CANTOR, Seed(1), range(inside))
+            poisson_rows(CANTOR, Seed(1), range(inside))
 
     def test_gap_pick_draws(self, monkeypatch):
         monkeypatch.setattr(generators, "_seed_state", spy_on_draws)
         # 909,091 draws a replica; 11 replicas are one draw over the budget.
         narrow = FatCantor(1, ((Fraction(1, 4), Fraction(1, 4) + Fraction(1, 909_091)),))
         with pytest.raises(BadParameter) as refused:
-            _counterexample_rows(1, narrow, Seed(1), range(11))
+            counterexample_rows(1, narrow, Seed(1), range(11))
         assert str(refused.value) == (
             f"replicas * depth / gap measure = {WORK_BUDGET + 1} exceeds the work budget {WORK_BUDGET}"
         )
         # 10 replicas of 10**6 draws each reach the budget itself.
         half = FatCantor(1, ((Fraction(1, 4), Fraction(3, 4)),))
         with pytest.raises(Drew):
-            _counterexample_rows(WORK_BUDGET // 20, half, Seed(1), range(10))
+            counterexample_rows(WORK_BUDGET // 20, half, Seed(1), range(10))
         # A replica's own draws are still checked first, under their own name.
         with pytest.raises(BadParameter, match="^depth / gap measure = 10000002 exceeds"):
-            _counterexample_rows(WORK_BUDGET // 2 + 1, half, Seed(1), range(1))
+            counterexample_rows(WORK_BUDGET // 2 + 1, half, Seed(1), range(1))
 
 
 class TestIntensityEstimate:
@@ -722,7 +722,7 @@ class TestBatchCounterexample:
     def test_poisson_rows_match(self, value, gap, cantor_depth, first, replicas):
         cantor = fat_cantor_build(gap, cantor_depth)
         reps = range(first, first + replicas)
-        got = rows_of(_poisson_rows(cantor, Seed(value), reps))
+        got = rows_of(poisson_rows(cantor, Seed(value), reps))
         for r, row in zip(reps, got):
             assert np.array_equal(row, poisson_on_cantor(cantor, Seed(value, r)))
 
@@ -733,8 +733,8 @@ class TestBatchCounterexample:
     def test_rows_match(self, value, gap, cantor_depth, depth, first, replicas):
         cantor = fat_cantor_build(gap, cantor_depth)
         reps = range(first, first + replicas)
-        samples = _sample_rows(depth, Seed(value), reps)
-        mixes = rows_of(_counterexample_rows(depth, cantor, Seed(value), reps))
+        samples = sample_rows(depth, Seed(value), reps)
+        mixes = rows_of(counterexample_rows(depth, cantor, Seed(value), reps))
         for k, r in enumerate(reps):
             assert np.array_equal(samples[k], sample_uniform(depth, Seed(value, r)).points)
             assert np.array_equal(mixes[k], counterexample_mix(depth, cantor, Seed(value, r)).points)
@@ -744,7 +744,7 @@ class TestBatchCounterexample:
            first=st.integers(0, 100), replicas=st.integers(0, 20))
     def test_minima_rows_match(self, value, steps, first, replicas):
         reps = range(first, first + replicas)
-        got = rows_of(_minima_rows(steps, Seed(value), reps))
+        got = rows_of(minima_rows(steps, Seed(value), reps))
         assert len(got) == replicas
         for r, row in zip(reps, got):
             assert np.array_equal(row, brownian_minima(steps, Seed(value, r)).points)
@@ -757,7 +757,7 @@ class TestBatchCounterexample:
 
         monkeypatch.setattr(generators, "brownian_minima", no_draw)
         with pytest.raises(BadParameter) as got:
-            _minima_rows(steps, Seed(1), range(replicas))
+            minima_rows(steps, Seed(1), range(replicas))
         assert str(got.value) == str(want.value) == f"need steps >= 3 for interior minima, got {steps}"
 
     @staticmethod
@@ -777,7 +777,7 @@ class TestBatchCounterexample:
         # A count c needs 2c + 1 doubles; rows needing more take the per-replica path.
         monkeypatch.setattr(generators, "_POISSON_WIDTH", width)
         calls = self.counted(monkeypatch, "poisson_on_cantor")
-        got = rows_of(_poisson_rows(CANTOR, Seed(31), range(100, 300)))
+        got = rows_of(poisson_rows(CANTOR, Seed(31), range(100, 300)))
         assert 0 < len(calls) < 200
         for r, row in zip(range(100, 300), got):
             assert np.array_equal(row, poisson_on_cantor(CANTOR, Seed(31, r)))
@@ -790,26 +790,26 @@ class TestBatchCounterexample:
         monkeypatch.setattr(generators, "_PICK_SLACK", slack)
         monkeypatch.setattr(generators, "_POISSON_WIDTH", 3)
         calls = self.counted(monkeypatch, "counterexample_mix")
-        got = rows_of(_counterexample_rows(20, CANTOR, Seed(32), range(50, 150)))
+        got = rows_of(counterexample_rows(20, CANTOR, Seed(32), range(50, 150)))
         assert 0 < len(calls) <= 100 and (len(calls) == 100) == (slack == 0)
         for r, row in zip(range(50, 150), got):
             assert np.array_equal(row, counterexample_mix(20, CANTOR, Seed(32, r)).points)
 
     def test_repeated_pick_row_is_redrawn(self, monkeypatch):
-        passes = generators._pcg64_passes
+        bits = generators._pcg64_bits
         picks = _seed_state(33, range(7, 13), (0, generators._MIX_SAMPLE))
 
         def forged(state, k):
-            drawn = passes(state, k)
+            drawn = bits(state, k)
             if np.array_equal(state, picks):
                 first = next(drawn)
-                first[:2, 2] = 0.5  # the centre of CANTOR's widest gap, picked twice
+                first[:2, 2] = 2**52  # 0.5, the centre of CANTOR's widest gap, picked twice
                 yield first
             yield from drawn
 
-        monkeypatch.setattr(generators, "_pcg64_passes", forged)
+        monkeypatch.setattr(generators, "_pcg64_bits", forged)
         calls = self.counted(monkeypatch, "counterexample_mix")
-        got = rows_of(_counterexample_rows(10, CANTOR, Seed(33), range(7, 13)))
+        got = rows_of(counterexample_rows(10, CANTOR, Seed(33), range(7, 13)))
         assert [args[2] for args in calls] == [Seed(33, 9)]
         for r, row in zip(range(7, 13), got):
             assert np.array_equal(row, counterexample_mix(10, CANTOR, Seed(33, r)).points)

@@ -1,5 +1,6 @@
 """Grid, bin set, cyclic shift and fat Cantor behavior."""
 
+import math
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -13,17 +14,11 @@ from dcset import (
     BinSet,
     CyclicShift,
     FatCantor,
-    OutOfDomain,
-    UndefinedPoint,
     UnitGrid,
-    bin_of,
-    cyclic_shift_point,
     cyclic_shift_points,
     fat_cantor_build,
-    fat_cantor_contains,
-    mes,
 )
-from dcset.formats import cantor_from_json, report_to_json
+from dcset.formats import report_to_json
 
 
 class TestBins:
@@ -32,27 +27,26 @@ class TestBins:
         [(4, 0.3, 1), (4, 0.25, 1), (10, 0.999, 9), (1, 0.5, 0), (8, 0.124, 0)],
     )
     def test_bin_of(self, n, t, expected):
-        assert bin_of(UnitGrid(n), t) == expected
+        assert UnitGrid(n).bins([t])[0] == expected
 
     @pytest.mark.parametrize("t", [0.0, 1.0, -0.5, 1.5])
     def test_bin_of_out_of_domain(self, t):
-        with pytest.raises(OutOfDomain):
-            bin_of(UnitGrid(4), t)
+        # A point outside (0, 1) is clipped into the nearer end bin.
+        assert UnitGrid(4).bins([t])[0] == (0 if t < 0.5 else 3)
 
     def test_bin_of_half_open_contract(self):
         # k/n <= t < (k+1)/n checked with exact rational comparison
         rng = np.random.default_rng(10)
-        grid = UnitGrid(7)
-        for t in rng.uniform(0.001, 0.999, 200):
-            k = bin_of(grid, float(t))
-            assert Fraction(k, 7) <= Fraction(float(t)) < Fraction(k + 1, 7)
+        pts = rng.uniform(0.001, 0.999, 200)
+        for t, k in zip(pts.tolist(), UnitGrid(7).bins(pts).tolist()):
+            assert Fraction(k, 7) <= Fraction(t) < Fraction(k + 1, 7)
 
     def test_bins_vectorized_matches_scalar(self):
+        # The float product pts * n, truncated, against floor(t * n) in Fractions.
         rng = np.random.default_rng(11)
-        grid = UnitGrid(6)
         pts = rng.uniform(0.001, 0.999, 500)
-        vec = grid.bins(pts)
-        assert all(vec[i] == bin_of(grid, float(p)) for i, p in enumerate(pts))
+        vec = UnitGrid(6).bins(pts)
+        assert vec.tolist() == [math.floor(Fraction(t) * 6) for t in pts.tolist()]
 
     def test_grid_needs_a_bin(self):
         with pytest.raises(BadParameter):
@@ -61,9 +55,9 @@ class TestBins:
 
 class TestMeasure:
     def test_examples(self):
-        assert mes(BinSet(UnitGrid(4), frozenset({0, 2}))) == Fraction(1, 2)
-        assert mes(BinSet(UnitGrid(4), frozenset())) == 0
-        assert mes(UnitGrid(8).full()) == 1
+        assert BinSet(UnitGrid(4), frozenset({0, 2})).measure == Fraction(1, 2)
+        assert BinSet(UnitGrid(4), frozenset()).measure == 0
+        assert UnitGrid(8).full().measure == 1
 
     def test_additive_over_disjoint_and_monotone(self):
         rng = np.random.default_rng(12)
@@ -74,8 +68,8 @@ class TestMeasure:
             a = BinSet(grid, frozenset(members[:half]))
             b = BinSet(grid, frozenset(members[half:]))
             union = BinSet(grid, a.members | b.members)
-            assert mes(union) == mes(a) + mes(b)
-            assert mes(a) <= mes(union)
+            assert union.measure == a.measure + b.measure
+            assert a.measure <= union.measure
 
     def test_bad_index_rejected(self):
         with pytest.raises(BadParameter):
@@ -83,21 +77,17 @@ class TestMeasure:
 
     def test_complement(self):
         a = BinSet(UnitGrid(4), frozenset({1}))
-        assert mes(a) + mes(a.complement()) == 1
+        assert a.measure + a.complement().measure == 1
 
 
 class TestCyclicShift:
     def test_point_examples(self):
-        assert cyclic_shift_point(CyclicShift(0.3), 0.5) == pytest.approx(0.8)
-        assert cyclic_shift_point(CyclicShift(0.3), 0.8) == pytest.approx(0.1)
+        assert cyclic_shift_points(CyclicShift(0.3), [0.5, 0.8]) == pytest.approx([0.8, 0.1])
 
     def test_undefined_point(self):
-        with pytest.raises(UndefinedPoint):
-            cyclic_shift_point(CyclicShift(0.3), 0.7)
+        assert cyclic_shift_points(CyclicShift(0.3), [0.7]) == []
 
     def test_domain_checked(self):
-        with pytest.raises(OutOfDomain):
-            cyclic_shift_point(CyclicShift(0.3), 1.5)
         with pytest.raises(BadParameter):
             CyclicShift(0.0)
 
@@ -114,7 +104,7 @@ class TestCyclicShift:
         for t in [Fraction(1, 7), Fraction(1, 2), Fraction(9, 11)]:
             if t in (1 - s, s):
                 continue
-            assert cyclic_shift_point(back, cyclic_shift_point(fwd, t)) == t
+            assert cyclic_shift_points(back, cyclic_shift_points(fwd, [t])) == [t]
 
     def test_roundtrip_floats_close(self):
         rng = np.random.default_rng(13)
@@ -123,8 +113,8 @@ class TestCyclicShift:
             t = float(t)
             if t in (1 - s, s):
                 continue
-            out = cyclic_shift_point(CyclicShift(1 - s), cyclic_shift_point(CyclicShift(s), t))
-            assert out == pytest.approx(t, abs=1e-12)
+            out = cyclic_shift_points(CyclicShift(1 - s), cyclic_shift_points(CyclicShift(s), [t]))
+            assert out == pytest.approx([t], abs=1e-12)
 
 
 def _exact_contains(cantor, points) -> list:
@@ -246,17 +236,15 @@ class TestFatCantor:
 
     def test_contains_examples(self):
         c = fat_cantor_build(Fraction(1, 2), 1)
-        assert not fat_cantor_contains(c, 0.5)
-        assert fat_cantor_contains(c, 0.01)
-        with pytest.raises(OutOfDomain):
-            fat_cantor_contains(c, 0.0)
+        assert not c._holds(0.5)
+        assert c._holds(0.01)
 
     def test_contains_vector_matches_scalar(self):
         c = fat_cantor_build(Fraction(1, 2), 6)
         rng = np.random.default_rng(15)
         pts = rng.uniform(0.001, 0.999, 400)
         vec = c.contains_points(pts)
-        assert all(bool(vec[i]) == fat_cantor_contains(c, float(p)) for i, p in enumerate(pts))
+        assert all(bool(vec[i]) == c._holds(float(p)) for i, p in enumerate(pts))
 
     def test_kept_segments_account_for_measure(self):
         c = fat_cantor_build(Fraction(3, 7), 5)
@@ -291,7 +279,7 @@ class TestFatCantor:
         near = np.concatenate([bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, 1.0)])
         assert len(near) == 378
         vec = c.contains_points(near)
-        assert vec.tolist() == [fat_cantor_contains(c, float(p)) for p in near]
+        assert vec.tolist() == [c._holds(float(p)) for p in near]
         assert vec.tolist() == _exact_contains(c, near)
 
     @pytest.mark.parametrize(
@@ -335,7 +323,8 @@ class TestFatCantor:
         # bucket included.
         c = FatCantor(3, removed)
         _check_lookup(c, np.random.default_rng(seed))
-        again = cantor_from_json(report_to_json(c))
+        data = report_to_json(c)
+        again = FatCantor(data["depth"], data["removed"])
         assert again == c
         _check_lookup(again, np.random.default_rng(seed))
 
@@ -375,7 +364,7 @@ class TestFatCantor:
         assert c.measure == Fraction(1, 2)
         pts = np.array([0.2, 0.3, 0.5, 0.6, 0.8])
         assert c.contains_points(pts).tolist() == [True, False, True, False, True]
-        assert all(fat_cantor_contains(c, float(p)) == v for p, v in zip(pts, c.contains_points(pts)))
+        assert all(c._holds(float(p)) == v for p, v in zip(pts, c.contains_points(pts)))
 
 
 def _placed_by_hand(cantor, us):

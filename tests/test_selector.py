@@ -102,7 +102,7 @@ class TestSampleEnsemble:
         with pytest.raises(BadParameter, match="depth must be >= 1, got 0"):
             sample_ensemble(0, 5, GRID8, 1)
         # No replica is refused before any row is drawn.
-        monkeypatch.setattr("dcset.selector._sample_rows", never)
+        monkeypatch.setattr("dcset.selector.sample_rows", never)
         with pytest.raises(BadParameter, match="ensemble needs at least one replica, got 0"):
             sample_ensemble(4, 0, GRID8, 1)
 
@@ -650,13 +650,13 @@ class TestArrayPathsMatchReferences:
         with pytest.MonkeyPatch.context() as mp:
             for rows in (1, 2, ens.size):
                 mp.setattr(generators, "_SLICE_POINTS", rows * width)
-                assert len(generators._row_slices(ens.size, width)) == -(-ens.size // rows)
+                assert len(generators.row_slices(ens.size, width)) == -(-ens.size // rows)
                 fresh = Ensemble._packed(ens.points, ens.lengths, ens.grid)
                 assert np.array_equal(fresh.first_index, reference_first_index(ens))
 
     def test_first_index_over_many_slices(self):
         ens = sample_ensemble(64, 700, GRID8, 86)
-        assert len(generators._row_slices(ens.size, ens.points.shape[1])) == 3
+        assert len(generators.row_slices(ens.size, ens.points.shape[1])) == 3
         assert np.array_equal(ens.first_index, reference_first_index(ens))
 
     @settings(max_examples=100, deadline=None)

@@ -20,13 +20,13 @@ from dcset import (
     Enumeration,
     FatCantor,
     Seed,
-    SelectorTable,
     SparseTable,
     TooFewSamples,
     UnitGrid,
     brownian_minima,
     chi_square_independence,
     counterexample_mix,
+    counterexample_rows,
     cyclic_shift_points,
     distinguish_counterexample,
     dyadic_rationals,
@@ -35,9 +35,11 @@ from dcset import (
     fragment_independence_test,
     gaussian_walk,
     ks_uniform,
-    nonsingularity_diagnostic,
+    minima_rows,
     poisson_on_cantor,
+    poisson_rows,
     revealing_selectors,
+    sample_rows,
     sample_uniform,
     ShiftHitCurve,
     shift_hit_curve,
@@ -46,13 +48,7 @@ from dcset import (
 )
 from dcset import generators, stats
 from dcset.cli import main
-from dcset.generators import (
-    STATS_DOMAIN,
-    _counterexample_rows,
-    _minima_rows,
-    _poisson_rows,
-    _sample_rows,
-)
+from dcset.generators import STATS_DOMAIN
 from dcset.errors import WORK_BUDGET
 from dcset.stats import (
     _CHI2_TABLE,
@@ -196,7 +192,7 @@ LEVEL_TAKERS = {
         "sample", [0, 0.5, 1], 100, 1, level
     ),
     "stationarity_test": lambda level: stationarity_test(
-        partial(_sample_rows, 10), CANTOR, 20, 1, level
+        partial(sample_rows, 10), CANTOR, 20, 1, level
     ),
     "distinguish_counterexample": lambda level: distinguish_counterexample(
         CANTOR, 10, 20, 1, level
@@ -383,26 +379,26 @@ HALF = BinSet(UnitGrid(2), frozenset({0}))
 
 class TestStationarity:
     def test_sample_is_stationary(self):
-        report = stationarity_test(partial(_sample_rows, 100), HALF, 300, 98)
+        report = stationarity_test(partial(sample_rows, 100), HALF, 300, 98)
         assert report.passed
 
     def test_walk_minima_stationary(self):
-        report = stationarity_test(partial(_minima_rows, 2048), HALF, 300, 99)
+        report = stationarity_test(partial(minima_rows, 2048), HALF, 300, 99)
         assert report.passed
 
     def test_counterexample_detected(self):
-        report = stationarity_test(partial(_counterexample_rows, 200, CANTOR), CANTOR, 300, 98)
+        report = stationarity_test(partial(counterexample_rows, 200, CANTOR), CANTOR, 300, 98)
         assert not report.passed
 
     def test_shift_free_observable_trivially_passes(self):
         # The full region counts every point and ignores positions: both arms identical.
-        report = stationarity_test(partial(_sample_rows, 60), UnitGrid(1).full(), 200, 97)
+        report = stationarity_test(partial(sample_rows, 60), UnitGrid(1).full(), 200, 97)
         assert report.passed
 
     @pytest.mark.parametrize("replicas, error", [(-5, BadParameter), (0, BadParameter), (9, TooFewSamples)])
     def test_replica_count_checked(self, replicas, error):
         with pytest.raises(error):
-            stationarity_test(partial(_sample_rows, 10), HALF, replicas, 96)
+            stationarity_test(partial(sample_rows, 10), HALF, replicas, 96)
 
     def test_work_budget(self):
         # Refused before any shift or row is drawn.
@@ -418,9 +414,9 @@ class TestStationarity:
     @pytest.mark.parametrize(
         "rows, make",
         [
-            (partial(_sample_rows, 30), lambda s: sample_uniform(30, s)),
-            (partial(_minima_rows, 300), lambda s: brownian_minima(300, s)),
-            (partial(_counterexample_rows, 30, CANTOR), lambda s: counterexample_mix(30, CANTOR, s)),
+            (partial(sample_rows, 30), lambda s: sample_uniform(30, s)),
+            (partial(minima_rows, 300), lambda s: brownian_minima(300, s)),
+            (partial(counterexample_rows, 30, CANTOR), lambda s: counterexample_mix(30, CANTOR, s)),
         ],
         ids=["sample", "minima", "counterexample"],
     )
@@ -542,8 +538,8 @@ class TestDistinguish:
         # lies in a gap, so each row counts in C what its Poisson part counts.
         cantor = fat_cantor_build(gap, cantor_depth)
         reps = range(offset, offset + replicas)
-        mixed = _counterexample_rows(depth, cantor, Seed(value), reps)
-        poisson = _poisson_rows(cantor, Seed(value), reps)
+        mixed = counterexample_rows(depth, cantor, Seed(value), reps)
+        poisson = poisson_rows(cantor, Seed(value), reps)
         assert np.array_equal(_count_in_rows(cantor, mixed), _count_in_rows(cantor, poisson))
 
     @pytest.mark.parametrize(
@@ -563,8 +559,8 @@ class TestDistinguish:
             return generators._redo_rows(empty, every, base, replicas, partial(forced, cantor))
 
         monkeypatch.setattr(generators, "poisson_on_cantor", forced)
-        monkeypatch.setattr(generators, "_poisson_rows", forced_rows)
-        monkeypatch.setattr(stats, "_poisson_rows", forced_rows)
+        monkeypatch.setattr(generators, "poisson_rows", forced_rows)
+        monkeypatch.setattr(stats, "poisson_rows", forced_rows)
         with pytest.raises(BadParameter, match=message):
             distinguish_counterexample(CANTOR, 20, 10, 106)
         xs, ys = _distinguish_arms(CANTOR, 0, 10, Seed(106))  # depth 0: sizes, unchecked
@@ -722,43 +718,6 @@ def _reference_shift_counts(region, points, ss, depths):
     return counts
 
 
-def _table(values):
-    return SelectorTable(np.asarray(values, dtype=float), np.zeros(len(values), dtype=np.int64))
-
-
-class TestNonsingularityDiagnostic:
-    def test_independent_pair_passes(self):
-        rng = np.random.default_rng(106)
-        y = _table(rng.uniform(0, 1, 5000))
-        z = _table(rng.uniform(0, 1, 5000))
-        assert nonsingularity_diagnostic(y, z).passed
-
-    def test_copied_pair_flags_at_fine_resolution(self):
-        # Joint mass on the diagonal is ~1/r per cell against a product of
-        # ~2/r^2: the density ratio grows like r/2 and crosses the cap.
-        rng = np.random.default_rng(107)
-        y = _table(rng.uniform(0, 1, 8000))
-        report = nonsingularity_diagnostic(y, y, resolution=16)
-        assert not report.passed
-        assert report.details["flagged_cells"]
-
-    def test_revealing_pair_passes(self):
-        # The selector value and its driver are dependent but share a bounded
-        # joint density (piecewise ratio 2), below the cap of 4.
-        ys, zs = [], []
-        for r in range(4000):
-            fam = revealing_selectors(1, Seed(108, r))
-            ys.append(float(fam.chosen.points[0]))
-            zs.append(float(fam.high.points[0]))
-        report = nonsingularity_diagnostic(_table(ys), _table(zs))
-        assert report.passed
-        assert report.statistic < 4
-
-    def test_too_few_samples(self):
-        with pytest.raises(TooFewSamples):
-            nonsingularity_diagnostic(_table([0.1] * 30), _table([0.2] * 30))
-
-
 class TestEventReconstruction:
     def test_rate_exactly_one(self):
         fams = [revealing_selectors(100, Seed(109, r)) for r in range(30)]
@@ -788,7 +747,7 @@ class TestReportShape:
         "run",
         [
             lambda s: fragment_independence_test("sample", [0, 0.5, 1], 200, s),
-            lambda s: stationarity_test(partial(_sample_rows, 20), HALF, 20, s),
+            lambda s: stationarity_test(partial(sample_rows, 20), HALF, 20, s),
             lambda s: distinguish_counterexample(CANTOR, 20, 20, s, level=0.01),
             lambda s: shift_hit_curve(HALF, [8, 16], 10, s),
         ],
